@@ -18,17 +18,32 @@ pseudocode:
   like (CIF, ENR).  If the deadline cannot be met even with every free task
   at the window's fastest column, DPF is infinite, which vetoes the tagged
   candidate whenever any feasible alternative exists.
+
+``CalculateDPF`` runs once per (window, position, candidate column), so its
+promotion loop is the algorithm's hot path.  The loop (shared with
+:func:`promote_until_feasible`) walks ``E`` once with a cursor and keeps a
+running makespan updated by each promotion's delta, jumping a whole row in
+one step when even the window's fastest column cannot meet the deadline.
+The running total is trusted only while it is more than a rounding-drift
+tolerance above ``deadline + eps``; closer than that, the exact full sum
+decides whether to stop and resyncs the total.  The loop therefore stops
+exactly where a full recompute after every promotion would, at a cost of
+O(n + promotions) per call instead of O(n) per promotion.  With the
+recorder enabled, ``choose_design_points`` reports the counters
+``core.dpf.calls`` and ``core.dpf.promotions`` once per call.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from ..errors import AlgorithmError
+from ..obs import RECORDER as _OBS
 from .factors import (
     FactorValues,
     FactorWeights,
@@ -104,37 +119,20 @@ def calculate_dpf(
         Task-graph deadline ``d``.
     """
     sel = np.array(selection, dtype=int, copy=True)
-    n, m = matrices.n, matrices.m
-
-    # Free tasks are the positions before the tagged one; a task becomes
-    # "fixed in E" once it reaches the window's most powerful column.
-    fixed_in_e = set(range(tagged_position, n))
-    fixed_in_e.update(pos for pos in range(tagged_position) if sel[pos] <= window_start)
-
-    total_time = matrices.total_time(sel)
-    dpf: Optional[float] = None
-    while total_time > deadline + _EPS:
-        promotable = next(
-            (pos for pos in matrices.energy_vector if pos not in fixed_in_e), None
+    total_time, feasible = _promote(
+        matrices, sel, window_start, deadline, free_end=tagged_position
+    )
+    if not feasible:
+        dpf = math.inf
+    elif tagged_position == 0:
+        # The first task in the sequence has no free tasks above it; the
+        # paper replaces DPF by the slack ratio to press the remaining
+        # slack into use.
+        dpf = slack_ratio(total_time, deadline)
+    else:
+        dpf = windowed_design_point_fraction(
+            sel, matrices.m, window_start, range(tagged_position)
         )
-        if promotable is None:
-            dpf = math.inf
-            break
-        sel[promotable] -= 1
-        if sel[promotable] <= window_start:
-            fixed_in_e.add(promotable)
-        total_time = matrices.total_time(sel)
-
-    if dpf is None:
-        if tagged_position == 0:
-            # The first task in the sequence has no free tasks above it; the
-            # paper replaces DPF by the slack ratio to press the remaining
-            # slack into use.
-            dpf = slack_ratio(total_time, deadline)
-        else:
-            dpf = windowed_design_point_fraction(
-                sel, m, window_start, range(tagged_position)
-            )
 
     currents = matrices.selection_currents(sel)
     cif = current_increase_fraction(currents)
@@ -174,6 +172,8 @@ def choose_design_points(
 
     selection = matrices.lowest_power_selection()
     evaluations: List[DesignPointEvaluation] = []
+    observed = _OBS.enabled
+    dpf_calls = promotions = 0
 
     # Fix the last task in the sequence to its lowest-power design point.
     fixed_time = float(matrices.durations[n - 1, m - 1])
@@ -191,9 +191,13 @@ def choose_design_points(
                 matrices.current_min,
                 matrices.current_max,
             )
-            enr, cif, dpf, _ = calculate_dpf(
+            enr, cif, dpf, promoted = calculate_dpf(
                 matrices, trial, window_start, position, deadline
             )
+            if observed:
+                # Each promotion moves one task one column down.
+                dpf_calls += 1
+                promotions += int(trial.sum() - promoted.sum())
             factors = FactorValues(
                 slack_ratio=sr,
                 current_ratio=cr,
@@ -212,6 +216,12 @@ def choose_design_points(
         selection[position] = best_column
         fixed_time += float(matrices.durations[position, best_column])
 
+    # Zero counts stay unemitted: pool workers ship only non-zero deltas,
+    # so serial and parallel snapshots then hold the same keys.
+    if observed and dpf_calls:
+        _OBS.count("core.dpf.calls", dpf_calls)
+    if observed and promotions:
+        _OBS.count("core.dpf.promotions", promotions)
     return ChooseResult(
         selection=selection,
         evaluations=tuple(evaluations),
@@ -241,21 +251,68 @@ def promote_until_feasible(
     bottom-up pass overshoot the deadline.
     """
     sel = np.array(selection, dtype=int, copy=True)
-    total_time = matrices.total_time(sel)
-    exhausted = set(
-        pos for pos in range(matrices.n) if sel[pos] <= window_start
-    )
-    while total_time > deadline + _EPS:
-        promotable = next(
-            (pos for pos in matrices.energy_vector if pos not in exhausted), None
+    _, feasible = _promote(matrices, sel, window_start, deadline, free_end=matrices.n)
+    if not feasible:
+        raise AlgorithmError(
+            f"cannot meet deadline {deadline:g} within window starting at column "
+            f"{window_start + 1}"
         )
-        if promotable is None:
-            raise AlgorithmError(
-                f"cannot meet deadline {deadline:g} within window starting at column "
-                f"{window_start + 1}"
-            )
-        sel[promotable] -= 1
-        if sel[promotable] <= window_start:
-            exhausted.add(promotable)
-        total_time = matrices.total_time(sel)
     return sel
+
+
+def _promote(
+    matrices: SequencedMatrices,
+    sel: np.ndarray,
+    window_start: int,
+    deadline: float,
+    free_end: int,
+) -> Tuple[float, bool]:
+    """The promotion loop shared by :func:`calculate_dpf` and
+    :func:`promote_until_feasible`; modifies ``sel`` in place.
+
+    Positions before ``free_end`` are free.  Until the deadline is met, the
+    first free position in ``E`` order that is still above ``window_start``
+    moves one column towards higher power.  That position stays first until
+    it reaches ``window_start``, so a cursor over ``E`` replaces a rescan.
+
+    Returns ``(total_time, feasible)``.  When feasible, ``total_time`` is
+    the exact :meth:`SequencedMatrices.total_time` of the final selection.
+    """
+    limit = deadline + _EPS
+    total = matrices.total_time(sel)
+    if total <= limit:
+        return total, True
+
+    # ``running`` tracks the makespan by each promotion's delta.  Durations
+    # are positive and promotions only shrink the sum, so every rounded
+    # value stays below ``scale``; the full sum and at most n*m rounded
+    # deltas and updates drift from it by less than ``tol``.  A running
+    # total above ``trusted`` therefore proves the exact sum misses the
+    # deadline; at or below it the exact sum decides and resyncs.
+    scale = max(total, limit)
+    tol = 2.0 * (matrices.n * matrices.m + 1) * sys.float_info.epsilon * scale
+    trusted = limit + tol
+    rows = matrices.duration_rows
+    running = total
+    for pos in matrices.energy_vector:
+        column = int(sel[pos])
+        if pos >= free_end or column <= window_start:
+            continue
+        row = rows[pos]
+        fastest = running - (row[column] - row[window_start])
+        if fastest > trusted:
+            # Rows of D ascend, so no intermediate column can meet the
+            # deadline either: take the whole row in one step.
+            running = fastest
+            sel[pos] = window_start
+            continue
+        while column > window_start:
+            running -= row[column] - row[column - 1]
+            column -= 1
+            if running <= trusted:
+                sel[pos] = column
+                running = matrices.total_time(sel)
+                if running <= limit:
+                    return running, True
+        sel[pos] = column
+    return running, False

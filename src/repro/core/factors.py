@@ -163,11 +163,10 @@ def current_increase_fraction(currents: Sequence[float]) -> float:
     assignments that create rising current steps.  Sequences with fewer than
     two tasks have no transitions and score 0.
     """
-    values = list(currents)
+    values = currents if isinstance(currents, np.ndarray) else np.array(list(currents))
     if len(values) < 2:
         return 0.0
-    increases = sum(1 for a, b in zip(values, values[1:]) if a < b)
-    return increases / (len(values) - 1)
+    return int(np.count_nonzero(values[:-1] < values[1:])) / (len(values) - 1)
 
 
 def design_point_fraction(
@@ -215,18 +214,19 @@ def windowed_design_point_fraction(
     powerful column, and 0 for the least powerful column.  With
     ``window_start = 0`` this coincides with :func:`design_point_fraction`.
     """
-    free = list(free_positions)
+    free = np.fromiter(free_positions, dtype=np.intp)
     width = num_design_points - window_start
-    if width < 2 or not free:
+    if width < 2 or not len(free):
         return 0.0
     steps = width - 1  # number of penalised columns
     factor = 1.0 / steps
+    occupancy = np.bincount(
+        np.asarray(selection)[free], minlength=num_design_points
+    ).tolist()
     total = 0.0
     for offset in range(steps):
-        column = window_start + offset
-        occupancy = sum(1 for position in free if selection[position] == column)
         weight = (steps - offset) * factor
-        total += weight * occupancy / len(free)
+        total += weight * occupancy[window_start + offset] / len(free)
     return total
 
 

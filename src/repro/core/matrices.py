@@ -64,6 +64,9 @@ class SequencedMatrices:
 
         #: Execution-time matrix ``D`` (rows ascending by construction).
         self.durations = durations
+        #: ``D`` as one Python list per position, for the scalar reads of
+        #: the DPF promotion loop (cheaper than indexing numpy element-wise).
+        self.duration_rows = durations.tolist()
         #: Current matrix ``I`` (rows descending for power-monotone tasks).
         self.currents = currents
         #: Per-design-point energy matrix (current * voltage * duration).
@@ -93,6 +96,8 @@ class SequencedMatrices:
         #: task uses column ``k`` (0-based).
         self.column_times = durations.sum(axis=0)
 
+        self._positions = np.arange(self.n)
+
     # ------------------------------------------------------------------
     # selections
     # ------------------------------------------------------------------
@@ -106,15 +111,15 @@ class SequencedMatrices:
 
     def selection_durations(self, selection: np.ndarray) -> np.ndarray:
         """Per-position execution times under a selection vector."""
-        return self.durations[np.arange(self.n), selection]
+        return self.durations[self._positions, selection]
 
     def selection_currents(self, selection: np.ndarray) -> np.ndarray:
         """Per-position currents under a selection vector."""
-        return self.currents[np.arange(self.n), selection]
+        return self.currents[self._positions, selection]
 
     def selection_energies(self, selection: np.ndarray) -> np.ndarray:
         """Per-position energies under a selection vector."""
-        return self.energies[np.arange(self.n), selection]
+        return self.energies[self._positions, selection]
 
     def total_time(self, selection: np.ndarray) -> float:
         """Sequential makespan of a selection (sum of chosen execution times)."""

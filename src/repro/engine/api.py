@@ -316,7 +316,10 @@ def run_jobs(
     Drivers whose jobs are not a plain problems-x-algorithms cross product
     (e.g. the ablation, which varies per-job parameters) build their job
     lists by hand and come in here.  Ordering, store and resume semantics
-    are identical to :func:`run_experiments`.
+    are identical to :func:`run_experiments`.  Jobs with equal keys within
+    one call (e.g. differently named problems describing the same work,
+    since names are excluded from keys) are executed and stored once, and
+    ``run.executed`` counts those unique runs.
 
     With ``dedupe=True`` the pending jobs are grouped by
     :meth:`Job.structural_key` before dispatch: one representative per
@@ -349,6 +352,16 @@ def run_jobs(
             pending, done = store.split_pending(jobs)
         else:
             pending, done = list(jobs), {}
+
+        # In-call dedupe: duplicate-key pending jobs run (and hit the store)
+        # once, and the by_key merge below fans the one result back to every
+        # duplicate's position.  The last duplicate runs, in the first one's
+        # dispatch slot: every position reports the last duplicate's
+        # problem name, as executing each duplicate and merging would.
+        unique: Dict[str, Job] = {}
+        for job in pending:
+            unique[job.key()] = job
+        pending = list(unique.values())
 
         if _OBS.enabled and done:
             _OBS.count("engine.jobs.resumed", len(done))

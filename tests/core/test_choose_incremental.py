@@ -1,0 +1,352 @@
+"""Differential oracle for the incremental DPF promotion loop.
+
+The functions prefixed ``_ref_`` below are the full-recompute implementation
+that preceded the running-makespan loop in :mod:`repro.core.choose` (and the
+generator-based factor scans that preceded the vectorised ones in
+:mod:`repro.core.factors`), copied verbatim apart from their names.  Every
+test asserts that the library returns bitwise the same values: the same
+``(ENR, CIF, DPF, selection)`` from ``calculate_dpf``, the same selections,
+factor breakdowns and makespans from ``choose_design_points``, and the same
+repaired selection (or the same ``AlgorithmError``) from
+``promote_until_feasible``.  Deadlines are placed on the exact makespans the
+reference visits while promoting, one ULP either side, and on ``CT(k)``, so
+the stopping point is probed where rounding drift would show.
+"""
+
+import math
+from typing import List, Optional
+
+import numpy as np
+import pytest
+
+from repro.core import (
+    SequencedMatrices,
+    calculate_dpf,
+    choose_design_points,
+    promote_until_feasible,
+)
+from repro.core.choose import ChooseResult, DesignPointEvaluation
+from repro.core.factors import FactorValues, current_ratio, energy_ratio, slack_ratio
+from repro.errors import AlgorithmError
+from repro.scheduling import sequence_by_decreasing_energy
+from repro.taskgraph import DesignPoint, Task, TaskGraph
+
+_EPS = 1e-9
+
+
+# ---------------------------------------------------------------------------
+# reference implementation (pre-change, verbatim apart from names)
+# ---------------------------------------------------------------------------
+def _ref_current_increase_fraction(currents):
+    values = list(currents)
+    if len(values) < 2:
+        return 0.0
+    increases = sum(1 for a, b in zip(values, values[1:]) if a < b)
+    return increases / (len(values) - 1)
+
+
+def _ref_windowed_design_point_fraction(
+    selection, num_design_points, window_start, free_positions
+):
+    free = list(free_positions)
+    width = num_design_points - window_start
+    if width < 2 or not free:
+        return 0.0
+    steps = width - 1  # number of penalised columns
+    factor = 1.0 / steps
+    total = 0.0
+    for offset in range(steps):
+        column = window_start + offset
+        occupancy = sum(1 for position in free if selection[position] == column)
+        weight = (steps - offset) * factor
+        total += weight * occupancy / len(free)
+    return total
+
+
+def _ref_calculate_dpf(matrices, selection, window_start, tagged_position, deadline):
+    sel = np.array(selection, dtype=int, copy=True)
+    n, m = matrices.n, matrices.m
+
+    # Free tasks are the positions before the tagged one; a task becomes
+    # "fixed in E" once it reaches the window's most powerful column.
+    fixed_in_e = set(range(tagged_position, n))
+    fixed_in_e.update(pos for pos in range(tagged_position) if sel[pos] <= window_start)
+
+    total_time = matrices.total_time(sel)
+    dpf: Optional[float] = None
+    while total_time > deadline + _EPS:
+        promotable = next(
+            (pos for pos in matrices.energy_vector if pos not in fixed_in_e), None
+        )
+        if promotable is None:
+            dpf = math.inf
+            break
+        sel[promotable] -= 1
+        if sel[promotable] <= window_start:
+            fixed_in_e.add(promotable)
+        total_time = matrices.total_time(sel)
+
+    if dpf is None:
+        if tagged_position == 0:
+            # The first task in the sequence has no free tasks above it; the
+            # paper replaces DPF by the slack ratio to press the remaining
+            # slack into use.
+            dpf = slack_ratio(total_time, deadline)
+        else:
+            dpf = _ref_windowed_design_point_fraction(
+                sel, m, window_start, range(tagged_position)
+            )
+
+    currents = matrices.selection_currents(sel)
+    cif = _ref_current_increase_fraction(currents)
+    enr = energy_ratio(
+        matrices.total_energy(sel), matrices.energy_min, matrices.energy_max
+    )
+    return enr, cif, dpf, sel
+
+
+def _ref_choose_design_points(
+    matrices, window_start, deadline, weights=None, record_evaluations=True
+):
+    n, m = matrices.n, matrices.m
+    if not (0 <= window_start < m):
+        raise AlgorithmError(f"window_start {window_start} out of range for m={m}")
+
+    selection = matrices.lowest_power_selection()
+    evaluations: List[DesignPointEvaluation] = []
+
+    # Fix the last task in the sequence to its lowest-power design point.
+    fixed_time = float(matrices.durations[n - 1, m - 1])
+
+    for position in range(n - 2, -1, -1):
+        best_column = m - 1
+        best_b = math.inf
+        for column in range(m - 1, window_start - 1, -1):
+            trial = selection.copy()
+            trial[position] = column
+            elapsed = fixed_time + float(matrices.durations[position, column])
+            sr = slack_ratio(elapsed, deadline)
+            cr = current_ratio(
+                float(matrices.currents[position, column]),
+                matrices.current_min,
+                matrices.current_max,
+            )
+            enr, cif, dpf, _ = _ref_calculate_dpf(
+                matrices, trial, window_start, position, deadline
+            )
+            factors = FactorValues(
+                slack_ratio=sr,
+                current_ratio=cr,
+                energy_ratio=enr,
+                current_increase_fraction=cif,
+                design_point_fraction=dpf,
+            )
+            b_value = factors.suitability if weights is None else factors.weighted(weights)
+            if record_evaluations:
+                evaluations.append(
+                    DesignPointEvaluation(position=position, column=column, factors=factors)
+                )
+            if b_value < best_b:
+                best_b = b_value
+                best_column = column
+        selection[position] = best_column
+        fixed_time += float(matrices.durations[position, best_column])
+
+    return ChooseResult(
+        selection=selection,
+        evaluations=tuple(evaluations),
+        makespan=matrices.total_time(selection),
+    )
+
+
+def _ref_promote_until_feasible(matrices, selection, window_start, deadline):
+    sel = np.array(selection, dtype=int, copy=True)
+    total_time = matrices.total_time(sel)
+    exhausted = set(
+        pos for pos in range(matrices.n) if sel[pos] <= window_start
+    )
+    while total_time > deadline + _EPS:
+        promotable = next(
+            (pos for pos in matrices.energy_vector if pos not in exhausted), None
+        )
+        if promotable is None:
+            raise AlgorithmError(
+                f"cannot meet deadline {deadline:g} within window starting at column "
+                f"{window_start + 1}"
+            )
+        sel[promotable] -= 1
+        if sel[promotable] <= window_start:
+            exhausted.add(promotable)
+        total_time = matrices.total_time(sel)
+    return sel
+
+
+# ---------------------------------------------------------------------------
+# bitwise comparison helpers
+# ---------------------------------------------------------------------------
+def _bits(value):
+    """A float's exact identity: its type and its hex form (keeps -0.0, inf)."""
+    return type(value), float(value).hex()
+
+
+def _assert_same_dpf(actual, expected):
+    assert [_bits(v) for v in actual[:3]] == [_bits(v) for v in expected[:3]]
+    assert actual[3].dtype == expected[3].dtype
+    assert np.array_equal(actual[3], expected[3])
+
+
+def _factor_bits(evaluation):
+    f = evaluation.factors
+    return (
+        evaluation.position,
+        evaluation.column,
+        _bits(f.slack_ratio),
+        _bits(f.current_ratio),
+        _bits(f.energy_ratio),
+        _bits(f.current_increase_fraction),
+        _bits(f.design_point_fraction),
+    )
+
+
+def _assert_same_choice(actual, expected):
+    assert np.array_equal(actual.selection, expected.selection)
+    assert _bits(actual.makespan) == _bits(expected.makespan)
+    assert [_factor_bits(e) for e in actual.evaluations] == [
+        _factor_bits(e) for e in expected.evaluations
+    ]
+
+
+def _assert_same_promotion(matrices, selection, window_start, deadline):
+    try:
+        expected = _ref_promote_until_feasible(matrices, selection, window_start, deadline)
+    except AlgorithmError as error:
+        with pytest.raises(AlgorithmError) as raised:
+            promote_until_feasible(matrices, selection, window_start, deadline)
+        assert str(raised.value) == str(error)
+        return
+    actual = promote_until_feasible(matrices, selection, window_start, deadline)
+    assert actual.dtype == expected.dtype
+    assert np.array_equal(actual, expected)
+
+
+# ---------------------------------------------------------------------------
+# inputs
+# ---------------------------------------------------------------------------
+def _random_matrices(seed: int, n: int, m: int) -> SequencedMatrices:
+    """Independent tasks with irregular durations, some tied within a row."""
+    rng = np.random.default_rng(seed)
+    graph = TaskGraph(name=f"random-{seed}")
+    for i in range(n):
+        times = np.sort(rng.uniform(0.3, 40.0, size=m))
+        if rng.random() < 0.3:
+            tie = int(rng.integers(1, m))
+            times[tie] = times[tie - 1]
+        currents = np.sort(rng.uniform(20.0, 900.0, size=m))[::-1]
+        graph.add_task(
+            Task(
+                f"T{i}",
+                [
+                    DesignPoint(execution_time=float(t), current=float(c), name=f"DP{j + 1}")
+                    for j, (t, c) in enumerate(zip(times, currents))
+                ],
+            )
+        )
+    return SequencedMatrices(graph, tuple(f"T{i}" for i in range(n)))
+
+
+def _path_totals(matrices, selection, window_start, free_end):
+    """Exact makespans along the reference promotion path to the window's end."""
+    sel = np.array(selection, dtype=int, copy=True)
+    totals = [matrices.total_time(sel)]
+    for pos in matrices.energy_vector:
+        if pos >= free_end:
+            continue
+        while sel[pos] > window_start:
+            sel[pos] -= 1
+            totals.append(matrices.total_time(sel))
+    return totals
+
+
+def _boundary_deadlines(rng, matrices, selection, window_start, free_end, samples=5):
+    """Deadlines on partial-promotion totals and ``CT(window_start)``.
+
+    Each anchor ``T`` yields ``T`` itself and ``T - _EPS`` (where the
+    ``total > deadline + _EPS`` test flips), each with its neighbours one
+    ULP either side.
+    """
+    totals = _path_totals(matrices, selection, window_start, free_end)
+    picks = rng.choice(len(totals), size=min(samples, len(totals)), replace=False)
+    anchors = [totals[i] for i in sorted(picks)]
+    anchors += [totals[-1], matrices.column_time(window_start)]
+    deadlines = []
+    for anchor in anchors:
+        for base in (anchor, anchor - _EPS):
+            deadlines += [np.nextafter(base, -np.inf), base, np.nextafter(base, np.inf)]
+    return [float(d) for d in deadlines if d > 0]
+
+
+# ---------------------------------------------------------------------------
+# tests
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("seed", range(6))
+def test_calculate_dpf_matches_reference_at_boundaries(seed):
+    rng = np.random.default_rng(1000 + seed)
+    n, m = int(rng.integers(2, 25)), int(rng.integers(2, 6))
+    matrices = _random_matrices(seed, n, m)
+    for _ in range(6):
+        window_start = int(rng.integers(0, m))
+        tagged = int(rng.integers(0, n))
+        selection = rng.integers(window_start, m, size=n)
+        if rng.random() < 0.5:
+            selection[:tagged] = m - 1  # as choose_design_points builds it
+        for deadline in _boundary_deadlines(rng, matrices, selection, window_start, tagged):
+            _assert_same_dpf(
+                calculate_dpf(matrices, selection, window_start, tagged, deadline),
+                _ref_calculate_dpf(matrices, selection, window_start, tagged, deadline),
+            )
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_promote_until_feasible_matches_reference_at_boundaries(seed):
+    rng = np.random.default_rng(2000 + seed)
+    n, m = int(rng.integers(1, 25)), int(rng.integers(2, 6))
+    matrices = _random_matrices(100 + seed, n, m)
+    for _ in range(6):
+        window_start = int(rng.integers(0, m))
+        selection = rng.integers(0, m, size=n)  # some already below the window
+        for deadline in _boundary_deadlines(rng, matrices, selection, window_start, n):
+            _assert_same_promotion(matrices, selection, window_start, deadline)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_choose_design_points_matches_reference_on_random_matrices(seed):
+    rng = np.random.default_rng(3000 + seed)
+    n, m = int(rng.integers(2, 16)), int(rng.integers(2, 6))
+    matrices = _random_matrices(200 + seed, n, m)
+    fastest, slowest = matrices.column_time(0), matrices.column_time(m - 1)
+    for window_start in range(m):
+        deadlines = [matrices.column_time(window_start), float(rng.uniform(fastest, slowest))]
+        for deadline in deadlines:
+            _assert_same_choice(
+                choose_design_points(matrices, window_start, deadline),
+                _ref_choose_design_points(matrices, window_start, deadline),
+            )
+
+
+def test_catalogue_every_window_matches_reference():
+    from repro.scenarios import default_registry
+
+    checked = 0
+    for spec in default_registry():
+        problem = spec.build_problem()
+        graph = problem.graph
+        matrices = SequencedMatrices(graph, sequence_by_decreasing_energy(graph))
+        for window_start in range(matrices.m):
+            actual = choose_design_points(matrices, window_start, problem.deadline)
+            expected = _ref_choose_design_points(matrices, window_start, problem.deadline)
+            _assert_same_choice(actual, expected)
+            _assert_same_promotion(
+                matrices, expected.selection, window_start, problem.deadline
+            )
+            checked += 1
+    assert checked >= 99 * 4

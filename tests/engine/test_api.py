@@ -1,5 +1,7 @@
 """Tests for the engine's public API and its integration with the drivers."""
 
+import dataclasses
+
 import pytest
 
 from repro import SchedulingProblem
@@ -101,6 +103,22 @@ class TestRunExperiments:
         assert len(run.failures()) == 1
         assert not run.results[0].ok
         assert run.results[1].ok
+
+    def test_duplicate_key_jobs_run_once(self, problems, tmp_path):
+        # The same work under another name: names are excluded from job keys.
+        alias = dataclasses.replace(problems[0], name="alias")
+        batch = [problems[0], problems[1], alias]
+        store = ResultStore(tmp_path / "dup.jsonl")
+        run = run_experiments(batch, ALGORITHMS, store=store)
+        assert run.executed == 2 * len(ALGORITHMS)
+        assert len(store.path.read_text().splitlines()) == 2 * len(ALGORITHMS)
+
+        separate = [run_experiments([problem], ALGORITHMS) for problem in batch]
+        # Every duplicate position reports the last duplicate's result, as a
+        # merge of separately executed duplicates did.
+        expected = separate[2].results + separate[1].results + separate[2].results
+        assert _comparable(run.results) == _comparable(expected)
+        assert {r.problem_name for r in run.results} == {"alias", problems[1].name}
 
     def test_by_problem_grouping(self, problems):
         run = run_experiments(problems[:2], ALGORITHMS)

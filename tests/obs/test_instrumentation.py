@@ -1,4 +1,4 @@
-"""End-to-end instrumentation tests: engine, evaluator, and simulator layers."""
+"""End-to-end instrumentation tests: engine, evaluator, core and simulator layers."""
 
 import dataclasses
 
@@ -144,6 +144,40 @@ class TestEngineCounters:
         counters = rec.counters_snapshot()["counters"]
         assert counters["engine.simjobs.resumed"] == len(jobs)
         assert "engine.simjobs.executed" not in counters
+
+
+class TestCoreCounters:
+    def _suite_counters(self, *extra):
+        from repro.cli import main
+
+        RECORDER.reset()
+        argv = ["suite", "--run", "--scenarios", "g3", "g3-tight",
+                "--algorithms", "iterative", "--metrics", *extra]
+        assert main(argv) == 0
+        return RECORDER.counters_snapshot()
+
+    def test_dpf_counters_identical_serial_and_parallel(self):
+        serial = self._suite_counters()
+        parallel = self._suite_counters("--jobs", "2")
+        assert serial["counters"]["core.dpf.calls"] > 0
+        assert serial["counters"]["core.dpf.promotions"] > 0
+        assert serial == parallel
+
+    def test_dpf_counters_match_the_candidates_examined(self, registry):
+        from repro.core import BatteryAwareScheduler
+
+        problem = registry.get("g3").build_problem()
+        with recording() as rec:
+            solution = BatteryAwareScheduler().solve(problem)
+        m = problem.graph.uniform_design_point_count()
+        # Each window offers m - window_start columns to each of the n - 1
+        # tasks before the last one.
+        candidates = sum(
+            (len(solution.sequence) - 1) * (m - record.window_start)
+            for iteration in solution.iterations
+            for record in iteration.windows.records
+        )
+        assert rec.counters_snapshot()["counters"]["core.dpf.calls"] == candidates
 
 
 class TestCacheStatsMerge:
