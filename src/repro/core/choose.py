@@ -19,24 +19,42 @@ pseudocode:
   at the window's fastest column, DPF is infinite, which vetoes the tagged
   candidate whenever any feasible alternative exists.
 
-``CalculateDPF`` runs once per (window, position, candidate column), so its
-promotion loop is the algorithm's hot path.  The loop (shared with
-:func:`promote_until_feasible`) walks ``E`` once with a cursor and keeps a
-running makespan updated by each promotion's delta, jumping a whole row in
-one step when even the window's fastest column cannot meet the deadline.
-The running total is trusted only while it is more than a rounding-drift
-tolerance above ``deadline + eps``; closer than that, the exact full sum
-decides whether to stop and resyncs the total.  The loop therefore stops
-exactly where a full recompute after every promotion would, at a cost of
-O(n + promotions) per call instead of O(n) per promotion.  With the
-recorder enabled, ``choose_design_points`` reports the counters
-``core.dpf.calls`` and ``core.dpf.promotions`` once per call.
+``CalculateDPF`` runs once per (window, position, candidate column), so it
+is the algorithm's hot path.  Every candidate at one position starts from
+the same state — the free tasks before the position sit at the lowest-power
+column — and is promoted in the same ``E`` order, so all candidates walk
+one shared *promotion path* and differ only in how far along it they go.
+:func:`choose_design_points` therefore builds the path once per (window,
+position) and scores all candidate columns of the position in one batch:
+
+* The path lists the free rows in ``E`` order with Python-float prefix sums
+  of their whole-row gains ``D[row, start] - D[row, window_start]``.  A
+  candidate's stopping point is found by ``bisect`` on the prefix sums and a
+  scan of at most ``m`` columns of the one partially promoted row.
+* The approximate totals (the candidate's exact starting makespan minus the
+  path gain) are trusted only while they lie more than a rounding-drift
+  tolerance away from ``deadline + eps``.  Within the tolerance, the exact
+  :meth:`SequencedMatrices.total_time` of each materialised state decides,
+  stepping along the path.  A fixed-order float sum never increases when
+  one addend decreases, so the exact totals are monotone along the path and
+  the first step at or below the limit is, bit for bit, where recomputing
+  the full makespan after every one-column promotion would stop.
+* The k promoted selections form one ``(k, n)`` array: one gather and row
+  sum give every candidate's total energy (ENR), one gather and row count
+  every rising current pair (CIF), and DPF follows from the exact column
+  occupancies of the free rows.
+
+:func:`calculate_dpf` and :func:`promote_until_feasible` run the same
+helpers with a single lane.  With the recorder enabled,
+``choose_design_points`` reports the counters ``core.dpf.calls`` (candidates
+scored) and ``core.dpf.promotions`` once per call.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -47,11 +65,11 @@ from ..obs import RECORDER as _OBS
 from .factors import (
     FactorValues,
     FactorWeights,
-    current_increase_fraction,
+    _windowed_dpf,
     current_ratio,
     energy_ratio,
     slack_ratio,
-    windowed_design_point_fraction,
+    suitability,
 )
 from .matrices import SequencedMatrices
 
@@ -118,28 +136,14 @@ def calculate_dpf(
     deadline:
         Task-graph deadline ``d``.
     """
-    sel = np.array(selection, dtype=int, copy=True)
-    total_time, feasible = _promote(
-        matrices, sel, window_start, deadline, free_end=tagged_position
+    trials = np.array(selection, dtype=int, ndmin=2)
+    promoted, totals, feasible = _promote(
+        matrices, trials, window_start, deadline, free_end=tagged_position
     )
-    if not feasible:
-        dpf = math.inf
-    elif tagged_position == 0:
-        # The first task in the sequence has no free tasks above it; the
-        # paper replaces DPF by the slack ratio to press the remaining
-        # slack into use.
-        dpf = slack_ratio(total_time, deadline)
-    else:
-        dpf = windowed_design_point_fraction(
-            sel, matrices.m, window_start, range(tagged_position)
-        )
-
-    currents = matrices.selection_currents(sel)
-    cif = current_increase_fraction(currents)
-    enr = energy_ratio(
-        matrices.total_energy(sel), matrices.energy_min, matrices.energy_max
+    ((enr, cif, dpf),) = _score(
+        matrices, promoted, totals, feasible, window_start, tagged_position, deadline
     )
-    return enr, cif, dpf, sel
+    return enr, cif, dpf, promoted[0]
 
 
 def choose_design_points(
@@ -174,39 +178,41 @@ def choose_design_points(
     evaluations: List[DesignPointEvaluation] = []
     observed = _OBS.enabled
     dpf_calls = promotions = 0
+    durations = matrices.duration_rows
+    # Candidates from the lowest-power column up: one lane each.
+    columns = list(range(m - 1, window_start - 1, -1))
+    trials = np.empty((len(columns), n), dtype=int)
 
     # Fix the last task in the sequence to its lowest-power design point.
-    fixed_time = float(matrices.durations[n - 1, m - 1])
+    fixed_time = durations[n - 1][m - 1]
 
     for position in range(n - 2, -1, -1):
+        trials[:] = selection
+        trials[:, position] = columns
+        promoted, totals, feasible = _promote(
+            matrices, trials, window_start, deadline, free_end=position
+        )
+        if record_evaluations or any(feasible):
+            scores = _score(
+                matrices, promoted, totals, feasible, window_start, position, deadline
+            )
+        else:
+            # Every candidate misses the deadline, so each B is infinite or
+            # NaN whatever its ENR and CIF are: skip computing them.
+            scores = [(0.0, 0.0, math.inf)] * len(columns)
+        if observed:
+            # Each promotion moves one task one column down.
+            dpf_calls += len(columns)
+            promotions += int(trials.sum() - promoted.sum())
+        currents = matrices.currents[position].tolist()
         best_column = m - 1
         best_b = math.inf
-        for column in range(m - 1, window_start - 1, -1):
-            trial = selection.copy()
-            trial[position] = column
-            elapsed = fixed_time + float(matrices.durations[position, column])
-            sr = slack_ratio(elapsed, deadline)
-            cr = current_ratio(
-                float(matrices.currents[position, column]),
-                matrices.current_min,
-                matrices.current_max,
-            )
-            enr, cif, dpf, promoted = calculate_dpf(
-                matrices, trial, window_start, position, deadline
-            )
-            if observed:
-                # Each promotion moves one task one column down.
-                dpf_calls += 1
-                promotions += int(trial.sum() - promoted.sum())
-            factors = FactorValues(
-                slack_ratio=sr,
-                current_ratio=cr,
-                energy_ratio=enr,
-                current_increase_fraction=cif,
-                design_point_fraction=dpf,
-            )
-            b_value = factors.suitability if weights is None else factors.weighted(weights)
+        for column, (enr, cif, dpf) in zip(columns, scores):
+            sr = slack_ratio(fixed_time + durations[position][column], deadline)
+            cr = current_ratio(currents[column], matrices.current_min, matrices.current_max)
+            b_value = suitability(sr, cr, enr, cif, dpf, weights)
             if record_evaluations:
+                factors = FactorValues(sr, cr, enr, cif, dpf)
                 evaluations.append(
                     DesignPointEvaluation(position=position, column=column, factors=factors)
                 )
@@ -214,7 +220,7 @@ def choose_design_points(
                 best_b = b_value
                 best_column = column
         selection[position] = best_column
-        fixed_time += float(matrices.durations[position, best_column])
+        fixed_time += durations[position][best_column]
 
     # Zero counts stay unemitted: pool workers ship only non-zero deltas,
     # so serial and parallel snapshots then hold the same keys.
@@ -250,69 +256,133 @@ def promote_until_feasible(
     the last task to its lowest-power design point makes the greedy
     bottom-up pass overshoot the deadline.
     """
-    sel = np.array(selection, dtype=int, copy=True)
-    _, feasible = _promote(matrices, sel, window_start, deadline, free_end=matrices.n)
-    if not feasible:
+    trials = np.array(selection, dtype=int, ndmin=2)
+    promoted, _, feasible = _promote(
+        matrices, trials, window_start, deadline, free_end=matrices.n
+    )
+    if not feasible[0]:
         raise AlgorithmError(
             f"cannot meet deadline {deadline:g} within window starting at column "
             f"{window_start + 1}"
         )
-    return sel
+    return promoted[0]
 
 
 def _promote(
     matrices: SequencedMatrices,
-    sel: np.ndarray,
+    trials: np.ndarray,
     window_start: int,
     deadline: float,
     free_end: int,
-) -> Tuple[float, bool]:
-    """The promotion loop shared by :func:`calculate_dpf` and
-    :func:`promote_until_feasible`; modifies ``sel`` in place.
+) -> Tuple[np.ndarray, List[float], List[bool]]:
+    """Promote every lane (row) of ``trials`` along one shared path.
 
-    Positions before ``free_end`` are free.  Until the deadline is met, the
-    first free position in ``E`` order that is still above ``window_start``
-    moves one column towards higher power.  That position stays first until
-    it reaches ``window_start``, so a cursor over ``E`` replaces a rescan.
+    Positions before ``free_end`` are free and must be equal in every lane.
+    Until a lane meets the deadline, the first free position in ``E`` order
+    that is still above ``window_start`` moves one column towards higher
+    power; the free rows in that order, each taken from its starting column
+    down to ``window_start``, are the path all lanes share.
 
-    Returns ``(total_time, feasible)``.  When feasible, ``total_time`` is
-    the exact :meth:`SequencedMatrices.total_time` of the final selection.
+    Returns ``(promoted, totals, feasible)``: the promoted ``(k, n)``
+    selections, each lane's exact starting makespan, and whether the lane
+    met the deadline (an infeasible lane ends with the whole path taken).
     """
     limit = deadline + _EPS
-    total = matrices.total_time(sel)
-    if total <= limit:
-        return total, True
-
-    # ``running`` tracks the makespan by each promotion's delta.  Durations
-    # are positive and promotions only shrink the sum, so every rounded
-    # value stays below ``scale``; the full sum and at most n*m rounded
-    # deltas and updates drift from it by less than ``tol``.  A running
-    # total above ``trusted`` therefore proves the exact sum misses the
-    # deadline; at or below it the exact sum decides and resyncs.
-    scale = max(total, limit)
-    tol = 2.0 * (matrices.n * matrices.m + 1) * sys.float_info.epsilon * scale
-    trusted = limit + tol
     rows = matrices.duration_rows
-    running = total
+    totals = matrices.durations.ravel()[trials + matrices.row_offsets].sum(axis=1).tolist()
+    free = trials[0, :free_end].tolist()
+    path: List[int] = []
+    starts: List[int] = []
+    prefix = [0.0]  # gain after each whole path row
+    gain = 0.0
     for pos in matrices.energy_vector:
-        column = int(sel[pos])
-        if pos >= free_end or column <= window_start:
+        if pos < free_end and free[pos] > window_start:
+            row, start = rows[pos], free[pos]
+            gain += row[start] - row[window_start]
+            path.append(pos)
+            starts.append(start)
+            prefix.append(gain)
+
+    # A lane's state after some promotions is approximated by its exact
+    # starting total minus the gain along the path.  Durations are positive
+    # and promotions only shrink the sum, so every value involved is at most
+    # ``scale = max(totals) + |limit|``.  Comparing the gain with
+    # ``total - limit`` rounds at most 4n + 2 times (two n-term sums, the
+    # path's gains and prefix sums, the partial row and the thresholds),
+    # each off by at most eps/2 * scale; ``tol`` doubles that bound.  A gain
+    # below ``low`` therefore proves the exact sum misses the deadline and
+    # one above ``high`` that it meets it; in between, the exact sum decides.
+    tol = (4 * matrices.n + 2) * sys.float_info.epsilon * (max(totals) + abs(limit))
+    taken = np.array(path, dtype=np.intp)
+
+    def exact_total(lane: int, row: int, column: int) -> float:
+        sel = trials[lane].copy()
+        sel[taken[:row]] = window_start
+        sel[path[row]] = column
+        return matrices.total_time(sel)
+
+    def steps(first: int):
+        # Every state along the path from row ``first`` on, with its gain.
+        for row in range(first, len(path)):
+            durations, start = rows[path[row]], starts[row]
+            top, done = durations[start], prefix[row]
+            for column in range(start - 1, window_start - 1, -1):
+                yield row, column, done + (top - durations[column])
+
+    promoted = trials.copy()
+    feasible = []
+    for lane, (sel, total) in enumerate(zip(promoted, totals)):
+        if total <= limit:
+            feasible.append(True)
             continue
-        row = rows[pos]
-        fastest = running - (row[column] - row[window_start])
-        if fastest > trusted:
-            # Rows of D ascend, so no intermediate column can meet the
-            # deadline either: take the whole row in one step.
-            running = fastest
-            sel[pos] = window_start
-            continue
-        while column > window_start:
-            running -= row[column] - row[column - 1]
-            column -= 1
-            if running <= trusted:
-                sel[pos] = column
-                running = matrices.total_time(sel)
-                if running <= limit:
-                    return running, True
-        sel[pos] = column
-    return running, False
+        need = total - limit
+        low, high = need - tol, need + tol
+        # Whole rows whose prefix gain is below ``low`` are certainly taken.
+        for row, column, gain in steps(max(bisect_left(prefix, low) - 1, 0)):
+            if gain >= low and (gain > high or exact_total(lane, row, column) <= limit):
+                sel[taken[:row]] = window_start
+                sel[path[row]] = column
+                feasible.append(True)
+                break
+        else:
+            sel[taken] = window_start
+            feasible.append(False)
+    return promoted, totals, feasible
+
+
+def _score(
+    matrices: SequencedMatrices,
+    promoted: np.ndarray,
+    totals: List[float],
+    feasible: List[bool],
+    window_start: int,
+    tagged_position: int,
+    deadline: float,
+) -> List[Tuple[float, float, float]]:
+    """``(ENR, CIF, DPF)`` for every lane of :func:`_promote`'s output."""
+    n, m = matrices.n, matrices.m
+    lanes = len(promoted)
+    index = promoted + matrices.row_offsets
+    energies = matrices.energies.ravel()[index].sum(axis=1).tolist()
+    currents = matrices.currents.ravel()[index]
+    rises = (currents[:, :-1] < currents[:, 1:]).sum(axis=1).tolist()
+    if tagged_position > 0:
+        # Per-lane column counts of the free rows, in one bincount.
+        free = promoted[:, :tagged_position] + m * np.arange(lanes)[:, None]
+        occupancy = np.bincount(free.ravel(), minlength=lanes * m).reshape(lanes, m).tolist()
+    scores = []
+    for lane in range(lanes):
+        if not feasible[lane]:
+            dpf = math.inf
+        elif tagged_position == 0:
+            # The first task in the sequence has no free tasks above it; the
+            # paper replaces DPF by the slack ratio to press the remaining
+            # slack into use.  With nothing free, the lane was never
+            # promoted, so its starting total is its final one.
+            dpf = slack_ratio(totals[lane], deadline)
+        else:
+            dpf = _windowed_dpf(occupancy[lane], m, window_start, tagged_position)
+        cif = rises[lane] / (n - 1) if n > 1 else 0.0
+        enr = energy_ratio(energies[lane], matrices.energy_min, matrices.energy_max)
+        scores.append((enr, cif, dpf))
+    return scores

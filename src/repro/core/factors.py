@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -58,22 +58,19 @@ class FactorValues:
     @property
     def suitability(self) -> float:
         """The paper's ``B = SR + CR + ENR + CIF + DPF`` (lower is better)."""
-        return (
-            self.slack_ratio
-            + self.current_ratio
-            + self.energy_ratio
-            + self.current_increase_fraction
-            + self.design_point_fraction
-        )
+        return suitability(*self._values())
 
     def weighted(self, weights: "FactorWeights") -> float:
         """Weighted combination used by the ablation experiments."""
+        return suitability(*self._values(), weights=weights)
+
+    def _values(self) -> Tuple[float, float, float, float, float]:
         return (
-            weights.slack_ratio * self.slack_ratio
-            + weights.current_ratio * self.current_ratio
-            + weights.energy_ratio * self.energy_ratio
-            + weights.current_increase_fraction * self.current_increase_fraction
-            + weights.design_point_fraction * self.design_point_fraction
+            self.slack_ratio,
+            self.current_ratio,
+            self.energy_ratio,
+            self.current_increase_fraction,
+            self.design_point_fraction,
         )
 
 
@@ -215,18 +212,31 @@ def windowed_design_point_fraction(
     ``window_start = 0`` this coincides with :func:`design_point_fraction`.
     """
     free = np.fromiter(free_positions, dtype=np.intp)
-    width = num_design_points - window_start
-    if width < 2 or not len(free):
+    if not len(free):
         return 0.0
-    steps = width - 1  # number of penalised columns
-    factor = 1.0 / steps
     occupancy = np.bincount(
         np.asarray(selection)[free], minlength=num_design_points
     ).tolist()
+    return _windowed_dpf(occupancy, num_design_points, window_start, len(free))
+
+
+def _windowed_dpf(
+    occupancy: Sequence[int], num_design_points: int, window_start: int, free_count: int
+) -> float:
+    """:func:`windowed_design_point_fraction` from per-column task counts.
+
+    ``occupancy[k]`` is the number of the ``free_count`` free tasks on column
+    ``k``.  The batched DPF in :mod:`repro.core.choose` calls this directly,
+    so both paths share one float expression.
+    """
+    steps = num_design_points - window_start - 1  # number of penalised columns
+    if steps < 1 or not free_count:
+        return 0.0
+    factor = 1.0 / steps
     total = 0.0
     for offset in range(steps):
         weight = (steps - offset) * factor
-        total += weight * occupancy[window_start + offset] / len(free)
+        total += weight * occupancy[window_start + offset] / free_count
     return total
 
 
@@ -238,14 +248,18 @@ def suitability(
     dpf: float,
     weights: Optional[FactorWeights] = None,
 ) -> float:
-    """Combine the five factors into the suitability ``B`` (lower is better)."""
-    values = FactorValues(
-        slack_ratio=slack,
-        current_ratio=current,
-        energy_ratio=energy,
-        current_increase_fraction=cif,
-        design_point_fraction=dpf,
-    )
+    """Combine the five factors into the suitability ``B`` (lower is better).
+
+    The one definition of ``B``: :attr:`FactorValues.suitability` and
+    :meth:`FactorValues.weighted` delegate here, and the design-point chooser
+    calls it directly so the hot loop builds no :class:`FactorValues`.
+    """
     if weights is None:
-        return values.suitability
-    return values.weighted(weights)
+        return slack + current + energy + cif + dpf
+    return (
+        weights.slack_ratio * slack
+        + weights.current_ratio * current
+        + weights.energy_ratio * energy
+        + weights.current_increase_fraction * cif
+        + weights.design_point_fraction * dpf
+    )

@@ -97,6 +97,9 @@ class SequencedMatrices:
         self.column_times = durations.sum(axis=0)
 
         self._positions = np.arange(self.n)
+        #: Offset of each position's row in the ravelled ``(n, m)`` matrices:
+        #: ``selection + row_offsets`` indexes them flat, the cheapest gather.
+        self.row_offsets = self._positions * self.m
 
     # ------------------------------------------------------------------
     # selections

@@ -17,6 +17,7 @@ without the algorithms knowing about it.
 
 from __future__ import annotations
 
+import collections.abc
 import hashlib
 import json
 import math
@@ -53,13 +54,21 @@ __all__ = [
 # ----------------------------------------------------------------------
 def _canonical(value: Any) -> Any:
     """Normalise a parameter value so that equal configs produce equal JSON."""
-    if isinstance(value, Mapping):
+    # The ``collections.abc`` ABC, not the much slower ``typing`` alias: this
+    # recursion visits every node of a static-replay job's whole schedule.
+    if isinstance(value, collections.abc.Mapping):
         return {str(k): _canonical(v) for k, v in sorted(value.items())}
     if isinstance(value, (list, tuple)):
         return [_canonical(v) for v in value]
     if isinstance(value, float) and math.isinf(value):
         return "inf" if value > 0 else "-inf"
     return value
+
+
+def _content_hash(spec: Dict[str, Any]) -> str:
+    """The 24-hex-digit key of a JSON-serialisable job description."""
+    payload = json.dumps(spec, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:24]
 
 
 @dataclass(frozen=True)
@@ -117,8 +126,7 @@ class Job:
         """
         cached = self.__dict__.get("_key")
         if cached is None:
-            payload = json.dumps(self.spec(), sort_keys=True, separators=(",", ":"))
-            cached = hashlib.sha256(payload.encode("utf-8")).hexdigest()[:24]
+            cached = _content_hash(self.spec())
             object.__setattr__(self, "_key", cached)
         return cached
 
@@ -138,8 +146,7 @@ class Job:
 
             spec = self.spec()
             spec["graph"] = graph_signature(self.problem.graph)
-            payload = json.dumps(spec, sort_keys=True, separators=(",", ":"))
-            cached = hashlib.sha256(payload.encode("utf-8")).hexdigest()[:24]
+            cached = _content_hash(spec)
             object.__setattr__(self, "_structural_key", cached)
         return cached
 

@@ -24,10 +24,9 @@ True
 
 from __future__ import annotations
 
-import hashlib
-import json
 import time
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import traceback as traceback_module
@@ -37,7 +36,7 @@ from ..obs import RECORDER as _OBS
 from ..scenarios import ScenarioSpec
 from .cache import BatteryCostCache, CachedBatteryModel
 from .executors import SerialExecutor, _job_metrics, _worker_cache
-from .jobs import _canonical
+from .jobs import _canonical, _content_hash
 from .store import ResultStore
 
 __all__ = [
@@ -55,6 +54,20 @@ __all__ = [
 #: per-item memory footprint (one live simulator per lane) and keeps one
 #: huge cell splittable across pool workers.
 DEFAULT_BATCH_SIZE = 256
+
+
+@lru_cache(maxsize=256)
+def _scenario_payload(spec: ScenarioSpec) -> Dict[str, Any]:
+    """``spec.to_dict()`` without its presentational fields, memoised.
+
+    Presentational fields are excluded, like Job.key() excludes the
+    problem's display name: equal work gets equal keys.  The spec is frozen,
+    so every job of one spec shares one payload.
+    """
+    scenario = spec.to_dict()
+    scenario.pop("name", None)
+    scenario.pop("description", None)
+    return scenario
 
 
 @dataclass(frozen=True)
@@ -98,14 +111,13 @@ class SimulationJob:
 
     # ------------------------------------------------------------------
     def job_spec(self) -> Dict[str, Any]:
-        """The complete, JSON-serialisable description of this job."""
-        scenario = self.spec.to_dict()
-        # Presentational fields are excluded, like Job.key() excludes the
-        # problem's display name: equal work gets equal keys.
-        scenario.pop("name", None)
-        scenario.pop("description", None)
+        """The complete, JSON-serialisable description of this job.
+
+        The ``"scenario"`` entry is memoised per spec and shared by every
+        job of that spec: read it, never mutate it.
+        """
         return {
-            "scenario": scenario,
+            "scenario": _scenario_payload(self.spec),
             "policy": self.policy,
             "params": _canonical(self.params),
             "seed": self.seed,
@@ -115,12 +127,9 @@ class SimulationJob:
 
     def key(self) -> str:
         """Stable content hash identifying this job across runs and machines."""
-        cached = self.__dict__.get("_key")
-        if cached is None:
-            payload = json.dumps(self.job_spec(), sort_keys=True, separators=(",", ":"))
-            cached = hashlib.sha256(payload.encode("utf-8")).hexdigest()[:24]
-            object.__setattr__(self, "_key", cached)
-        return cached
+        if "_key" not in self.__dict__:
+            self._hash_keys()
+        return self.__dict__["_key"]
 
     def cell_key(self) -> str:
         """Content hash of everything but the replication index.
@@ -131,14 +140,17 @@ class SimulationJob:
         :class:`SimulationBatch` (the perturbation stream is the only
         per-replication input, and each lane owns its own).
         """
-        cached = self.__dict__.get("_cell_key")
-        if cached is None:
-            spec = self.job_spec()
-            spec.pop("replication", None)
-            payload = json.dumps(spec, sort_keys=True, separators=(",", ":"))
-            cached = hashlib.sha256(payload.encode("utf-8")).hexdigest()[:24]
-            object.__setattr__(self, "_cell_key", cached)
-        return cached
+        if "_cell_key" not in self.__dict__:
+            self._hash_keys()
+        return self.__dict__["_cell_key"]
+
+    def _hash_keys(self) -> None:
+        # Both keys come from one job_spec(): the params canonicalisation
+        # is the costly part (a static-replay job carries a whole schedule).
+        spec = self.job_spec()
+        object.__setattr__(self, "_key", _content_hash(spec))
+        del spec["replication"]
+        object.__setattr__(self, "_cell_key", _content_hash(spec))
 
     @property
     def label(self) -> str:

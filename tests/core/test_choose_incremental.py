@@ -1,16 +1,19 @@
-"""Differential oracle for the incremental DPF promotion loop.
+"""Differential oracle for the shared-path, batched DPF promotion.
 
 The functions prefixed ``_ref_`` below are the full-recompute implementation
-that preceded the running-makespan loop in :mod:`repro.core.choose` (and the
+that preceded the incremental promotion in :mod:`repro.core.choose` (and the
 generator-based factor scans that preceded the vectorised ones in
-:mod:`repro.core.factors`), copied verbatim apart from their names.  Every
-test asserts that the library returns bitwise the same values: the same
-``(ENR, CIF, DPF, selection)`` from ``calculate_dpf``, the same selections,
-factor breakdowns and makespans from ``choose_design_points``, and the same
-repaired selection (or the same ``AlgorithmError``) from
-``promote_until_feasible``.  Deadlines are placed on the exact makespans the
-reference visits while promoting, one ULP either side, and on ``CT(k)``, so
-the stopping point is probed where rounding drift would show.
+:mod:`repro.core.factors`), copied verbatim apart from their names: one
+``CalculateDPF`` per candidate, recomputing the makespan after every
+one-column promotion.  Every test asserts that the library returns bitwise
+the same values: the same ``(ENR, CIF, DPF, selection)`` from
+``calculate_dpf``, the same selections, factor breakdowns and makespans from
+``choose_design_points`` (with and without recorded evaluations, with and
+without factor weights), and the same repaired selection (or the same
+``AlgorithmError``) from ``promote_until_feasible``.  Deadlines are placed on
+the exact makespans the reference visits while promoting, one ULP either
+side, and on ``CT(k)``, so the stopping point is probed where rounding drift
+would show.
 """
 
 import math
@@ -26,7 +29,13 @@ from repro.core import (
     promote_until_feasible,
 )
 from repro.core.choose import ChooseResult, DesignPointEvaluation
-from repro.core.factors import FactorValues, current_ratio, energy_ratio, slack_ratio
+from repro.core.factors import (
+    FactorValues,
+    FactorWeights,
+    current_ratio,
+    energy_ratio,
+    slack_ratio,
+)
 from repro.errors import AlgorithmError
 from repro.scheduling import sequence_by_decreasing_energy
 from repro.taskgraph import DesignPoint, Task, TaskGraph
@@ -216,6 +225,28 @@ def _assert_same_choice(actual, expected):
     ]
 
 
+#: Recording on/off and paper/ablation weights; ``None`` is the plain sum.
+_CHOOSE_MODES = [
+    (True, None),
+    (False, None),
+    (True, FactorWeights(0.5, 2.0, 1.0, 0.25, 3.0)),
+    (False, FactorWeights.without("design_point_fraction")),
+    (False, FactorWeights(1.0, 1.0, 1.0, 1.0, -1.0)),
+]
+
+
+def _assert_same_choice_all_modes(matrices, window_start, deadline):
+    for record, weights in _CHOOSE_MODES:
+        _assert_same_choice(
+            choose_design_points(
+                matrices, window_start, deadline, weights=weights, record_evaluations=record
+            ),
+            _ref_choose_design_points(
+                matrices, window_start, deadline, weights=weights, record_evaluations=record
+            ),
+        )
+
+
 def _assert_same_promotion(matrices, selection, window_start, deadline):
     try:
         expected = _ref_promote_until_feasible(matrices, selection, window_start, deadline)
@@ -267,22 +298,59 @@ def _path_totals(matrices, selection, window_start, free_end):
     return totals
 
 
-def _boundary_deadlines(rng, matrices, selection, window_start, free_end, samples=5):
-    """Deadlines on partial-promotion totals and ``CT(window_start)``.
-
-    Each anchor ``T`` yields ``T`` itself and ``T - _EPS`` (where the
-    ``total > deadline + _EPS`` test flips), each with its neighbours one
-    ULP either side.
-    """
-    totals = _path_totals(matrices, selection, window_start, free_end)
-    picks = rng.choice(len(totals), size=min(samples, len(totals)), replace=False)
-    anchors = [totals[i] for i in sorted(picks)]
-    anchors += [totals[-1], matrices.column_time(window_start)]
+def _around(anchors):
+    """Each anchor ``T`` and ``T - _EPS`` (where the ``total > deadline +
+    _EPS`` test flips), each with its neighbours one ULP either side."""
     deadlines = []
     for anchor in anchors:
         for base in (anchor, anchor - _EPS):
             deadlines += [np.nextafter(base, -np.inf), base, np.nextafter(base, np.inf)]
     return [float(d) for d in deadlines if d > 0]
+
+
+def _boundary_deadlines(rng, matrices, selection, window_start, free_end, samples=5):
+    """Deadlines on partial-promotion totals and ``CT(window_start)``."""
+    totals = _path_totals(matrices, selection, window_start, free_end)
+    picks = rng.choice(len(totals), size=min(samples, len(totals)), replace=False)
+    anchors = [totals[i] for i in sorted(picks)]
+    anchors += [totals[-1], matrices.column_time(window_start)]
+    return _around(anchors)
+
+
+def _candidate_trials(matrices, window_start, selection, position):
+    """The tentative selections ``ChooseDesignPoints`` scores at ``position``.
+
+    The sequence is walked backwards, so when ``position`` is reached the
+    later positions already hold their final columns in ``selection`` and
+    the earlier ones the lowest-power column.
+    """
+    base = np.array(selection, dtype=int, copy=True)
+    base[: position + 1] = matrices.m - 1
+    for column in range(matrices.m - 1, window_start - 1, -1):
+        trial = base.copy()
+        trial[position] = column
+        yield trial
+
+
+def _choose_boundary_deadlines(rng, matrices, window_start, deadline, samples=2):
+    """Deadlines on candidates' exact path totals and on ``CT(window_start)``.
+
+    The state at each position is rebuilt from the reference's selection for
+    ``deadline``.  The first position scored (``n - 2``) does not depend on
+    the deadline, so its anchors are exact boundaries for any deadline;
+    ``samples`` more come from the candidates at one other position.
+    """
+    n = matrices.n
+    selection = _ref_choose_design_points(matrices, window_start, deadline).selection
+    anchors = [matrices.column_time(window_start)]
+    for position in (n - 2, int(rng.integers(0, n - 1))):
+        totals = [
+            total
+            for trial in _candidate_trials(matrices, window_start, selection, position)
+            for total in _path_totals(matrices, trial, window_start, position)
+        ]
+        anchors += [totals[int(i)] for i in rng.integers(0, len(totals), size=samples)]
+    return _around(anchors)
 
 
 # ---------------------------------------------------------------------------
@@ -350,3 +418,63 @@ def test_catalogue_every_window_matches_reference():
             )
             checked += 1
     assert checked >= 99 * 4
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_choose_design_points_matches_reference_at_candidate_boundaries(seed):
+    rng = np.random.default_rng(4000 + seed)
+    n, m = int(rng.integers(2, 11)), int(rng.integers(2, 6))
+    matrices = _random_matrices(300 + seed, n, m)
+    fastest, slowest = matrices.column_time(0), matrices.column_time(m - 1)
+    for window_start in range(m):
+        start = float(rng.uniform(fastest, slowest))
+        for deadline in _choose_boundary_deadlines(rng, matrices, window_start, start):
+            _assert_same_choice_all_modes(matrices, window_start, deadline)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_choose_design_points_matches_reference_in_every_mode(seed):
+    rng = np.random.default_rng(5000 + seed)
+    n, m = int(rng.integers(2, 20)), int(rng.integers(2, 6))
+    matrices = _random_matrices(400 + seed, n, m)
+    fastest, slowest = matrices.column_time(0), matrices.column_time(m - 1)
+    for window_start in range(m):
+        deadlines = [
+            matrices.column_time(window_start),
+            float(rng.uniform(fastest, slowest)),
+            0.5 * fastest,  # every candidate infeasible
+        ]
+        for deadline in deadlines:
+            _assert_same_choice_all_modes(matrices, window_start, deadline)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_calculate_dpf_matches_reference_from_faster_starts(seed):
+    # Free rows start between the window's fastest and the lowest-power
+    # column, so path rows have differing lengths and the DPF occupancy
+    # counts columns other than the two ends.
+    rng = np.random.default_rng(6000 + seed)
+    n, m = int(rng.integers(2, 25)), int(rng.integers(3, 6))
+    matrices = _random_matrices(500 + seed, n, m)
+    for _ in range(6):
+        window_start = int(rng.integers(0, m - 1))
+        tagged = int(rng.integers(1, n + 1))
+        selection = rng.integers(window_start, m, size=n)
+        selection[:tagged] = rng.integers(window_start + 1, m - 1, size=tagged, endpoint=True)
+        for deadline in _boundary_deadlines(rng, matrices, selection, window_start, tagged):
+            _assert_same_dpf(
+                calculate_dpf(matrices, selection, window_start, tagged, deadline),
+                _ref_calculate_dpf(matrices, selection, window_start, tagged, deadline),
+            )
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_promote_until_feasible_matches_reference_from_faster_starts(seed):
+    rng = np.random.default_rng(7000 + seed)
+    n, m = int(rng.integers(1, 25)), int(rng.integers(3, 6))
+    matrices = _random_matrices(600 + seed, n, m)
+    for _ in range(6):
+        window_start = int(rng.integers(0, m - 1))
+        selection = rng.integers(window_start + 1, m - 1, size=n, endpoint=True)
+        for deadline in _boundary_deadlines(rng, matrices, selection, window_start, n):
+            _assert_same_promotion(matrices, selection, window_start, deadline)
