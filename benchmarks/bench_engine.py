@@ -2,7 +2,7 @@
 
 Runs the standard workload suite times the sweep algorithm set through the
 engine twice — serially and across a 4-worker process pool — and reports the
-wall-time ratio together with the battery-cost cache hit rate.  The parallel
+wall-time ratio.  The parallel
 run must reproduce the serial result rows exactly (determinism is part of
 the executor contract), so the speedup is free of correctness caveats.
 
@@ -35,10 +35,7 @@ def _suite_jobs():
 
 
 def _comparable(results):
-    return [
-        result.to_dict() | {"elapsed_s": 0.0, "cache_hits": 0, "cache_misses": 0}
-        for result in results
-    ]
+    return [result.to_dict() | {"elapsed_s": 0.0} for result in results]
 
 
 def test_engine_serial_vs_parallel(benchmark):
@@ -57,9 +54,6 @@ def test_engine_serial_vs_parallel(benchmark):
     )
     parallel_wall = time.perf_counter() - started
 
-    hits = sum(r.cache_hits for r in serial_results)
-    misses = sum(r.cache_misses for r in serial_results)
-    hit_rate = hits / (hits + misses) if hits + misses else 0.0
     speedup = serial_wall / parallel_wall if parallel_wall > 0 else float("inf")
 
     print()
@@ -69,34 +63,14 @@ def test_engine_serial_vs_parallel(benchmark):
     print(f"parallel wall time:  {parallel_wall:8.3f} s  (4 workers, "
           f"{os.cpu_count()} cores available)")
     print(f"speedup:             {speedup:8.2f} x")
-    print(f"cache hit rate:      {hit_rate:8.1%}  ({hits} hits / {misses} misses)")
 
     assert _comparable(parallel_results) == _comparable(serial_results)
     assert all(result.ok for result in serial_results)
-    assert hit_rate > 0.0
     if (os.cpu_count() or 1) >= 4 and serial_wall >= 1.0:
         # With the cores to back it up and a batch long enough to amortise
         # pool start-up, 4 workers must at least halve the wall time on
         # this embarrassingly parallel workload.
         assert speedup >= 2.0
-
-
-def test_engine_cache_accounting(benchmark):
-    """The battery-cost cache absorbs a large share of sigma evaluations."""
-    jobs = _suite_jobs()
-    executor = SerialExecutor()
-    results = benchmark.pedantic(executor.run, args=(jobs,), rounds=1, iterations=1)
-
-    hits = sum(r.cache_hits for r in results)
-    misses = sum(r.cache_misses for r in results)
-    hit_rate = hits / (hits + misses)
-
-    print()
-    print(f"lookups: {hits + misses}, hits: {hits}, hit rate: {hit_rate:.1%}, "
-          f"entries: {len(executor.cache)}")
-
-    assert hits > 0
-    assert hit_rate > 0.10
 
 
 def test_engine_resume_executes_nothing(benchmark, tmp_path):

@@ -1,8 +1,8 @@
 """Benchmark of the scenario-suite driver.
 
 Times one full catalogue pass (every scenario x the default deterministic
-algorithm set) through the engine, and reports the scenario count, job
-throughput and battery-cost cache hit rate.  The catalogue is the
+algorithm set) through the engine, and reports the scenario count and job
+throughput.  The catalogue is the
 population every future optimisation is measured against, so its wall time
 is worth tracking: a regression here is either an algorithm slowdown or a
 scenario that grew out of its class.
@@ -25,7 +25,6 @@ def test_full_catalogue_suite(benchmark):
     print(
         f"\n{len(result.specs)} scenarios x {len(result.algorithms)} algorithms: "
         f"{len(result.run.results)} jobs, "
-        f"cache hit rate {result.run.cache_hit_rate:.1%}, "
         f"winner {leaders[0].algorithm} "
         f"({leaders[0].wins} wins, {leaders[0].mean_excess_pct:.2f}% mean excess)"
     )

@@ -20,7 +20,7 @@ own exact pruning floor.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -36,9 +36,6 @@ class IdealBatteryModel(ScheduleKernelMixin, BatteryModel):
 
     #: Contributions ignore time-to-end entirely (pure coulomb counting).
     TIME_SENSITIVE = False
-
-    #: Compiled-kernel registry name (see :mod:`repro.battery.backends`).
-    KERNEL_NAME = "ideal"
 
     def apparent_charge(self, profile: LoadProfile, at_time: Optional[float] = None) -> float:
         """Charge drawn before ``at_time`` (defaults to the end of the profile).
@@ -68,10 +65,6 @@ class IdealBatteryModel(ScheduleKernelMixin, BatteryModel):
     ) -> np.ndarray:
         """Per-interval coulomb counts (``time_to_end`` is ignored)."""
         return np.asarray(currents, dtype=float) * np.asarray(durations, dtype=float)
-
-    def signature(self) -> Tuple:
-        """Exact-parameter cache fingerprint (see :func:`repro.engine.model_signature`)."""
-        return (type(self).__name__,)
 
     def __repr__(self) -> str:
         return "IdealBatteryModel()"

@@ -41,7 +41,7 @@ Two class attributes describe the chemistry to the evaluator stack:
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -88,44 +88,13 @@ class ScheduleKernelMixin:
     #: sides of a move and ignore evaluation-point (rest) changes.
     TIME_SENSITIVE: bool = True
 
-    #: Registry name of this chemistry's elementwise kernel in
-    #: :mod:`repro.battery.backends`; ``None`` means the chemistry has no
-    #: compiled implementation and always evaluates through numpy.
-    KERNEL_NAME: Optional[str] = None
-
-    #: Per-instance backend override: ``None`` defers to the
-    #: ``REPRO_KERNEL_BACKEND`` environment variable, ``"numpy"`` forces the
-    #: reference path, ``"numba"`` requests the compiled path (silently
-    #: falling back to numpy when numba is unavailable).
-    kernel_backend: Optional[str] = None
-
-    def _kernel_args(self) -> tuple:
-        """Chemistry constants forwarded to the compiled kernel (if any)."""
-        return ()
-
     def _contributions(
         self,
         durations: "np.ndarray",
         currents: "np.ndarray",
         time_to_end: "np.ndarray",
     ) -> "np.ndarray":
-        """Backend-dispatched elementwise kernel (the single seam).
-
-        Every derived schedule path reduces the values this method returns;
-        the compiled backend therefore needs to match the numpy reference
-        only here (conformance-gated bitwise-or-<=1e-12 per chemistry).
-        """
-        if self.KERNEL_NAME is not None:
-            from .backends import resolve_kernel
-
-            kernel = resolve_kernel(self.KERNEL_NAME, self.kernel_backend)
-            if kernel is not None:
-                return kernel(
-                    np.ascontiguousarray(durations, dtype=float),
-                    np.ascontiguousarray(currents, dtype=float),
-                    np.ascontiguousarray(time_to_end, dtype=float),
-                    *self._kernel_args(),
-                )
+        """The elementwise kernel every derived schedule path reduces."""
         return self.interval_contributions(durations, currents, time_to_end)
 
     def interval_contributions(

@@ -55,7 +55,7 @@ conformance suite pins <= 1e-9).
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -80,9 +80,6 @@ class KineticBatteryModel(ScheduleKernelMixin, BatteryModel):
         the bound to the available well.  Larger values mean a battery that
         recovers faster and suffers less from high discharge rates.
     """
-
-    #: Compiled-kernel registry name (see :mod:`repro.battery.backends`).
-    KERNEL_NAME = "kibam"
 
     def __init__(self, c: float = 0.625, k: float = 0.05) -> None:
         if not (0.0 < c < 1.0):
@@ -115,10 +112,6 @@ class KineticBatteryModel(ScheduleKernelMixin, BatteryModel):
     # ------------------------------------------------------------------
     # canonical schedule kernel (superposed closed form)
     # ------------------------------------------------------------------
-    def _kernel_args(self) -> tuple:
-        """Folded constants forwarded to the compiled kernel."""
-        return (self._neg_k_prime, self._stranded_scale)
-
     def interval_contributions(
         self,
         durations: np.ndarray,
@@ -153,10 +146,6 @@ class KineticBatteryModel(ScheduleKernelMixin, BatteryModel):
         coulomb count.
         """
         return np.asarray(currents, dtype=float) * np.asarray(durations, dtype=float)
-
-    def signature(self) -> Tuple:
-        """Exact-parameter cache fingerprint (see :func:`repro.engine.model_signature`)."""
-        return (type(self).__name__, self.c, self.k)
 
     def unavailable_charge(self, profile: LoadProfile, at_time: Optional[float] = None) -> float:
         """Only the stranded (recoverable) part of the apparent charge."""

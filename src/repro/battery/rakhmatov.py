@@ -83,9 +83,6 @@ class RakhmatovVrudhulaModel(ScheduleKernelMixin, BatteryModel):
         Number of terms ``M`` kept from the infinite series (paper: 10).
     """
 
-    #: Compiled-kernel registry name (see :mod:`repro.battery.backends`).
-    KERNEL_NAME = "rakhmatov"
-
     def __init__(self, beta: float, series_terms: int = DEFAULT_SERIES_TERMS) -> None:
         if not math.isfinite(beta) or beta <= 0:
             raise BatteryModelError(f"beta must be finite and > 0, got {beta!r}")
@@ -188,10 +185,6 @@ class RakhmatovVrudhulaModel(ScheduleKernelMixin, BatteryModel):
     # ------------------------------------------------------------------
     # canonical schedule kernel (gap-free back-to-back intervals)
     # ------------------------------------------------------------------
-    def _kernel_args(self) -> tuple:
-        """Folded constants forwarded to the compiled kernel."""
-        return (self._beta2m2,)
-
     def interval_contributions(
         self,
         durations: np.ndarray,
@@ -276,10 +269,6 @@ class RakhmatovVrudhulaModel(ScheduleKernelMixin, BatteryModel):
             raise BatteryModelError("rest duration must be non-negative")
         end = profile.end_time
         return self.apparent_charge(profile, end) - self.apparent_charge(profile, end + rest)
-
-    def signature(self) -> tuple:
-        """Exact-parameter cache fingerprint (see :func:`repro.engine.model_signature`)."""
-        return (type(self).__name__, self.beta, self.series_terms)
 
     def __repr__(self) -> str:
         return f"RakhmatovVrudhulaModel(beta={self.beta:g}, series_terms={self.series_terms})"

@@ -1,11 +1,9 @@
-"""Parallel experiment-execution engine with caching and a resumable store.
+"""Parallel experiment-execution engine with a resumable store.
 
 The engine turns every experiment driver into declarative data: a
 :class:`~repro.engine.Job` names a problem instance, an algorithm from the
 registry and its parameters; executors run job batches serially or across a
-process pool; a keyed LRU cache memoises the battery-cost evaluations that
-dominate runtime; and an append-only JSONL store makes long sweeps
-resumable.  :func:`~repro.engine.run_experiments` is the single entry point
+process pool; and an append-only JSONL store makes long sweeps resumable.  :func:`~repro.engine.run_experiments` is the single entry point
 the experiment layer, the benchmarks and the CLI all build on.
 
 Runtime-simulation work rides the same machinery: a
@@ -18,8 +16,8 @@ replication, content-hash keyed) runs through the same executors via
 Guarantees
 ----------
 * **Determinism** — results come back in job order whatever the executor,
-  and cache hits return exact stored floats, so ``--jobs 4`` output is
-  byte-identical to ``--jobs 1``.
+  and every job is a pure function of its content, so ``--jobs 4`` output
+  is byte-identical to ``--jobs 1``.
 * **Isolation** — a failing job surfaces in ``JobResult.error`` without
   aborting the batch.
 * **Resumability** — with ``resume=True`` jobs whose key already has a
@@ -27,13 +25,6 @@ Guarantees
 """
 
 from .api import ExperimentRun, build_jobs, run_experiments, run_jobs
-from .cache import (
-    DEFAULT_CACHE_SIZE,
-    BatteryCostCache,
-    CachedBatteryModel,
-    CacheStats,
-    model_signature,
-)
 from .executors import (
     ParallelExecutor,
     SerialExecutor,
@@ -77,11 +68,6 @@ __all__ = [
     "register_algorithm",
     "resolve_algorithm_name",
     "scheduler_config_params",
-    "BatteryCostCache",
-    "CachedBatteryModel",
-    "CacheStats",
-    "model_signature",
-    "DEFAULT_CACHE_SIZE",
     "SerialExecutor",
     "ParallelExecutor",
     "default_executor",

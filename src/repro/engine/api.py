@@ -137,17 +137,11 @@ class ExperimentRun:
 
     @property
     def cache_hits(self) -> int:
-        return sum(result.cache_hits for result in self.results)
+        return 0  # kept because perfbench/layers.py reads it after every run
 
     @property
     def cache_misses(self) -> int:
-        return sum(result.cache_misses for result in self.results)
-
-    @property
-    def cache_hit_rate(self) -> float:
-        """Battery-cost cache hit rate aggregated over every executed job."""
-        lookups = self.cache_hits + self.cache_misses
-        return self.cache_hits / lookups if lookups else 0.0
+        return 0  # kept because perfbench/layers.py reads it after every run
 
     @property
     def elapsed_s(self) -> float:
@@ -192,8 +186,7 @@ class ExperimentRun:
         deduped = f", {self.deduped} deduped" if self.deduped else ""
         return (
             f"{len(self.results)} jobs ({self.executed} executed, "
-            f"{self.skipped} resumed{deduped}), {len(self.failures())} failed, "
-            f"cache hit rate {self.cache_hit_rate:.1%}"
+            f"{self.skipped} resumed{deduped}), {len(self.failures())} failed"
         )
 
 
@@ -215,7 +208,7 @@ def run_experiments(
     >>> problem = SchedulingProblem(graph=build_g3(), deadline=230.0, name="g3")
     >>> run = run_experiments([problem], ["all-fastest", "all-slowest"])
     >>> run.summary()
-    '2 jobs (2 executed, 0 resumed), 0 failed, cache hit rate 0.0%'
+    '2 jobs (2 executed, 0 resumed), 0 failed'
 
     Parameters
     ----------

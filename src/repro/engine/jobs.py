@@ -10,9 +10,8 @@ captured error), small enough to round-trip through the JSONL result store.
 
 The mapping from algorithm *names* to implementations lives in the registry
 at the bottom of this module; executors resolve names at run time, which is
-what keeps jobs serialisable.  Every runner receives an optional battery
-``model`` override so the executors can inject the battery-cost cache
-without the algorithms knowing about it.
+what keeps jobs serialisable.  Every runner receives the battery ``model``
+the executor built from the job's problem.
 """
 
 from __future__ import annotations
@@ -184,14 +183,7 @@ class JobResult:
     assignment: Optional[Dict[str, int]] = None
     error: Optional[str] = None
     elapsed_s: float = 0.0
-    cache_hits: int = 0
-    cache_misses: int = 0
     traceback: Optional[str] = None
-    #: Cache evictions during this job.  In-memory accounting only (the
-    #: executors aggregate it); excluded from :meth:`to_dict` because the
-    #: value depends on worker placement, and the stores must stay
-    #: byte-identical between serial and parallel runs.
-    cache_evictions: int = field(default=0, compare=False)
     #: Per-job observability metrics delta (``repro.obs``), shipped back to
     #: the parent through the process pool.  Never serialised: traced and
     #: untraced runs must produce byte-identical result stores.
@@ -215,8 +207,6 @@ class JobResult:
             "assignment": dict(self.assignment) if self.assignment is not None else None,
             "error": self.error,
             "elapsed_s": self.elapsed_s,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
             "traceback": self.traceback,
         }
 
@@ -238,8 +228,6 @@ class JobResult:
             else None,
             error=data.get("error"),
             elapsed_s=float(data.get("elapsed_s", 0.0)),
-            cache_hits=int(data.get("cache_hits", 0)),
-            cache_misses=int(data.get("cache_misses", 0)),
             traceback=data.get("traceback"),
         )
 

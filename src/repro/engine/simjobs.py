@@ -25,7 +25,7 @@ True
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -34,8 +34,7 @@ import traceback as traceback_module
 from ..errors import ConfigurationError
 from ..obs import RECORDER as _OBS
 from ..scenarios import ScenarioSpec
-from .cache import BatteryCostCache, CachedBatteryModel
-from .executors import SerialExecutor, _job_metrics, _worker_cache
+from .executors import SerialExecutor, _job_metrics
 from .jobs import _canonical, _content_hash
 from .store import ResultStore
 
@@ -195,13 +194,6 @@ class SimulationRecord:
     error: Optional[str] = None
     elapsed_s: float = 0.0
     traceback: Optional[str] = None
-    #: Battery-cache deltas for this job.  In-memory accounting only,
-    #: excluded from :meth:`to_dict`: per-job cache traffic depends on which
-    #: worker ran the job before, and the stores must stay byte-identical
-    #: between serial and parallel runs.
-    cache_hits: int = field(default=0, compare=False)
-    cache_misses: int = field(default=0, compare=False)
-    cache_evictions: int = field(default=0, compare=False)
     #: Per-job observability metrics delta (``repro.obs``), shipped back to
     #: the parent through the process pool.  Never serialised.
     metrics: Optional[Dict[str, Any]] = field(default=None, compare=False, repr=False)
@@ -261,31 +253,22 @@ class SimulationRecord:
         )
 
 
-def execute_simulation_job(
-    job: SimulationJob, cache: Optional[BatteryCostCache] = None
-) -> SimulationRecord:
+def execute_simulation_job(job: SimulationJob) -> SimulationRecord:
     """Run one simulation job to completion, capturing any failure.
 
     The single execution path of serial and parallel runs (module-level so
-    worker processes import it by name).  The battery model is wrapped in
-    the worker's :class:`~repro.engine.BatteryCostCache`, so the offline
-    schedule a ``static-replay`` policy computes — and the live
-    state-of-charge queries of the reactive policy — share cached sigma
-    evaluations across jobs exactly like experiment jobs do.
+    worker processes import it by name).
     """
     from ..sim.perturbation import rng_for_seed
     from ..sim.runtime import Simulator
     from ..sim.schedulers import make_policy
 
-    if cache is None:
-        cache = _worker_cache()
     obs_before = _OBS.counters_snapshot(include_volatile=True) if _OBS.enabled else None
-    before = cache.stats.snapshot()
     started = time.perf_counter()
     try:
         with _OBS.span("engine.job", label=job.label):
             problem = job.spec.build_problem()
-            model = CachedBatteryModel(problem.model(), cache)
+            model = problem.model()
             scheduler = make_policy(job.policy, problem, job.params, model=model)
             result = Simulator(
                 problem,
@@ -297,7 +280,6 @@ def execute_simulation_job(
                 imode=job.spec.information_mode(),
             ).run()
     except Exception as exc:  # noqa: BLE001 - per-job isolation is the point
-        used = cache.stats.delta(before)
         return SimulationRecord(
             key=job.key(),
             scenario=job.spec.name,
@@ -307,12 +289,8 @@ def execute_simulation_job(
             error=f"{type(exc).__name__}: {exc}",
             traceback=traceback_module.format_exc(),
             elapsed_s=time.perf_counter() - started,
-            cache_hits=used.hits,
-            cache_misses=used.misses,
-            cache_evictions=used.evictions,
-            metrics=_job_metrics(obs_before, used, kind="simjobs", failed=True),
+            metrics=_job_metrics(obs_before, kind="simjobs", failed=True),
         )
-    used = cache.stats.delta(before)
     return SimulationRecord(
         key=job.key(),
         scenario=job.spec.name,
@@ -326,10 +304,7 @@ def execute_simulation_job(
         events=result.events,
         depletion_time=result.depletion_time,
         elapsed_s=time.perf_counter() - started,
-        cache_hits=used.hits,
-        cache_misses=used.misses,
-        cache_evictions=used.evictions,
-        metrics=_job_metrics(obs_before, used, kind="simjobs"),
+        metrics=_job_metrics(obs_before, kind="simjobs"),
     )
 
 
@@ -385,15 +360,12 @@ class SimulationBatchResult:
     """Outcome of one :class:`SimulationBatch`: a record per member job.
 
     Carries the same executor-facing accounting surface as a single
-    record (``cache_*``, ``elapsed_s``, ``metrics``), aggregated over the
-    whole batch, so both executors account batches exactly like jobs.
+    record (``elapsed_s``, ``metrics``), aggregated over the whole batch,
+    so both executors account batches exactly like jobs.
     """
 
     records: Tuple[SimulationRecord, ...]
     elapsed_s: float = 0.0
-    cache_hits: int = field(default=0, compare=False)
-    cache_misses: int = field(default=0, compare=False)
-    cache_evictions: int = field(default=0, compare=False)
     metrics: Optional[Dict[str, Any]] = field(default=None, compare=False, repr=False)
 
     @property
@@ -402,7 +374,7 @@ class SimulationBatchResult:
         return all(record.ok for record in self.records)
 
 
-def _batch_metrics(obs_before, used, executed: int, failed: int):
+def _batch_metrics(obs_before, executed: int, failed: int):
     """Close out one batch's observability accounting; None while disabled.
 
     The per-job counters advance by the member counts, so a batched run's
@@ -415,33 +387,7 @@ def _batch_metrics(obs_before, used, executed: int, failed: int):
     if failed:
         _OBS.count("engine.simjobs.failed", failed)
     _OBS.count("engine.simjobs.batches")
-    if used.hits:
-        _OBS.count("rt.engine.cache.hits", used.hits)
-    if used.misses:
-        _OBS.count("rt.engine.cache.misses", used.misses)
-    if used.evictions:
-        _OBS.count("rt.engine.cache.evictions", used.evictions)
     return _OBS.metrics_delta(obs_before)
-
-
-def _attribute_cache(records: List[SimulationRecord], used) -> Tuple[SimulationRecord, ...]:
-    """Park the batch's cache delta on its first record.
-
-    Cache traffic is a batch-level quantity — the schedule lookups are
-    shared across lanes — but :class:`SimulationRun` totals sum the
-    per-record counters, so the whole delta rides on one record.  The
-    counters compare as equal regardless (``compare=False``) and never
-    reach the store, so lane records stay interchangeable with the
-    scalar runner's.
-    """
-    if records:
-        records[0] = replace(
-            records[0],
-            cache_hits=used.hits,
-            cache_misses=used.misses,
-            cache_evictions=used.evictions,
-        )
-    return tuple(records)
 
 
 def _lane_failure(job: SimulationJob, error: Exception, elapsed_s: float, traceback: str) -> SimulationRecord:
@@ -457,14 +403,12 @@ def _lane_failure(job: SimulationJob, error: Exception, elapsed_s: float, traceb
     )
 
 
-def execute_simulation_batch(
-    batch: SimulationBatch, cache: Optional[BatteryCostCache] = None
-) -> SimulationBatchResult:
+def execute_simulation_batch(batch: SimulationBatch) -> SimulationBatchResult:
     """Run one batch of same-cell replications through the lockstep driver.
 
     The worker-side counterpart of :func:`execute_simulation_job` for
     batches (module-level so pools import it by name): problem, battery
-    model wrapper and — for ``static-replay`` — the offline schedule are
+    model and — for ``static-replay`` — the offline schedule are
     resolved **once**, then every replication runs as a
     :class:`~repro.sim.BatchSimulator` lane.  Per-lane outcomes are
     bit-identical to the scalar runner's, so batched and scalar stores
@@ -477,17 +421,14 @@ def execute_simulation_batch(
     from ..sim.perturbation import rng_for_seed
     from ..sim.schedulers import StaticReplayScheduler, make_policy
 
-    if cache is None:
-        cache = _worker_cache()
     obs_before = _OBS.counters_snapshot(include_volatile=True) if _OBS.enabled else None
-    before = cache.stats.snapshot()
     started = time.perf_counter()
     jobs = batch.jobs
     first = jobs[0]
     try:
         with _OBS.span("engine.batch", label=batch.label):
             problem = first.spec.build_problem()
-            model = CachedBatteryModel(problem.model(), cache)
+            model = problem.model()
             if first.policy == "static-replay":
                 # Resolve the offline schedule once for the whole cell;
                 # sibling lanes replay it through cheap clones.
@@ -512,21 +453,14 @@ def execute_simulation_batch(
             ).run()
     except Exception as exc:  # noqa: BLE001 - batch-level isolation
         elapsed = time.perf_counter() - started
-        used = cache.stats.delta(before)
         share = elapsed / len(jobs)
         trace = traceback_module.format_exc()
         return SimulationBatchResult(
-            records=_attribute_cache(
-                [_lane_failure(job, exc, share, trace) for job in jobs], used
-            ),
+            records=tuple(_lane_failure(job, exc, share, trace) for job in jobs),
             elapsed_s=elapsed,
-            cache_hits=used.hits,
-            cache_misses=used.misses,
-            cache_evictions=used.evictions,
-            metrics=_batch_metrics(obs_before, used, executed=0, failed=len(jobs)),
+            metrics=_batch_metrics(obs_before, executed=0, failed=len(jobs)),
         )
     elapsed = time.perf_counter() - started
-    used = cache.stats.delta(before)
     share = elapsed / len(jobs)
     records: List[SimulationRecord] = []
     failed = 0
@@ -557,14 +491,9 @@ def execute_simulation_batch(
             )
         )
     return SimulationBatchResult(
-        records=_attribute_cache(records, used),
+        records=tuple(records),
         elapsed_s=elapsed,
-        cache_hits=used.hits,
-        cache_misses=used.misses,
-        cache_evictions=used.evictions,
-        metrics=_batch_metrics(
-            obs_before, used, executed=len(records) - failed, failed=failed
-        ),
+        metrics=_batch_metrics(obs_before, executed=len(records) - failed, failed=failed),
     )
 
 
@@ -590,21 +519,11 @@ class SimulationRun:
 
     @property
     def cache_hits(self) -> int:
-        return sum(record.cache_hits for record in self.records)
+        return 0  # kept because perfbench/layers.py reads it after every run
 
     @property
     def cache_misses(self) -> int:
-        return sum(record.cache_misses for record in self.records)
-
-    @property
-    def cache_hit_rate(self) -> float:
-        """Battery-cost cache hit rate aggregated over every executed job.
-
-        Per-worker caches report through the per-record deltas (merged back
-        by the parallel executor), so the rate covers pool runs too.
-        """
-        lookups = self.cache_hits + self.cache_misses
-        return self.cache_hits / lookups if lookups else 0.0
+        return 0  # kept because perfbench/layers.py reads it after every run
 
     def by_cell(self) -> Dict[Tuple[str, str], List[SimulationRecord]]:
         """Records grouped per (scenario, policy) cell, replication order."""
@@ -619,8 +538,7 @@ class SimulationRun:
         """One-line accounting summary."""
         return (
             f"{len(self.records)} simulations ({self.executed} executed, "
-            f"{self.skipped} resumed), {len(self.failures())} failed, "
-            f"cache hit rate {self.cache_hit_rate:.1%}"
+            f"{self.skipped} resumed), {len(self.failures())} failed"
         )
 
 

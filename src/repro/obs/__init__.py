@@ -11,8 +11,8 @@ off.  Enable it for a block with :func:`recording`::
         ...  # run experiments; spans and counters stream to run.jsonl
     snapshot = rec.counters_snapshot()  # deterministic metrics only
 
-Metric names starting with ``rt.`` are runtime-dependent (wall times, cache
-probe outcomes, pool utilization) and are excluded from deterministic
+Metric names starting with ``rt.`` are runtime-dependent (wall times, pool
+utilization) and are excluded from deterministic
 snapshots; everything else is a pure function of (scenario, params, seed)
 and identical between serial and parallel execution.
 

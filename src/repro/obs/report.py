@@ -351,37 +351,22 @@ def _span_table(trace: TraceData) -> "Any":
 
 
 def _runtime_table(trace: TraceData) -> Optional["Any"]:
-    """Derived runtime health metrics: pool utilization, cache hit rates.
+    """Derived runtime health metrics: pool utilization.
 
-    The underlying gauges/counters are volatile (``rt.``-prefixed) raw
-    material; this table turns them into the ratios people actually ask for.
-    Returns None when the trace recorded none of them.
+    The underlying gauge is volatile (``rt.``-prefixed) raw material.
+    Returns None when the trace did not record it.
     """
     from ..analysis.tables import TextTable
 
-    rows: List[Tuple[str, float, str]] = []
     utilization = trace.gauges.get("rt.engine.pool.utilization")
-    if utilization is not None:
-        rows.append(("engine.pool.utilization", utilization, "busy worker-seconds / pool capacity"))
-    for layer, hits_key, miss_key in (
-        ("engine.cache", "rt.engine.cache.hits", "rt.engine.cache.misses"),
-        ("eval.cache", "rt.eval.cache.hit", "rt.eval.cache.miss"),
-    ):
-        hits = trace.counters.get(hits_key, 0)
-        misses = trace.counters.get(miss_key, 0)
-        if hits or misses:
-            rows.append(
-                (f"{layer}.hit_rate", hits / (hits + misses), f"{hits} hits / {misses} misses")
-            )
-    if not rows:
+    if utilization is None:
         return None
     table = TextTable(
         title="Runtime (derived from rt.* metrics)",
         headers=("metric", "value", "detail"),
         precision=4,
     )
-    for name, value, detail in rows:
-        table.add_row(name, value, detail)
+    table.add_row("engine.pool.utilization", utilization, "busy worker-seconds / pool capacity")
     return table
 
 

@@ -58,12 +58,6 @@ Third-party models without a vectorized schedule path (no
 full ``schedule_charge`` evaluation, which for them materialises the load
 profile — exactly what the pre-evaluator call sites did.
 
-When the model is an :class:`~repro.engine.CachedBatteryModel`, proposals
-probe its schedule cache first.  The evaluator maintains the cache key as a
-pair of value tuples spliced per move (state deltas), so probing costs no
-profile construction and repeat visits to a state — common in annealing
-walks and across engine jobs — skip the series evaluation entirely.
-
 A complete propose/apply/undo round trip (shared by the doctests below):
 
 >>> from repro.battery import RakhmatovVrudhulaModel
@@ -278,8 +272,6 @@ class MoveProposal:
     _recompute_lo: int = field(repr=False, default=0)
     _tail_head: Optional[np.ndarray] = field(repr=False, default=None)
     _contrib_head: Optional[np.ndarray] = field(repr=False, default=None)
-    _dur_key: Optional[Tuple[float, ...]] = field(repr=False, default=None)
-    _cur_key: Optional[Tuple[float, ...]] = field(repr=False, default=None)
     _version: int = field(repr=False, default=0)
     _changed_column: Optional[Tuple[str, int]] = field(repr=False, default=None)
     _move_window: Optional[Tuple[int, int]] = field(repr=False, default=None)
@@ -307,8 +299,6 @@ class _UndoRecord:
     cost: float
     positions: Dict[str, int]
     columns_key: Tuple[Tuple[str, int], ...]
-    dur_key: Optional[Tuple[float, ...]]
-    cur_key: Optional[Tuple[float, ...]]
 
 
 class IncrementalCostEvaluator:
@@ -356,21 +346,9 @@ class IncrementalCostEvaluator:
         self.deadline = None if deadline is None else float(deadline)
         self.evaluate_at = evaluate_at
         self._vectorized = hasattr(model, "interval_contributions")
-        cache_capable = hasattr(model, "lookup_schedule") and hasattr(
-            model, "store_schedule"
-        )
-        self._schedule_cache = model if cache_capable else None
-        # The evaluator probes/stores the schedule cache itself (with
-        # delta-spliced keys), so misses are computed on the wrapped model
-        # directly to avoid a second, re-boxed probe inside the wrapper.
-        self._compute_model: BatteryModel = (
-            model.inner if cache_capable and hasattr(model, "inner") else model
-        )
         # Chemistry dispatch: time-insensitive kernels (Peukert, ideal) keep
         # contributions valid on both sides of a move.
-        self._time_sensitive = bool(
-            getattr(self._compute_model, "TIME_SENSITIVE", True)
-        )
+        self._time_sensitive = bool(getattr(model, "TIME_SENSITIVE", True))
         # Per-task design-point tables, indexed by canonical column.
         self._durations_by_task: Dict[str, Tuple[float, ...]] = {}
         self._currents_by_task: Dict[str, Tuple[float, ...]] = {}
@@ -394,16 +372,6 @@ class IncrementalCostEvaluator:
         self._columns_key: Tuple[Tuple[str, int], ...] = tuple(
             sorted(self.state.columns.items())
         )
-        # Cache key halves, spliced per move (state deltas) — only maintained
-        # when the model actually exposes a schedule cache.
-        self._dur_key: Optional[Tuple[float, ...]] = None
-        self._cur_key: Optional[Tuple[float, ...]] = None
-        if self._schedule_cache is not None:
-            self._dur_key = tuple(map(float, self.state.durations))
-            self._cur_key = tuple(map(float, self.state.currents))
-            self._schedule_cache.store_schedule(
-                (self._dur_key, self._cur_key, self.state.rest), self.state.cost
-            )
 
     # ------------------------------------------------------------------
     # queries
@@ -593,7 +561,7 @@ class IncrementalCostEvaluator:
         changed_column: Optional[Tuple[str, int]],
         move_window: Optional[Tuple[int, int]] = None,
     ) -> MoveProposal:
-        """Evaluate a candidate's cost, reusing unaffected contributions and cache."""
+        """Evaluate a candidate's cost, reusing unaffected contributions."""
         recompute_lo = 0
         recompute_hi = hi
         if not self._time_sensitive:
@@ -606,34 +574,11 @@ class IncrementalCostEvaluator:
             # time-to-evaluation changes, so nothing can be reused.
             recompute_hi = len(sequence) - 1
         if _OBS.enabled:
-            # Window length observed before the cache probe: the histogram
-            # stays a deterministic function of the proposal stream.
             _OBS.count(f"eval.propose.{kind}")
             _OBS.observe("eval.recompute_window", recompute_hi - recompute_lo + 1)
-        dur_key: Optional[Tuple[float, ...]] = None
-        cur_key: Optional[Tuple[float, ...]] = None
-        cached: Optional[float] = None
-        if self._schedule_cache is not None:
-            # Splice the changed segment into the current key tuples instead
-            # of re-boxing the whole arrays: a state-delta cache key.
-            dur_key = (
-                self._dur_key[:lo]
-                + tuple(map(float, new_durations[lo : hi + 1]))
-                + self._dur_key[hi + 1 :]
-            )
-            cur_key = (
-                self._cur_key[:lo]
-                + tuple(map(float, new_currents[lo : hi + 1]))
-                + self._cur_key[hi + 1 :]
-            )
-            cached = self._schedule_cache.lookup_schedule((dur_key, cur_key, rest))
-            if _OBS.enabled:
-                _OBS.count("rt.eval.cache.hit" if cached is not None else "rt.eval.cache.miss")
         tail_head: Optional[np.ndarray] = None
         contrib_head: Optional[np.ndarray] = None
-        if cached is not None:
-            cost = cached
-        elif self._vectorized and self.state.contributions is not None:
+        if self._vectorized and self.state.contributions is not None:
             tail_head, contrib_head = self._recompute_window(
                 new_durations, new_currents, recompute_lo, recompute_hi, rest
             )
@@ -647,9 +592,7 @@ class IncrementalCostEvaluator:
                 values += self.state.contributions[:recompute_lo].tolist()
             cost = float(math.fsum(values))
         else:
-            cost = self._compute_model.schedule_charge(new_durations, new_currents, rest)
-        if cached is None and self._schedule_cache is not None:
-            self._schedule_cache.store_schedule((dur_key, cur_key, rest), cost)
+            cost = self.model.schedule_charge(new_durations, new_currents, rest)
         return MoveProposal(
             kind=kind,
             cost=cost,
@@ -663,8 +606,6 @@ class IncrementalCostEvaluator:
             _recompute_lo=recompute_lo,
             _tail_head=tail_head,
             _contrib_head=contrib_head,
-            _dur_key=dur_key,
-            _cur_key=cur_key,
             _version=self._version,
             _changed_column=changed_column,
             _move_window=move_window,
@@ -692,7 +633,7 @@ class IncrementalCostEvaluator:
         ignores time-to-end, so no tail maintenance is needed (``None``).
         """
         if not self._time_sensitive:
-            contrib = self._compute_model.interval_contributions(
+            contrib = self.model.interval_contributions(
                 durations[lo : hi + 1],
                 currents[lo : hi + 1],
                 np.zeros(hi - lo + 1),
@@ -717,7 +658,7 @@ class IncrementalCostEvaluator:
             time_to_end[:hi] = tail_head
             time_to_end[hi] = anchor
             time_to_end += rest
-        contrib_head = self._compute_model.interval_contributions(
+        contrib_head = self.model.interval_contributions(
             durations[: hi + 1], currents[: hi + 1], time_to_end[: hi + 1]
         )
         return tail_head, contrib_head
@@ -757,18 +698,9 @@ class IncrementalCostEvaluator:
                 cost=state.cost,
                 positions=self._positions,
                 columns_key=self._columns_key,
-                dur_key=self._dur_key,
-                cur_key=self._cur_key,
             )
         if self._vectorized and state.contributions is not None:
-            if proposal._contrib_head is None:
-                # Cache hit skipped the array work at proposal time; redo it
-                # now so the state stays internally consistent.
-                tail_head, contrib_head = self._recompute_window(
-                    proposal._durations, proposal._currents, lo, hi, proposal.rest
-                )
-            else:
-                tail_head, contrib_head = proposal._tail_head, proposal._contrib_head
+            tail_head, contrib_head = proposal._tail_head, proposal._contrib_head
             if record is not None:
                 record.contrib_slice = state.contributions[lo : hi + 1].copy()
             state.contributions[lo : hi + 1] = contrib_head
@@ -800,9 +732,6 @@ class IncrementalCostEvaluator:
         self._columns_key = proposal.columns
         if self._track_undo:
             self._undo_record = record
-        if self._schedule_cache is not None:
-            self._dur_key = proposal._dur_key
-            self._cur_key = proposal._cur_key
         if _OBS.enabled:
             _OBS.count("eval.apply")
 
@@ -831,8 +760,6 @@ class IncrementalCostEvaluator:
         state.cost = record.cost
         self._positions = record.positions
         self._columns_key = record.columns_key
-        self._dur_key = record.dur_key
-        self._cur_key = record.cur_key
         self._undo_record = None
         self._version += 1
         if _OBS.enabled:
@@ -852,13 +779,13 @@ class IncrementalCostEvaluator:
         rest = _resolve_rest(makespan, self.deadline, self.evaluate_at)
         tail = suffix_durations(durations)
         if self._vectorized:
-            contributions = self._compute_model.interval_contributions(
+            contributions = self.model.interval_contributions(
                 durations, currents, tail + rest
             )
             cost = float(math.fsum(contributions))
         else:
             contributions = None
-            cost = self._compute_model.schedule_charge(durations, currents, rest)
+            cost = self.model.schedule_charge(durations, currents, rest)
         return ScheduleState(
             sequence=sequence,
             columns=columns,

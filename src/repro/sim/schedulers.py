@@ -516,7 +516,7 @@ def make_policy(
     ``sequence``/``columns`` pair in ``params``, or the name of a
     registered offline ``algorithm`` (default ``"iterative"``) that is run
     on ``problem`` first — through the engine's algorithm registry, with
-    ``model`` (e.g. a battery-cost cache wrapper) forwarded to it.
+    ``model`` forwarded to it.
     """
     if name not in POLICIES:
         raise ConfigurationError(

@@ -1,6 +1,7 @@
 """Tests for the engine's public API and its integration with the drivers."""
 
 import dataclasses
+import json
 
 import pytest
 
@@ -13,7 +14,13 @@ from repro.engine import (
     run_experiments,
 )
 from repro.errors import ConfigurationError
-from repro.experiments import deadline_sweep, default_algorithms, run_ablation, run_table4
+from repro.experiments import (
+    deadline_sweep,
+    default_algorithms,
+    run_ablation,
+    run_suite,
+    run_table4,
+)
 from repro.taskgraph import build_g2
 from repro.workloads import suite_problems
 
@@ -26,10 +33,7 @@ def problems():
 
 
 def _comparable(results):
-    return [
-        result.to_dict() | {"elapsed_s": 0.0, "cache_hits": 0, "cache_misses": 0}
-        for result in results
-    ]
+    return [result.to_dict() | {"elapsed_s": 0.0} for result in results]
 
 
 class TestBuildJobs:
@@ -67,11 +71,27 @@ class TestRunExperiments:
         )
         assert _comparable(parallel.results) == _comparable(serial.results)
 
-    def test_cache_accounting_is_nonzero(self, problems):
-        run = run_experiments(problems, ["iterative"])
-        assert run.cache_misses > 0
-        assert run.cache_hits > 0
-        assert 0.0 < run.cache_hit_rate < 1.0
+    def test_parallel_suite_rows_equal_serial_field_for_field(self):
+        # Every result field but the wall time must be independent of which
+        # worker ran the job, since the store rows are written from them.
+        def rows(results):
+            return [
+                {
+                    f.name: getattr(r, f.name)
+                    for f in dataclasses.fields(r)
+                    if f.name != "elapsed_s"
+                }
+                for r in results
+            ]
+
+        serial = run_suite()
+        parallel = run_suite(executor=ParallelExecutor(max_workers=2))
+        assert rows(parallel.run.results) == rows(serial.run.results)
+
+    def test_cache_counters_read_zero(self, problems):
+        run = run_experiments(problems, ALGORITHMS)
+        assert (run.cache_hits, run.cache_misses) == (0, 0)
+        assert "cache" not in run.summary()
 
     def test_resume_skips_completed_jobs(self, problems, tmp_path):
         store = ResultStore(tmp_path / "suite.jsonl")
@@ -84,6 +104,23 @@ class TestRunExperiments:
         assert [r.to_dict() for r in second.results] == [
             r.to_dict() for r in first.results
         ]
+
+    def test_resume_over_rows_with_cache_counters(self, problems, tmp_path):
+        # Stores written before the battery-cost cache was removed carry
+        # per-job cache_hits/cache_misses keys; they must still resume.
+        fresh = run_experiments(problems, ALGORITHMS)
+        path = tmp_path / "old.jsonl"
+        path.write_text(
+            "".join(
+                json.dumps(r.to_dict() | {"cache_hits": 4, "cache_misses": 9}, sort_keys=True)
+                + "\n"
+                for r in fresh.results
+            )
+        )
+        resumed = run_experiments(problems, ALGORITHMS, store=ResultStore(path), resume=True)
+        assert resumed.executed == 0
+        assert resumed.skipped == len(fresh.jobs)
+        assert resumed.results == fresh.results
 
     def test_partial_resume_runs_only_new_jobs(self, problems, tmp_path):
         store = ResultStore(tmp_path / "suite.jsonl")

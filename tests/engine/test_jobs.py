@@ -165,8 +165,6 @@ class TestJobResultRoundTrip:
             sequence=("a", "b"),
             assignment={"a": 0, "b": 2},
             elapsed_s=0.5,
-            cache_hits=3,
-            cache_misses=7,
         )
         assert JobResult.from_dict(result.to_dict()) == result
         assert result.ok
@@ -181,6 +179,34 @@ class TestJobResultRoundTrip:
         assert JobResult.from_dict(result.to_dict()) == result
         assert not result.ok
         assert "ERROR" in result.summary()
+
+
+    @pytest.mark.parametrize(
+        "legacy",
+        [
+            {"cache_hits": 3, "cache_misses": 7},
+            {"cache_hits": 0, "cache_misses": 12, "cache_evictions": 1},
+        ],
+    )
+    def test_rows_with_cache_counters_still_load(self, legacy):
+        # Stores written while the engine had a battery-cost cache carry
+        # per-job cache counters; they load as the same result.
+        result = JobResult(
+            key="abc",
+            algorithm="iterative",
+            problem_name="G2@75",
+            cost=123.4,
+            makespan=70.0,
+            feasible=True,
+            sequence=("a", "b"),
+            assignment={"a": 0, "b": 2},
+            elapsed_s=0.5,
+        )
+        assert JobResult.from_dict(result.to_dict() | legacy) == result
+
+    def test_rows_carry_no_cache_counters(self):
+        row = JobResult(key="abc", algorithm="iterative", problem_name="G2@75").to_dict()
+        assert not any(name.startswith("cache") for name in row)
 
 
 class TestAnnealingSeedPlumbing:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import json
 
 import pytest
 
@@ -134,6 +135,13 @@ class TestExecuteSimulationJob:
         )
         assert SimulationRecord.from_dict(record.to_dict()) == record
 
+    def test_record_with_cache_counters_still_loads(self, stochastic_spec):
+        record = execute_simulation_job(
+            SimulationJob(spec=stochastic_spec, policy="static-replay", seed=2)
+        )
+        legacy = record.to_dict() | {"cache_hits": 5, "cache_misses": 11}
+        assert SimulationRecord.from_dict(legacy) == record
+
     def test_deterministic_scenario_needs_no_seed_variation(self, registry):
         spec = registry.get("g3")
         records = [
@@ -172,6 +180,24 @@ class TestRunSimulationJobs:
         fresh = run_simulation_jobs(jobs)
         assert strip_timing(second.records) == strip_timing(fresh.records)
 
+    def test_resume_over_rows_with_cache_counters(self, registry, tmp_path):
+        # Stores written before the battery-cost cache was removed carry
+        # per-record cache_hits/cache_misses keys; they must still resume.
+        jobs = self.make_jobs(registry, replications=1)
+        fresh = run_simulation_jobs(jobs)
+        path = tmp_path / "old.jsonl"
+        path.write_text(
+            "".join(
+                json.dumps(r.to_dict() | {"cache_hits": 2, "cache_misses": 3}, sort_keys=True)
+                + "\n"
+                for r in fresh.records
+            )
+        )
+        store = ResultStore(path, record_type=SimulationRecord)
+        resumed = run_simulation_jobs(jobs, store=store, resume=True)
+        assert (resumed.executed, resumed.skipped) == (0, len(jobs))
+        assert resumed.records == fresh.records
+
     def test_resume_requires_store(self, registry):
         with pytest.raises(ConfigurationError):
             run_simulation_jobs(self.make_jobs(registry), resume=True)
@@ -203,9 +229,13 @@ class TestRunSimulationJobs:
 
     def test_summary_accounting(self, registry):
         run = run_simulation_jobs(self.make_jobs(registry, replications=1))
-        assert run.summary().startswith(
-            "4 simulations (4 executed, 0 resumed), 0 failed, cache hit rate "
+        assert run.summary() == "4 simulations (4 executed, 0 resumed), 0 failed"
+
+    def test_cache_counters_read_zero(self, registry):
+        run = run_simulation_jobs(
+            self.make_jobs(registry, replications=2), executor=ParallelExecutor(max_workers=2)
         )
+        assert (run.cache_hits, run.cache_misses) == (0, 0)
 
 
 class TestJobKeyDedupe:

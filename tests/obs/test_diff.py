@@ -33,18 +33,18 @@ def span(name, dur=0.5, **extra):
 class TestDiffTraces:
     def test_identical_traces_match(self):
         a = make_trace(
-            counters={"engine.jobs.executed": 4, "rt.engine.cache.hits": 9},
+            counters={"engine.jobs.executed": 4, "rt.example.ticks": 9},
             spans=[span("engine.job")],
         )
         b = make_trace(
-            counters={"engine.jobs.executed": 4, "rt.engine.cache.hits": 2},
+            counters={"engine.jobs.executed": 4, "rt.example.ticks": 2},
             spans=[span("engine.job", dur=0.9)],
         )
         diff = diff_traces(a, b)
         assert diff.deterministic_match
         assert diff.drift == []
         # volatile counters are reported but never count as drift
-        assert diff.counters["rt.engine.cache.hits"] == (9, 2)
+        assert diff.counters["rt.example.ticks"] == (9, 2)
 
     def test_deterministic_counter_drift_detected(self):
         a = make_trace(counters={"engine.jobs.executed": 4})

@@ -35,7 +35,7 @@ def trace_path(tmp_path):
             with rec.span("engine.store.append"):
                 pass
         rec.count("eval.apply", 4)
-        rec.count("rt.eval.cache.hit", 2)
+        rec.count("rt.example.ticks", 2)
         rec.observe("eval.recompute_window", 3)
         rec.gauge("rt.engine.pool.utilization", 0.75)
     return path
@@ -117,7 +117,7 @@ class TestLoad:
             "engine.job",
         ]
         assert trace.counters["eval.apply"] == 4
-        assert trace.counters["rt.eval.cache.hit"] == 2
+        assert trace.counters["rt.example.ticks"] == 2
         names = {row["name"] for row in trace.histograms}
         assert "eval.recompute_window" in names
         assert trace.gauges["rt.engine.pool.utilization"] == 0.75
@@ -219,11 +219,25 @@ class TestCausalViews:
 
 
 class TestRuntimeTable:
-    def test_pool_utilization_and_hit_rates_surface(self, trace_path):
+    def test_pool_utilization_surfaces(self, trace_path):
         text = "\n".join(trace_summary_lines(load_trace(trace_path)))
         assert "Runtime (derived from rt.* metrics)" in text
         assert "engine.pool.utilization" in text
-        assert "eval.cache.hit_rate" in text
+
+    def test_older_trace_with_cache_counters_still_summarises(self, tmp_path):
+        # Traces recorded while the engine had a battery-cost cache carry
+        # rt.*.cache.* counters; they load and render as plain volatile counters.
+        path = tmp_path / "old.jsonl"
+        with recording(trace=str(path)) as rec:
+            with rec.span("engine.job"):
+                pass
+            rec.count("rt.engine.cache.hits", 9)
+            rec.count("rt.eval.cache.miss", 3)
+        trace = load_trace(path)
+        assert trace.counters["rt.engine.cache.hits"] == 9
+        text = "\n".join(trace_summary_lines(trace))
+        assert "Runtime (derived from rt.* metrics)" not in text
+        assert "hit_rate" not in text
 
 
 class TestChromeTrace:
@@ -263,7 +277,7 @@ class TestSummaries:
 
     def test_counts_deterministic_counters(self, trace_path):
         text = "\n".join(trace_summary_lines(load_trace(trace_path)))
-        # eval.apply is deterministic; rt.eval.cache.hit is not
+        # eval.apply is deterministic; rt.example.ticks is not
         assert "2 counters (1 deterministic)" in text
 
     def test_recorder_summary_empty(self):

@@ -368,27 +368,24 @@ class TestCrossChemistryIncrementalAgreesWithFull:
             )
             assert array_path == pytest.approx(profile_path, abs=AGREEMENT_ATOL)
 
-    def test_schedule_cache_composes_with_every_chemistry(self, chemistry_model):
-        """Cache-wrapped evaluators return the exact uncached costs."""
-        from repro.engine import BatteryCostCache, CachedBatteryModel
-
-        graph = layered_graph(num_layers=5, layer_width=3, seed=4, name="xcache")
+    def test_repeated_proposals_are_pure(self, chemistry_model):
+        """Re-proposing a move returns the exact cost and never touches the state."""
+        graph = layered_graph(num_layers=5, layer_width=3, seed=4, name="xrepeat")
         sequence = sequence_by_decreasing_energy(graph)
         assignment = DesignPointAssignment.all_fastest(graph)
-        plain = IncrementalCostEvaluator(graph, sequence, assignment, chemistry_model)
-        cached_model = CachedBatteryModel(chemistry_model, BatteryCostCache())
-        wrapped = IncrementalCostEvaluator(graph, sequence, assignment, cached_model)
-        names = list(graph.task_names())
-        for name in names[:6]:
-            column = 1 if plain.columns[name] != 1 else 2
-            assert (
-                wrapped.propose_design_point(name, column).cost
-                == plain.propose_design_point(name, column).cost
+        evaluator = IncrementalCostEvaluator(graph, sequence, assignment, chemistry_model)
+        before_cost = evaluator.cost
+        before_contrib = evaluator.state.contributions.copy()
+        for name in list(graph.task_names())[:6]:
+            column = 1 if evaluator.columns[name] != 1 else 2
+            first = evaluator.propose_design_point(name, column)
+            second = evaluator.propose_design_point(name, column)
+            full = battery_cost(
+                graph,
+                first.sequence,
+                DesignPointAssignment(dict(first.columns)),
+                chemistry_model,
             )
-        # Repeat proposals answer from the cache without drifting.
-        hits_before = cached_model.cache.stats.hits
-        repeat = wrapped.propose_design_point(names[0], 1 if wrapped.columns[names[0]] != 1 else 2)
-        assert cached_model.cache.stats.hits > hits_before
-        assert repeat.cost == plain.propose_design_point(
-            names[0], 1 if plain.columns[names[0]] != 1 else 2
-        ).cost
+            assert first.cost == second.cost == full
+        assert evaluator.cost == before_cost
+        assert np.array_equal(evaluator.state.contributions, before_contrib)

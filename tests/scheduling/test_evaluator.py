@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.battery import IdealBatteryModel, RakhmatovVrudhulaModel
-from repro.engine import BatteryCostCache, CachedBatteryModel
+from repro.battery import BatteryModel, IdealBatteryModel, RakhmatovVrudhulaModel
 from repro.errors import ConfigurationError, ScheduleError
 from repro.scheduling import (
     DesignPointAssignment,
@@ -14,6 +13,13 @@ from repro.scheduling import (
 )
 
 SEQ = ("A", "B", "C", "D")
+
+
+class _CoulombOnlyModel(BatteryModel):
+    """A minimal third-party model with no vectorized schedule kernel."""
+
+    def apparent_charge(self, profile, at_time=None):
+        return IdealBatteryModel().apparent_charge(profile, at_time)
 
 
 @pytest.fixture
@@ -156,40 +162,41 @@ class TestApplyUndo:
         assert evaluator.cost == evaluator.evaluate_full()
 
 
-class TestCachedModelComposition:
-    def test_proposals_probe_and_fill_schedule_cache(self, diamond4, assignment, model):
-        cached = CachedBatteryModel(model, BatteryCostCache())
-        evaluator = IncrementalCostEvaluator(diamond4, SEQ, assignment, cached)
+class TestRepeatedProposals:
+    def test_repeated_proposal_is_bit_identical(self, evaluator):
         first = evaluator.propose_design_point("B", 1)
-        misses = cached.cache.stats.misses
         second = evaluator.propose_design_point("B", 1)
         assert second.cost == first.cost
-        assert cached.cache.stats.misses == misses
-        assert cached.cache.stats.hits >= 1
+        assert (second.makespan, second.rest) == (first.makespan, first.rest)
+        assert (second.sequence, second.columns) == (first.sequence, first.columns)
 
-    def test_cached_values_match_uncached(self, diamond4, assignment, model):
-        cached = CachedBatteryModel(model, BatteryCostCache())
-        plain = IncrementalCostEvaluator(diamond4, SEQ, assignment, model)
-        wrapped = IncrementalCostEvaluator(diamond4, SEQ, assignment, cached)
-        for name, column in (("B", 1), ("C", 2)):
-            assert (
-                wrapped.propose_design_point(name, column).cost
-                == plain.propose_design_point(name, column).cost
-            )
-
-    def test_apply_after_cache_hit_keeps_state_consistent(self, diamond4, assignment, model):
-        cached = CachedBatteryModel(model, BatteryCostCache())
-        evaluator = IncrementalCostEvaluator(diamond4, SEQ, assignment, cached)
-        evaluator.propose_design_point("B", 1)  # fills the cache
-        hit = evaluator.propose_design_point("B", 1)  # served from cache
-        evaluator.apply(hit)
-        assert evaluator.cost == hit.cost
+    def test_apply_after_repeated_proposal_keeps_state_consistent(self, evaluator):
+        evaluator.propose_design_point("B", 1)
+        repeat = evaluator.propose_design_point("B", 1)
+        evaluator.apply(repeat)
+        assert evaluator.cost == repeat.cost
         assert evaluator.cost == evaluator.evaluate_full()
 
-    def test_generic_inner_model_falls_back(self, diamond4, assignment):
-        cached = CachedBatteryModel(IdealBatteryModel(), BatteryCostCache())
-        evaluator = IncrementalCostEvaluator(diamond4, SEQ, assignment, cached)
-        proposal = evaluator.propose_design_point("B", 1)
+    def test_undo_after_repeated_proposal_apply(self, evaluator):
+        before_cost = evaluator.cost
+        before_contrib = evaluator.state.contributions.copy()
+        evaluator.propose_design_point("B", 1)
+        evaluator.apply(evaluator.propose_design_point("B", 1))
+        evaluator.undo()
+        assert evaluator.cost == before_cost
+        assert np.array_equal(evaluator.state.contributions, before_contrib)
+        assert evaluator.cost == evaluator.evaluate_full()
+
+
+class TestModelWithoutKernel:
+    """Models lacking ``interval_contributions`` take the full-evaluation path."""
+
+    @pytest.fixture
+    def generic(self, diamond4, assignment):
+        return IncrementalCostEvaluator(diamond4, SEQ, assignment, _CoulombOnlyModel())
+
+    def test_proposals_match_battery_cost(self, diamond4, generic):
+        proposal = generic.propose_design_point("B", 1)
         expected = battery_cost(
             diamond4,
             SEQ,
@@ -197,6 +204,25 @@ class TestCachedModelComposition:
             IdealBatteryModel(),
         )
         assert proposal.cost == pytest.approx(expected)
+        relocated = generic.propose_relocate("B", 2)
+        assert relocated.cost == pytest.approx(
+            battery_cost(
+                diamond4,
+                ("A", "C", "B", "D"),
+                DesignPointAssignment.all_fastest(diamond4),
+                IdealBatteryModel(),
+            )
+        )
+
+    def test_apply_and_undo_round_trip(self, generic):
+        before = generic.cost
+        proposal = generic.propose_design_point("C", 2)
+        generic.apply(proposal)
+        assert generic.cost == proposal.cost
+        assert generic.cost == generic.evaluate_full()
+        generic.undo()
+        assert generic.cost == before
+        assert generic.columns["C"] == 0
 
 
 class TestUndoTracking:
@@ -210,19 +236,6 @@ class TestUndoTracking:
         assert evaluator.cost == evaluator.evaluate_full()
         with pytest.raises(ScheduleError, match="track_undo"):
             evaluator.undo()
-
-    def test_undo_after_cache_hit_apply(self, diamond4, assignment, model):
-        cached = CachedBatteryModel(model, BatteryCostCache())
-        evaluator = IncrementalCostEvaluator(diamond4, SEQ, assignment, cached)
-        before_cost = evaluator.cost
-        before_contrib = evaluator.state.contributions.copy()
-        evaluator.propose_design_point("B", 1)  # fills the cache
-        hit = evaluator.propose_design_point("B", 1)  # served from cache
-        evaluator.apply(hit)
-        evaluator.undo()
-        assert evaluator.cost == before_cost
-        assert np.array_equal(evaluator.state.contributions, before_contrib)
-        assert evaluator.cost == evaluator.evaluate_full()
 
     def test_interleaved_proposals_and_undo_stay_consistent(self, diamond4, assignment, model):
         evaluator = IncrementalCostEvaluator(diamond4, SEQ, assignment, model)
