@@ -45,14 +45,9 @@ Trace and profile a run (repro.obs), then inspect the trace::
     python -m repro.cli stats suite.jsonl
     python -m repro.cli stats suite.jsonl --chrome suite-chrome.json --check
 
-Diff two traces (determinism/overhead evidence) and drive the benchmark
-observatory (run/check `benchmarks/bench_*.py` against committed baselines,
-appending every run to BENCH_history.jsonl)::
+Diff two traces (determinism/overhead evidence)::
 
     python -m repro.cli obs diff serial.jsonl parallel.jsonl --strict
-    python -m repro.cli bench --list
-    python -m repro.cli bench --run --smoke --check
-    python -m repro.cli bench --run --check --render-docs
 """
 
 from __future__ import annotations
@@ -286,48 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--salvage", action="store_true",
         help="tolerate a truncated/corrupt tail (e.g. from a crashed run): "
              "summarize everything up to the first bad line")
-
-    bench = subparsers.add_parser(
-        "bench",
-        help="the benchmark observatory: run/check the registered "
-             "benchmarks/bench_*.py drivers against committed baselines",
-    )
-    bench.add_argument(
-        "--list", action="store_true", dest="list_benches",
-        help="enumerate the registered benches and their gated metrics")
-    bench.add_argument(
-        "--run", action="store_true", dest="run_benches",
-        help="run the selected benches (fresh reports go to --reports-dir; "
-             "every run is appended to the history file)")
-    bench.add_argument(
-        "--smoke", action="store_true",
-        help="smoke mode: small workloads, driver-internal gates only "
-             "(fresh reports are not numerically compared to full baselines)")
-    bench.add_argument(
-        "--check", action="store_true",
-        help="gate the reports in --reports-dir against the committed "
-             "BENCH_*.json baselines; nonzero exit on any regression")
-    bench.add_argument(
-        "--only", nargs="+", default=None, metavar="NAME",
-        help="restrict to these registered benches (default: all)")
-    bench.add_argument(
-        "--history", default=None, metavar="FILE",
-        help="observatory history file (default: BENCH_history.jsonl at the "
-             "repo root)")
-    bench.add_argument(
-        "--reports-dir", default=None, metavar="DIR",
-        help="where fresh reports are written/read (default: the repo root "
-             "for --check alone; <root>/reports when running without "
-             "--update-baselines)")
-    bench.add_argument(
-        "--update-baselines", action="store_true",
-        help="write fresh full-mode reports over the committed BENCH_*.json "
-             "baselines")
-    bench.add_argument(
-        "--render-docs", nargs="?", const="docs/benchmarks.md", default=None,
-        metavar="FILE",
-        help="render the history as the benchmark-trajectory page "
-             "(default target: %(const)s)")
 
     obs = subparsers.add_parser(
         "obs", help="trace tooling beyond stats (currently: diff)"
@@ -684,31 +637,6 @@ def _dispatch(args: argparse.Namespace, out: List[str]) -> int:
             report.write_chrome_trace(trace, args.chrome)
             out.append(f"wrote {args.chrome}")
         out.extend(report.trace_summary_lines(trace))
-    elif args.command == "bench":
-        from .obs import bench as obs_bench
-
-        if args.list_benches or not (args.run_benches or args.check
-                                     or args.render_docs):
-            for spec in obs_bench.REGISTRY:
-                out.append(f"{spec.name:<8} {spec.description}")
-                out.append(f"{'':<8} script {spec.script}  baseline {spec.report}")
-                for gate in spec.gates:
-                    direction = "higher" if gate.higher_is_better else "lower"
-                    out.append(
-                        f"{'':<8} gate {gate.path} ({direction} is better, "
-                        f"tolerance -{gate.threshold:.0%})"
-                    )
-            return 0
-        return obs_bench.run_observatory(
-            names=args.only,
-            smoke=args.smoke,
-            run=args.run_benches,
-            check=args.check,
-            history=args.history,
-            reports_dir=args.reports_dir,
-            update_baselines=args.update_baselines,
-            render_docs=args.render_docs,
-        )
     elif args.command == "obs":
         from .obs import report
         from .obs.diff import diff_summary_lines, diff_traces

@@ -10,14 +10,17 @@ executes the remainder.
 Append-only means a key can legitimately appear more than once (a retried
 failure, a forced re-run); the last line wins on load.  Lines that fail to
 parse — e.g. the torn final line of an interrupted run — are counted and
-skipped, never fatal.
+skipped, never fatal.  Before appending to a file that does not end in a
+newline, the store ends the torn line first, so the new record stays a
+line of its own.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
-from typing import Dict, Iterable, List, Set, Tuple, Union
+from typing import Dict, Iterable, List, Set, TextIO, Tuple, Union
 
 from .jobs import Job, JobResult
 
@@ -99,10 +102,27 @@ class ResultStore:
     # ------------------------------------------------------------------
     # writing
     # ------------------------------------------------------------------
+    def _open_for_append(self) -> TextIO:
+        """Open the file for appending, first ending a torn final line.
+
+        A run killed mid-write leaves a last line with no newline; a record
+        appended straight after it would be glued onto the fragment and
+        lost with it on load.
+        """
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        torn = False
+        if self.path.exists() and self.path.stat().st_size:
+            with self.path.open("rb") as tail:
+                tail.seek(-1, os.SEEK_END)
+                torn = tail.read(1) != b"\n"
+        handle = self.path.open("a", encoding="utf-8")
+        if torn:
+            handle.write("\n")
+        return handle
+
     def append(self, result: JobResult) -> None:
         """Durably append one result (parent directory is created on demand)."""
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self.path.open("a", encoding="utf-8") as handle:
+        with self._open_for_append() as handle:
             handle.write(json.dumps(result.to_dict(), sort_keys=True))
             handle.write("\n")
             handle.flush()
@@ -112,8 +132,7 @@ class ResultStore:
         results = list(results)
         if not results:
             return
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self.path.open("a", encoding="utf-8") as handle:
+        with self._open_for_append() as handle:
             for result in results:
                 handle.write(json.dumps(result.to_dict(), sort_keys=True))
                 handle.write("\n")

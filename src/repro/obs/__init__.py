@@ -34,10 +34,6 @@ Submodules
 ``diff``
     Trace-vs-trace comparison: counter deltas, bucket-wise histogram
     comparison, span aggregates (the ``repro obs diff`` subcommand).
-``bench``
-    The benchmark observatory: a registry over ``benchmarks/bench_*.py``
-    with history, baseline deltas and regression verdicts (the
-    ``repro bench`` subcommand).
 """
 
 from .context import TraceContext

@@ -6,8 +6,7 @@ the original :class:`~repro.sim.Simulator` recomputed each one from scratch
 per query: full ``fsum`` passes over every unfinished task or executed
 interval, and a full chemistry-kernel evaluation of the entire timeline for
 every sigma request.  That made live-state queries O(timeline) and the
-state-querying policies several times slower than static replay
-(BENCH_sim.json pins the gap).
+state-querying policies several times slower than static replay.
 
 This module replaces the recomputation with *exact* running state:
 

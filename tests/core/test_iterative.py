@@ -162,6 +162,14 @@ class TestOnTightDeadlines:
         assert solution.feasible
         assert solution.makespan <= deadline + 1e-9
 
+    def test_larger_fork_join_feasible_at_mid_tightness(self):
+        from repro.workloads import fork_join_graph, problem_with_tightness
+
+        graph = fork_join_graph(num_stages=3, branches_per_stage=8, seed=17)
+        problem = problem_with_tightness(graph, 0.5, battery=BatterySpec(beta=0.273))
+        solution = battery_aware_schedule(problem)
+        assert solution.feasible
+
     @pytest.mark.parametrize("deadline", [55.0, 75.0, 95.0])
     def test_g2_deadlines_feasible_and_competitive(self, g2, deadline):
         problem = SchedulingProblem(graph=g2, deadline=deadline, battery=BatterySpec(beta=0.273))

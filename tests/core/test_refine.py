@@ -5,6 +5,7 @@ import pytest
 from repro.battery import BatterySpec
 from repro.core import battery_aware_schedule, refine_solution
 from repro.errors import ConfigurationError
+from repro.experiments import table4_problems
 from repro.scheduling import SchedulingProblem, battery_cost
 from repro.taskgraph import validate_sequence
 from repro.workloads import layered_graph, problem_with_tightness
@@ -62,6 +63,14 @@ class TestRefineSolution:
         solution = battery_aware_schedule(g2_problem)
         with pytest.raises(ConfigurationError):
             refine_solution(g2_problem, solution, max_sweeps=0)
+
+    @pytest.mark.parametrize("index", range(6))
+    def test_never_worse_on_table4_instances(self, index):
+        problem = table4_problems()[index]
+        solution = battery_aware_schedule(problem)
+        refined = refine_solution(problem, solution)
+        assert refined.cost <= solution.cost + 1e-9
+        assert refined.makespan <= problem.deadline + 1e-9
 
     @pytest.mark.parametrize("tightness", [0.3, 0.7])
     def test_on_synthetic_workloads(self, tightness):

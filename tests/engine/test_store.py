@@ -2,8 +2,20 @@
 
 import json
 
+import pytest
+
 from repro import SchedulingProblem
-from repro.engine import Job, JobResult, ResultStore, build_jobs
+from repro.engine import (
+    Job,
+    JobResult,
+    ResultStore,
+    SimulationJob,
+    SimulationRecord,
+    build_jobs,
+    run_jobs,
+    run_simulation_jobs,
+)
+from repro.scenarios import default_registry
 from repro.taskgraph import build_g2
 
 
@@ -103,3 +115,80 @@ class TestSplitPending:
         pending, done = store.split_pending([job])
         assert pending == [job]
         assert done == {}
+
+
+def append_with(store: ResultStore, writer: str, result: JobResult) -> None:
+    if writer == "append":
+        store.append(result)
+    else:
+        store.append_many([result])
+
+
+class TestTornFinalLine:
+    """A last line without a newline must not swallow the next record."""
+
+    @pytest.mark.parametrize("writer", ["append", "append_many"])
+    def test_record_after_torn_fragment_survives(self, tmp_path, writer):
+        path = tmp_path / "results.jsonl"
+        store = ResultStore(path)
+        store.append(make_result("k1"))
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write('{"key": "half a rec')
+        append_with(store, writer, make_result("k2"))
+        assert set(store.load()) == {"k1", "k2"}
+        assert store.corrupt_lines == 1
+
+    @pytest.mark.parametrize("writer", ["append", "append_many"])
+    def test_complete_record_without_newline_keeps_both(self, tmp_path, writer):
+        path = tmp_path / "results.jsonl"
+        path.write_text(json.dumps(make_result("k1").to_dict(), sort_keys=True))
+        store = ResultStore(path)
+        append_with(store, writer, make_result("k2"))
+        assert set(store.load()) == {"k1", "k2"}
+        assert store.corrupt_lines == 0
+
+    def test_terminated_store_gains_no_blank_line(self, tmp_path):
+        path = tmp_path / "results.jsonl"
+        path.write_text("")
+        store = ResultStore(path)
+        store.append(make_result("k1"))
+        store.append_many([make_result("k2")])
+        lines = path.read_text(encoding="utf-8").split("\n")
+        assert len(lines) == 3 and lines[-1] == ""
+        assert all(json.loads(line) for line in lines[:-1])
+
+    def test_resumed_job_run_after_torn_line(self, tmp_path):
+        problems = [
+            SchedulingProblem(graph=build_g2(), deadline=d, name=f"G2@{d:g}")
+            for d in (75.0, 95.0)
+        ]
+        jobs = build_jobs(problems, ["all-fastest"])
+        path = tmp_path / "results.jsonl"
+        store = ResultStore(path)
+        run_jobs(jobs[:1], store=store, resume=True)
+        whole = path.read_text(encoding="utf-8")
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write(whole[: len(whole) // 2])
+
+        resumed = run_jobs(jobs, store=store, resume=True)
+        assert (resumed.executed, resumed.skipped) == (1, 1)
+        assert set(store.load()) == {job.key() for job in jobs}
+        assert store.corrupt_lines == 1
+
+    def test_resumed_simulation_run_after_torn_line(self, tmp_path):
+        spec = default_registry().get("g3-jitter10")
+        jobs = [
+            SimulationJob(spec=spec, policy="static-replay", seed=7, replication=r)
+            for r in range(2)
+        ]
+        path = tmp_path / "sim.jsonl"
+        store = ResultStore(path, record_type=SimulationRecord)
+        run_simulation_jobs(jobs[:1], store=store, resume=True)
+        whole = path.read_text(encoding="utf-8")
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write(whole[: len(whole) // 2])
+
+        resumed = run_simulation_jobs(jobs, store=store, resume=True)
+        assert (resumed.executed, resumed.skipped) == (1, 1)
+        assert set(store.load()) == {job.key() for job in jobs}
+        assert store.corrupt_lines == 1

@@ -54,6 +54,15 @@ class TestAblation:
         assert "full B" in text
         assert "-design_point_fraction" in text
 
+    def test_default_run_covers_table4_instances(self):
+        # Dropping a factor may help or hurt one instance, but it never
+        # breaks feasibility handling: the cost stays within a sane band.
+        result = run_ablation()
+        assert len(result.rows) == 6
+        for row in result.rows:
+            assert set(row.ablated_costs) == set(FACTOR_NAMES)
+            assert all(cost <= 3.0 * row.full_cost for cost in row.ablated_costs.values())
+
 
 class TestDeadlineSweep:
     @pytest.fixture(scope="class")
@@ -89,11 +98,34 @@ class TestDeadlineSweep:
     def test_render(self, sweep):
         assert "deadline sweep" in sweep.to_table().to_text()
 
+    def test_loosest_point_beats_all_fastest(self, sweep):
+        assert sweep.series("iterative (ours)")[-1] < sweep.series("all-fastest")[-1]
+
     def test_invalid_point_count(self, g2):
         from repro.errors import ConfigurationError
 
         with pytest.raises(ConfigurationError):
             deadline_sweep(g2, num_points=1)
+
+
+class TestDeadlineSweepG3:
+    @pytest.fixture(scope="class")
+    def sweep(self):
+        from repro.taskgraph import build_g3
+
+        return deadline_sweep(build_g3(), num_points=5)
+
+    def test_ours_wins_clearly_with_loose_deadlines(self, sweep):
+        """Before the fully relaxed point, where every algorithm converges to
+        the all-slowest assignment, the battery-aware heuristic wins clearly."""
+        ours = sweep.series("iterative (ours)")
+        baseline = sweep.series("dp-energy+greedy")
+        assert ours[-2] < baseline[-2]
+        assert ours[-1] <= baseline[-1] * 1.001
+
+    def test_our_costs_decrease_with_deadline(self, sweep):
+        ours = sweep.series("iterative (ours)")
+        assert ours[0] >= ours[-1]
 
 
 class TestBetaSweep:

@@ -54,6 +54,7 @@ class TestCrossCheck:
     def test_heuristic_ranks_high_under_non_ideal_models(self, crosscheck):
         pool = len(crosscheck.candidates)
         assert crosscheck.heuristic_rank("analytical") <= max(2, pool // 4)
+        assert crosscheck.heuristic_rank("analytical") <= 3
         assert crosscheck.heuristic_rank("kibam") <= max(3, pool // 3)
 
     def test_tables_render(self, crosscheck):
