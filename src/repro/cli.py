@@ -162,10 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
              "cull+fuse; see repro.taskgraph.optimize) to every selected "
              "scenario before scheduling — job keys grow the pass list, so "
              "optimized and plain results never collide in a store")
-    suite.add_argument(
-        "--dedupe", action="store_true",
-        help="execute one representative per group of structurally-"
-             "isomorphic jobs and translate its result to the rest")
     add_engine_arguments(suite)
     add_seed_argument(suite)
     add_obs_arguments(suite)
@@ -501,7 +497,6 @@ def _dispatch(args: argparse.Namespace, out: List[str]) -> int:
                 scenarios=args.scenarios,
                 algorithms=args.algorithms,
                 optimize=args.optimize,
-                dedupe=args.dedupe,
                 **_engine_options(args),
             )
             out.append(suite_result.to_table().to_text())

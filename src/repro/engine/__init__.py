@@ -3,22 +3,27 @@
 The engine turns every experiment driver into declarative data: a
 :class:`~repro.engine.Job` names a problem instance, an algorithm from the
 registry and its parameters; executors run job batches serially or across a
-process pool; and an append-only JSONL store makes long sweeps resumable.  :func:`~repro.engine.run_experiments` is the single entry point
-the experiment layer, the benchmarks and the CLI all build on.
+process pool; and an append-only JSONL store makes long sweeps resumable.
+The experiment layer and the CLI enter through
+:func:`~repro.engine.run_experiments` or :func:`~repro.engine.run_jobs`.
 
 Runtime-simulation work rides the same machinery: a
 :class:`~repro.engine.SimulationJob` (scenario spec + policy + seed +
-replication, content-hash keyed) runs through the same executors via
+replication, content-hash keyed) enters through
 :func:`~repro.engine.run_simulation_jobs`, with
 :class:`~repro.engine.SimulationRecord` rows stored resumably in a
-``ResultStore(record_type=SimulationRecord)``.
+``ResultStore(record_type=SimulationRecord)``.  Both entry points share
+one pipeline (resume, duplicate-key collapse, store append, job-order
+results), and executors see only work items that run themselves:
+``item.run()`` returns the record, ``item.failure_result(message)`` builds
+one for an item the process pool lost.
 
 Guarantees
 ----------
 * **Determinism** — results come back in job order whatever the executor,
   and every job is a pure function of its content, so ``--jobs 4`` output
   is byte-identical to ``--jobs 1``.
-* **Isolation** — a failing job surfaces in ``JobResult.error`` without
+* **Isolation** — a failing job surfaces in its record's ``error`` without
   aborting the batch.
 * **Resumability** — with ``resume=True`` jobs whose key already has a
   successful stored result are skipped entirely.

@@ -1,4 +1,4 @@
-"""Single entry point of the experiment engine: :func:`run_experiments`.
+"""The experiment engine's entry points and its one job pipeline.
 
 The experiment layer (Table 4, the sweeps, the ablation, the benchmarks and
 the CLI) describes its work as *problems x algorithms*, hands the resulting
@@ -19,7 +19,10 @@ interrupted runs resume where they stopped::
 
 Results always come back in job order (problems outer, algorithms inner),
 independent of executor and of how many jobs were answered from the store,
-so downstream tables are reproducible byte for byte.
+so downstream tables are reproducible byte for byte.  Offline jobs
+(:func:`run_jobs`) and simulation jobs
+(:func:`~repro.engine.simjobs.run_simulation_jobs`) share one pipeline for
+resume, duplicate collapse, store append and ordering (:func:`_run_pipeline`).
 
 A minimal in-process run (the doctests below share it):
 
@@ -39,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import (
     Any,
+    Callable,
     Dict,
     Iterable,
     List,
@@ -120,8 +124,6 @@ class ExperimentRun:
     """Jobs actually run in this call."""
     skipped: int
     """Jobs answered from the result store (resume hits)."""
-    deduped: int = 0
-    """Jobs answered by translating a structurally-isomorphic job's result."""
 
     # ------------------------------------------------------------------
     # accounting
@@ -183,10 +185,9 @@ class ExperimentRun:
 
     def summary(self) -> str:
         """One-line accounting summary."""
-        deduped = f", {self.deduped} deduped" if self.deduped else ""
         return (
             f"{len(self.results)} jobs ({self.executed} executed, "
-            f"{self.skipped} resumed{deduped}), {len(self.failures())} failed"
+            f"{self.skipped} resumed), {len(self.failures())} failed"
         )
 
 
@@ -198,7 +199,6 @@ def run_experiments(
     resume: bool = False,
     progress: Optional[ProgressCallback] = None,
     params: Optional[Mapping[str, Any]] = None,
-    dedupe: bool = False,
 ) -> ExperimentRun:
     """Run every algorithm on every problem through an executor.
 
@@ -217,10 +217,9 @@ def run_experiments(
     algorithms:
         Registered algorithm names, or a mapping of name -> params.
     executor:
-        Any object with the executor contract
-        (``run(jobs, progress=..., runner=...)`` — ``runner`` is the
-        module-level job-execution function, defaulted per job type);
-        defaults to a fresh :class:`~repro.engine.executors.SerialExecutor`.
+        Any object with the executor contract ``run(items, progress=None)``
+        (see :mod:`repro.engine.executors`); defaults to a fresh
+        :class:`~repro.engine.executors.SerialExecutor`.
     store:
         Optional :class:`~repro.engine.store.ResultStore`; every newly
         executed result is appended to it.
@@ -231,10 +230,6 @@ def run_experiments(
         Optional ``(done, total, result)`` callback for newly executed jobs.
     params:
         Extra parameters merged into every job (see :func:`build_jobs`).
-    dedupe:
-        When true, run one representative per group of
-        structurally-isomorphic jobs and translate its result to the rest
-        (see :func:`run_jobs`).
     """
     jobs = build_jobs(problems, algorithms, params=params)
     return run_jobs(
@@ -243,57 +238,86 @@ def run_experiments(
         store=store,
         resume=resume,
         progress=progress,
-        dedupe=dedupe,
     )
 
 
-def _translate_dedup_result(
-    rep_job: Job, rep_result: JobResult, job: Job
-) -> Optional[JobResult]:
-    """Re-express a representative's result on an isomorphic job's graph.
+def _dispatch(pending: List, executor, progress) -> List:
+    return executor.run(pending, progress=progress)
 
-    Both graphs canonicalise to the same form (equal structural keys), so
-    composing ``representative name -> canonical name -> member name``
-    carries the schedule across; costs and makespans transfer verbatim
-    because sigma only sees the (identical) design-point values.  Returns
-    ``None`` when the translation cannot be trusted — a failed
-    representative, or a translated sequence the member graph rejects
-    (possible only for graphs whose refinement signatures leave
-    non-automorphic tasks tied) — in which case the caller executes the
-    member job for real.
+
+def _run_pipeline(
+    job_type: type,
+    jobs: Iterable,
+    executor=None,
+    store: Optional[ResultStore] = None,
+    resume: bool = False,
+    progress: Optional[ProgressCallback] = None,
+    dispatch: Callable[[List, Any, Any], List] = _dispatch,
+) -> Tuple[tuple, tuple, int, int]:
+    """The job pipeline behind :func:`run_jobs` and
+    :func:`~repro.engine.simjobs.run_simulation_jobs`.
+
+    Checks the store, answers resume hits from it, collapses duplicate-key
+    jobs, hands the rest to ``dispatch(pending, executor, progress)`` (by
+    default ``executor.run``), appends the fresh records to the store and
+    fans them back out in job order.  Returns ``(jobs, records, executed,
+    skipped)``, the leading fields of both run types.
+
+    What differs between job types is read off ``job_type``:
+    ``record_type`` (the store must hold exactly that record class),
+    ``counters`` (the obs counter prefix) and ``last_duplicate_runs``.
+    Jobs with equal keys within one call (e.g. differently named problems
+    describing the same work, since names are excluded from keys) are
+    executed and stored once, and that one record is fanned back to every
+    duplicate's position.  Offline jobs run the *last* duplicate, in the
+    first one's dispatch slot, so every position reports the last
+    duplicate's problem name, as executing each and merging would;
+    simulation jobs run the *first*.  Known and left open: because the
+    record carries the executed job's name, the default ``simulate`` run
+    files the three ``tour-*-exact`` scenarios (key twins of
+    ``g3-jitter10``, ``g3-jitter25`` and ``g3-kibam-jitter10``) under
+    their twins' names, so ``by_cell()`` has no rows for them and twice
+    the replications for the twins.
     """
-    from ..taskgraph.optimize import canonical_form
+    if resume and store is None:
+        raise ConfigurationError("resume=True requires a result store")
+    if store is not None and store.record_type is not job_type.record_type:
+        raise ConfigurationError(
+            f"{job_type.__name__} runs need a ResultStore(record_type="
+            f"{job_type.record_type.__name__}); this store holds "
+            f"{store.record_type.__name__}"
+        )
+    jobs = tuple(jobs)
+    executor = executor if executor is not None else SerialExecutor()
+    counters = job_type.counters
 
-    if not rep_result.ok or rep_result.sequence is None:
-        return None
-    rep_to_canon = canonical_form(rep_job.problem.graph).mapping
-    canon_to_member = canonical_form(job.problem.graph).inverse
-    try:
-        sequence = tuple(
-            canon_to_member[rep_to_canon[name]] for name in rep_result.sequence
-        )
-        assignment = (
-            {
-                canon_to_member[rep_to_canon[name]]: int(column)
-                for name, column in rep_result.assignment.items()
-            }
-            if rep_result.assignment is not None
-            else None
-        )
-    except KeyError:
-        return None
-    if not job.problem.graph.is_valid_sequence(sequence):
-        return None
-    return JobResult(
-        key=job.key(),
-        algorithm=job.algorithm,
-        problem_name=job.problem.name or job.problem.graph.name or "",
-        cost=rep_result.cost,
-        makespan=rep_result.makespan,
-        feasible=rep_result.feasible,
-        sequence=sequence,
-        assignment=assignment,
-    )
+    # The run-level root span: everything below — dispatch, store append,
+    # and (via the TraceContext the parallel executor ships) the worker-side
+    # job spans — parents onto it, giving traces one tree per engine entry
+    # instead of a forest of loose jobs.
+    with _OBS.span("engine.run", label=f"{len(jobs)} {counters.rpartition('.')[2]}"):
+        pending, done = store.split_pending(jobs) if resume else (list(jobs), {})
+        unique: Dict[str, Any] = {}
+        for job in pending:
+            key = job.key()
+            if job_type.last_duplicate_runs or key not in unique:
+                unique[key] = job
+        duplicates = len(pending) - len(unique)
+        pending = list(unique.values())
+
+        if _OBS.enabled and done:
+            _OBS.count(f"{counters}.resumed", len(done))
+        if _OBS.enabled and duplicates:
+            _OBS.count(f"{counters}.duplicates", duplicates)
+        fresh = dispatch(pending, executor, progress) if pending else []
+        if store is not None:
+            with _OBS.span("engine.store.append", label=str(store.path.name)):
+                store.append_many(fresh)
+
+    by_key: Dict[str, Any] = dict(done)
+    for record in fresh:
+        by_key[record.key] = record
+    return jobs, tuple(by_key[job.key()] for job in jobs), len(fresh), len(done)
 
 
 def run_jobs(
@@ -302,26 +326,15 @@ def run_jobs(
     store: Optional[ResultStore] = None,
     resume: bool = False,
     progress: Optional[ProgressCallback] = None,
-    dedupe: bool = False,
 ) -> ExperimentRun:
     """Run an explicit job list (the layer below :func:`run_experiments`).
 
     Drivers whose jobs are not a plain problems-x-algorithms cross product
     (e.g. the ablation, which varies per-job parameters) build their job
     lists by hand and come in here.  Ordering, store and resume semantics
-    are identical to :func:`run_experiments`.  Jobs with equal keys within
-    one call (e.g. differently named problems describing the same work,
-    since names are excluded from keys) are executed and stored once, and
-    ``run.executed`` counts those unique runs.
-
-    With ``dedupe=True`` the pending jobs are grouped by
-    :meth:`Job.structural_key` before dispatch: one representative per
-    group of structurally-isomorphic jobs is executed, and the remaining
-    members receive the representative's result translated through the
-    graphs' canonical forms (see :func:`_translate_dedup_result`).
-    Translated results carry the member's own key and are appended to the
-    store like executed ones; ``run.deduped`` counts them.  The default is
-    off, leaving dispatch byte-identical to previous releases.
+    are identical to :func:`run_experiments`; duplicate-key jobs run once
+    (see :func:`_run_pipeline`), and ``run.executed`` counts those unique
+    runs.
 
     >>> from repro.engine import Job, run_jobs
     >>> from repro.taskgraph import build_g3
@@ -331,68 +344,4 @@ def run_jobs(
     >>> run.executed, run.skipped
     (1, 0)
     """
-    if resume and store is None:
-        raise ConfigurationError("resume=True requires a result store")
-    jobs = list(jobs)
-    executor = executor if executor is not None else SerialExecutor()
-
-    # The run-level root span: everything below — dedupe, dispatch, store
-    # append, and (via the TraceContext the parallel executor ships) the
-    # worker-side job spans — parents onto it, giving traces one tree per
-    # engine entry instead of a forest of loose jobs.
-    with _OBS.span("engine.run", label=f"{len(jobs)} jobs"):
-        if resume and store is not None:
-            pending, done = store.split_pending(jobs)
-        else:
-            pending, done = list(jobs), {}
-
-        # In-call dedupe: duplicate-key pending jobs run (and hit the store)
-        # once, and the by_key merge below fans the one result back to every
-        # duplicate's position.  The last duplicate runs, in the first one's
-        # dispatch slot: every position reports the last duplicate's
-        # problem name, as executing each duplicate and merging would.
-        unique: Dict[str, Job] = {}
-        for job in pending:
-            unique[job.key()] = job
-        pending = list(unique.values())
-
-        if _OBS.enabled and done:
-            _OBS.count("engine.jobs.resumed", len(done))
-        deduped = 0
-        if dedupe and pending:
-            groups: Dict[str, List[Job]] = {}
-            for job in pending:
-                groups.setdefault(job.structural_key(), []).append(job)
-            representatives = [group[0] for group in groups.values()]
-            with _OBS.span("engine.dedupe", label=f"{len(pending)}->{len(representatives)}"):
-                fresh = list(executor.run(representatives, progress=progress))
-            retry: List[Job] = []
-            for group, rep_result in zip(groups.values(), list(fresh)):
-                for member in group[1:]:
-                    translated = _translate_dedup_result(group[0], rep_result, member)
-                    if translated is None:
-                        retry.append(member)
-                    else:
-                        fresh.append(translated)
-                        deduped += 1
-            if retry:
-                fresh.extend(executor.run(retry, progress=progress))
-            if _OBS.enabled and deduped:
-                _OBS.count("engine.jobs.deduped", deduped)
-        else:
-            fresh = executor.run(pending, progress=progress) if pending else []
-        if store is not None:
-            with _OBS.span("engine.store.append", label=str(store.path.name)):
-                store.append_many(fresh)
-
-    by_key: Dict[str, JobResult] = dict(done)
-    for result in fresh:
-        by_key[result.key] = result
-    ordered = tuple(by_key[job.key()] for job in jobs)
-    return ExperimentRun(
-        jobs=tuple(jobs),
-        results=ordered,
-        executed=len(fresh) - deduped,
-        skipped=len(done),
-        deduped=deduped,
-    )
+    return ExperimentRun(*_run_pipeline(Job, jobs, executor, store, resume, progress))

@@ -1,24 +1,29 @@
 """Pluggable job executors: serial and process-parallel.
 
-Both executors implement the same tiny contract — ``run(jobs, progress=...)``
-returns one :class:`~repro.engine.jobs.JobResult` per job, *in submission
-order* — so callers never care which one they hold.  Deterministic ordering
-is part of the contract: a parallel run must produce the same result rows as
-a serial run, byte for byte, regardless of completion order.
+Both executors implement the same tiny contract — ``run(items,
+progress=None)`` returns one result record per work item, *in submission
+order* — so callers never care which one they hold.  A work item
+(:class:`~repro.engine.Job`, :class:`~repro.engine.SimulationJob` or
+:class:`~repro.engine.SimulationBatch`) is pure data that runs itself:
+``item.run()`` returns its record, and ``item.failure_result(message)``
+builds the record for an item the process pool lost.  Deterministic
+ordering is part of the contract: a parallel run must produce the same
+result rows as a serial run, byte for byte, regardless of completion order.
 
 Error isolation is also part of the contract: a job that raises is captured
-into ``JobResult.error`` and the rest of the batch keeps running.  A sweep
-with one pathological instance therefore degrades to one ``inf`` cell
+into its record's ``error`` and the rest of the batch keeps running.  A
+sweep with one pathological instance therefore degrades to one ``inf`` cell
 instead of a crashed process.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import time
 import traceback as traceback_module
 from concurrent import futures
-from typing import Callable, Iterable, List, Optional, Sequence
+from typing import Any, Callable, Iterable, List, Optional
 
 from ..errors import ConfigurationError
 from ..obs import RECORDER as _OBS, TraceContext
@@ -32,23 +37,15 @@ __all__ = [
     "default_executor",
 ]
 
-#: ``progress(done, total, result)`` is invoked after every job completes.
-ProgressCallback = Callable[[int, int, JobResult], None]
-
-#: Executors run any job type through a module-level ``runner(job)``
-#: returning a result record — :func:`execute_job` for experiment jobs,
-#: :func:`repro.engine.simjobs.execute_simulation_job` for simulation jobs.
-#: Module-level matters: the parallel executor ships the runner to worker
-#: processes by reference.
-JobRunner = Callable[..., object]
+#: ``progress(done, total, result)`` is invoked after every work item completes.
+ProgressCallback = Callable[[int, int, Any], None]
 
 
 def execute_job(job: Job) -> JobResult:
     """Run one job to completion, capturing any failure into the result.
 
-    This is the single execution path used by both executors (and by worker
-    processes, which is why it is a module-level function: it must be
-    importable by name on the far side of a process boundary).
+    The execution path behind :meth:`Job.run <repro.engine.Job.run>`, in
+    the calling process and in pool workers alike.
     """
     obs_before = _OBS.counters_snapshot(include_volatile=True) if _OBS.enabled else None
     model = job.problem.model()
@@ -59,15 +56,11 @@ def execute_job(job: Job) -> JobResult:
             with _OBS.span("engine.algorithm", label=job.algorithm):
                 outcome = runner(job.problem, model, dict(job.params))
     except Exception as exc:  # noqa: BLE001 - per-job isolation is the point
-        elapsed = time.perf_counter() - started
-        return JobResult(
-            key=job.key(),
-            algorithm=job.algorithm,
-            problem_name=job.problem.name or job.problem.graph.name or "",
-            error=f"{type(exc).__name__}: {exc}",
+        return dataclasses.replace(
+            job.failure_result(f"{type(exc).__name__}: {exc}"),
             traceback=traceback_module.format_exc(),
-            elapsed_s=elapsed,
-            metrics=_job_metrics(obs_before, failed=True),
+            elapsed_s=time.perf_counter() - started,
+            metrics=_job_metrics(obs_before, job, failed=True),
         )
     elapsed = time.perf_counter() - started
     makespan = float(outcome.makespan)
@@ -81,20 +74,20 @@ def execute_job(job: Job) -> JobResult:
         sequence=tuple(outcome.sequence),
         assignment={name: int(col) for name, col in outcome.assignment.items()},
         elapsed_s=elapsed,
-        metrics=_job_metrics(obs_before),
+        metrics=_job_metrics(obs_before, job),
     )
 
 
-def _job_metrics(obs_before, kind: str = "jobs", failed: bool = False):
+def _job_metrics(obs_before, job, failed: bool = False):
     """Close out one job's observability accounting; None while disabled.
 
-    Counts the job itself, then returns the recorder delta since
+    Counts the job itself under its type's counter prefix, then returns the recorder delta since
     ``obs_before`` so the parallel executor can ship it across the process
     boundary (see ``ParallelExecutor.run``).
     """
     if obs_before is None or not _OBS.enabled:
         return None
-    _OBS.count(f"engine.{kind}.failed" if failed else f"engine.{kind}.executed")
+    _OBS.count(f"{job.counters}.failed" if failed else f"{job.counters}.executed")
     return _OBS.metrics_delta(obs_before)
 
 
@@ -111,8 +104,8 @@ def _init_worker(obs_enabled: bool = False) -> None:
     _OBS.enabled = obs_enabled
 
 
-def _run_with_context(runner: JobRunner, job, ctx: Optional[TraceContext]):
-    """Worker-side shim: run a job inside a shipped :class:`TraceContext`.
+def _run_with_context(item, ctx: Optional[TraceContext]):
+    """Worker-side shim: run a work item inside a shipped :class:`TraceContext`.
 
     Module-level so the pool pickles it by reference.  While the context is
     active the worker's recorder buffers span events (with true parent ids)
@@ -122,10 +115,10 @@ def _run_with_context(runner: JobRunner, job, ctx: Optional[TraceContext]):
     timestamps onto its own clock.  ``merge_metrics`` ignores both keys.
     """
     if ctx is None or not _OBS.enabled:
-        return runner(job)
+        return item.run()
     _OBS.activate_context(ctx)
     try:
-        result = runner(job)
+        result = item.run()
     finally:
         spans, ctx_elapsed = _OBS.deactivate_context()
     metrics = getattr(result, "metrics", None)
@@ -135,25 +128,6 @@ def _run_with_context(runner: JobRunner, job, ctx: Optional[TraceContext]):
     return result
 
 
-def _pool_failure_result(job, exc: Exception):
-    """A failure record for a job the *pool* (not the runner) lost.
-
-    Runner-level failures are captured inside the worker; this covers
-    pickling/transport errors.  Job types other than :class:`Job` supply
-    their own record shape through ``failure_result``.
-    """
-    message = f"{type(exc).__name__}: {exc}"
-    maker = getattr(job, "failure_result", None)
-    if maker is not None:
-        return maker(message)
-    return JobResult(
-        key=job.key(),
-        algorithm=job.algorithm,
-        problem_name=job.problem.name or job.problem.graph.name or "",
-        error=message,
-    )
-
-
 class SerialExecutor:
     """Run jobs one after another in the calling process."""
 
@@ -161,17 +135,12 @@ class SerialExecutor:
     def max_workers(self) -> int:
         return 1
 
-    def run(
-        self,
-        jobs: Iterable[Job],
-        progress: Optional[ProgressCallback] = None,
-        runner: JobRunner = execute_job,
-    ) -> List[JobResult]:
-        """Execute every job; always returns results in submission order."""
+    def run(self, jobs: Iterable, progress: Optional[ProgressCallback] = None) -> List:
+        """Execute every work item; always returns results in submission order."""
         job_list = list(jobs)
-        results: List[JobResult] = []
+        results: List = []
         for index, job in enumerate(job_list):
-            result = runner(job)
+            result = job.run()
             results.append(result)
             if progress is not None:
                 progress(index + 1, len(job_list), result)
@@ -184,8 +153,8 @@ class SerialExecutor:
 class ParallelExecutor:
     """Fan jobs out over a :class:`concurrent.futures.ProcessPoolExecutor`.
 
-    Jobs are pure data and the runner is resolved by name inside the worker,
-    so the only pickled payload is the job spec itself.  Results are re-ordered
+    Work items are pure data that run themselves inside the worker, so the
+    only pickled payload is the item itself.  Results are re-ordered
     to submission order before returning, keeping parallel output identical
     to serial output.
     """
@@ -195,21 +164,16 @@ class ParallelExecutor:
             raise ConfigurationError(f"max_workers must be >= 1, got {max_workers!r}")
         self.max_workers = max_workers or os.cpu_count() or 1
 
-    def run(
-        self,
-        jobs: Iterable[Job],
-        progress: Optional[ProgressCallback] = None,
-        runner: JobRunner = execute_job,
-    ) -> List[JobResult]:
-        """Execute every job across the pool; results in submission order."""
+    def run(self, jobs: Iterable, progress: Optional[ProgressCallback] = None) -> List:
+        """Execute every work item across the pool; results in submission order."""
         job_list = list(jobs)
         if not job_list:
             return []
         if self.max_workers == 1 or len(job_list) == 1:
             # A one-worker pool would pay process start-up for nothing.
-            return SerialExecutor().run(job_list, progress=progress, runner=runner)
+            return SerialExecutor().run(job_list, progress=progress)
 
-        results: List[Optional[JobResult]] = [None] * len(job_list)
+        results: List = [None] * len(job_list)
         workers = min(self.max_workers, len(job_list))
         pool_started = time.perf_counter()
         with futures.ProcessPoolExecutor(
@@ -219,7 +183,7 @@ class ParallelExecutor:
         ) as pool:
             submitted = time.perf_counter()
             pending = {
-                pool.submit(_run_with_context, runner, job, self._job_context()): index
+                pool.submit(_run_with_context, job, self._job_context()): index
                 for index, job in enumerate(job_list)
             }
             done = 0
@@ -228,8 +192,7 @@ class ParallelExecutor:
                 try:
                     result = future.result()
                 except Exception as exc:  # pool/pickling failure, not the job
-                    job = job_list[index]
-                    result = _pool_failure_result(job, exc)
+                    result = job_list[index].failure_result(f"{type(exc).__name__}: {exc}")
                 if _OBS.enabled:
                     self._record_remote_job(result, job_list[index], submitted)
                 results[index] = result

@@ -70,95 +70,6 @@ def _content_hash(spec: Dict[str, Any]) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:24]
 
 
-@dataclass(frozen=True)
-class Job:
-    """One (problem, algorithm, parameters) work item.
-
-    Attributes
-    ----------
-    problem:
-        The scheduling problem instance to solve.
-    algorithm:
-        Registered algorithm name (aliases are resolved to the canonical
-        name on construction, so equal work always gets equal keys).
-    params:
-        JSON-serialisable algorithm parameters (e.g. ``{"seed": 7}`` for the
-        annealing baseline or ``{"drop_factor": "slack_ratio"}`` for an
-        ablated iterative run).
-    """
-
-    problem: SchedulingProblem
-    algorithm: str
-    params: Mapping[str, Any] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "algorithm", resolve_algorithm_name(self.algorithm))
-        object.__setattr__(self, "params", dict(self.params))
-
-    # ------------------------------------------------------------------
-    def spec(self) -> Dict[str, Any]:
-        """The complete, JSON-serialisable description of this job."""
-        battery = self.problem.battery
-        return {
-            "graph": self.problem.graph.to_dict(),
-            "deadline": self.problem.deadline,
-            "battery": {
-                "beta": battery.beta,
-                "capacity": _canonical(battery.capacity),
-                "series_terms": battery.series_terms,
-                "chemistry": battery.chemistry,
-                "chemistry_params": _canonical(dict(battery.chemistry_params)),
-            },
-            "algorithm": self.algorithm,
-            "params": _canonical(self.params),
-        }
-
-    def key(self) -> str:
-        """Stable content hash identifying this job across runs and machines.
-
-        The key covers everything that influences the result — the graph
-        structure and design points, the deadline, the battery parameters,
-        the algorithm and its parameters — and nothing presentational (the
-        problem's display name is excluded).  Memoised: every field is
-        frozen after construction and the full-graph serialisation is too
-        expensive to repeat on every store/ordering probe.
-        """
-        cached = self.__dict__.get("_key")
-        if cached is None:
-            cached = _content_hash(self.spec())
-            object.__setattr__(self, "_key", cached)
-        return cached
-
-    def structural_key(self) -> str:
-        """Content hash identifying this job *up to graph isomorphism*.
-
-        Like :meth:`key`, but the graph enters through its canonical-form
-        signature (:func:`repro.taskgraph.graph_signature`) instead of its
-        verbatim serialisation, so two jobs whose graphs differ only in
-        task naming / insertion order collide deliberately.  This is the
-        grouping key of the engine's opt-in structural dedup
-        (``run_jobs(..., dedupe=True)``).  Memoised like :meth:`key`.
-        """
-        cached = self.__dict__.get("_structural_key")
-        if cached is None:
-            from ..taskgraph.optimize import graph_signature
-
-            spec = self.spec()
-            spec["graph"] = graph_signature(self.problem.graph)
-            cached = _content_hash(spec)
-            object.__setattr__(self, "_structural_key", cached)
-        return cached
-
-    @property
-    def label(self) -> str:
-        """Human-readable ``problem/algorithm`` tag used in progress output."""
-        name = self.problem.name or self.problem.graph.name or "problem"
-        return f"{name}/{self.algorithm}"
-
-    def __repr__(self) -> str:
-        return f"Job({self.label}, params={dict(self.params)!r})"
-
-
 # ----------------------------------------------------------------------
 # the job result
 # ----------------------------------------------------------------------
@@ -240,6 +151,97 @@ class JobResult:
             f"{self.problem_name}/{self.algorithm}: sigma={self.cost:.1f}, "
             f"makespan={self.makespan:.1f} ({status})"
         )
+
+
+@dataclass(frozen=True)
+class Job:
+    """One (problem, algorithm, parameters) work item.
+
+    Attributes
+    ----------
+    problem:
+        The scheduling problem instance to solve.
+    algorithm:
+        Registered algorithm name (aliases are resolved to the canonical
+        name on construction, so equal work always gets equal keys).
+    params:
+        JSON-serialisable algorithm parameters (e.g. ``{"seed": 7}`` for the
+        annealing baseline or ``{"drop_factor": "slack_ratio"}`` for an
+        ablated iterative run).
+    """
+
+    problem: SchedulingProblem
+    algorithm: str
+    params: Mapping[str, Any] = field(default_factory=dict)
+
+    # What the engine pipeline (repro.engine.api._run_pipeline) needs to
+    # know about this job type: the store's record class, the obs counter
+    # prefix, and which of several equal-key jobs in one call executes.
+    record_type = JobResult
+    counters = "engine.jobs"
+    last_duplicate_runs = True
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "algorithm", resolve_algorithm_name(self.algorithm))
+        object.__setattr__(self, "params", dict(self.params))
+
+    # ------------------------------------------------------------------
+    def spec(self) -> Dict[str, Any]:
+        """The complete, JSON-serialisable description of this job."""
+        battery = self.problem.battery
+        return {
+            "graph": self.problem.graph.to_dict(),
+            "deadline": self.problem.deadline,
+            "battery": {
+                "beta": battery.beta,
+                "capacity": _canonical(battery.capacity),
+                "series_terms": battery.series_terms,
+                "chemistry": battery.chemistry,
+                "chemistry_params": _canonical(dict(battery.chemistry_params)),
+            },
+            "algorithm": self.algorithm,
+            "params": _canonical(self.params),
+        }
+
+    def key(self) -> str:
+        """Stable content hash identifying this job across runs and machines.
+
+        The key covers everything that influences the result — the graph
+        structure and design points, the deadline, the battery parameters,
+        the algorithm and its parameters — and nothing presentational (the
+        problem's display name is excluded).  Memoised: every field is
+        frozen after construction and the full-graph serialisation is too
+        expensive to repeat on every store/ordering probe.
+        """
+        cached = self.__dict__.get("_key")
+        if cached is None:
+            cached = _content_hash(self.spec())
+            object.__setattr__(self, "_key", cached)
+        return cached
+
+    @property
+    def label(self) -> str:
+        """Human-readable ``problem/algorithm`` tag used in progress output."""
+        name = self.problem.name or self.problem.graph.name or "problem"
+        return f"{name}/{self.algorithm}"
+
+    def run(self) -> JobResult:
+        """Execute this job (see :func:`repro.engine.executors.execute_job`)."""
+        from .executors import execute_job
+
+        return execute_job(self)
+
+    def failure_result(self, error: str) -> JobResult:
+        """The result shape for a job that failed with ``error``."""
+        return JobResult(
+            key=self.key(),
+            algorithm=self.algorithm,
+            problem_name=self.problem.name or self.problem.graph.name or "",
+            error=error,
+        )
+
+    def __repr__(self) -> str:
+        return f"Job({self.label}, params={dict(self.params)!r})"
 
 
 # ----------------------------------------------------------------------

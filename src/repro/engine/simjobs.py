@@ -24,17 +24,19 @@ True
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from functools import lru_cache, partial
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import traceback as traceback_module
 
 from ..errors import ConfigurationError
 from ..obs import RECORDER as _OBS
 from ..scenarios import ScenarioSpec
-from .executors import SerialExecutor, _job_metrics
+from .api import _dispatch, _run_pipeline
+from .executors import _job_metrics
 from .jobs import _canonical, _content_hash
 from .store import ResultStore
 
@@ -67,108 +69,6 @@ def _scenario_payload(spec: ScenarioSpec) -> Dict[str, Any]:
     scenario.pop("name", None)
     scenario.pop("description", None)
     return scenario
-
-
-@dataclass(frozen=True)
-class SimulationJob:
-    """One (scenario, policy, seed, replication) simulation work item.
-
-    Attributes
-    ----------
-    spec:
-        The scenario to simulate — its problem *and* its stochastic tier.
-    policy:
-        Registered policy name (see :func:`repro.sim.policy_names`).
-    params:
-        JSON-serialisable policy parameters (e.g. ``{"algorithm":
-        "annealing", "algorithm_params": {"seed": 7}}`` for a replay of a
-        different offline schedule, or ``{"soc_reserve": 0.4}`` for the
-        reactive policy).
-    seed, replication:
-        Perturbation stream identity; replications of one scenario/policy
-        cell share ``seed`` and vary ``replication``.
-    evaluate_at:
-        Sigma evaluation point, as in the offline stack.
-    """
-
-    spec: ScenarioSpec
-    policy: str
-    params: Mapping[str, Any] = field(default_factory=dict)
-    seed: int = 0
-    replication: int = 0
-    evaluate_at: str = "completion"
-
-    def __post_init__(self) -> None:
-        from ..sim.schedulers import POLICIES, policy_names
-
-        if self.policy not in POLICIES:
-            raise ConfigurationError(
-                f"unknown simulation policy {self.policy!r}; "
-                f"choose from {list(policy_names())}"
-            )
-        object.__setattr__(self, "params", dict(self.params))
-
-    # ------------------------------------------------------------------
-    def job_spec(self) -> Dict[str, Any]:
-        """The complete, JSON-serialisable description of this job.
-
-        The ``"scenario"`` entry is memoised per spec and shared by every
-        job of that spec: read it, never mutate it.
-        """
-        return {
-            "scenario": _scenario_payload(self.spec),
-            "policy": self.policy,
-            "params": _canonical(self.params),
-            "seed": self.seed,
-            "replication": self.replication,
-            "evaluate_at": self.evaluate_at,
-        }
-
-    def key(self) -> str:
-        """Stable content hash identifying this job across runs and machines."""
-        if "_key" not in self.__dict__:
-            self._hash_keys()
-        return self.__dict__["_key"]
-
-    def cell_key(self) -> str:
-        """Content hash of everything but the replication index.
-
-        Jobs sharing a cell key are replications of one Monte Carlo cell:
-        same scenario, policy, parameters, seed and evaluation point.
-        Exactly these may run as lockstep lanes of one
-        :class:`SimulationBatch` (the perturbation stream is the only
-        per-replication input, and each lane owns its own).
-        """
-        if "_cell_key" not in self.__dict__:
-            self._hash_keys()
-        return self.__dict__["_cell_key"]
-
-    def _hash_keys(self) -> None:
-        # Both keys come from one job_spec(): the params canonicalisation
-        # is the costly part (a static-replay job carries a whole schedule).
-        spec = self.job_spec()
-        object.__setattr__(self, "_key", _content_hash(spec))
-        del spec["replication"]
-        object.__setattr__(self, "_cell_key", _content_hash(spec))
-
-    @property
-    def label(self) -> str:
-        """Human-readable ``scenario/policy#replication`` tag."""
-        return f"{self.spec.name}/{self.policy}#{self.replication}"
-
-    def failure_result(self, error: str) -> "SimulationRecord":
-        """The record shape for a failure outside the runner (pool loss)."""
-        return SimulationRecord(
-            key=self.key(),
-            scenario=self.spec.name,
-            policy=self.policy,
-            seed=self.seed,
-            replication=self.replication,
-            error=error,
-        )
-
-    def __repr__(self) -> str:
-        return f"SimulationJob({self.label}, seed={self.seed})"
 
 
 @dataclass(frozen=True)
@@ -253,6 +153,118 @@ class SimulationRecord:
         )
 
 
+@dataclass(frozen=True)
+class SimulationJob:
+    """One (scenario, policy, seed, replication) simulation work item.
+
+    Attributes
+    ----------
+    spec:
+        The scenario to simulate — its problem *and* its stochastic tier.
+    policy:
+        Registered policy name (see :func:`repro.sim.policy_names`).
+    params:
+        JSON-serialisable policy parameters (e.g. ``{"algorithm":
+        "annealing", "algorithm_params": {"seed": 7}}`` for a replay of a
+        different offline schedule, or ``{"soc_reserve": 0.4}`` for the
+        reactive policy).
+    seed, replication:
+        Perturbation stream identity; replications of one scenario/policy
+        cell share ``seed`` and vary ``replication``.
+    evaluate_at:
+        Sigma evaluation point, as in the offline stack.
+    """
+
+    spec: ScenarioSpec
+    policy: str
+    params: Mapping[str, Any] = field(default_factory=dict)
+    seed: int = 0
+    replication: int = 0
+    evaluate_at: str = "completion"
+
+    # Engine-pipeline facts, as on Job: the first of several equal-key jobs
+    # in one call executes.
+    record_type = SimulationRecord
+    counters = "engine.simjobs"
+    last_duplicate_runs = False
+
+    def __post_init__(self) -> None:
+        from ..sim.schedulers import POLICIES, policy_names
+
+        if self.policy not in POLICIES:
+            raise ConfigurationError(
+                f"unknown simulation policy {self.policy!r}; "
+                f"choose from {list(policy_names())}"
+            )
+        object.__setattr__(self, "params", dict(self.params))
+
+    # ------------------------------------------------------------------
+    def job_spec(self) -> Dict[str, Any]:
+        """The complete, JSON-serialisable description of this job.
+
+        The ``"scenario"`` entry is memoised per spec and shared by every
+        job of that spec: read it, never mutate it.
+        """
+        return {
+            "scenario": _scenario_payload(self.spec),
+            "policy": self.policy,
+            "params": _canonical(self.params),
+            "seed": self.seed,
+            "replication": self.replication,
+            "evaluate_at": self.evaluate_at,
+        }
+
+    def key(self) -> str:
+        """Stable content hash identifying this job across runs and machines."""
+        if "_key" not in self.__dict__:
+            self._hash_keys()
+        return self.__dict__["_key"]
+
+    def cell_key(self) -> str:
+        """Content hash of everything but the replication index.
+
+        Jobs sharing a cell key are replications of one Monte Carlo cell:
+        same scenario, policy, parameters, seed and evaluation point.
+        Exactly these may run as lockstep lanes of one
+        :class:`SimulationBatch` (the perturbation stream is the only
+        per-replication input, and each lane owns its own).
+        """
+        if "_cell_key" not in self.__dict__:
+            self._hash_keys()
+        return self.__dict__["_cell_key"]
+
+    def _hash_keys(self) -> None:
+        # Both keys come from one job_spec(): the params canonicalisation
+        # is the costly part (a static-replay job carries a whole schedule).
+        spec = self.job_spec()
+        object.__setattr__(self, "_key", _content_hash(spec))
+        del spec["replication"]
+        object.__setattr__(self, "_cell_key", _content_hash(spec))
+
+    @property
+    def label(self) -> str:
+        """Human-readable ``scenario/policy#replication`` tag."""
+        return f"{self.spec.name}/{self.policy}#{self.replication}"
+
+    def run(self) -> SimulationRecord:
+        """Execute this job (see :func:`execute_simulation_job`)."""
+        return execute_simulation_job(self)
+
+    def failure_result(self, error: str) -> SimulationRecord:
+        """The record shape for a job that failed with ``error``."""
+        return SimulationRecord(
+            key=self.key(),
+            scenario=self.spec.name,
+            policy=self.policy,
+            seed=self.seed,
+            replication=self.replication,
+            error=error,
+        )
+
+    def __repr__(self) -> str:
+        return f"SimulationJob({self.label}, seed={self.seed})"
+
+
 def execute_simulation_job(job: SimulationJob) -> SimulationRecord:
     """Run one simulation job to completion, capturing any failure.
 
@@ -280,16 +292,11 @@ def execute_simulation_job(job: SimulationJob) -> SimulationRecord:
                 imode=job.spec.information_mode(),
             ).run()
     except Exception as exc:  # noqa: BLE001 - per-job isolation is the point
-        return SimulationRecord(
-            key=job.key(),
-            scenario=job.spec.name,
-            policy=job.policy,
-            seed=job.seed,
-            replication=job.replication,
-            error=f"{type(exc).__name__}: {exc}",
+        return dataclasses.replace(
+            job.failure_result(f"{type(exc).__name__}: {exc}"),
             traceback=traceback_module.format_exc(),
             elapsed_s=time.perf_counter() - started,
-            metrics=_job_metrics(obs_before, kind="simjobs", failed=True),
+            metrics=_job_metrics(obs_before, job, failed=True),
         )
     return SimulationRecord(
         key=job.key(),
@@ -304,7 +311,7 @@ def execute_simulation_job(job: SimulationJob) -> SimulationRecord:
         events=result.events,
         depletion_time=result.depletion_time,
         elapsed_s=time.perf_counter() - started,
-        metrics=_job_metrics(obs_before, kind="simjobs"),
+        metrics=_job_metrics(obs_before, job),
     )
 
 
@@ -345,6 +352,10 @@ class SimulationBatch:
         first = self.jobs[0]
         return f"{first.spec.name}/{first.policy} x{len(self.jobs)}"
 
+    def run(self) -> "SimulationBatchResult":
+        """Execute this batch (see :func:`execute_simulation_batch`)."""
+        return execute_simulation_batch(self)
+
     def failure_result(self, error: str) -> "SimulationBatchResult":
         """The record shape for a batch the *pool* lost (transport errors)."""
         return SimulationBatchResult(
@@ -383,21 +394,16 @@ def _batch_metrics(obs_before, executed: int, failed: int):
     if obs_before is None or not _OBS.enabled:
         return None
     if executed:
-        _OBS.count("engine.simjobs.executed", executed)
+        _OBS.count(f"{SimulationJob.counters}.executed", executed)
     if failed:
-        _OBS.count("engine.simjobs.failed", failed)
-    _OBS.count("engine.simjobs.batches")
+        _OBS.count(f"{SimulationJob.counters}.failed", failed)
+    _OBS.count(f"{SimulationJob.counters}.batches")
     return _OBS.metrics_delta(obs_before)
 
 
 def _lane_failure(job: SimulationJob, error: Exception, elapsed_s: float, traceback: str) -> SimulationRecord:
-    return SimulationRecord(
-        key=job.key(),
-        scenario=job.spec.name,
-        policy=job.policy,
-        seed=job.seed,
-        replication=job.replication,
-        error=f"{type(error).__name__}: {error}",
+    return dataclasses.replace(
+        job.failure_result(f"{type(error).__name__}: {error}"),
         traceback=traceback,
         elapsed_s=elapsed_s,
     )
@@ -582,9 +588,7 @@ def _batched_records(
             batches.append(
                 SimulationBatch(jobs=tuple(pending[i] for i in chunk))
             )
-    outcomes = executor.run(
-        batches, progress=progress, runner=execute_simulation_batch
-    )
+    outcomes = executor.run(batches, progress=progress)
     fresh: List[Optional[SimulationRecord]] = [None] * len(pending)
     for chunk, outcome in zip(index_chunks, outcomes):
         for position, record in zip(chunk, outcome.records):
@@ -601,7 +605,7 @@ def run_simulation_jobs(
     batch="auto",
 ) -> SimulationRun:
     """Run simulation jobs through an executor — the sim analogue of
-    :func:`repro.engine.run_jobs`.
+    :func:`repro.engine.run_jobs`, through the same pipeline.
 
     Records come back in job order whatever the executor, so downstream
     reports are byte-reproducible; with ``resume=True`` the store answers
@@ -609,14 +613,10 @@ def run_simulation_jobs(
     by :meth:`SimulationJob.key` throughout: resume hits dedupe against
     the store whatever ``batch`` setting wrote it (a ``--no-batch`` store
     resumed with ``batch="auto"`` recomputes nothing, and vice versa),
-    and duplicate-key jobs *within* one call — e.g. two differently named
-    specs describing the same work, since names are excluded from keys —
-    are simulated and stored once, with the one record fanned back to
-    every duplicate's position.  The store must have
-    been built with ``record_type=SimulationRecord``, and a custom
-    executor must accept the full contract
-    ``run(jobs, progress=..., runner=...)`` (simulation jobs are executed
-    through :func:`execute_simulation_job`, passed as ``runner``).
+    and duplicate-key jobs *within* one call are simulated and stored
+    once, with the first one's record fanned back to every duplicate's
+    position (see :func:`repro.engine.api._run_pipeline`).  The store must
+    have been built with ``record_type=SimulationRecord``.
 
     ``batch`` controls Monte Carlo batching: with ``"auto"`` (the default)
     replications of one (scenario, policy, params, seed) cell are grouped
@@ -626,57 +626,8 @@ def run_simulation_jobs(
     kernel calls.  Pass ``False`` to force the scalar per-job path, or a
     positive int to override the lanes-per-batch cap.
     """
-    if resume and store is None:
-        raise ConfigurationError("resume=True requires a result store")
-    if store is not None and store.record_type is not SimulationRecord:
-        raise ConfigurationError(
-            "simulation runs need a ResultStore(record_type=SimulationRecord); "
-            f"this store holds {store.record_type.__name__}"
-        )
     batch_size = _resolve_batch_size(batch)
-    jobs = list(jobs)
-    executor = executor if executor is not None else SerialExecutor()
-
-    # Run-level root span, mirroring run_jobs: worker-side engine.job /
-    # engine.batch spans parent onto it through the shipped TraceContext.
-    with _OBS.span("engine.run", label=f"{len(jobs)} simjobs"):
-        if resume and store is not None:
-            pending, done = store.split_pending(jobs)
-        else:
-            pending, done = list(jobs), {}
-
-        # In-call dedupe: duplicate-key pending jobs run (and hit the store)
-        # once; the by_key merge below fans the single record back to every
-        # duplicate's position in the returned tuple.
-        unique: Dict[str, SimulationJob] = {}
-        for job in pending:
-            unique.setdefault(job.key(), job)
-        duplicates = len(pending) - len(unique)
-        pending = list(unique.values())
-
-        if _OBS.enabled and done:
-            _OBS.count("engine.simjobs.resumed", len(done))
-        if _OBS.enabled and duplicates:
-            _OBS.count("engine.simjobs.deduped", duplicates)
-        if not pending:
-            fresh: List[SimulationRecord] = []
-        elif batch_size is not None:
-            fresh = _batched_records(pending, executor, progress, batch_size)
-        else:
-            fresh = executor.run(
-                pending, progress=progress, runner=execute_simulation_job
-            )
-        if store is not None:
-            with _OBS.span("engine.store.append", label=str(store.path.name)):
-                store.append_many(fresh)
-
-    by_key: Dict[str, SimulationRecord] = dict(done)
-    for record in fresh:
-        by_key[record.key] = record
-    ordered = tuple(by_key[job.key()] for job in jobs)
+    dispatch = partial(_batched_records, batch_size=batch_size) if batch_size else _dispatch
     return SimulationRun(
-        jobs=tuple(jobs),
-        records=ordered,
-        executed=len(fresh),
-        skipped=len(done),
+        *_run_pipeline(SimulationJob, jobs, executor, store, resume, progress, dispatch)
     )

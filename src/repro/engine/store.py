@@ -1,6 +1,7 @@
 """Append-only JSONL result store with resume support.
 
-Every completed :class:`~repro.engine.jobs.JobResult` is appended to a
+Every completed result record (a :class:`~repro.engine.jobs.JobResult` or
+a :class:`~repro.engine.simjobs.SimulationRecord`) is appended to a
 ``*.jsonl`` file as one JSON object per line, flushed immediately, so a run
 killed half-way leaves a valid store behind.  On the next run the engine
 loads the store, skips every job whose key already has a *successful* result
@@ -20,13 +21,17 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Dict, Iterable, List, Set, TextIO, Tuple, Union
+from typing import Any, Dict, Iterable, List, Set, TextIO, Tuple, Union
 
-from .jobs import Job, JobResult
+from .jobs import JobResult
 
 __all__ = ["ResultStore"]
 
 _PathLike = Union[str, Path]
+#: Any job with ``key()`` (Job, SimulationJob) and any record with
+#: ``key``/``ok``/``to_dict``/``from_dict`` (JobResult, SimulationRecord).
+_Job = Any
+_Record = Any
 
 
 class ResultStore:
@@ -51,9 +56,9 @@ class ResultStore:
     # ------------------------------------------------------------------
     # reading
     # ------------------------------------------------------------------
-    def load(self) -> Dict[str, JobResult]:
+    def load(self) -> Dict[str, _Record]:
         """All stored results, last write per key winning."""
-        results: Dict[str, JobResult] = {}
+        results: Dict[str, _Record] = {}
         self.corrupt_lines = 0
         if not self.path.exists():
             return results
@@ -79,8 +84,8 @@ class ResultStore:
         }
 
     def split_pending(
-        self, jobs: Iterable[Job]
-    ) -> Tuple[List[Job], Dict[str, JobResult]]:
+        self, jobs: Iterable[_Job]
+    ) -> Tuple[List[_Job], Dict[str, _Record]]:
         """Partition ``jobs`` into (still to run, already-done key -> result).
 
         A job counts as done only when the store holds a *successful* result
@@ -88,8 +93,8 @@ class ResultStore:
         jobs are scheduled again.
         """
         known = self.load()
-        pending: List[Job] = []
-        done: Dict[str, JobResult] = {}
+        pending: List[_Job] = []
+        done: Dict[str, _Record] = {}
         for job in jobs:
             key = job.key()
             result = known.get(key)
@@ -120,14 +125,14 @@ class ResultStore:
             handle.write("\n")
         return handle
 
-    def append(self, result: JobResult) -> None:
+    def append(self, result: _Record) -> None:
         """Durably append one result (parent directory is created on demand)."""
         with self._open_for_append() as handle:
             handle.write(json.dumps(result.to_dict(), sort_keys=True))
             handle.write("\n")
             handle.flush()
 
-    def append_many(self, results: Iterable[JobResult]) -> None:
+    def append_many(self, results: Iterable[_Record]) -> None:
         """Append several results with a single open/flush cycle."""
         results = list(results)
         if not results:

@@ -103,7 +103,6 @@ def run_suite(
     registry: Optional[ScenarioRegistry] = None,
     seed: Optional[int] = None,
     optimize: str = "",
-    dedupe: bool = False,
 ) -> SuiteRunResult:
     """Run algorithms over scenario-catalogue problems through the engine.
 
@@ -136,10 +135,6 @@ def run_suite(
         :meth:`~repro.scenarios.ScenarioRegistry.optimized` — problems are
         built on rewritten graphs and job keys grow the pass list, so
         optimized and unoptimized results never collide in a store.
-    dedupe:
-        Run one representative per group of structurally-isomorphic jobs
-        and translate its result to the rest (see
-        :func:`repro.engine.run_jobs`).
     """
     registry = registry if registry is not None else default_registry()
     if optimize:
@@ -160,7 +155,6 @@ def run_suite(
         resume=resume,
         progress=progress,
         params={"seed": int(seed)} if seed is not None else None,
-        dedupe=dedupe,
     )
     # Iterating a mapping yields its keys, so both spec shapes reduce to names.
     return SuiteRunResult(

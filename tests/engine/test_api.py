@@ -12,6 +12,7 @@ from repro.engine import (
     SerialExecutor,
     build_jobs,
     run_experiments,
+    run_jobs,
 )
 from repro.errors import ConfigurationError
 from repro.experiments import (
@@ -157,6 +158,42 @@ class TestRunExperiments:
         assert _comparable(run.results) == _comparable(expected)
         assert {r.problem_name for r in run.results} == {"alias", problems[1].name}
 
+    def test_duplicate_keys_collapse_under_parallel_executor(self, problems):
+        alias = dataclasses.replace(problems[0], name="alias")
+        batch = [problems[0], problems[1], alias]
+        serial = run_experiments(batch, ALGORITHMS)
+        parallel = run_experiments(
+            batch, ALGORITHMS, executor=ParallelExecutor(max_workers=2)
+        )
+        assert parallel.executed == serial.executed == 2 * len(ALGORITHMS)
+        assert _comparable(parallel.results) == _comparable(serial.results)
+
+    def test_resumed_duplicates_fan_back_without_executing(self, problems, tmp_path):
+        alias = dataclasses.replace(problems[0], name="alias")
+        batch = [problems[0], problems[1], alias]
+        store = ResultStore(tmp_path / "dup.jsonl")
+        first = run_experiments(batch, ALGORITHMS, store=store)
+        rows = store.path.read_text()
+        resumed = run_experiments(batch, ALGORITHMS, store=store, resume=True)
+        assert (resumed.executed, resumed.skipped) == (0, 2 * len(ALGORITHMS))
+        assert _comparable(resumed.results) == _comparable(first.results)
+        assert store.path.read_text() == rows
+
+    def test_store_of_another_record_type_is_refused(self, problems, tmp_path):
+        # An offline row in a SimulationRecord store would load as a corrupt
+        # line, so every later resume would silently run the job again.
+        from repro.engine import SimulationJob, SimulationRecord, run_simulation_jobs
+        from repro.scenarios import default_registry
+
+        path = tmp_path / "sim.jsonl"
+        store = ResultStore(path, record_type=SimulationRecord)
+        spec = default_registry().get("g3")
+        run_simulation_jobs([SimulationJob(spec=spec, policy="greedy-energy")], store=store)
+        before = path.read_bytes()
+        with pytest.raises(ConfigurationError, match="record_type=JobResult"):
+            run_jobs(build_jobs(problems[:1], ["all-fastest"]), store=store, resume=True)
+        assert path.read_bytes() == before
+
     def test_by_problem_grouping(self, problems):
         run = run_experiments(problems[:2], ALGORITHMS)
         grouped = run.by_problem()
@@ -168,89 +205,6 @@ class TestRunExperiments:
         text = run_experiments(problems[:1], ["all-fastest"]).to_table().to_text()
         assert "all-fastest" in text
         assert problems[0].name in text
-
-
-def _relabeled_clone(graph, prefix):
-    """Structurally identical graph with different task names."""
-    from repro.taskgraph import Task, TaskGraph
-
-    mapping = {name: f"{prefix}{index}" for index, name in enumerate(graph.task_names())}
-    clone = TaskGraph(name=f"{graph.name}-{prefix}")
-    for task in graph:
-        clone.add_task(Task(name=mapping[task.name], design_points=task.design_points))
-    for parent, child in graph.edges():
-        clone.add_edge(mapping[parent], mapping[child])
-    return clone
-
-
-@pytest.fixture(scope="module")
-def isomorphic_problems():
-    from repro.workloads import erdos_graph
-    from repro.workloads.suite import problem_with_tightness
-
-    graph = erdos_graph(num_tasks=10, edge_probability=0.3, seed=4, name="iso")
-    twin = _relabeled_clone(graph, "n")
-    return [
-        problem_with_tightness(graph, 0.5, name="iso-a"),
-        problem_with_tightness(twin, 0.5, name="iso-b"),
-    ]
-
-
-class TestStructuralDedup:
-    def test_isomorphic_jobs_share_a_structural_key(self, isomorphic_problems):
-        jobs = build_jobs(isomorphic_problems, ["iterative"])
-        assert jobs[0].structural_key() == jobs[1].structural_key()
-        assert jobs[0].key() != jobs[1].key()
-
-    def test_different_structures_do_not_collide(self, problems):
-        jobs = build_jobs(problems, ["iterative"])
-        assert len({job.structural_key() for job in jobs}) == len(jobs)
-
-    def test_dedupe_executes_one_representative_per_group(self, isomorphic_problems):
-        run = run_experiments(isomorphic_problems, ALGORITHMS, dedupe=True)
-        assert run.deduped == len(ALGORITHMS)
-        assert run.executed == len(ALGORITHMS)
-        assert run.ok
-
-    def test_dedupe_results_match_full_execution(self, isomorphic_problems):
-        full = run_experiments(isomorphic_problems, ALGORITHMS)
-        deduped = run_experiments(isomorphic_problems, ALGORITHMS, dedupe=True)
-        assert [r.key for r in deduped.results] == [r.key for r in full.results]
-        for a, b in zip(full.results, deduped.results):
-            assert b.cost == a.cost  # bitwise: same structure, same numbers
-            assert b.makespan == a.makespan
-            assert b.feasible == a.feasible
-            assert b.problem_name == a.problem_name
-
-    def test_translated_schedules_are_valid_on_the_member_graph(
-        self, isomorphic_problems
-    ):
-        run = run_experiments(isomorphic_problems, ["iterative"], dedupe=True)
-        for problem, result in zip(isomorphic_problems, run.results):
-            assert result.sequence is not None
-            assert problem.graph.is_valid_sequence(result.sequence)
-            assert set(result.assignment) == set(problem.graph.task_names())
-
-    def test_dedupe_off_by_default(self, isomorphic_problems):
-        run = run_experiments(isomorphic_problems, ["all-fastest"])
-        assert run.deduped == 0
-        assert run.executed == len(run.jobs)
-
-    def test_summary_mentions_dedup_only_when_active(self, isomorphic_problems):
-        plain = run_experiments(isomorphic_problems, ["all-fastest"])
-        assert "deduped" not in plain.summary()
-        deduped = run_experiments(isomorphic_problems, ["all-fastest"], dedupe=True)
-        assert "1 deduped" in deduped.summary()
-
-    def test_dedupe_with_parallel_executor(self, isomorphic_problems):
-        serial = run_experiments(isomorphic_problems, ALGORITHMS, dedupe=True)
-        parallel = run_experiments(
-            isomorphic_problems,
-            ALGORITHMS,
-            dedupe=True,
-            executor=ParallelExecutor(max_workers=2),
-        )
-        assert _comparable(parallel.results) == _comparable(serial.results)
 
 
 class TestDriverIntegration:

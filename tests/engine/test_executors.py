@@ -9,11 +9,14 @@ from repro.engine import (
     Job,
     ParallelExecutor,
     SerialExecutor,
+    SimulationBatch,
+    SimulationJob,
     build_jobs,
     default_executor,
     execute_job,
 )
 from repro.errors import ConfigurationError
+from repro.scenarios import default_registry
 from repro.taskgraph import build_g2
 from repro.workloads import suite_problems
 
@@ -114,6 +117,40 @@ class TestParallelExecutor:
     def test_rejects_bad_worker_count(self):
         with pytest.raises(ConfigurationError):
             ParallelExecutor(max_workers=0)
+
+
+def _work_items(kind):
+    """Two work items of one kind: (runs cleanly, will be poisoned)."""
+    if kind == "job":
+        problem = SchedulingProblem(graph=build_g2(), deadline=75.0, name="g2")
+        return (
+            Job(problem=problem, algorithm="all-fastest"),
+            Job(problem=problem, algorithm="all-slowest"),
+        )
+    spec = default_registry().get("g3-jitter10")
+    jobs = [
+        SimulationJob(spec=spec, policy="greedy-energy", replication=r) for r in range(4)
+    ]
+    if kind == "simjob":
+        return jobs[0], jobs[1]
+    return SimulationBatch(jobs=tuple(jobs[:2])), SimulationBatch(jobs=tuple(jobs[2:]))
+
+
+class TestPoolTransportFailure:
+    @pytest.mark.parametrize("kind", ["job", "simjob", "batch"])
+    def test_lost_item_yields_its_failure_result(self, kind):
+        good, bad = _work_items(kind)
+        # An unpicklable attribute makes the pool fail to ship the item:
+        # a transport error, not an error inside the item's own run().
+        object.__setattr__(bad, "poison", lambda: None)
+        results = ParallelExecutor(max_workers=2).run([good, bad])
+        assert results[0].ok
+        assert not results[1].ok
+        message = (
+            results[1].records[0].error if kind == "batch" else results[1].error
+        )
+        assert "pickle" in message
+        assert results[1] == bad.failure_result(message)
 
 
 class TestDefaultExecutor:

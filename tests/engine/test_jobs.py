@@ -9,6 +9,7 @@ from repro.engine import (
     Job,
     JobResult,
     algorithm_names,
+    execute_job,
     get_algorithm,
     resolve_algorithm_name,
     scheduler_config_params,
@@ -107,6 +108,60 @@ class TestJobKeys:
     def test_infinite_capacity_is_serialisable(self, problem):
         spec = Job(problem=problem, algorithm="iterative").spec()
         assert spec["battery"]["capacity"] == "inf"
+
+    def test_relabelled_isomorphic_problems_get_distinct_keys(self):
+        # Keys hash the graph verbatim: the same structure under other task
+        # names is different work to the store, never an alias.
+        from repro.workloads import erdos_graph
+        from repro.workloads.suite import problem_with_tightness
+
+        graph = erdos_graph(num_tasks=10, edge_probability=0.3, seed=4, name="iso")
+        twin = _relabeled_clone(graph, "n")
+        problems = [
+            problem_with_tightness(graph, 0.5, name="iso-a"),
+            problem_with_tightness(twin, 0.5, name="iso-b"),
+        ]
+        jobs = [Job(problem=p, algorithm="iterative") for p in problems]
+        assert jobs[0].key() != jobs[1].key()
+
+
+def _relabeled_clone(graph, prefix):
+    """Structurally identical graph with different task names."""
+    from repro.taskgraph import Task, TaskGraph
+
+    mapping = {name: f"{prefix}{index}" for index, name in enumerate(graph.task_names())}
+    clone = TaskGraph(name=f"{graph.name}-{prefix}")
+    for task in graph:
+        clone.add_task(Task(name=mapping[task.name], design_points=task.design_points))
+    for parent, child in graph.edges():
+        clone.add_edge(mapping[parent], mapping[child])
+    return clone
+
+
+class TestWorkItemContract:
+    """What the executors and the shared pipeline need from a ``Job``."""
+
+    def test_run_matches_execute_job(self, problem):
+        job = Job(problem=problem, algorithm="iterative")
+        ran, executed = job.run(), execute_job(job)
+        assert ran.ok
+        assert ran.to_dict() | {"elapsed_s": 0.0} == executed.to_dict() | {"elapsed_s": 0.0}
+
+    def test_failure_result_names_the_job(self, problem):
+        job = Job(problem=problem, algorithm="iterative")
+        failed = job.failure_result("boom")
+        assert not failed.ok
+        assert (failed.key, failed.algorithm, failed.problem_name, failed.error) == (
+            job.key(),
+            "iterative",
+            "G2@75",
+            "boom",
+        )
+
+    def test_job_type_facts_read_by_the_pipeline(self):
+        assert Job.record_type is JobResult
+        assert Job.counters == "engine.jobs"
+        assert Job.last_duplicate_runs
 
 
 class TestRegistry:

@@ -154,6 +154,53 @@ class TestExecuteSimulationJob:
         assert records[0].cost == records[1].cost
 
 
+class TestWorkItemContract:
+    """What the executors and the shared pipeline need from simulation items."""
+
+    def test_run_matches_execute_simulation_job(self, stochastic_spec):
+        job = SimulationJob(spec=stochastic_spec, policy="deadline-slack", seed=1)
+        assert strip_timing([job.run()]) == strip_timing([execute_simulation_job(job)])
+
+    def test_batch_run_matches_execute_simulation_batch(self, stochastic_spec):
+        batch = SimulationBatch(
+            jobs=tuple(
+                SimulationJob(spec=stochastic_spec, policy="greedy-energy", replication=r)
+                for r in range(3)
+            )
+        )
+        ran = batch.run()
+        assert ran.ok
+        assert strip_timing(ran.records) == strip_timing(
+            execute_simulation_batch(batch).records
+        )
+
+    def test_failure_result_names_the_job(self, stochastic_spec):
+        job = SimulationJob(spec=stochastic_spec, policy="static-replay", seed=3, replication=2)
+        failed = job.failure_result("boom")
+        assert not failed.ok
+        assert (failed.key, failed.scenario, failed.policy, failed.seed, failed.replication) == (
+            job.key(),
+            "g3-jitter10",
+            "static-replay",
+            3,
+            2,
+        )
+        assert failed.error == "boom"
+
+    def test_batch_failure_result_has_a_record_per_member_in_order(self, stochastic_spec):
+        jobs = tuple(
+            SimulationJob(spec=stochastic_spec, policy="greedy-energy", replication=r)
+            for r in range(3)
+        )
+        failed = SimulationBatch(jobs=jobs).failure_result("lost")
+        assert not failed.ok
+        assert failed.records == tuple(job.failure_result("lost") for job in jobs)
+
+    def test_job_type_facts_read_by_the_pipeline(self):
+        assert SimulationJob.record_type is SimulationRecord
+        assert SimulationJob.counters == "engine.simjobs"
+        assert not SimulationJob.last_duplicate_runs
+
 class TestRunSimulationJobs:
     def make_jobs(self, registry, replications=2):
         return [
@@ -289,6 +336,12 @@ class TestJobKeyDedupe:
         assert len(run.records) == len(jobs)
         assert run.records[0] == run.records[1]
         assert len(path.read_text().splitlines()) == 2
+        # The *first* duplicate runs (offline jobs run the last), so its
+        # scenario name is stamped on the alias's record and stored row.
+        assert run.records[1].scenario == spec.name
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        assert rows[0]["key"] == jobs[1].key()
+        assert rows[0]["scenario"] == spec.name
 
     def test_duplicate_key_jobs_dedupe_in_batched_mode_too(self, registry):
         spec = registry.get("g3-jitter10")

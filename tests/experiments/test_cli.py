@@ -290,16 +290,6 @@ class TestSuiteOptimizeFlags:
         out = capsys.readouterr().out
         assert "1 executed, 0 resumed" in out
 
-    def test_suite_dedupe_flag(self, capsys):
-        # g3x2 and g3x3 replicate g3's structure; the catalogue's g3 twins
-        # stay distinct problems, so dedupe only kicks in when structures
-        # actually repeat — the flag must at minimum run cleanly.
-        assert main([
-            "suite", "--run", "--scenarios", "g3", "g3-ideal",
-            "--algorithms", "all-fastest", "--dedupe",
-        ]) == 0
-        assert "0 failed" in capsys.readouterr().out
-
 
 class TestDocsCommand:
     def test_docs_writes_and_checks(self, tmp_path, capsys):

@@ -145,6 +145,23 @@ class TestEngineCounters:
         assert counters["engine.simjobs.resumed"] == len(jobs)
         assert "engine.simjobs.executed" not in counters
 
+    def test_duplicate_keys_counted_under_each_job_types_prefix(self, registry):
+        from repro.engine import Job, run_jobs
+
+        spec = registry.get("g3-jitter10")
+        alias = dataclasses.replace(spec, name="same-work-alias")
+        sim_jobs = [SimulationJob(spec=s, policy="greedy-energy") for s in (spec, alias)]
+        problems = [s.build_problem() for s in (spec, alias)]
+        offline_jobs = [Job(problem=p, algorithm="all-fastest") for p in problems]
+        with recording() as rec:
+            run_simulation_jobs(sim_jobs)
+            run_jobs(offline_jobs)
+        counters = rec.counters_snapshot()["counters"]
+        assert counters["engine.simjobs.duplicates"] == 1
+        assert counters["engine.simjobs.executed"] == 1
+        assert counters["engine.jobs.duplicates"] == 1
+        assert counters["engine.jobs.executed"] == 1
+
 
 class TestCoreCounters:
     def _suite_counters(self, *extra):
