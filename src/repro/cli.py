@@ -315,10 +315,10 @@ def _tournament_smoke(args: argparse.Namespace, out: List[str]) -> int:
 
     Three runs of the tournament grid's exact-mode control cells must
     agree **bitwise**: the scalar engine path, the lockstep batched path,
-    and — per replication-0 cell — a direct simulator run with the
-    information-mode plumbing bypassed entirely (no ``imode`` argument).
-    Any divergence means the imode layer perturbed the conformance
-    anchor, and the command exits nonzero for CI.
+    and — per replication-0 cell — a direct :class:`Simulator` built
+    without an ``imode`` argument (which resolves to the same exact
+    belief tables), so the engine's job and scenario plumbing cannot
+    shift an exact-mode result.  Any divergence exits nonzero for CI.
     """
     from .experiments import run_tournament
     from .scenarios import default_registry

@@ -8,9 +8,9 @@ axis (estee's ``imode``): what the scheduler believes vs. what the
 simulator draws.  An :class:`InformationMode` mediates **every** duration
 estimate a policy sees:
 
-* ``exact`` — beliefs are the modeled times (today's behaviour, and the
-  conformance anchor: an exact-mode run is bit-identical to one with no
-  mode at all);
+* ``exact`` — beliefs are the modeled tables themselves (the default, and
+  what ``imode=None`` means: both spellings resolve to one shared
+  :class:`GraphBeliefs`, so they are one code path);
 * ``blind`` — no duration information: every believed time is ``inf``, so
   policies fall back to their information-free defaults (a blind policy
   never observes a finite duration estimate — a pinned property);
@@ -31,6 +31,8 @@ tests pin this contract.
 Beliefs are resolved once per (graph, mode) into a :class:`GraphBeliefs`
 table (believed times, min-times, energies, priority inputs) shared by
 every simulator over that graph — including all lockstep batch lanes.
+The tables are memoised on the simulator's per-graph tables
+(:mod:`repro.sim.runtime`), so they are rebuilt when the graph grows.
 
 >>> mode = InformationMode.noisy(0.3, seed=7)
 >>> mode.is_exact, mode.kind
@@ -44,7 +46,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
-from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -135,7 +136,7 @@ class InformationMode:
 
     @property
     def token(self) -> Tuple:
-        """Hashable identity used by the per-graph belief/weights memos."""
+        """Hashable identity keying the per-graph belief tables."""
         return (self.kind, self.rel_error, self.seed)
 
     @property
@@ -178,6 +179,16 @@ class GraphBeliefs:
     ``remaining_partials``
         exact-sum partials of all believed min-times (``None`` under
         ``blind``, whose remaining-work bound is ``inf`` by definition).
+    ``weights``
+        policy qualname -> ``(weights, sort order)`` of the policies whose
+        priorities are a pure function of (graph, mode), filled on first
+        bind.
+
+    Under ``exact`` every table *is* the modeled one: the task's cached
+    ``execution_times()``/``energies()`` rows, its ``average_energy``, and
+    the simulator's per-graph min-times and partials.  They are shared,
+    never recomputed — time x current and an fsum mean do not reproduce
+    the modeled floats bitwise.
     """
 
     __slots__ = (
@@ -188,14 +199,26 @@ class GraphBeliefs:
         "energies",
         "average_energy",
         "remaining_partials",
+        "weights",
     )
 
     def __init__(self, graph, mode: InformationMode) -> None:
         from .livestate import ExactSum
+        from .runtime import _graph_tables
 
         self.mode = mode
         self.blind = mode.kind == "blind"
+        self.weights: Dict[str, Tuple] = {}
         names = graph.task_names()
+        if mode.is_exact:
+            tables = _graph_tables(graph)
+            tasks = [graph.task(name) for name in names]
+            self.times = {task.name: task.execution_times() for task in tasks}
+            self.min_times = tables.min_times
+            self.energies = {task.name: task.energies() for task in tasks}
+            self.average_energy = {task.name: task.average_energy for task in tasks}
+            self.remaining_partials = tables.remaining_partials
+            return
         modeled: Dict[str, Tuple[float, ...]] = {
             name: graph.task(name).execution_times() for name in names
         }
@@ -212,7 +235,7 @@ class GraphBeliefs:
                 name: tuple(column_means[: len(row)])
                 for name, row in modeled.items()
             }
-        elif mode.kind == "noisy":
+        else:
             rng = mode.belief_rng()
             spread = mode.rel_error
             times = {}
@@ -221,8 +244,6 @@ class GraphBeliefs:
                     time * rng.lognormal(-0.5 * spread * spread, spread)
                     for time in modeled[name]
                 )
-        else:  # exact tables are never materialised (beliefs stay None)
-            times = modeled
         self.times = times
         self.min_times = {name: min(row) for name, row in times.items()}
         self.energies = {
@@ -254,25 +275,22 @@ def _column_mean(modeled, names, column: int) -> float:
     return math.fsum(values) / len(values)
 
 
-#: graph -> {mode token: GraphBeliefs}; weakly keyed so graphs die normally.
-_BELIEFS_MEMO: "WeakKeyDictionary" = WeakKeyDictionary()
+_EXACT = InformationMode.exact()
 
 
-def resolve_beliefs(graph, mode: Optional[InformationMode]) -> Optional[GraphBeliefs]:
-    """The shared belief tables for ``(graph, mode)``; ``None`` for exact.
+def resolve_beliefs(graph, mode: Optional[InformationMode]) -> GraphBeliefs:
+    """The shared belief tables for ``(graph, mode)``; ``None`` means exact.
 
-    Exact mode (and ``None``) resolves to ``None`` so the simulator and the
-    policies keep running the *literal* pre-imode code paths — the bitwise
-    conformance anchor is "no beliefs object exists", not "a beliefs object
-    that happens to contain the modeled times".
+    Memoised per mode token on the simulator's per-graph tables, so every
+    simulator, batch lane and policy over one graph reads one object, and
+    ``resolve_beliefs(graph, None) is resolve_beliefs(graph, exact)``.
     """
-    if mode is None or mode.is_exact:
-        return None
-    try:
-        per_graph = _BELIEFS_MEMO.setdefault(graph, {})
-    except TypeError:  # unhashable/unweakrefable graph stand-in: no memo
-        return GraphBeliefs(graph, mode)
-    beliefs = per_graph.get(mode.token)
-    if beliefs is None:
-        beliefs = per_graph[mode.token] = GraphBeliefs(graph, mode)
-    return beliefs
+    from .runtime import _graph_tables
+
+    if mode is None:
+        mode = _EXACT
+    per_graph = _graph_tables(graph).beliefs
+    entry = per_graph.get(mode.token)
+    if entry is None:
+        entry = per_graph[mode.token] = GraphBeliefs(graph, mode)
+    return entry

@@ -38,7 +38,7 @@ from __future__ import annotations
 import bisect
 import math
 from collections import deque
-from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Callable, Deque, Dict, Iterable, List, Optional, Set, Tuple, Union
 from weakref import WeakKeyDictionary
 
 import numpy as np
@@ -51,7 +51,7 @@ from ..scheduling.evaluator import _resolve_rest
 import time as _time
 
 from .events import TaskRuntimeInfo, TaskState, VirtualClock
-from .imode import InformationMode, resolve_beliefs
+from .imode import GraphBeliefs, InformationMode, resolve_beliefs
 from .livestate import ExactSum, LiveRuntimeState
 from .perturbation import PerturbationModel, rng_for_seed
 from .result import SimulatedInterval, SimulationResult
@@ -65,9 +65,20 @@ _EPS = 1e-9
 class _GraphTables:
     """Per-graph lookup tables every simulator over that graph shares.
 
-    All of these are pure functions of the (immutable-in-practice) task
-    graph, yet used to be rebuilt in every ``Simulator.__init__`` — a cost
-    replication loops and batch lanes pay per run for identical answers.
+    All of these are pure functions of the task graph, built once and
+    shared by every replication, batch lane and policy bind over it.  This
+    is the only per-graph memo of :mod:`repro.sim`; besides the event
+    loop's tables it holds
+
+    ``beliefs``
+        mode token -> :class:`~repro.sim.imode.GraphBeliefs` (filled by
+        :func:`~repro.sim.imode.resolve_beliefs`; each entry carries the
+        graph-pure policy weights of its mode);
+    ``validated``
+        the static-replay sequences already validated against the graph.
+
+    The memo is rebuilt when ``num_tasks`` changes, so a graph that grows
+    after a run never serves stale tables.
     """
 
     __slots__ = (
@@ -80,6 +91,8 @@ class _GraphTables:
         "num_inputs",
         "initial_ready",
         "remaining_partials",
+        "beliefs",
+        "validated",
     )
 
     def __init__(self, graph) -> None:
@@ -113,6 +126,8 @@ class _GraphTables:
         #: Exact partials of summing every min-time — the starting state of
         #: the remaining-min-time accumulator (see ``ExactSum.from_partials``).
         self.remaining_partials = ExactSum(self.min_times.values()).partials
+        self.beliefs: Dict[Tuple, GraphBeliefs] = {}
+        self.validated: Set[Tuple[str, ...]] = set()
 
 
 _GRAPH_TABLES: "WeakKeyDictionary" = WeakKeyDictionary()
@@ -123,8 +138,7 @@ def _graph_tables(graph) -> _GraphTables:
         tables = _GRAPH_TABLES.get(graph)
     except TypeError:  # unhashable/unweakrefable graph stand-in: no memo
         return _GraphTables(graph)
-    # ``num_tasks`` guards against a graph mutated after memoisation, the
-    # same defence the schedulers' sequence-validation memo uses.
+    # ``num_tasks`` guards against a graph grown after memoisation.
     if tables is None or tables.num_tasks != graph.num_tasks:
         tables = _GraphTables(graph)
         try:
@@ -162,11 +176,11 @@ class Simulator:
         :class:`~repro.battery.DischargeTrace` of the realised profile.
     imode:
         The :class:`~repro.sim.InformationMode` mediating every duration
-        estimate the policy sees (``None`` and ``exact`` are equivalent:
-        policies observe the modeled times, through the literal pre-imode
-        code paths — the bitwise conformance anchor).  Belief tables are
-        resolved once per (graph, mode) and shared across replications;
-        the realised timeline always draws from the *modeled* times, so
+        estimate the policy sees (``None`` means ``exact``: policies read
+        the modeled tables through the same :class:`~repro.sim.imode.
+        GraphBeliefs` every other mode fills).  Belief tables are resolved
+        once per (graph, mode) and shared across replications; the
+        realised timeline always draws from the *modeled* times, so
         beliefs change decisions, never physics.
     """
 
@@ -211,18 +225,13 @@ class Simulator:
         self._tables = tables
         self._rank = tables.rank
         self._successors = tables.successors
-        self._min_times = tables.min_times
-        #: Believed-duration tables (None for exact/unset: policies then
-        #: observe the modeled values through the original code paths).
+        #: Believed-duration tables (the modeled ones under exact/unset).
         self.imode = imode
-        self.beliefs = resolve_beliefs(self.graph, imode)
+        self.beliefs = beliefs = resolve_beliefs(self.graph, imode)
         #: Public per-task min-time table (policies consult it per decision).
-        #: Under an information mode this is the *believed* table; the event
-        #: loop itself always runs on the modeled times.
-        if self.beliefs is None:
-            self.min_times = self._min_times
-        else:
-            self.min_times = self.beliefs.min_times
+        #: This is the *believed* table; the event loop itself always runs
+        #: on the modeled times.
+        self.min_times = beliefs.min_times
         # Canonical design-point rows, resolved once: the event loop and the
         # online policies index these every attempt/decision.
         self._points = tables.points
@@ -256,16 +265,12 @@ class Simulator:
         #: charge side is always *measured* (realised durations/currents);
         #: only the remaining-min-time bound follows the beliefs: believed
         #: min-times for mean/noisy, the modeled table for exact, and a
-        #: flat ``inf`` answer for blind (see :meth:`remaining_min_time`).
-        beliefs = self.beliefs
-        if beliefs is None or beliefs.remaining_partials is None:
-            self._live = LiveRuntimeState(
-                self.model, self._min_times, tables.remaining_partials
-            )
-        else:
-            self._live = LiveRuntimeState(
-                self.model, beliefs.min_times, beliefs.remaining_partials
-            )
+        #: flat ``inf`` answer for blind (see :meth:`remaining_min_time`),
+        #: whose all-``inf`` table the exact accumulator cannot hold.
+        bound = tables if beliefs.blind else beliefs
+        self._live = LiveRuntimeState(
+            self.model, bound.min_times, bound.remaining_partials
+        )
         #: Batch-driver hook: when set, a sigma query that would run the
         #: chemistry kernel first calls this (the driver answers it for every
         #: lane of the batch in one vectorized evaluation — see
@@ -311,8 +316,7 @@ class Simulator:
         exact accumulator cannot hold infinities)."""
         if _OBS.enabled:
             _OBS.count("sim.query.remaining_min_time", label=self._obs_label)
-        beliefs = self.beliefs
-        if beliefs is not None and beliefs.blind:
+        if self.beliefs.blind:
             return math.inf
         return self._live.remaining_min_time()
 
@@ -485,10 +489,10 @@ class Simulator:
                 label=self._obs_label,
             )
             _OBS.count("sim.decisions", len(decisions or ()), label=self._obs_label)
-            if self.beliefs is not None:
+            if not self.beliefs.mode.is_exact:
                 # Per-mode decision accounting.  Only belief modes add the
-                # counter: the exact-mode counter catalogue must stay
-                # byte-identical to the pre-imode one.
+                # counter, so the exact-mode (and unset) counter catalogue
+                # carries no imode counter.
                 _OBS.count(
                     "sim.imode.decisions",
                     len(decisions or ()),

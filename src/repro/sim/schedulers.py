@@ -32,10 +32,10 @@ offline schedule through the engine's algorithm registry.
 
 Every duration estimate the online policies consult — ``sim.min_times``,
 ``remaining_min_time()``, the per-task execution-time rows, the energy
-priorities — flows through the simulator's information mode
-(:mod:`repro.sim.imode`): under ``exact`` (or no mode) the literal
-pre-imode code paths run, under ``blind``/``mean``/``noisy`` the believed
-tables replace them.  ``static-replay`` is imode-invariant by
+priorities — is read from the simulator's
+:class:`~repro.sim.imode.GraphBeliefs`: the modeled tables themselves
+under ``exact`` (or no mode), the believed ones under
+``blind``/``mean``/``noisy``.  ``static-replay`` is imode-invariant by
 construction: its offline plan is computed from the modeled times before
 the run starts, exactly like a plan deployed to a device.
 """
@@ -45,7 +45,6 @@ from __future__ import annotations
 import heapq
 import math
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
-from weakref import WeakKeyDictionary
 
 from ..errors import ConfigurationError, SimulationError
 from ..scheduling import SchedulingProblem
@@ -117,46 +116,23 @@ class Scheduler:
     def _feasible_columns(
         self,
         name: str,
-        times: Optional[Sequence[float]] = None,
+        times: Sequence[float],
         remaining: Optional[float] = None,
     ) -> List[int]:
-        """Design-point columns whose execution time fits the allowance.
+        """Design-point columns whose (believed) ``times`` fit the allowance.
 
         Falls back to the fastest column when nothing fits (the deadline
         is already compromised; run flat out and record the miss).
-        ``times``/``remaining`` are pass-throughs for values the caller
-        already holds (same floats, fewer lookups per decision).
+        ``remaining`` is a pass-through for a value the caller already
+        holds (same float, one lookup fewer per decision).
         """
         allowance = self._deadline_allowance(name, remaining)
-        if times is None:
-            times = self.simulator.graph.task(name).execution_times()
         feasible = [
             column
             for column, time in enumerate(times)
             if time <= allowance + _EPS
         ]
         return feasible or [0]
-
-
-#: Graph -> set of (num_tasks, sequence) pairs already validated.  Replaying
-#: the same schedule on the same graph across replications (the batch
-#: simulator's entire workload, and any replication loop) re-validates a
-#: pure function of unchanged inputs; this memo makes the repeat binds O(1).
-#: Weakly keyed so graphs die normally; ``num_tasks`` in the entry guards
-#: against a graph growing after validation.
-_VALIDATED_SEQUENCES: "WeakKeyDictionary" = WeakKeyDictionary()
-
-
-def _validate_sequence_once(graph, sequence: Tuple[str, ...]) -> None:
-    try:
-        seen = _VALIDATED_SEQUENCES.setdefault(graph, set())
-    except TypeError:  # unhashable/unweakrefable graph stand-in: no memo
-        validate_sequence(graph, sequence)
-        return
-    entry = (graph.num_tasks, sequence)
-    if entry not in seen:
-        validate_sequence(graph, sequence)
-        seen.add(entry)
 
 
 class StaticReplayScheduler(Scheduler):
@@ -188,7 +164,12 @@ class StaticReplayScheduler(Scheduler):
 
     def init(self, simulator) -> None:
         super().init(simulator)
-        _validate_sequence_once(simulator.graph, self.sequence)
+        # Replications re-bind the same sequence to the same graph; the
+        # per-graph tables remember which sequences were validated.
+        validated = simulator._tables.validated
+        if self.sequence not in validated:
+            validate_sequence(simulator.graph, self.sequence)
+            validated.add(self.sequence)
         self._dispatched = False
 
     def schedule(self, new_ready, new_finished):
@@ -196,18 +177,6 @@ class StaticReplayScheduler(Scheduler):
             return ()
         self._dispatched = True
         return [(task, self.columns[task]) for task in self.sequence]
-
-
-#: Graph -> {policy class name: (weights, sort order)} for policies whose
-#: weights are a pure function of the graph.  Replications (and every
-#: batch-simulator lane) re-bind fresh policy instances to the same graph;
-#: without the memo each bind recomputes an O(graph) — for deadline-slack
-#: O(graph^2) — priority table that never changes.
-_WEIGHTS_MEMO: "WeakKeyDictionary" = WeakKeyDictionary()
-
-#: Graph -> {task name: execution-time tuple}.  Policy-independent and
-#: read-only, so every bind on the same graph shares one dict.
-_TIMES_MEMO: "WeakKeyDictionary" = WeakKeyDictionary()
 
 
 class _OnlineScheduler(Scheduler):
@@ -219,8 +188,9 @@ class _OnlineScheduler(Scheduler):
     delegates the design-point choice to :meth:`choose_column`.
     """
 
-    #: Whether :meth:`task_weights` depends only on the graph (True for all
-    #: built-in policies), making the per-graph weights memo safe.
+    #: Whether :meth:`task_weights` depends only on (graph, mode) (True for
+    #: all built-in policies), making the weights memo of each
+    #: :class:`~repro.sim.imode.GraphBeliefs` safe.
     #: Subclasses whose weights read instance parameters or live simulator
     #: state must leave this False.
     WEIGHTS_GRAPH_PURE = False
@@ -229,43 +199,19 @@ class _OnlineScheduler(Scheduler):
         super().init(simulator)
         #: Min-heap of ``self._order`` sort keys for the ready tasks.
         self._ready: List[tuple] = []
-        rank = getattr(simulator, "_rank", None)
-        self._rank = (
-            rank
-            if rank is not None
-            else {
-                name: index
-                for index, name in enumerate(simulator.graph.task_names())
-            }
-        )
+        self._rank = simulator._rank
         #: rank -> name, to translate popped heap keys back to tasks.
         self._rank_name = {index: name for name, index in self._rank.items()}
-        #: Believed-duration tables (``None`` for exact/unset — the
-        #: original modeled-times code paths below then run unchanged).
-        self._beliefs = getattr(simulator, "beliefs", None)
+        #: Believed-duration tables (the modeled ones under exact mode).
+        self._beliefs = simulator.beliefs
+        #: Every execution-time row a policy consults is believed.
+        self._times = self._beliefs.times
         #: ``self._order`` is the precomputed sort key per task —
         #: ``sort(key=self._order.__getitem__)`` orders exactly like
         #: sorting on ``(-weight, rank)`` tuples built per wakeup, without
         #: rebuilding them.  Memoised with the weights (both are shared
-        #: read-only across binds to the same graph).
+        #: read-only across binds to the same graph and mode).
         self._weights, self._order = self._resolve_weights()
-        if self._beliefs is not None:
-            #: Every execution-time row a policy consults is believed.
-            self._times = self._beliefs.times
-            return
-        #: Per-task design-point rows, shared per graph across binds.
-        graph = simulator.graph
-        try:
-            times = _TIMES_MEMO.get(graph)
-        except TypeError:  # unweakrefable graph stand-in: no memo
-            times = None
-        if times is None:
-            times = {task.name: task.execution_times() for task in graph}
-            try:
-                _TIMES_MEMO[graph] = times
-            except TypeError:
-                pass
-        self._times = times
 
     def _build_order(self, weights: Dict[str, float]) -> Dict[str, tuple]:
         rank = self._rank
@@ -275,22 +221,15 @@ class _OnlineScheduler(Scheduler):
         if not self.WEIGHTS_GRAPH_PURE:
             weights = self.task_weights()
             return weights, self._build_order(weights)
-        graph = self.simulator.graph
-        try:
-            per_graph = _WEIGHTS_MEMO.setdefault(graph, {})
-        except TypeError:  # unweakrefable graph stand-in: no memo
-            weights = self.task_weights()
-            return weights, self._build_order(weights)
-        # Belief-mode weights are a pure function of (graph, mode), so the
-        # memo key grows the mode token; the exact-mode key stays the bare
-        # qualname, preserving (and sharing) every pre-imode entry.
+        # Replications and batch lanes re-bind fresh policies to the same
+        # (graph, mode); the memo spares each bind an O(graph) — for
+        # deadline-slack O(graph^2) — priority table that never changes.
+        memo = self._beliefs.weights
         key = type(self).__qualname__
-        if self._beliefs is not None:
-            key = (key, self._beliefs.mode.token)
-        entry = per_graph.get(key)
+        entry = memo.get(key)
         if entry is None:
             weights = self.task_weights()
-            entry = per_graph[key] = (weights, self._build_order(weights))
+            entry = memo[key] = (weights, self._build_order(weights))
         return entry
 
     def task_weights(self) -> Dict[str, float]:
@@ -328,18 +267,10 @@ class GreedyEnergyScheduler(_OnlineScheduler):
     WEIGHTS_GRAPH_PURE = True
 
     def task_weights(self) -> Dict[str, float]:
-        if self._beliefs is not None:
-            return self._beliefs.average_energy
-        return {
-            task.name: task.average_energy for task in self.simulator.graph
-        }
+        return self._beliefs.average_energy
 
     def choose_column(self, name: str) -> int:
-        beliefs = self._beliefs
-        if beliefs is not None:
-            energies = beliefs.energies[name]
-        else:
-            energies = self.simulator.graph.task(name).energies()
+        energies = self._beliefs.energies[name]
         return min(
             self._feasible_columns(name, times=self._times[name]),
             key=lambda column: (energies[column], -column),
@@ -362,19 +293,10 @@ class DeadlineSlackScheduler(_OnlineScheduler):
 
     def task_weights(self) -> Dict[str, float]:
         graph = self.simulator.graph
-        if self._beliefs is not None:
-            min_times = self._beliefs.min_times
-            return {
-                task.name: math.fsum(
-                    min_times[member]
-                    for member in graph.subgraph_rooted_at(task.name)
-                )
-                for task in graph
-            }
+        min_times = self._beliefs.min_times
         return {
             task.name: math.fsum(
-                graph.task(member).min_execution_time
-                for member in graph.subgraph_rooted_at(task.name)
+                min_times[member] for member in graph.subgraph_rooted_at(task.name)
             )
             for task in graph
         }
@@ -458,11 +380,7 @@ class BatteryReactiveScheduler(_OnlineScheduler):
         self.soc_reserve = float(soc_reserve)
 
     def task_weights(self) -> Dict[str, float]:
-        if self._beliefs is not None:
-            return self._beliefs.average_energy
-        return {
-            task.name: task.average_energy for task in self.simulator.graph
-        }
+        return self._beliefs.average_energy
 
     def _stressed(self) -> bool:
         sim = self.simulator

@@ -149,18 +149,23 @@ class TestBlindNeverObservesFiniteEstimate:
         assert all(math.isinf(value) for value in probe.observed)
 
     def test_exact_probe_sees_finite_estimates(self):
-        # Control: the same probe under no information mode observes the
-        # modeled (finite) values — the blindness comes from the mode.
+        # Control: the same probe under exact mode (or none) reads the
+        # modeled tables through the same surfaces and observes only
+        # finite values — the blindness above comes from the mode.
         problem = _problem()
-        probe = _BlindProbeScheduler()
-        simulator = Simulator(problem, probe, rng=rng_for_seed(1, 0))
-        assert simulator.beliefs is None
-        # Drive the probe against the exact tables directly instead: with
-        # no beliefs object the probe's believed-table reads would fail,
-        # which is itself the conformance point — exact mode never
-        # materialises belief tables.
-        with pytest.raises(AttributeError):
-            simulator.run()
+        for imode in (None, InformationMode.exact()):
+            for jitter in (0.0, 0.2):
+                probe = _BlindProbeScheduler()
+                result = Simulator(
+                    problem,
+                    probe,
+                    perturbation=PerturbationModel(jitter=jitter),
+                    rng=rng_for_seed(1, 0),
+                    imode=imode,
+                ).run()
+                assert len(result.intervals) == problem.graph.num_tasks
+                assert probe.observed, "probe recorded nothing"
+                assert all(math.isfinite(value) for value in probe.observed)
 
 
 class TestStaticReplayImodeInvariance:

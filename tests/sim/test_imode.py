@@ -1,9 +1,10 @@
 """Information modes: exact is bitwise-invisible, belief modes are semantic.
 
 The conformance anchor of :mod:`repro.sim.imode`: an ``exact`` information
-mode (and no mode at all) must reproduce today's scalar *and* batched
-results **bitwise** across every chemistry and policy — the golden
-fixtures included.  The belief modes must be deterministic, seeded, and
+mode and no mode at all resolve to one belief table that holds the
+modeled tables verbatim, and reproduce the scalar *and* batched results
+**bitwise** across every chemistry and policy — the golden fixtures
+included (``golden_online.json`` pins the online policies per mode).  The belief modes must be deterministic, seeded, and
 mean what they say: ``blind`` erases every duration estimate, ``mean``
 erases per-task identity but keeps the column ladder, ``noisy`` applies
 seeded mean-one factors.
@@ -18,6 +19,7 @@ import pytest
 from repro import build_g2, build_g3
 from repro.battery import BatterySpec
 from repro.errors import ConfigurationError
+from repro.obs import RECORDER, recording
 from repro.scheduling import SchedulingProblem, sequence_by_decreasing_energy
 from repro.sim import (
     BatchSimulator,
@@ -144,16 +146,27 @@ class TestExactModeIsBitwiseInvisible:
             ]
             assert result.cost == committed
 
-    def test_exact_resolves_to_no_beliefs_object(self):
+    def test_exact_beliefs_are_the_modeled_tables(self):
+        # Exact mode shares the modeled tables, never recomputes them:
+        # time x current and an fsum mean differ bitwise from the modeled
+        # energies/averages on some catalogue tasks.
         graph = build_g3()
-        assert resolve_beliefs(graph, None) is None
-        assert resolve_beliefs(graph, InformationMode.exact()) is None
+        beliefs = resolve_beliefs(graph, InformationMode.exact())
+        assert resolve_beliefs(graph, None) is beliefs
+        assert not beliefs.blind
+        for task in graph:
+            assert beliefs.times[task.name] is task.execution_times()
+            assert beliefs.energies[task.name] is task.energies()
+            assert beliefs.average_energy[task.name].hex() == (
+                task.average_energy.hex()
+            )
+            assert beliefs.min_times[task.name] == task.min_execution_time
         simulator = Simulator(
             SchedulingProblem(graph=graph, deadline=260.0),
             _scheduler("greedy-energy", _problem("rakhmatov")),
-            imode=InformationMode.exact(),
         )
-        assert simulator.beliefs is None
+        assert simulator.beliefs is beliefs
+        assert simulator.min_times is beliefs.min_times
 
 
 class TestModeValidation:
@@ -314,3 +327,34 @@ class TestBeliefModeRuns:
         result = _run(problem, "deadline-slack", imode=InformationMode.blind(),
                       jitter=0.0)
         assert all(interval.column == 0 for interval in result.intervals)
+
+
+class TestDecisionCounter:
+    """``sim.imode.decisions`` exists only for belief modes."""
+
+    @pytest.mark.parametrize(
+        "imode, expected",
+        (
+            (None, []),
+            (InformationMode.exact(), []),
+            (
+                InformationMode.noisy(0.3, seed=101),
+                ["sim.imode.decisions[greedy-energy|noisy(0.3,101)]"],
+            ),
+        ),
+        ids=("none", "exact", "noisy"),
+    )
+    def test_counter_catalogue_per_mode(self, imode, expected):
+        problem = _problem("rakhmatov")
+        try:
+            with recording() as recorder:
+                _run(problem, "greedy-energy", imode=imode)
+            counters = recorder.counters_snapshot()["counters"]
+        finally:
+            RECORDER.reset()
+        decisions = counters["sim.decisions[greedy-energy]"]
+        assert decisions == problem.graph.num_tasks
+        keys = [key for key in counters if key.startswith("sim.imode.")]
+        assert keys == expected
+        for key in keys:
+            assert counters[key] == decisions

@@ -4,10 +4,12 @@ import math
 
 import pytest
 
+from repro import build_g3
 from repro.battery import BatterySpec
 from repro.errors import SimulationError
 from repro.scheduling import SchedulingProblem
 from repro.sim import (
+    InformationMode,
     PerturbationModel,
     Scheduler,
     SimulationResult,
@@ -15,8 +17,11 @@ from repro.sim import (
     StaticReplayScheduler,
     TaskState,
     VirtualClock,
+    make_policy,
     rng_for_seed,
 )
+
+from ..conftest import make_simple_task
 
 
 @pytest.fixture
@@ -332,3 +337,54 @@ class TestReadyTasksOrder:
             if not diamond_problem.graph.predecessors(name)
         )
         assert simulator.ready_tasks() == sources
+
+
+class TestGraphGrowthAfterARun:
+    """Regression: every per-graph memo follows a graph that grows.
+
+    The simulator memoises graph-pure tables (ranks, belief tables, policy
+    weights, validated replay sequences) per graph object.  A graph that
+    gains a task after a run must not be served the stale tables: the
+    second run has to equal a run on a freshly built graph of the same
+    shape.
+    """
+
+    @staticmethod
+    def _grow(graph):
+        graph.add_task(make_simple_task("extra", m=5))
+        graph.add_edge("T15", "extra")
+        return graph
+
+    @staticmethod
+    def _run(graph, policy, imode):
+        problem = SchedulingProblem(
+            graph=graph, deadline=300.0, battery=BatterySpec(beta=0.273)
+        )
+        return Simulator(
+            problem,
+            make_policy(policy, problem),
+            perturbation=PerturbationModel(jitter=0.1),
+            rng=rng_for_seed(7, 0),
+            imode=imode,
+        ).run()
+
+    @pytest.mark.parametrize(
+        "imode",
+        (
+            None,
+            InformationMode.exact(),
+            InformationMode.mean(),
+            InformationMode.noisy(0.2, seed=1),
+        ),
+        ids=("none", "exact", "mean", "noisy"),
+    )
+    @pytest.mark.parametrize(
+        "policy", ("greedy-energy", "deadline-slack", "static-replay")
+    )
+    def test_second_run_equals_a_fresh_graph(self, policy, imode):
+        graph = build_g3()
+        assert len(self._run(graph, policy, imode).intervals) == 15
+        grown = self._run(self._grow(graph), policy, imode)
+        fresh = self._run(self._grow(build_g3()), policy, imode)
+        assert len(grown.sequence) == 16
+        assert grown == fresh

@@ -2,19 +2,23 @@
 
 import pytest
 
+from repro import build_g3
 from repro.battery import BatterySpec
 from repro.errors import ConfigurationError
 from repro.scheduling import SchedulingProblem
 from repro.sim import (
+    BatchSimulator,
     BatteryReactiveScheduler,
     DeadlineSlackScheduler,
     GreedyEnergyScheduler,
+    InformationMode,
     PerturbationModel,
     Simulator,
     StaticReplayScheduler,
     make_policy,
     policy_names,
     rng_for_seed,
+    schedulers,
 )
 
 ONLINE_POLICIES = (
@@ -156,3 +160,76 @@ class TestRegistry:
             make_policy("greedy-energy", problem, {"bogus": 1})
         scheduler = make_policy("battery-reactive", problem, {"soc_reserve": 0.5})
         assert scheduler.soc_reserve == 0.5
+
+
+class TestPerGraphMemo:
+    """What the per-graph tables memoise, counted deterministically."""
+
+    @pytest.mark.parametrize("policy_cls", ONLINE_POLICIES)
+    def test_task_weights_run_once_per_graph_mode_and_policy(
+        self, monkeypatch, policy_cls
+    ):
+        calls = []
+        original = policy_cls.task_weights
+
+        def counting(self):
+            calls.append(self.simulator.beliefs.mode.label)
+            return original(self)
+
+        monkeypatch.setattr(policy_cls, "task_weights", counting)
+        problem = SchedulingProblem(graph=build_g3(), deadline=230.0)
+        perturbation = PerturbationModel(jitter=0.1)
+        modes = (
+            None,
+            InformationMode.exact(),
+            InformationMode.mean(),
+            InformationMode.noisy(0.3, seed=101),
+        )
+        for imode in modes:
+            for replication in range(4):
+                Simulator(
+                    problem,
+                    policy_cls(),
+                    perturbation=perturbation,
+                    rng=rng_for_seed(7, replication),
+                    imode=imode,
+                ).run()
+            BatchSimulator(
+                problem,
+                [policy_cls() for _ in range(4)],
+                rngs=[rng_for_seed(7, replication) for replication in range(4)],
+                perturbation=perturbation,
+                imode=imode,
+            ).run()
+        # ``None`` and ``exact`` share one belief table, hence one entry.
+        assert calls == ["exact", "mean", "noisy(0.3,101)"]
+        other = SchedulingProblem(graph=build_g3(), deadline=230.0)
+        Simulator(other, policy_cls()).run()
+        assert calls == ["exact", "mean", "noisy(0.3,101)", "exact"]
+
+    def test_static_replay_sequence_is_validated_once_per_graph(
+        self, monkeypatch
+    ):
+        calls = []
+        original = schedulers.validate_sequence
+
+        def counting(graph, sequence):
+            calls.append(sequence)
+            return original(graph, sequence)
+
+        monkeypatch.setattr(schedulers, "validate_sequence", counting)
+        problem = SchedulingProblem(graph=build_g3(), deadline=230.0)
+        sequence = problem.graph.topological_order()
+        columns = {name: 0 for name in sequence}
+        for imode in (None, InformationMode.mean()):
+            for _ in range(3):
+                Simulator(
+                    problem, StaticReplayScheduler(sequence, columns), imode=imode
+                ).run()
+        BatchSimulator(
+            problem, [StaticReplayScheduler(sequence, columns) for _ in range(4)]
+        ).run()
+        assert calls == [tuple(sequence)]
+        other = SchedulingProblem(graph=build_g3(), deadline=230.0)
+        Simulator(other, StaticReplayScheduler(sequence, columns)).run()
+        assert calls == [tuple(sequence)] * 2
