@@ -181,11 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--replications", type=int, default=3, metavar="N",
         help="seeded perturbation replications per scenario/policy cell "
              "(default: %(default)s)")
-    simulate.add_argument(
-        "--no-batch", action="store_true",
-        help="run replications one job at a time instead of batching each "
-             "cell into lockstep simulator lanes (results are bit-identical "
-             "either way)")
     add_engine_arguments(simulate)
     add_seed_argument(simulate)
     add_obs_arguments(simulate)
@@ -206,16 +201,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="seeded perturbation replications per scenario/policy cell "
              "(default: %(default)s)")
     tournament.add_argument(
-        "--no-batch", action="store_true",
-        help="run replications one job at a time instead of batching each "
-             "cell into lockstep simulator lanes (results are bit-identical "
-             "either way)")
-    tournament.add_argument(
         "--smoke", action="store_true",
         help="conformance gate instead of a full run: simulate the "
-             "exact-mode control cells scalar, batched and with the "
-             "information-mode plumbing bypassed, and fail unless all "
-             "three agree bitwise (ignores the engine/store flags)")
+             "exact-mode control cells through the engine and fail unless "
+             "every record equals a direct simulator run without the "
+             "information-mode plumbing, bitwise (ignores the engine/store "
+             "flags)")
     tournament.add_argument(
         "--report", nargs="?", const="docs/tournament.md", default=None,
         metavar="FILE",
@@ -313,12 +304,14 @@ def build_parser() -> argparse.ArgumentParser:
 def _tournament_smoke(args: argparse.Namespace, out: List[str]) -> int:
     """The exact-mode conformance gate behind ``tournament --smoke``.
 
-    Three runs of the tournament grid's exact-mode control cells must
-    agree **bitwise**: the scalar engine path, the lockstep batched path,
-    and — per replication-0 cell — a direct :class:`Simulator` built
-    without an ``imode`` argument (which resolves to the same exact
-    belief tables), so the engine's job and scenario plumbing cannot
-    shift an exact-mode result.  Any divergence exits nonzero for CI.
+    One engine run of the tournament grid's exact-mode control cells must
+    agree **bitwise**, record for record, with a direct :class:`Simulator`
+    built without an ``imode`` argument (which resolves to the same exact
+    belief tables): ``cost``, ``makespan``, ``feasible``, ``retries``,
+    ``events`` and ``depletion_time``, or the error a failed record
+    carries.  So neither the engine's job, batch and scenario plumbing
+    nor the lockstep lanes can shift an exact-mode result.  Any
+    divergence exits nonzero for CI.
     """
     from .experiments import run_tournament
     from .scenarios import default_registry
@@ -330,61 +323,40 @@ def _tournament_smoke(args: argparse.Namespace, out: List[str]) -> int:
         if name.startswith("tour-") and name.endswith("-exact")
     ]
     seed = args.seed if getattr(args, "seed", None) is not None else 0
-    replications = min(args.replications, 2)
-    scalar = run_tournament(
+    run = run_tournament(
         scenarios=exact_names, policies=args.policies,
-        replications=replications, seed=seed, batch=False,
-    )
-    batched = run_tournament(
-        scenarios=exact_names, policies=args.policies,
-        replications=replications, seed=seed, batch="auto",
-    )
-    def _deterministic(record) -> dict:
-        # Everything that is a pure function of the job: drop wall-clock
-        # timing and tracebacks, keep every simulated quantity bitwise.
-        row = record.to_dict()
-        row.pop("elapsed_s", None)
-        row.pop("traceback", None)
-        return row
-
-    scalar_rows = [_deterministic(record) for record in scalar.run.records]
-    batched_rows = [_deterministic(record) for record in batched.run.records]
-    if scalar_rows != batched_rows:
-        diverged = sum(1 for a, b in zip(scalar_rows, batched_rows) if a != b)
-        print(
-            f"tournament smoke FAILED: {diverged} of {len(scalar_rows)} "
-            "exact-mode records differ between the scalar and batched paths",
-            file=sys.stderr,
-        )
-        return 1
+        replications=min(args.replications, 2), seed=seed,
+    ).run
+    fields = ("cost", "makespan", "feasible", "retries", "events", "depletion_time")
     mismatches = 0
-    checked = 0
-    for job, record in zip(batched.run.jobs, batched.run.records):
-        if job.replication != 0 or not record.ok:
-            continue
-        checked += 1
+    for job, record in zip(run.jobs, run.records):
         problem = job.spec.build_problem()
-        bare = Simulator(
-            problem,
-            make_policy(job.policy, problem, job.params),
-            perturbation=job.spec.perturbation(),
-            rng=rng_for_seed(job.seed, job.replication),
-            evaluate_at=job.evaluate_at,
-        ).run()
-        if bare.cost != record.cost or bare.makespan != record.makespan:
+        try:
+            bare = Simulator(
+                problem,
+                make_policy(job.policy, problem, job.params),
+                perturbation=job.spec.perturbation(),
+                rng=rng_for_seed(job.seed, job.replication),
+                evaluate_at=job.evaluate_at,
+            ).run()
+        except Exception as exc:  # noqa: BLE001 - the engine records it too
+            expected = f"{type(exc).__name__}: {exc}"
+            actual = record.error
+        else:
+            expected = tuple(getattr(bare, name) for name in fields)
+            actual = record.error or tuple(getattr(record, name) for name in fields)
+        if actual != expected:
             mismatches += 1
             print(
                 f"tournament smoke FAILED: {job.label} diverges from the "
-                f"imode-free simulator (cost {record.cost!r} vs "
-                f"{bare.cost!r})",
+                f"imode-free simulator ({actual!r} vs {expected!r})",
                 file=sys.stderr,
             )
     if mismatches:
         return 1
     out.append(
-        f"tournament smoke OK: {len(scalar_rows)} exact-mode records "
-        f"bitwise-equal scalar vs. batched; {checked} cells bitwise-equal "
-        "to the imode-free simulator"
+        f"tournament smoke OK: {len(run.records)} exact-mode records "
+        "bitwise-equal to the imode-free simulator"
     )
     return 0
 
@@ -530,7 +502,6 @@ def _dispatch(args: argparse.Namespace, out: List[str]) -> int:
             policies=args.policies,
             replications=args.replications,
             seed=seed,
-            batch=False if args.no_batch else "auto",
             **options,
         )
         out.append(simulation.robustness_table().to_text())
@@ -551,7 +522,6 @@ def _dispatch(args: argparse.Namespace, out: List[str]) -> int:
             policies=args.policies,
             replications=args.replications,
             seed=seed,
-            batch=False if args.no_batch else "auto",
             **options,
         )
         out.append(tournament_result.standings_table().to_text())

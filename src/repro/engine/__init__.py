@@ -16,7 +16,10 @@ replication, content-hash keyed) enters through
 one pipeline (resume, duplicate-key collapse, store append, job-order
 results), and executors see only work items that run themselves:
 ``item.run()`` returns the record, ``item.failure_result(message)`` builds
-one for an item the process pool lost.
+one for an item the process pool lost.  Offline work items are jobs;
+simulation work items are always :class:`~repro.engine.SimulationBatch`
+objects, one per Monte Carlo cell chunk, whose lanes are the simulation
+jobs.
 
 Guarantees
 ----------
@@ -52,7 +55,6 @@ from .simjobs import (
     SimulationRecord,
     SimulationRun,
     execute_simulation_batch,
-    execute_simulation_job,
     run_simulation_jobs,
 )
 from .store import ResultStore
@@ -64,7 +66,6 @@ __all__ = [
     "SimulationRecord",
     "SimulationRun",
     "execute_simulation_batch",
-    "execute_simulation_job",
     "run_simulation_jobs",
     "Job",
     "JobResult",

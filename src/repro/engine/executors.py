@@ -3,8 +3,8 @@
 Both executors implement the same tiny contract — ``run(items,
 progress=None)`` returns one result record per work item, *in submission
 order* — so callers never care which one they hold.  A work item
-(:class:`~repro.engine.Job`, :class:`~repro.engine.SimulationJob` or
-:class:`~repro.engine.SimulationBatch`) is pure data that runs itself:
+(:class:`~repro.engine.Job` or :class:`~repro.engine.SimulationBatch`)
+is pure data that runs itself:
 ``item.run()`` returns its record, and ``item.failure_result(message)``
 builds the record for an item the process pool lost.  Deterministic
 ordering is part of the contract: a parallel run must produce the same

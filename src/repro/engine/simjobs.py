@@ -3,10 +3,13 @@
 A :class:`SimulationJob` is to :mod:`repro.sim` what
 :class:`~repro.engine.Job` is to the offline algorithms: pure data — a
 :class:`~repro.scenarios.ScenarioSpec`, a policy name, policy parameters,
-a seed and a replication index — hashed into a stable content key, shipped
-to worker processes, executed with per-job error isolation, and resumable
-through the same append-only :class:`~repro.engine.ResultStore` (with
-``record_type=SimulationRecord``).
+a seed and a replication index — hashed into a stable content key and
+resumable through the same append-only :class:`~repro.engine.ResultStore`
+(with ``record_type=SimulationRecord``).  A job does not run itself:
+:func:`run_simulation_jobs` groups the pending jobs of each Monte Carlo
+cell into :class:`SimulationBatch` work items, and every job runs as one
+lockstep lane of its cell's :class:`~repro.sim.BatchSimulator`, with
+per-lane error isolation.
 
 Determinism mirrors the experiment engine's guarantee: a job's outcome is
 a pure function of its content (the perturbation stream is seeded by
@@ -27,7 +30,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import traceback as traceback_module
@@ -35,8 +38,7 @@ import traceback as traceback_module
 from ..errors import ConfigurationError
 from ..obs import RECORDER as _OBS
 from ..scenarios import ScenarioSpec
-from .api import _dispatch, _run_pipeline
-from .executors import _job_metrics
+from .api import _run_pipeline
 from .jobs import _canonical, _content_hash
 from .store import ResultStore
 
@@ -46,12 +48,11 @@ __all__ = [
     "SimulationBatch",
     "SimulationBatchResult",
     "SimulationRun",
-    "execute_simulation_job",
     "execute_simulation_batch",
     "run_simulation_jobs",
 ]
 
-#: Replication lanes per batch work item (``batch="auto"``).  Caps the
+#: Replication lanes per :class:`SimulationBatch` work item.  Caps the
 #: per-item memory footprint (one live simulator per lane) and keeps one
 #: huge cell splittable across pool workers.
 DEFAULT_BATCH_SIZE = 256
@@ -155,7 +156,11 @@ class SimulationRecord:
 
 @dataclass(frozen=True)
 class SimulationJob:
-    """One (scenario, policy, seed, replication) simulation work item.
+    """One (scenario, policy, seed, replication) simulation, as keyed data.
+
+    A job carries its content key, its cell key, a label and the shape of
+    its failure record; it runs only as a lane of a
+    :class:`SimulationBatch`, which :func:`run_simulation_jobs` builds.
 
     Attributes
     ----------
@@ -246,10 +251,6 @@ class SimulationJob:
         """Human-readable ``scenario/policy#replication`` tag."""
         return f"{self.spec.name}/{self.policy}#{self.replication}"
 
-    def run(self) -> SimulationRecord:
-        """Execute this job (see :func:`execute_simulation_job`)."""
-        return execute_simulation_job(self)
-
     def failure_result(self, error: str) -> SimulationRecord:
         """The record shape for a job that failed with ``error``."""
         return SimulationRecord(
@@ -265,63 +266,14 @@ class SimulationJob:
         return f"SimulationJob({self.label}, seed={self.seed})"
 
 
-def execute_simulation_job(job: SimulationJob) -> SimulationRecord:
-    """Run one simulation job to completion, capturing any failure.
-
-    The single execution path of serial and parallel runs (module-level so
-    worker processes import it by name).
-    """
-    from ..sim.perturbation import rng_for_seed
-    from ..sim.runtime import Simulator
-    from ..sim.schedulers import make_policy
-
-    obs_before = _OBS.counters_snapshot(include_volatile=True) if _OBS.enabled else None
-    started = time.perf_counter()
-    try:
-        with _OBS.span("engine.job", label=job.label):
-            problem = job.spec.build_problem()
-            model = problem.model()
-            scheduler = make_policy(job.policy, problem, job.params, model=model)
-            result = Simulator(
-                problem,
-                scheduler,
-                perturbation=job.spec.perturbation(),
-                rng=rng_for_seed(job.seed, job.replication),
-                model=model,
-                evaluate_at=job.evaluate_at,
-                imode=job.spec.information_mode(),
-            ).run()
-    except Exception as exc:  # noqa: BLE001 - per-job isolation is the point
-        return dataclasses.replace(
-            job.failure_result(f"{type(exc).__name__}: {exc}"),
-            traceback=traceback_module.format_exc(),
-            elapsed_s=time.perf_counter() - started,
-            metrics=_job_metrics(obs_before, job, failed=True),
-        )
-    return SimulationRecord(
-        key=job.key(),
-        scenario=job.spec.name,
-        policy=job.policy,
-        seed=job.seed,
-        replication=job.replication,
-        cost=result.cost,
-        makespan=result.makespan,
-        feasible=result.feasible,
-        retries=result.retries,
-        events=result.events,
-        depletion_time=result.depletion_time,
-        elapsed_s=time.perf_counter() - started,
-        metrics=_job_metrics(obs_before, job),
-    )
-
-
 @dataclass(frozen=True)
 class SimulationBatch:
     """Same-cell simulation jobs shipped to a worker as one work item.
 
-    All member jobs must share a :meth:`SimulationJob.cell_key` — same
-    scenario, policy, params, seed and evaluation point, differing only in
-    the replication index — so the worker can build the problem and the
+    The only simulation work item executors see.  All member jobs must
+    share a :meth:`SimulationJob.cell_key` — same scenario, policy,
+    params, seed and evaluation point, differing only in the replication
+    index — so the worker can build the problem and the
     policy context once and run every replication as a lockstep lane of a
     :class:`~repro.sim.BatchSimulator`.  Pure data (like the jobs it
     wraps), so the parallel executor pickles it to workers unchanged.
@@ -388,8 +340,8 @@ class SimulationBatchResult:
 def _batch_metrics(obs_before, executed: int, failed: int):
     """Close out one batch's observability accounting; None while disabled.
 
-    The per-job counters advance by the member counts, so a batched run's
-    ``engine.simjobs.*`` totals match the scalar path's.
+    The per-job counters advance by the member counts, so
+    ``engine.simjobs.executed``/``failed`` count jobs, not batches.
     """
     if obs_before is None or not _OBS.enabled:
         return None
@@ -412,13 +364,14 @@ def _lane_failure(job: SimulationJob, error: Exception, elapsed_s: float, traceb
 def execute_simulation_batch(batch: SimulationBatch) -> SimulationBatchResult:
     """Run one batch of same-cell replications through the lockstep driver.
 
-    The worker-side counterpart of :func:`execute_simulation_job` for
-    batches (module-level so pools import it by name): problem, battery
-    model and — for ``static-replay`` — the offline schedule are
-    resolved **once**, then every replication runs as a
-    :class:`~repro.sim.BatchSimulator` lane.  Per-lane outcomes are
-    bit-identical to the scalar runner's, so batched and scalar stores
-    hold the same rows; errors stay isolated per lane (a replication that
+    The one execution path of every simulation job, serial and parallel
+    (module-level so pools import it by name): problem, battery model
+    and — for ``static-replay`` — the offline schedule are resolved
+    **once**, then every replication runs as a
+    :class:`~repro.sim.BatchSimulator` lane.  Each lane's outcome is
+    bit-identical to a scalar :class:`~repro.sim.Simulator` run of the
+    same job, so the rows do not depend on how a cell was chunked;
+    errors stay isolated per lane (a replication that
     exhausts its retry budget fails alone), while a setup failure —
     unresolvable scenario, unknown policy parameters — fails every member
     with the same error, since none of them could have run.
@@ -548,33 +501,16 @@ class SimulationRun:
         )
 
 
-def _resolve_batch_size(batch) -> Optional[int]:
-    """Lanes per work item implied by the ``batch`` argument, None = off."""
-    if batch in (False, None, 0, "off", "none"):
-        return None
-    if batch in (True, "auto"):
-        return DEFAULT_BATCH_SIZE
-    if isinstance(batch, int) and not isinstance(batch, bool):
-        if batch < 1:
-            raise ConfigurationError(f"batch size must be >= 1, got {batch!r}")
-        return batch
-    raise ConfigurationError(
-        f"batch must be 'auto', False, or a positive lane count, got {batch!r}"
-    )
-
-
 def _batched_records(
-    pending: Sequence[SimulationJob], executor, progress, batch_size: int
+    pending: Sequence[SimulationJob], executor, progress
 ) -> List[SimulationRecord]:
     """Run pending jobs as per-cell lockstep batches; records in job order.
 
     Jobs are grouped by :meth:`SimulationJob.cell_key` (preserving first-seen
-    order), chunked to ``batch_size`` lanes, executed through
+    order), chunked to :data:`DEFAULT_BATCH_SIZE` lanes, executed through
     :func:`execute_simulation_batch`, and the per-lane records are scattered
-    back to their jobs' original positions — so the returned list (and the
-    store rows appended from it) is ordered exactly like the scalar path's.
-    Note ``progress`` fires once per *batch* with the
-    :class:`SimulationBatchResult` when batching is on.
+    back to their jobs' original positions, so the returned list (and the
+    store rows appended from it) follows ``pending``.
     """
     cells: Dict[str, List[int]] = {}
     for index, job in enumerate(pending):
@@ -582,8 +518,8 @@ def _batched_records(
     batches: List[SimulationBatch] = []
     index_chunks: List[List[int]] = []
     for indices in cells.values():
-        for start in range(0, len(indices), batch_size):
-            chunk = indices[start : start + batch_size]
+        for start in range(0, len(indices), DEFAULT_BATCH_SIZE):
+            chunk = indices[start : start + DEFAULT_BATCH_SIZE]
             index_chunks.append(chunk)
             batches.append(
                 SimulationBatch(jobs=tuple(pending[i] for i in chunk))
@@ -602,32 +538,29 @@ def run_simulation_jobs(
     store: Optional[ResultStore] = None,
     resume: bool = False,
     progress=None,
-    batch="auto",
 ) -> SimulationRun:
     """Run simulation jobs through an executor — the sim analogue of
     :func:`repro.engine.run_jobs`, through the same pipeline.
+
+    Every pending job runs as a lane of its Monte Carlo cell: replications
+    of one (scenario, policy, params, seed) cell are grouped into
+    :class:`SimulationBatch` work items of up to :data:`DEFAULT_BATCH_SIZE`
+    lanes and run through the lockstep :class:`~repro.sim.BatchSimulator`.
+    ``progress`` therefore fires once per cell batch, with its
+    :class:`SimulationBatchResult`.
 
     Records come back in job order whatever the executor, so downstream
     reports are byte-reproducible; with ``resume=True`` the store answers
     jobs whose key already holds a completed record.  Deduplication is
     by :meth:`SimulationJob.key` throughout: resume hits dedupe against
-    the store whatever ``batch`` setting wrote it (a ``--no-batch`` store
-    resumed with ``batch="auto"`` recomputes nothing, and vice versa),
-    and duplicate-key jobs *within* one call are simulated and stored
-    once, with the first one's record fanned back to every duplicate's
-    position (see :func:`repro.engine.api._run_pipeline`).  The store must
-    have been built with ``record_type=SimulationRecord``.
-
-    ``batch`` controls Monte Carlo batching: with ``"auto"`` (the default)
-    replications of one (scenario, policy, params, seed) cell are grouped
-    into :class:`SimulationBatch` work items of up to
-    :data:`DEFAULT_BATCH_SIZE` lanes and run through the lockstep
-    :class:`~repro.sim.BatchSimulator` — bit-identical records, fewer
-    kernel calls.  Pass ``False`` to force the scalar per-job path, or a
-    positive int to override the lanes-per-batch cap.
+    the store whoever wrote it, and duplicate-key jobs *within* one call
+    are simulated and stored once, with the first one's record fanned
+    back to every duplicate's position (see
+    :func:`repro.engine.api._run_pipeline`).  The store must have been
+    built with ``record_type=SimulationRecord``.
     """
-    batch_size = _resolve_batch_size(batch)
-    dispatch = partial(_batched_records, batch_size=batch_size) if batch_size else _dispatch
     return SimulationRun(
-        *_run_pipeline(SimulationJob, jobs, executor, store, resume, progress, dispatch)
+        *_run_pipeline(
+            SimulationJob, jobs, executor, store, resume, progress, _batched_records
+        )
     )

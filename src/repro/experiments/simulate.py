@@ -4,7 +4,8 @@
 :mod:`repro.sim`: select scenarios (default: the catalogue's stochastic
 tier), cross them with simulation policies and seeded replications into
 :class:`~repro.engine.SimulationJob` grids, run them through the engine
-(parallel byte-identical to serial, resumable), anchor each scenario with
+(each cell's replications as lockstep lanes of one batch; parallel
+byte-identical to serial, resumable), anchor each scenario with
 its offline-predicted sigma, and reduce everything into the robustness
 report of :mod:`repro.analysis.robustness`.
 
@@ -96,7 +97,6 @@ def run_simulation_suite(
     progress=None,
     registry: Optional[ScenarioRegistry] = None,
     offline_algorithm: str = "iterative",
-    batch="auto",
 ) -> SimulationSuiteResult:
     """Simulate policies over scenarios through the engine.
 
@@ -114,12 +114,12 @@ def run_simulation_suite(
         Base seed; replication ``r`` draws from the independent
         ``(seed, r)`` stream, so the whole suite is a pure function of
         its arguments.
-    executor, store, resume, progress, batch:
-        Engine fan-out, resume and Monte Carlo batching controls, as in
+    executor, store, resume, progress:
+        Engine fan-out and resume controls, as in
         :func:`repro.engine.run_simulation_jobs` (the store must carry
-        ``record_type=SimulationRecord``; ``batch="auto"`` runs each
-        cell's replications as lockstep :class:`~repro.sim.BatchSimulator`
-        lanes, bit-identical to the scalar path).
+        ``record_type=SimulationRecord``; each cell's replications run as
+        lockstep :class:`~repro.sim.BatchSimulator` lanes, and
+        ``progress`` fires once per cell batch).
     registry:
         Scenario registry to select from (default: the standard catalogue).
     offline_algorithm:
@@ -185,7 +185,6 @@ def run_simulation_suite(
         store=store,
         resume=resume,
         progress=progress,
-        batch=batch,
     )
     return SimulationSuiteResult(
         specs=tuple(specs),

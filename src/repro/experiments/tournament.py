@@ -5,8 +5,9 @@ chemistry x jitter x information mode (:mod:`repro.sim.imode`) — through
 the simulation suite and reduces it with
 :mod:`repro.analysis.tournament`: every policy's realised-sigma
 degradation vs. the offline anchor, ranked per information mode.  The
-exact-mode column doubles as the conformance control group: its cells are
-bit-identical to the same scenarios run with no information mode at all
+exact-mode column doubles as the conformance control group: every
+exact-mode record the engine produces is bit-identical to a direct
+:class:`~repro.sim.Simulator` run built with no information mode at all
 (``repro tournament --smoke`` gates exactly that in CI).
 
 >>> from repro.experiments import run_tournament
@@ -93,7 +94,6 @@ def run_tournament(
     progress=None,
     registry: Optional[ScenarioRegistry] = None,
     offline_algorithm: str = "iterative",
-    batch="auto",
 ) -> TournamentResult:
     """Run the information-mode tournament over the ``tour-*`` grid.
 
@@ -122,7 +122,6 @@ def run_tournament(
         progress=progress,
         registry=registry,
         offline_algorithm=offline_algorithm,
-        batch=batch,
     )
     return TournamentResult(suite=suite)
 

@@ -131,13 +131,11 @@ def _work_items(kind):
     jobs = [
         SimulationJob(spec=spec, policy="greedy-energy", replication=r) for r in range(4)
     ]
-    if kind == "simjob":
-        return jobs[0], jobs[1]
     return SimulationBatch(jobs=tuple(jobs[:2])), SimulationBatch(jobs=tuple(jobs[2:]))
 
 
 class TestPoolTransportFailure:
-    @pytest.mark.parametrize("kind", ["job", "simjob", "batch"])
+    @pytest.mark.parametrize("kind", ["job", "batch"])
     def test_lost_item_yields_its_failure_result(self, kind):
         good, bad = _work_items(kind)
         # An unpicklable attribute makes the pool fail to ship the item:

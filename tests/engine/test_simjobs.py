@@ -14,11 +14,12 @@ from repro.engine import (
     SimulationJob,
     SimulationRecord,
     execute_simulation_batch,
-    execute_simulation_job,
     run_simulation_jobs,
 )
 from repro.errors import ConfigurationError
+from repro.experiments.simulate import DEFAULT_SIM_POLICIES
 from repro.scenarios import ScenarioSpec, default_registry
+from repro.sim import Simulator, make_policy, rng_for_seed
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +38,51 @@ def strip_timing(records):
         {key: value for key, value in record.to_dict().items() if key != "elapsed_s"}
         for record in records
     ]
+
+
+def _reference_records(jobs):
+    """Each job's record built from a direct scalar :class:`Simulator` run.
+
+    The reference every engine run must equal: no batch, no lanes, no
+    pipeline — the job's own perturbation stream, perturbation model and
+    information mode handed straight to the simulator.
+    """
+    records = []
+    for job in jobs:
+        problem = job.spec.build_problem()
+        try:
+            result = Simulator(
+                problem,
+                make_policy(job.policy, problem, job.params),
+                perturbation=job.spec.perturbation(),
+                rng=rng_for_seed(job.seed, job.replication),
+                evaluate_at=job.evaluate_at,
+                imode=job.spec.information_mode(),
+            ).run()
+        except Exception as exc:  # noqa: BLE001 - the engine records it too
+            records.append(job.failure_result(f"{type(exc).__name__}: {exc}"))
+            continue
+        records.append(
+            SimulationRecord(
+                key=job.key(),
+                scenario=job.spec.name,
+                policy=job.policy,
+                seed=job.seed,
+                replication=job.replication,
+                cost=result.cost,
+                makespan=result.makespan,
+                feasible=result.feasible,
+                retries=result.retries,
+                events=result.events,
+                depletion_time=result.depletion_time,
+            )
+        )
+    return records
+
+
+def run_one(job):
+    """One job's record, run as the single lane of its own batch."""
+    return SimulationBatch(jobs=(job,)).run().records[0]
 
 
 class TestSimulationJob:
@@ -110,9 +156,9 @@ class TestSimulationJob:
         assert job.label == "g3-jitter10/greedy-energy#2"
 
 
-class TestExecuteSimulationJob:
+class TestOneLaneBatch:
     def test_successful_record(self, stochastic_spec):
-        record = execute_simulation_job(
+        record = run_one(
             SimulationJob(spec=stochastic_spec, policy="deadline-slack", seed=1)
         )
         assert record.ok
@@ -123,20 +169,20 @@ class TestExecuteSimulationJob:
     def test_failure_captured_not_raised(self, stochastic_spec):
         # An impossible retry budget forces a SimulationError inside the run.
         doomed = dataclasses.replace(stochastic_spec, failure_rate=0.97)
-        record = execute_simulation_job(
+        record = run_one(
             SimulationJob(spec=doomed, policy="greedy-energy", seed=0)
         )
         assert not record.ok
         assert "SimulationError" in record.error
 
     def test_record_round_trip(self, stochastic_spec):
-        record = execute_simulation_job(
+        record = run_one(
             SimulationJob(spec=stochastic_spec, policy="static-replay", seed=2)
         )
         assert SimulationRecord.from_dict(record.to_dict()) == record
 
     def test_record_with_cache_counters_still_loads(self, stochastic_spec):
-        record = execute_simulation_job(
+        record = run_one(
             SimulationJob(spec=stochastic_spec, policy="static-replay", seed=2)
         )
         legacy = record.to_dict() | {"cache_hits": 5, "cache_misses": 11}
@@ -145,7 +191,7 @@ class TestExecuteSimulationJob:
     def test_deterministic_scenario_needs_no_seed_variation(self, registry):
         spec = registry.get("g3")
         records = [
-            execute_simulation_job(
+            run_one(
                 SimulationJob(spec=spec, policy="greedy-energy", seed=seed)
             )
             for seed in (0, 99)
@@ -156,10 +202,6 @@ class TestExecuteSimulationJob:
 
 class TestWorkItemContract:
     """What the executors and the shared pipeline need from simulation items."""
-
-    def test_run_matches_execute_simulation_job(self, stochastic_spec):
-        job = SimulationJob(spec=stochastic_spec, policy="deadline-slack", seed=1)
-        assert strip_timing([job.run()]) == strip_timing([execute_simulation_job(job)])
 
     def test_batch_run_matches_execute_simulation_batch(self, stochastic_spec):
         batch = SimulationBatch(
@@ -286,7 +328,7 @@ class TestRunSimulationJobs:
 
 
 class TestJobKeyDedupe:
-    """Key-based dedupe: across batch settings on resume, and in-call."""
+    """Key-based dedupe: across store writers on resume, and in-call."""
 
     def make_jobs(self, registry, replications=3):
         return [
@@ -296,25 +338,21 @@ class TestJobKeyDedupe:
             for r in range(replications)
         ]
 
-    @pytest.mark.parametrize(
-        "write_batch,resume_batch", [(False, "auto"), ("auto", False)]
-    )
-    def test_opposite_batch_resume_recomputes_nothing(
-        self, registry, tmp_path, write_batch, resume_batch
-    ):
+    def test_scalar_written_store_resumes_without_recomputing(self, registry, tmp_path):
         # Resume dedupes on job *keys*, which never encode how a record
-        # was computed: a scalar-written store resumed with batching (and
-        # vice versa) skips every job and appends no duplicate rows.
+        # was computed: a store of one-job-at-a-time scalar records, as
+        # older releases wrote them, resumes with every job skipped and
+        # no row appended.
         jobs = self.make_jobs(registry)
+        reference = _reference_records(jobs)
         path = tmp_path / "sim.jsonl"
         store = ResultStore(path, record_type=SimulationRecord)
-        first = run_simulation_jobs(jobs, store=store, resume=True, batch=write_batch)
-        assert (first.executed, first.skipped) == (len(jobs), 0)
-        rows_after_first = len(path.read_text().splitlines())
-        second = run_simulation_jobs(jobs, store=store, resume=True, batch=resume_batch)
-        assert (second.executed, second.skipped) == (0, len(jobs))
-        assert len(path.read_text().splitlines()) == rows_after_first
-        assert strip_timing(second.records) == strip_timing(first.records)
+        store.append_many(reference)
+        rows_before = path.read_text()
+        resumed = run_simulation_jobs(jobs, store=store, resume=True)
+        assert (resumed.executed, resumed.skipped) == (0, len(jobs))
+        assert path.read_text() == rows_before
+        assert strip_timing(resumed.records) == strip_timing(reference)
 
     def test_duplicate_key_jobs_execute_once_and_fan_back(self, registry, tmp_path):
         # Two differently named specs describing identical work share a
@@ -353,7 +391,7 @@ class TestJobKeyDedupe:
             SimulationJob(spec=alias, policy="greedy-energy", replication=r)
             for r in range(3)
         ]
-        run = run_simulation_jobs(jobs, batch="auto")
+        run = run_simulation_jobs(jobs)
         assert run.executed == 3
         assert strip_timing(run.records[:3]) == strip_timing(run.records[3:])
 
@@ -379,7 +417,7 @@ class TestJobKeyDedupe:
 
 
 class TestSimulationBatching:
-    """Monte Carlo batching: lockstep cells, bit-identical to scalar."""
+    """Monte Carlo batching: lockstep cells, bit-identical to the scalar Simulator."""
 
     def make_jobs(self, registry, replications=3):
         return [
@@ -421,11 +459,15 @@ class TestSimulationBatching:
                 )
             )
 
-    def test_batched_records_equal_scalar_records(self, registry):
-        jobs = self.make_jobs(registry)
-        scalar = run_simulation_jobs(jobs, batch=False)
-        batched = run_simulation_jobs(jobs, batch="auto")
-        assert strip_timing(batched.records) == strip_timing(scalar.records)
+    @pytest.mark.parametrize("policy", DEFAULT_SIM_POLICIES)
+    def test_batched_records_equal_scalar_records(self, registry, policy):
+        jobs = [
+            SimulationJob(spec=registry.get(name), policy=policy, seed=7, replication=r)
+            for name in ("g3-jitter10", "g3-jitter10-fail5")
+            for r in range(3)
+        ]
+        batched = run_simulation_jobs(jobs)
+        assert strip_timing(batched.records) == strip_timing(_reference_records(jobs))
         assert batched.ok
 
     def test_execute_simulation_batch_directly(self, registry):
@@ -437,33 +479,41 @@ class TestSimulationBatching:
         outcome = execute_simulation_batch(SimulationBatch(jobs=jobs))
         assert outcome.ok
         assert [record.replication for record in outcome.records] == [0, 1, 2]
-        scalar = [execute_simulation_job(job) for job in jobs]
-        assert strip_timing(outcome.records) == strip_timing(scalar)
+        assert strip_timing(outcome.records) == strip_timing(_reference_records(jobs))
 
-    def test_chunked_batches_preserve_order(self, registry):
+    def test_chunked_batches_preserve_order(self, registry, monkeypatch):
+        # Two lanes per batch split every 5-replication cell into 2+2+1.
+        monkeypatch.setattr("repro.engine.simjobs.DEFAULT_BATCH_SIZE", 2)
         jobs = self.make_jobs(registry, replications=5)
-        scalar = run_simulation_jobs(jobs, batch=False)
-        chunked = run_simulation_jobs(jobs, batch=2)
-        assert strip_timing(chunked.records) == strip_timing(scalar.records)
+        reference = strip_timing(_reference_records(jobs))
+        cells = len({job.cell_key() for job in jobs})
+        for executor in (SerialExecutor(), ParallelExecutor(max_workers=2)):
+            batches = []
+            chunked = run_simulation_jobs(
+                jobs,
+                executor=executor,
+                progress=lambda done, total, outcome: batches.append(outcome),
+            )
+            assert len(batches) == 3 * cells
+            assert max(len(outcome.records) for outcome in batches) == 2
+            assert [record.key for record in chunked.records] == [job.key() for job in jobs]
+            assert strip_timing(chunked.records) == reference
 
     def test_parallel_batched_identical_to_serial_batched(self, registry):
         jobs = self.make_jobs(registry)
-        serial = run_simulation_jobs(jobs, executor=SerialExecutor(), batch="auto")
-        parallel = run_simulation_jobs(
-            jobs, executor=ParallelExecutor(max_workers=2), batch="auto"
-        )
+        serial = run_simulation_jobs(jobs, executor=SerialExecutor())
+        parallel = run_simulation_jobs(jobs, executor=ParallelExecutor(max_workers=2))
         assert strip_timing(serial.records) == strip_timing(parallel.records)
 
     def test_resume_mixes_store_hits_with_batched_fresh(self, registry, tmp_path):
         jobs = self.make_jobs(registry)
         store = ResultStore(tmp_path / "sim.jsonl", record_type=SimulationRecord)
-        first = run_simulation_jobs(jobs[:5], store=store, resume=True, batch="auto")
+        first = run_simulation_jobs(jobs[:5], store=store, resume=True)
         assert first.executed == 5
-        second = run_simulation_jobs(jobs, store=store, resume=True, batch="auto")
+        second = run_simulation_jobs(jobs, store=store, resume=True)
         assert second.skipped == 5
         assert second.executed == len(jobs) - 5
-        scalar = run_simulation_jobs(jobs, batch=False)
-        assert strip_timing(second.records) == strip_timing(scalar.records)
+        assert strip_timing(second.records) == strip_timing(_reference_records(jobs))
 
     def test_lane_failures_stay_isolated_in_batches(self, registry):
         # 0.8 per-attempt failure: some seeded lanes exhaust the retry
@@ -475,10 +525,11 @@ class TestSimulationBatching:
             SimulationJob(spec=doomed, policy="greedy-energy", replication=r)
             for r in range(8)
         ]
-        scalar = run_simulation_jobs(jobs, batch=False)
-        batched = run_simulation_jobs(jobs, batch="auto")
-        assert [r.ok for r in batched.records] == [r.ok for r in scalar.records]
-        assert [r.error for r in batched.records] == [r.error for r in scalar.records]
+        reference = _reference_records(jobs)
+        batched = run_simulation_jobs(jobs)
+        assert [r.ok for r in batched.records] == [r.ok for r in reference]
+        assert [r.error for r in batched.records] == [r.error for r in reference]
+        assert [r.cost for r in batched.records] == [r.cost for r in reference]
         assert any(not record.ok for record in batched.records)
         assert any(record.ok for record in batched.records)
 
@@ -497,10 +548,3 @@ class TestSimulationBatching:
         assert not outcome.ok
         assert all(not record.ok for record in outcome.records)
         assert len({record.error for record in outcome.records}) == 1
-
-    def test_invalid_batch_argument_rejected(self, registry):
-        jobs = self.make_jobs(registry, replications=1)
-        with pytest.raises(ConfigurationError):
-            run_simulation_jobs(jobs, batch=-2)
-        with pytest.raises(ConfigurationError):
-            run_simulation_jobs(jobs, batch="bogus")

@@ -1,5 +1,8 @@
 """End-to-end tests of run_tournament, its report page, and the CLI gate."""
 
+import dataclasses
+import math
+
 import pytest
 
 from repro.cli import main
@@ -89,8 +92,8 @@ class TestTournamentCli:
         assert f"wrote {target}" in capsys.readouterr().out
 
     def test_smoke_gate_passes(self, capsys):
-        # The CI conformance gate: exact-mode cells bitwise-equal between
-        # the scalar path, the batched path, and the imode-free simulator.
+        # The CI conformance gate: every exact-mode engine record
+        # bitwise-equal to the imode-free simulator.
         assert main(
             ["tournament", "--smoke",
              "--policies", "static-replay", "--replications", "1"]
@@ -98,3 +101,23 @@ class TestTournamentCli:
         out = capsys.readouterr().out
         assert "tournament smoke OK" in out
         assert "bitwise-equal" in out
+
+    def test_smoke_gate_fails_on_divergence(self, capsys, monkeypatch):
+        # A reference simulator one ulp off in cost must trip the gate.
+        import repro.sim
+
+        class NudgedSimulator(repro.sim.Simulator):
+            def run(self):
+                result = super().run()
+                return dataclasses.replace(
+                    result, cost=math.nextafter(result.cost, math.inf)
+                )
+
+        monkeypatch.setattr(repro.sim, "Simulator", NudgedSimulator)
+        assert main(
+            ["tournament", "--smoke",
+             "--policies", "greedy-energy", "--replications", "1"]
+        ) == 1
+        captured = capsys.readouterr()
+        assert "tournament smoke FAILED" in captured.err
+        assert "tournament smoke OK" not in captured.out

@@ -7,8 +7,8 @@ import pytest
 from repro.engine import (
     ParallelExecutor,
     SerialExecutor,
+    SimulationBatch,
     SimulationJob,
-    execute_simulation_job,
     run_simulation_jobs,
 )
 from repro.obs import RECORDER, recording
@@ -42,11 +42,13 @@ def make_jobs(registry, policies=("static-replay", "deadline-slack")):
 class TestSimulatorCounters:
     def test_events_decisions_and_queries(self, registry):
         with recording() as rec:
-            execute_simulation_job(
-                SimulationJob(
-                    spec=registry.get("g3-jitter10"), policy="deadline-slack", seed=1
+            SimulationBatch(
+                jobs=(
+                    SimulationJob(
+                        spec=registry.get("g3-jitter10"), policy="deadline-slack", seed=1
+                    ),
                 )
-            )
+            ).run()
         counters = rec.counters_snapshot()["counters"]
         assert counters["sim.event.wakeup[deadline-slack]"] > 0
         assert counters["sim.event.task-end[deadline-slack]"] > 0
@@ -57,11 +59,13 @@ class TestSimulatorCounters:
 
     def test_reactive_policy_queries_live_state(self, registry):
         with recording() as rec:
-            execute_simulation_job(
-                SimulationJob(
-                    spec=registry.get("g3-jitter10"), policy="battery-reactive", seed=1
+            SimulationBatch(
+                jobs=(
+                    SimulationJob(
+                        spec=registry.get("g3-jitter10"), policy="battery-reactive", seed=1
+                    ),
                 )
-            )
+            ).run()
         counters = rec.counters_snapshot()["counters"]
         # the data ROADMAP's policy-cost analysis needs: per-policy live
         # battery-state query counts
@@ -75,7 +79,7 @@ class TestSimulatorCounters:
         snapshots = []
         for _ in range(2):
             with recording() as rec:
-                execute_simulation_job(job)
+                SimulationBatch(jobs=(job,)).run()
             snapshots.append(rec.counters_snapshot())
         assert snapshots[0] == snapshots[1]
 
@@ -95,16 +99,18 @@ class TestEngineCounters:
         span_names = [span["name"] for span in sink.by_type("span")]
         assert span_names.count("engine.batch") == cells
 
-    def test_serial_scalar_path_emits_per_job_spans(self, registry):
+    def test_serial_run_emits_batch_spans_and_no_job_spans(self, registry):
+        # Every simulation job runs as a lane of its cell's batch: one
+        # engine.batch span per cell, never a per-job engine.job span.
         jobs = make_jobs(registry)
+        cells = len({job.cell_key() for job in jobs})
         with recording() as rec:
             sink = MemorySink()
             rec.add_sink(sink)
-            run_simulation_jobs(jobs, executor=SerialExecutor(), batch=False)
-        counters = rec.counters_snapshot()["counters"]
-        assert counters["engine.simjobs.executed"] == len(jobs)
+            run_simulation_jobs(jobs, executor=SerialExecutor())
         span_names = [span["name"] for span in sink.by_type("span")]
-        assert span_names.count("engine.job") == len(jobs)
+        assert span_names.count("engine.batch") == cells
+        assert "engine.job" not in span_names
 
     def test_parallel_pool_ships_metrics_and_synthesizes_spans(self, registry):
         jobs = make_jobs(registry)
@@ -218,9 +224,9 @@ class TestTracebackCapture:
         doomed = dataclasses.replace(
             registry.get("g3-jitter10"), name="doomed", failure_rate=0.97
         )
-        record = execute_simulation_job(
-            SimulationJob(spec=doomed, policy="greedy-energy", seed=0)
-        )
+        record = SimulationBatch(
+            jobs=(SimulationJob(spec=doomed, policy="greedy-energy", seed=0),)
+        ).run().records[0]
         assert not record.ok
         assert record.traceback is not None
         assert record.traceback.startswith("Traceback")
@@ -231,9 +237,9 @@ class TestTracebackCapture:
         assert SimulationRecord.from_dict(record.to_dict()).traceback == record.traceback
 
     def test_successful_record_has_no_traceback(self, registry):
-        record = execute_simulation_job(
-            SimulationJob(spec=registry.get("g3"), policy="greedy-energy")
-        )
+        record = SimulationBatch(
+            jobs=(SimulationJob(spec=registry.get("g3"), policy="greedy-energy"),)
+        ).run().records[0]
         assert record.ok and record.traceback is None
 
     def test_failed_experiment_job_records_traceback(self):
