@@ -37,7 +37,7 @@ Run the information-mode robustness tournament (what online policies
 believe about durations vs. what the simulator draws)::
 
     python -m repro.cli tournament --report       # full grid + docs/tournament.md
-    python -m repro.cli tournament --smoke        # exact-mode conformance gate
+    python -m repro.cli tournament --smoke        # bitwise conformance gate
 
 Trace and profile a run (repro.obs), then inspect the trace::
 
@@ -202,11 +202,11 @@ def build_parser() -> argparse.ArgumentParser:
              "(default: %(default)s)")
     tournament.add_argument(
         "--smoke", action="store_true",
-        help="conformance gate instead of a full run: simulate the "
-             "exact-mode control cells through the engine and fail unless "
-             "every record equals a direct simulator run without the "
-             "information-mode plumbing, bitwise (ignores the engine/store "
-             "flags)")
+        help="conformance gate instead of a full run: simulate every "
+             "tournament scenario through the engine and fail unless every "
+             "record equals a direct simulator run with the scenario's "
+             "information mode (exact mode: without one), bitwise "
+             "(ignores the engine/store flags)")
     tournament.add_argument(
         "--report", nargs="?", const="docs/tournament.md", default=None,
         metavar="FILE",
@@ -302,35 +302,39 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _tournament_smoke(args: argparse.Namespace, out: List[str]) -> int:
-    """The exact-mode conformance gate behind ``tournament --smoke``.
+    """The conformance gate behind ``tournament --smoke``.
 
-    One engine run of the tournament grid's exact-mode control cells must
-    agree **bitwise**, record for record, with a direct :class:`Simulator`
-    built without an ``imode`` argument (which resolves to the same exact
-    belief tables): ``cost``, ``makespan``, ``feasible``, ``retries``,
-    ``events`` and ``depletion_time``, or the error a failed record
-    carries.  So neither the engine's job, batch and scenario plumbing
-    nor the lockstep lanes can shift an exact-mode result.  Any
-    divergence exits nonzero for CI.
+    One engine run of every tournament scenario, all four information
+    modes, must agree **bitwise**, record for record, with a direct
+    :class:`Simulator` built with the spec's own information mode, and
+    the exact-mode records with one built without an ``imode`` argument
+    (which resolves to the same exact belief tables): ``cost``,
+    ``makespan``, ``feasible``, ``retries``, ``events`` and
+    ``depletion_time``, or the error a failed record carries.  So neither
+    the engine's job, batch and scenario plumbing nor the columnar batch
+    path (or its scalar fallback) can shift a result.  Any divergence
+    exits nonzero for CI.
     """
     from .experiments import run_tournament
     from .scenarios import default_registry
     from .sim import Simulator, make_policy, rng_for_seed
 
     registry = default_registry()
-    exact_names = [
-        name for name in registry.names()
-        if name.startswith("tour-") and name.endswith("-exact")
-    ]
+    names = [name for name in registry.names() if name.startswith("tour-")]
     seed = args.seed if getattr(args, "seed", None) is not None else 0
     run = run_tournament(
-        scenarios=exact_names, policies=args.policies,
+        scenarios=names, policies=args.policies,
         replications=min(args.replications, 2), seed=seed,
     ).run
     fields = ("cost", "makespan", "feasible", "retries", "events", "depletion_time")
     mismatches = 0
+    exact = 0
     for job, record in zip(run.jobs, run.records):
         problem = job.spec.build_problem()
+        imode = job.spec.information_mode()
+        if imode.is_exact:
+            exact += 1
+            imode = None
         try:
             bare = Simulator(
                 problem,
@@ -338,6 +342,7 @@ def _tournament_smoke(args: argparse.Namespace, out: List[str]) -> int:
                 perturbation=job.spec.perturbation(),
                 rng=rng_for_seed(job.seed, job.replication),
                 evaluate_at=job.evaluate_at,
+                imode=imode,
             ).run()
         except Exception as exc:  # noqa: BLE001 - the engine records it too
             expected = f"{type(exc).__name__}: {exc}"
@@ -349,14 +354,14 @@ def _tournament_smoke(args: argparse.Namespace, out: List[str]) -> int:
             mismatches += 1
             print(
                 f"tournament smoke FAILED: {job.label} diverges from the "
-                f"imode-free simulator ({actual!r} vs {expected!r})",
+                f"direct simulator ({actual!r} vs {expected!r})",
                 file=sys.stderr,
             )
     if mismatches:
         return 1
     out.append(
-        f"tournament smoke OK: {len(run.records)} exact-mode records "
-        "bitwise-equal to the imode-free simulator"
+        f"tournament smoke OK: {len(run.records)} records bitwise-equal to the "
+        f"direct simulator ({exact} exact-mode records imode-free)"
     )
     return 0
 

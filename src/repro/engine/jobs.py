@@ -64,10 +64,19 @@ def _canonical(value: Any) -> Any:
     return value
 
 
+def _canonical_json(value: Any) -> str:
+    """``value`` as the canonical JSON the content keys hash."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _digest(payload: str) -> str:
+    """The 24-hex-digit key of a canonical JSON payload."""
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:24]
+
+
 def _content_hash(spec: Dict[str, Any]) -> str:
     """The 24-hex-digit key of a JSON-serialisable job description."""
-    payload = json.dumps(spec, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:24]
+    return _digest(_canonical_json(spec))
 
 
 # ----------------------------------------------------------------------

@@ -8,8 +8,9 @@ resumable through the same append-only :class:`~repro.engine.ResultStore`
 (with ``record_type=SimulationRecord``).  A job does not run itself:
 :func:`run_simulation_jobs` groups the pending jobs of each Monte Carlo
 cell into :class:`SimulationBatch` work items, and every job runs as one
-lockstep lane of its cell's :class:`~repro.sim.BatchSimulator`, with
-per-lane error isolation.
+lane of its cell's :class:`~repro.sim.BatchSimulator` — columnar for
+retry-free cells, a scalar simulator per lane (with per-lane error
+isolation) otherwise.
 
 Determinism mirrors the experiment engine's guarantee: a job's outcome is
 a pure function of its content (the perturbation stream is seeded by
@@ -39,7 +40,7 @@ from ..errors import ConfigurationError
 from ..obs import RECORDER as _OBS
 from ..scenarios import ScenarioSpec
 from .api import _run_pipeline
-from .jobs import _canonical, _content_hash
+from .jobs import _canonical, _canonical_json, _digest
 from .store import ResultStore
 
 __all__ = [
@@ -70,6 +71,19 @@ def _scenario_payload(spec: ScenarioSpec) -> Dict[str, Any]:
     scenario.pop("name", None)
     scenario.pop("description", None)
     return scenario
+
+
+@lru_cache(maxsize=256)
+def _key_tail(spec: ScenarioSpec, seed: int) -> str:
+    """The ``"scenario"``/``"seed"`` end of a job's canonical JSON."""
+    return _canonical_json({"scenario": _scenario_payload(spec), "seed": seed})[1:]
+
+
+@lru_cache(maxsize=256)
+def _problem(spec: ScenarioSpec):
+    """One problem per spec per process, so a spec's cells share its graph
+    and per-graph tables.  Only :func:`execute_simulation_batch` reads it."""
+    return spec.build_problem()
 
 
 @dataclass(frozen=True)
@@ -230,7 +244,7 @@ class SimulationJob:
 
         Jobs sharing a cell key are replications of one Monte Carlo cell:
         same scenario, policy, parameters, seed and evaluation point.
-        Exactly these may run as lockstep lanes of one
+        Exactly these may run as lanes of one
         :class:`SimulationBatch` (the perturbation stream is the only
         per-replication input, and each lane owns its own).
         """
@@ -239,12 +253,22 @@ class SimulationJob:
         return self.__dict__["_cell_key"]
 
     def _hash_keys(self) -> None:
-        # Both keys come from one job_spec(): the params canonicalisation
-        # is the costly part (a static-replay job carries a whole schedule).
-        spec = self.job_spec()
-        object.__setattr__(self, "_key", _content_hash(spec))
-        del spec["replication"]
-        object.__setattr__(self, "_cell_key", _content_hash(spec))
+        # The canonical JSON of job_spec(), rendered once for both keys: a
+        # head (evaluate_at, params, policy), the replication, and a tail
+        # (scenario, seed) memoised per spec and seed.
+        head = _canonical_json(
+            {
+                "evaluate_at": self.evaluate_at,
+                "params": _canonical(self.params),
+                "policy": self.policy,
+            }
+        )[:-1]
+        tail = _key_tail(self.spec, self.seed)
+        replication = _canonical_json(self.replication)
+        object.__setattr__(
+            self, "_key", _digest(f'{head},"replication":{replication},{tail}')
+        )
+        object.__setattr__(self, "_cell_key", _digest(f"{head},{tail}"))
 
     @property
     def label(self) -> str:
@@ -274,7 +298,7 @@ class SimulationBatch:
     share a :meth:`SimulationJob.cell_key` — same scenario, policy,
     params, seed and evaluation point, differing only in the replication
     index — so the worker can build the problem and the
-    policy context once and run every replication as a lockstep lane of a
+    policy context once and run every replication as a lane of a
     :class:`~repro.sim.BatchSimulator`.  Pure data (like the jobs it
     wraps), so the parallel executor pickles it to workers unchanged.
     """
@@ -362,16 +386,18 @@ def _lane_failure(job: SimulationJob, error: Exception, elapsed_s: float, traceb
 
 
 def execute_simulation_batch(batch: SimulationBatch) -> SimulationBatchResult:
-    """Run one batch of same-cell replications through the lockstep driver.
+    """Run one batch of same-cell replications through a :class:`BatchSimulator`.
 
     The one execution path of every simulation job, serial and parallel
-    (module-level so pools import it by name): problem, battery model
-    and — for ``static-replay`` — the offline schedule are resolved
-    **once**, then every replication runs as a
-    :class:`~repro.sim.BatchSimulator` lane.  Each lane's outcome is
-    bit-identical to a scalar :class:`~repro.sim.Simulator` run of the
-    same job, so the rows do not depend on how a cell was chunked;
-    errors stay isolated per lane (a replication that
+    (module-level so pools import it by name): the problem is built once
+    per spec per process (so every cell of a spec shares its graph and
+    per-graph simulator tables), the battery model and — for
+    ``static-replay`` — the offline schedule once per batch, then every
+    replication runs as a :class:`~repro.sim.BatchSimulator` lane
+    (columnar for retry-free cells, scalar lanes otherwise).  Each lane's
+    outcome is bit-identical to a scalar :class:`~repro.sim.Simulator`
+    run of the same job, so the rows do not depend on how a cell was
+    chunked; errors stay isolated per lane (a replication that
     exhausts its retry budget fails alone), while a setup failure —
     unresolvable scenario, unknown policy parameters — fails every member
     with the same error, since none of them could have run.
@@ -386,7 +412,7 @@ def execute_simulation_batch(batch: SimulationBatch) -> SimulationBatchResult:
     first = jobs[0]
     try:
         with _OBS.span("engine.batch", label=batch.label):
-            problem = first.spec.build_problem()
+            problem = _problem(first.spec)
             model = problem.model()
             if first.policy == "static-replay":
                 # Resolve the offline schedule once for the whole cell;
@@ -504,7 +530,7 @@ class SimulationRun:
 def _batched_records(
     pending: Sequence[SimulationJob], executor, progress
 ) -> List[SimulationRecord]:
-    """Run pending jobs as per-cell lockstep batches; records in job order.
+    """Run pending jobs as per-cell batches; records in job order.
 
     Jobs are grouped by :meth:`SimulationJob.cell_key` (preserving first-seen
     order), chunked to :data:`DEFAULT_BATCH_SIZE` lanes, executed through
@@ -545,7 +571,8 @@ def run_simulation_jobs(
     Every pending job runs as a lane of its Monte Carlo cell: replications
     of one (scenario, policy, params, seed) cell are grouped into
     :class:`SimulationBatch` work items of up to :data:`DEFAULT_BATCH_SIZE`
-    lanes and run through the lockstep :class:`~repro.sim.BatchSimulator`.
+    lanes and run through a :class:`~repro.sim.BatchSimulator` (columnar
+    for retry-free cells, scalar lanes otherwise).
     ``progress`` therefore fires once per cell batch, with its
     :class:`SimulationBatchResult`.
 

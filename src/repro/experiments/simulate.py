@@ -4,7 +4,8 @@
 :mod:`repro.sim`: select scenarios (default: the catalogue's stochastic
 tier), cross them with simulation policies and seeded replications into
 :class:`~repro.engine.SimulationJob` grids, run them through the engine
-(each cell's replications as lockstep lanes of one batch; parallel
+(each cell's replications as lanes of one columnar batch, or scalar
+lanes when tasks can fail; parallel
 byte-identical to serial, resumable), anchor each scenario with
 its offline-predicted sigma, and reduce everything into the robustness
 report of :mod:`repro.analysis.robustness`.
@@ -118,7 +119,7 @@ def run_simulation_suite(
         Engine fan-out and resume controls, as in
         :func:`repro.engine.run_simulation_jobs` (the store must carry
         ``record_type=SimulationRecord``; each cell's replications run as
-        lockstep :class:`~repro.sim.BatchSimulator` lanes, and
+        :class:`~repro.sim.BatchSimulator` lanes, and
         ``progress`` fires once per cell batch).
     registry:
         Scenario registry to select from (default: the standard catalogue).

@@ -1,83 +1,83 @@
-"""Lockstep batched Monte Carlo simulation: many replications, one driver.
+"""Batched Monte Carlo simulation: one cell's replications, columnar.
 
-Monte Carlo studies replicate one (scenario, policy) cell over seeded
-perturbation streams.  Run scalar, every replication pays the whole stack
-alone — and for policies that query live battery state, the dominant cost
-is per-wakeup chemistry-kernel evaluations on *tiny* arrays, where numpy's
-fixed per-call overhead (and the Rakhmatov mode-matrix setup) dwarfs the
-arithmetic.
+:class:`BatchSimulator` runs the replications of one (scenario, policy)
+cell and returns, per lane, the :class:`~repro.sim.SimulationResult` the
+scalar :class:`~repro.sim.Simulator` returns for the same
+``(seed, replication)`` stream — bitwise, every field.
 
-:class:`BatchSimulator` turns the replication loop inside out.  Each
-replication lane **is** a scalar :class:`~repro.sim.Simulator` — the batch
-driver never reimplements the event loop; it calls the exact same
-``_wakeup_scheduler`` / ``_start_next`` / ``_process_next_event`` methods
-``Simulator.run`` calls, one round per lane in lockstep.  Lockstep buys two
-vectorization points:
+When no task can fail, a replication's task order does not depend on its
+draws (static replay follows its sequence; an online policy pops a
+``(-weight, rank)`` heap keyed by the graph and the belief tables), only
+its design-point columns do.  Such a cell runs as ``(lanes, tasks)``
+arrays: the order is computed once through the policy's ordering step,
+each lane draws its duration factors in one call (bitwise equal to the
+scalar draws, one per attempt in start order), and an online policy's
+``choose_columns`` rule takes one vector step per task position.  One
+``schedule_charge_batch`` call with per-lane rests costs every lane.
 
-* **Batched live sigma.**  Within one round, every lane's timeline is
-  frozen while policies decide (timeline mutations happen strictly in the
-  process phase).  The first lane whose sigma query misses its live-state
-  memo triggers one *batched* evaluation: every active lane's realised
-  timeline becomes a row of a zero-padded matrix costed by
-  ``schedule_charge_batch``, and each lane's memo is primed with its row.
-  Zero-padding at the row end is exact — padded intervals contribute
-  ``0.0`` for every chemistry and extra zeros never change an ``fsum`` —
-  so each primed value is **bit-identical** to the scalar kernel call it
-  replaces.
-* **Batched final costing.**  Finished lanes' timelines are costed in one
-  ``schedule_charge_batch`` call with a per-row rest vector (the same
-  deadline-clamped rest rule as the scalar path), again bit-identical per
-  row.
-
-Per-replication randomness is untouched: each lane owns its
-``rng_for_seed(seed, replication)`` generator and draws in the scalar
-event order, so a batch lane's :class:`~repro.sim.SimulationResult` equals
-the scalar simulator's **bitwise** — sigma, makespan, intervals, retries,
-events, everything.  The conformance suite pins exactly this across every
-chemistry and policy.
-
-Lanes fail independently: a replication that stalls or exhausts its retry
-budget yields its exception in place of a result, and its batch siblings
-run to completion — mirroring the per-job error isolation of the engine,
-which is where batches are built (:class:`repro.engine.SimulationBatch`).
+A cell is columnar when ``failure_rate == 0``, the battery has no finite
+capacity, no trace is sampled, the chemistry has the vectorized schedule
+kernel, and all lanes run one built-in policy type (exactly: a subclass
+may override anything) with equal parameters.  Every other cell falls
+back to one scalar :class:`~repro.sim.Simulator` per lane; a lane that
+fails (say, by exhausting its retry budget) yields its exception while
+its siblings complete.  A columnar cell cannot fail per lane: a set-up
+error, such as an invalid replay sequence, is the error each lane's
+scalar run raises, and every lane gets it.
 """
 
 from __future__ import annotations
 
 import math
 import time as _time
+from itertools import repeat
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..battery import BatteryModel
+from ..battery.kernels import ScheduleKernelMixin
 from ..errors import SimulationError
 from ..obs import RECORDER as _OBS
 from ..scheduling import SchedulingProblem
 from ..scheduling.evaluator import _resolve_rest
+from .imode import resolve_beliefs
+from .livestate import ExactSum
 from .perturbation import PerturbationModel
-from .result import SimulationResult
-from .runtime import Simulator
+from .result import SimulatedInterval, SimulationResult
+from .runtime import _EPS, Simulator, _checked_column, _graph_tables, _stream
+from .schedulers import (
+    BatteryReactiveScheduler,
+    DeadlineSlackScheduler,
+    GreedyEnergyScheduler,
+    StaticReplayScheduler,
+)
 
 __all__ = ["BatchSimulator", "LaneOutcome"]
 
 #: One lane's outcome: its result, or the exception that aborted it.
 LaneOutcome = Union[SimulationResult, Exception]
 
+_COLUMNAR_POLICIES = (
+    StaticReplayScheduler,
+    GreedyEnergyScheduler,
+    DeadlineSlackScheduler,
+    BatteryReactiveScheduler,
+)
+
 
 class BatchSimulator:
-    """Run many replications of one problem/policy cell in lockstep.
+    """Run many replications of one problem/policy cell.
 
     Parameters
     ----------
     problem:
         The shared scheduling problem (graph + deadline + battery).
     schedulers:
-        One policy instance **per replication** — lanes run concurrently,
-        and policy instances carry per-run state, so they cannot be
-        shared.  (For ``static-replay``, resolve the offline schedule once
-        and construct one cheap replayer per lane from it; the engine's
-        batch executor does exactly that.)
+        One policy instance **per replication** — policy instances carry
+        per-run state, so lanes cannot share one.  (For ``static-replay``,
+        resolve the offline schedule once and construct one cheap replayer
+        per lane from it; the engine's batch executor does exactly that.)
     rngs:
         One seed or :class:`numpy.random.Generator` per replication —
         the scalar path's ``rng_for_seed(seed, replication)`` streams.
@@ -90,8 +90,7 @@ class BatchSimulator:
 
     :meth:`run` returns one :data:`LaneOutcome` per replication, in order:
     the lane's :class:`~repro.sim.SimulationResult`, or the exception that
-    aborted that lane (per-lane isolation — one failed replication never
-    poisons its siblings).
+    aborted that lane.  ``columnar`` tells which path the cell takes.
     """
 
     def __init__(
@@ -121,173 +120,265 @@ class BatchSimulator:
                 f"got {len(schedulers)} schedulers but {len(rngs)} rngs; "
                 "each replication lane needs its own stream"
             )
+        _resolve_rest(0.0, problem.deadline, evaluate_at)  # validate the mode
         self.problem = problem
         self.model = model if model is not None else problem.model()
-        self._lanes: List[Simulator] = [
-            Simulator(
-                problem,
-                scheduler,
-                perturbation=perturbation,
-                rng=rng,
-                model=self.model,
-                evaluate_at=evaluate_at,
-                trace_samples=trace_samples,
-                imode=imode,
-            )
-            for scheduler, rng in zip(schedulers, rngs)
-        ]
-        self._errors: List[Optional[Exception]] = [None] * len(self._lanes)
-        #: Lanes still running, as (lane index, lane) pairs.
-        self._active: List[Tuple[int, Simulator]] = []
+        self.perturbation = perturbation = perturbation or PerturbationModel()
+        self.evaluate_at = evaluate_at
+        self._schedulers = schedulers
         self._ran = False
-        self._obs_label = getattr(
-            schedulers[0], "name", type(schedulers[0]).__name__
+        first = schedulers[0]
+        self._obs_label = getattr(first, "name", type(first).__name__)
+        self.columnar = (
+            perturbation.failure_rate == 0.0
+            and not problem.battery.has_finite_capacity
+            and int(trace_samples) <= 0
+            and isinstance(self.model, ScheduleKernelMixin)
+            and type(first) in _COLUMNAR_POLICIES
+            and all(
+                type(lane) is type(first) and vars(lane) == vars(first)
+                for lane in schedulers
+            )
         )
+        if self.columnar:
+            self._rngs = [_stream(perturbation, rng) for rng in rngs]
+            self._tables = _graph_tables(problem.graph)
+            self._beliefs = resolve_beliefs(problem.graph, imode)
+        else:
+            self._lanes = [
+                Simulator(
+                    problem,
+                    scheduler,
+                    perturbation=perturbation,
+                    rng=rng,
+                    model=self.model,
+                    evaluate_at=evaluate_at,
+                    trace_samples=trace_samples,
+                    imode=imode,
+                )
+                for scheduler, rng in zip(schedulers, rngs)
+            ]
 
     def __len__(self) -> int:
-        return len(self._lanes)
+        return len(self._schedulers)
 
-    # ------------------------------------------------------------------
-    # the lockstep loop
-    # ------------------------------------------------------------------
     def run(self) -> Tuple[LaneOutcome, ...]:
-        """Step every lane to completion and return the per-lane outcomes."""
+        """Run every lane to completion and return the per-lane outcomes."""
         if self._ran:
             raise SimulationError("a BatchSimulator instance runs exactly once")
         self._ran = True
-        with _OBS.span("sim.batch.run", label=self._obs_label):
-            return self._run_lockstep()
-
-    def _run_lockstep(self) -> Tuple[LaneOutcome, ...]:
         started = _time.perf_counter()
-        lanes = self._lanes
-        for index, lane in enumerate(lanes):
-            lane._sigma_batch = self._prime_sigma_memos
-            try:
-                lane._begin()
-            except Exception as exc:  # noqa: BLE001 - per-lane isolation
-                self._errors[index] = exc
-        self._active = [
-            (index, lane)
-            for index, lane in enumerate(lanes)
-            if self._errors[index] is None and not lane._finished
-        ]
-        errors = self._errors
-        rounds = 0
-        while self._active:
-            rounds += 1
-            # Decide phase: wakeups, decisions and attempt starts.  No lane
-            # timeline mutates here, which is what makes one batched sigma
-            # evaluation valid for every active lane (see _prime_sigma_memos).
-            for index, lane in self._active:
-                if lane._running is None:
-                    try:
-                        if not lane._queue:
-                            lane._wakeup_scheduler()
-                        lane._start_next()
-                    except Exception as exc:  # noqa: BLE001 - lane isolation
-                        errors[index] = exc
-            # Process phase: every started attempt completes its event.
-            still_active: List[Tuple[int, Simulator]] = []
-            for index, lane in self._active:
-                if errors[index] is not None:
-                    continue
+        with _OBS.span("sim.batch.run", label=self._obs_label):
+            if self.columnar:
                 try:
-                    lane._process_next_event()
-                except Exception as exc:  # noqa: BLE001 - lane isolation
-                    errors[index] = exc
-                    continue
-                if not lane._finished:
-                    still_active.append((index, lane))
-            self._active = still_active
-        outcomes = self._finalize()
-        if _OBS.enabled:
-            _OBS.count("sim.batch.lanes", len(lanes), label=self._obs_label)
-            _OBS.count("sim.batch.rounds", rounds, label=self._obs_label)
-            _OBS.observe(
-                "rt.sim.batch.run_s",
-                _time.perf_counter() - started,
-                label=self._obs_label,
-            )
+                    outcomes: Tuple[LaneOutcome, ...] = self._run_columnar()
+                except Exception as exc:  # noqa: BLE001 - every lane's set-up error
+                    outcomes = (exc,) * len(self)
+            else:
+                outcomes = tuple(map(_run_lane, self._lanes))
+            if _OBS.enabled:
+                _OBS.count("sim.batch.lanes", len(self), label=self._obs_label)
+                _OBS.observe(
+                    "rt.sim.batch.run_s",
+                    _time.perf_counter() - started,
+                    label=self._obs_label,
+                )
         return outcomes
 
-    # ------------------------------------------------------------------
-    # the vectorization points
-    # ------------------------------------------------------------------
-    def _prime_sigma_memos(self) -> None:
-        """Answer every active lane's next sigma query in one kernel call.
-
-        Called (through ``Simulator._sigma_batch``) when a policy's sigma
-        query misses its lane's live-state memo during the decide phase.
-        All active lanes' timelines are frozen until the process phase, so
-        one zero-padded ``schedule_charge_batch`` evaluation at zero rest
-        answers the round's queries for every lane at once; each row is
-        bit-identical to the scalar ``schedule_charge`` call it replaces.
-        """
-        pending = [
-            lane
-            for _, lane in self._active
-            if lane._durations
-            and lane._live.needs_sigma_kernel
-            and lane._live.sigma_memo_key
-            != (len(lane._durations), lane.clock.now)
-        ]
-        if not pending:
-            return
-        width = max(len(lane._durations) for lane in pending)
-        durations = np.zeros((len(pending), width))
-        currents = np.zeros((len(pending), width))
-        for row, lane in enumerate(pending):
-            timeline = len(lane._durations)
-            durations[row, :timeline] = lane._durations
-            currents[row, :timeline] = lane._currents
-        sigmas = self.model.schedule_charge_batch(durations, currents, 0.0)
-        for lane, sigma in zip(pending, sigmas):
-            lane._live.prime_sigma(
-                (len(lane._durations), lane.clock.now), float(sigma)
+    def _run_columnar(self) -> Tuple[SimulationResult, ...]:
+        scheduler = self._schedulers[0]
+        tables = self._tables
+        lanes = len(self)
+        view = _Lanes(self)
+        scheduler.init(view)
+        if type(scheduler) is StaticReplayScheduler:
+            decisions = scheduler.schedule((), ())
+            order = [name for name, _ in decisions]
+            picked = [
+                _checked_column(name, column, tables.points[name])
+                for name, column in decisions
+            ]
+            rows = np.array(
+                [tables.attempt_rows[name][column] for name, column in zip(order, picked)]
+            ).reshape(len(order), 2)
+            durations = rows[:, 0] * self._factors(len(order))
+            currents = np.broadcast_to(rows[:, 1], durations.shape)
+            columns = np.broadcast_to(np.array(picked, dtype=int), durations.shape)
+            wakeups = 1
+        else:
+            factors = self._factors(len(tables.rank))
+            order, picked = [], []
+            unfinished = dict(tables.num_inputs)
+            ready = tables.initial_ready
+            while True:
+                started = _time.perf_counter()
+                name = scheduler._next_task(ready)
+                if name is None:
+                    break
+                column = scheduler.choose_columns(name)
+                if _OBS.enabled:
+                    _OBS.observe(
+                        "rt.sim.decision_s",
+                        _time.perf_counter() - started,
+                        label=self._obs_label,
+                    )
+                attempt = np.array(tables.attempt_rows[name])[column]
+                view.record(name, attempt[:, 0] * factors[:, len(order)], attempt[:, 1])
+                order.append(name)
+                picked.append(column)
+                ready = []
+                for child in tables.successors[name]:
+                    unfinished[child] -= 1
+                    if unfinished[child] == 0:
+                        ready.append(child)
+            durations, currents, columns = (
+                np.array(values).reshape(len(order), lanes).T
+                for values in (view.durations, view.currents, picked)
             )
+            wakeups = len(order)
+        # The clock: each start is the sum of the durations before it.
+        starts = np.zeros_like(durations)
+        np.cumsum(durations[:, :-1], axis=1, out=starts[:, 1:])
         if _OBS.enabled:
-            _OBS.count("sim.batch.sigma_batches", label=self._obs_label)
-            _OBS.count(
-                "sim.batch.sigma_rows", len(pending), label=self._obs_label
-            )
+            label = self._obs_label
+            decisions = lanes * len(order)
+            _OBS.count("sim.event.wakeup", lanes * wakeups, label=label)
+            _OBS.count("sim.decisions", decisions, label=label)
+            mode = self._beliefs.mode
+            if not mode.is_exact:
+                _OBS.count("sim.imode.decisions", decisions, label=f"{label}|{mode.label}")
+            _OBS.count("sim.event.task-end", decisions, label=label)
+        return self._results(
+            tuple(order), columns, starts, durations, currents, wakeups + len(order)
+        )
 
-    def _finalize(self) -> Tuple[LaneOutcome, ...]:
-        """Cost every completed lane in one batched evaluation."""
-        completed = [
-            (index, lane)
-            for index, lane in enumerate(self._lanes)
-            if self._errors[index] is None
-        ]
-        costs: dict = {}
-        if completed:
-            width = max(len(lane._durations) for _, lane in completed)
-            durations = np.zeros((len(completed), width))
-            currents = np.zeros((len(completed), width))
-            rests = np.zeros(len(completed))
-            for row, (_, lane) in enumerate(completed):
-                timeline = len(lane._durations)
-                durations[row, :timeline] = lane._durations
-                currents[row, :timeline] = lane._currents
-                rests[row] = _resolve_rest(
-                    math.fsum(lane._durations), lane.deadline, lane.evaluate_at
-                )
-            sigmas = self.model.schedule_charge_batch(durations, currents, rests)
-            costs = {index: float(sigma) for (index, _), sigma in zip(completed, sigmas)}
-        outcomes: List[LaneOutcome] = []
-        for index, lane in enumerate(self._lanes):
-            error = self._errors[index]
-            if error is not None:
-                outcomes.append(error)
-                continue
-            try:
-                outcomes.append(lane._finalize(cost=costs[index]))
-            except Exception as exc:  # noqa: BLE001 - e.g. depletion/trace
-                outcomes.append(exc)
-        return tuple(outcomes)
+    def _factors(self, count: int) -> np.ndarray:
+        """Every lane's duration factors, ``(lanes, count)``."""
+        return np.array(
+            [self.perturbation.duration_factors(rng, count) for rng in self._rngs]
+        ).reshape(len(self), count)
+
+    def _results(self, order, columns, starts, durations, currents, events):
+        """Every lane's :class:`SimulationResult`, costed in one kernel call."""
+        deadline = float(self.problem.deadline)
+        duration_rows = durations.tolist()
+        makespans = [math.fsum(row) for row in duration_rows]
+        rests = [_resolve_rest(span, deadline, self.evaluate_at) for span in makespans]
+        costs = self.model.schedule_charge_batch(
+            np.ascontiguousarray(durations), np.ascontiguousarray(currents), np.array(rests)
+        ).tolist()
+        position = {name: index for index, name in enumerate(order)}
+        names = self.problem.graph.task_names()
+        lanes = zip(
+            self._schedulers, costs, makespans, rests, columns.tolist(),
+            starts.tolist(), duration_rows, currents.tolist(),
+        )
+        return tuple(
+            SimulationResult(
+                policy=getattr(scheduler, "name", type(scheduler).__name__),
+                cost=cost,
+                makespan=makespan,
+                rest=rest,
+                feasible=makespan <= deadline + _EPS,
+                deadline=deadline,
+                sequence=order,
+                columns={name: picked[position[name]] for name in names},
+                intervals=tuple(
+                    map(SimulatedInterval, order, picked, begins, lengths, amps,
+                        repeat(1), repeat(False))
+                ),
+                retries=0,
+                events=events,
+                evaluate_at=self.evaluate_at,
+            )
+            for scheduler, cost, makespan, rest, picked, begins, lengths, amps in lanes
+        )
 
     def __repr__(self) -> str:
         return (
-            f"BatchSimulator({len(self._lanes)} lanes, "
-            f"policy={self._obs_label!r})"
+            f"BatchSimulator({len(self)} lanes, policy={self._obs_label!r}, "
+            f"columnar={self.columnar})"
         )
+
+
+class _Lanes:
+    """A columnar cell as the runtime-info surface an online policy binds to.
+
+    It answers what a scalar :class:`~repro.sim.Simulator` answers, one
+    value per lane where lanes differ (``now``, delivered charge, sigma)
+    and one float for the remaining-work bound (every lane has finished
+    the same tasks).  Each query counts its ``sim.query.*`` counter once
+    per asking lane, and each value equals the scalar one bitwise.
+    """
+
+    def __init__(self, batch: BatchSimulator) -> None:
+        beliefs = batch._beliefs
+        self.graph = batch.problem.graph
+        self.deadline = float(batch.problem.deadline)
+        self.beliefs = beliefs
+        self.min_times = beliefs.min_times
+        self._tables = batch._tables
+        self._rank = batch._tables.rank
+        self._model = batch.model
+        self._label = batch._obs_label
+        self._lanes = len(batch)
+        self.now = np.zeros(self._lanes)
+        self._remaining = (
+            None if beliefs.blind else ExactSum.from_partials(beliefs.remaining_partials)
+        )
+        #: Per executed position, every lane's duration and current.
+        self.durations: List[np.ndarray] = []
+        self.currents: List[np.ndarray] = []
+        self._charges: List[np.ndarray] = []
+
+    def record(self, name: str, durations: np.ndarray, currents: np.ndarray) -> None:
+        """Run ``name`` on every lane, as the next position."""
+        self.durations.append(durations)
+        self.currents.append(np.ascontiguousarray(currents))
+        self._charges.append(durations * currents)
+        self.now = self.now + durations
+        if self._remaining is not None:
+            self._remaining.add(-self.min_times[name])
+
+    def _count(self, name: str, asking: int) -> None:
+        if _OBS.enabled and asking:
+            _OBS.count(name, asking, label=self._label)
+
+    def remaining_min_time(self) -> float:
+        self._count("sim.query.remaining_min_time", self._lanes)
+        return math.inf if self._remaining is None else self._remaining.value()
+
+    def delivered_charge(self) -> np.ndarray:
+        self._count("sim.query.delivered_charge", self._lanes)
+        return _lane_fsums(self._charges, self._lanes)
+
+    def apparent_charge(self, asking: np.ndarray) -> np.ndarray:
+        """Every lane's sigma at its ``now``; ``asking`` masks the lanes that ask.
+
+        One ``schedule_charge_batch`` row per lane: the scalar kernel call
+        on time-sensitive chemistries, and on the others the ``fsum`` of
+        the same per-interval contributions the scalar running total adds.
+        """
+        self._count("sim.query.apparent_charge", int(asking.sum()))
+        return self._model.schedule_charge_batch(
+            np.array(self.durations).T, np.array(self.currents).T, 0.0
+        )
+
+    def state_of_charge(self) -> None:
+        """``None``: a columnar cell's battery has no finite capacity."""
+        self._count("sim.query.state_of_charge", self._lanes)
+        return None
+
+
+def _lane_fsums(columns: List[np.ndarray], lanes: int) -> np.ndarray:
+    """Each lane's exact sum over per-position ``(lanes,)`` columns."""
+    if not columns:
+        return np.zeros(lanes)
+    return np.array([math.fsum(row) for row in np.array(columns).T.tolist()])
+
+
+def _run_lane(lane: Simulator) -> LaneOutcome:
+    try:
+        return lane.run()
+    except Exception as exc:  # noqa: BLE001 - per-lane isolation
+        return exc

@@ -30,7 +30,7 @@ tests pin this contract.
 
 Beliefs are resolved once per (graph, mode) into a :class:`GraphBeliefs`
 table (believed times, min-times, energies, priority inputs) shared by
-every simulator over that graph — including all lockstep batch lanes.
+every simulator over that graph — including every batch cell.
 The tables are memoised on the simulator's per-graph tables
 (:mod:`repro.sim.runtime`), so they are rebuilt when the graph grows.
 
@@ -282,7 +282,7 @@ def resolve_beliefs(graph, mode: Optional[InformationMode]) -> GraphBeliefs:
     """The shared belief tables for ``(graph, mode)``; ``None`` means exact.
 
     Memoised per mode token on the simulator's per-graph tables, so every
-    simulator, batch lane and policy over one graph reads one object, and
+    simulator, batch cell and policy over one graph reads one object, and
     ``resolve_beliefs(graph, None) is resolve_beliefs(graph, exact)``.
     """
     from .runtime import _graph_tables

@@ -25,14 +25,15 @@ This module replaces the recomputation with *exact* running state:
   exact running total too, updated once per executed interval; live queries
   are O(1) and the chemistry kernel is never re-run.  For time-sensitive
   chemistries (Rakhmatov–Vrudhula, KiBaM) sigma genuinely changes with the
-  evaluation time, so the state keeps a one-entry memo keyed on
-  ``(timeline length, now)``: the ~4 queries per decision the observability
-  benchmark records collapse to a single vectorized kernel evaluation per
-  wakeup, each bit-identical to the full recomputation it replaces.
+  evaluation time, so each query runs the vectorized schedule kernel over
+  the executed timeline (the built-in policies ask at most once per
+  decision).
 
-Both the scalar :class:`~repro.sim.Simulator` and the lockstep
-:class:`~repro.sim.BatchSimulator` lanes share this class, which is what
-keeps their query surfaces bit-for-bit interchangeable.
+The columnar :class:`~repro.sim.BatchSimulator` answers the same three
+queries for all lanes of a cell at once (one ``fsum`` per lane over the
+same per-interval values), bit-identical to this class; the scalar
+:class:`~repro.sim.Simulator`, which its ineligible cells fall back to,
+uses this class directly.
 """
 
 from __future__ import annotations
@@ -127,8 +128,6 @@ class LiveRuntimeState:
         "_sigma",
         "_pending_durations",
         "_pending_currents",
-        "_memo_key",
-        "_memo_value",
     )
 
     def __init__(
@@ -159,8 +158,6 @@ class LiveRuntimeState:
         self._pending_charge: List[float] = []
         self._pending_durations: List[float] = []
         self._pending_currents: List[float] = []
-        self._memo_key: Optional[Tuple[int, float]] = None
-        self._memo_value = 0.0
 
     # ------------------------------------------------------------------
     # updates (called by the event loop)
@@ -171,7 +168,6 @@ class LiveRuntimeState:
         if self._sigma is not None:
             self._pending_durations.append(duration)
             self._pending_currents.append(current)
-        self._memo_key = None
 
     def _flush_pending(self) -> None:
         """Fold queued intervals into the running sigma (one kernel call).
@@ -222,49 +218,18 @@ class LiveRuntimeState:
         return self._delivered.value()
 
     def apparent_charge(
-        self,
-        now: float,
-        durations: Sequence[float],
-        currents: Sequence[float],
+        self, durations: Sequence[float], currents: Sequence[float]
     ) -> float:
-        """Live sigma of the executed back-to-back timeline at ``now``.
+        """Live sigma of the executed back-to-back timeline at its end.
 
         ``durations``/``currents`` are the realised arrays the owning loop
         maintains anyway; time-insensitive chemistries answer from the
         running total without touching them, time-sensitive ones evaluate
-        the vectorized schedule kernel once per distinct
-        ``(timeline length, now)`` state.
+        the vectorized schedule kernel.
         """
         if self._sigma is not None:
             self._flush_pending()
             return self._sigma.value()
         if not durations:
             return 0.0
-        key = (len(durations), now)
-        if key != self._memo_key:
-            self._memo_value = self._model.schedule_charge(durations, currents, 0.0)
-            self._memo_key = key
-        return self._memo_value
-
-    def prime_sigma(self, key: Tuple[int, float], value: float) -> None:
-        """Install an externally computed sigma into the memo.
-
-        The batch simulator evaluates sigma for many replications in one
-        ``schedule_charge_batch`` call (bit-identical per row to the scalar
-        path) and primes each lane's memo with its row.  Only meaningful
-        for time-sensitive chemistries; time-insensitive ones already
-        answer from their exact running total.
-        """
-        if self._sigma is None:
-            self._memo_key = key
-            self._memo_value = value
-
-    @property
-    def sigma_memo_key(self) -> Optional[Tuple[int, float]]:
-        """The memoised (timeline length, now) state, if any."""
-        return self._memo_key
-
-    @property
-    def needs_sigma_kernel(self) -> bool:
-        """True when a sigma query must run the chemistry kernel (no memo)."""
-        return self._sigma is None
+        return self._model.schedule_charge(durations, currents, 0.0)

@@ -127,6 +127,15 @@ class PerturbationModel:
         # -sigma^2/2.
         return float(rng.lognormal(-0.5 * self.jitter * self.jitter, self.jitter))
 
+    def duration_factors(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """``count`` duration factors in one draw, bitwise equal to ``count``
+        successive :meth:`duration_factor` calls on the same generator."""
+        if self.jitter == 0.0:
+            return np.ones(count)
+        if self.jitter_model == "uniform":
+            return rng.uniform(1.0 - self.jitter, 1.0 + self.jitter, size=count)
+        return rng.lognormal(-0.5 * self.jitter * self.jitter, self.jitter, size=count)
+
     def draw_failure(self, rng: np.random.Generator) -> bool:
         """Whether one attempt fails (independent Bernoulli draw)."""
         if self.failure_rate == 0.0:

@@ -38,7 +38,7 @@ from __future__ import annotations
 import bisect
 import math
 from collections import deque
-from typing import Callable, Deque, Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import Deque, Dict, Iterable, List, Optional, Set, Tuple, Union
 from weakref import WeakKeyDictionary
 
 import numpy as np
@@ -66,7 +66,7 @@ class _GraphTables:
     """Per-graph lookup tables every simulator over that graph shares.
 
     All of these are pure functions of the task graph, built once and
-    shared by every replication, batch lane and policy bind over it.  This
+    shared by every replication, batch cell and policy bind over it.  This
     is the only per-graph memo of :mod:`repro.sim`; besides the event
     loop's tables it holds
 
@@ -148,6 +148,27 @@ def _graph_tables(graph) -> _GraphTables:
     return tables
 
 
+def _stream(perturbation: PerturbationModel, rng) -> Optional[np.random.Generator]:
+    """One run's perturbation stream (a seed becomes its generator)."""
+    if rng is not None and not isinstance(rng, np.random.Generator):
+        rng = rng_for_seed(int(rng))
+    if rng is None and not perturbation.is_null:
+        raise SimulationError(
+            "a stochastic perturbation needs an rng (seed or Generator)"
+        )
+    return rng
+
+
+def _checked_column(name: str, column, points: Tuple) -> int:
+    """``column`` as an int, if ``name`` has that design point."""
+    if not (0 <= int(column) < len(points)):
+        raise SimulationError(
+            f"column {column!r} out of range for task {name!r} "
+            f"({len(points)} design points)"
+        )
+    return int(column)
+
+
 class Simulator:
     """Event-driven execution of one problem under a scheduling policy.
 
@@ -206,21 +227,12 @@ class Simulator:
         self.clock = clock if clock is not None else VirtualClock()
         self.evaluate_at = evaluate_at
         self.trace_samples = int(trace_samples)
-        if isinstance(rng, np.random.Generator):
-            self.rng: Optional[np.random.Generator] = rng
-        elif rng is not None:
-            self.rng = rng_for_seed(int(rng))
-        else:
-            self.rng = None
+        self.rng = _stream(self.perturbation, rng)
         #: Resolved once: ``is_null`` is a property, and the loop asks per attempt.
         self._perturb_active = not self.perturbation.is_null
-        if self._perturb_active and self.rng is None:
-            raise SimulationError(
-                "a stochastic perturbation needs an rng (seed or Generator)"
-            )
         # Deterministic per-task tables and insertion-ordered successor
         # lists — pure functions of the graph, shared through a per-graph
-        # memo across replications and batch lanes.
+        # memo across replications and batch cells.
         tables = _graph_tables(self.graph)
         self._tables = tables
         self._rank = tables.rank
@@ -271,11 +283,6 @@ class Simulator:
         self._live = LiveRuntimeState(
             self.model, bound.min_times, bound.remaining_partials
         )
-        #: Batch-driver hook: when set, a sigma query that would run the
-        #: chemistry kernel first calls this (the driver answers it for every
-        #: lane of the batch in one vectorized evaluation — see
-        #: :class:`repro.sim.BatchSimulator`).
-        self._sigma_batch: Optional[Callable[[], None]] = None
         # Observability: per-policy labels keep the counter catalogue
         # separable across the policies of one run (`sim.*[policy]`).
         self._obs_label = getattr(scheduler, "name", type(scheduler).__name__)
@@ -333,23 +340,13 @@ class Simulator:
         time), when the executed intervals end exactly at ``now`` — so the
         canonical back-to-back ``schedule_charge`` applies with zero rest.
         Time-insensitive chemistries answer from an exact running total;
-        time-sensitive ones evaluate the vectorized kernel once per
-        distinct ``(timeline length, now)`` state (the repeated queries of
-        one decision hit the memo).
+        time-sensitive ones evaluate the vectorized kernel.
         """
         if _OBS.enabled:
             # Counted even via state_of_charge (which delegates here): the
             # counter tracks sigma evaluations actually requested.
             _OBS.count("sim.query.apparent_charge", label=self._obs_label)
-        live = self._live
-        if (
-            self._sigma_batch is not None
-            and live.needs_sigma_kernel
-            and self._durations
-            and live.sigma_memo_key != (len(self._durations), self.clock.now)
-        ):
-            self._sigma_batch()
-        return live.apparent_charge(self.clock.now, self._durations, self._currents)
+        return self._live.apparent_charge(self._durations, self._currents)
 
     def state_of_charge(self) -> Optional[float]:
         """Remaining capacity fraction, or ``None`` on an unbounded battery."""
@@ -383,13 +380,7 @@ class Simulator:
             return self._finalize()
 
     def _begin(self) -> None:
-        """Install the initial runtime state and bind the scheduler.
-
-        Split out of :meth:`run` so the batch driver can set lanes up and
-        then step them in lockstep with :meth:`_start_next` /
-        :meth:`_process_next_event` — the exact loop body :meth:`run`
-        executes, which is what keeps batch results bit-identical.
-        """
+        """Install the initial runtime state and bind the scheduler."""
         if self._ran:
             raise SimulationError("a Simulator instance runs exactly once")
         self._ran = True
@@ -406,22 +397,11 @@ class Simulator:
             self._ready_set.append((self._rank[name], name))
         self.scheduler.init(self)
 
-    @property
-    def _finished(self) -> bool:
-        """True when every task has completed (the loop's exit condition)."""
-        return self._finished_count >= self.graph.num_tasks
-
-    def _finalize(self, cost: Optional[float] = None) -> SimulationResult:
-        """Reduce the realised timeline to its :class:`SimulationResult`.
-
-        ``cost`` lets the batch driver hand in this lane's row of one
-        vectorized ``schedule_charge_batch`` evaluation (bit-identical per
-        row to the scalar path below); scalar runs compute it here.
-        """
+    def _finalize(self) -> SimulationResult:
+        """Reduce the realised timeline to its :class:`SimulationResult`."""
         makespan = math.fsum(self._durations)
         rest = _resolve_rest(makespan, self.deadline, self.evaluate_at)
-        if cost is None:
-            cost = self.model.schedule_charge(self._durations, self._currents, rest)
+        cost = self.model.schedule_charge(self._durations, self._currents, rest)
         depletion: Optional[float] = None
         trace = None
         battery = self.problem.battery
@@ -522,13 +502,7 @@ class Simulator:
             raise SimulationError(
                 f"scheduler tried to assign finished task {name!r}"
             )
-        points = self._points[name]
-        if not (0 <= int(column) < len(points)):
-            raise SimulationError(
-                f"column {column!r} out of range for task {name!r} "
-                f"({len(points)} design points)"
-            )
-        self._queue.append((name, int(column)))
+        self._queue.append((name, _checked_column(name, column, self._points[name])))
 
     def _start_next(self) -> None:
         name, column = self._queue.popleft()

@@ -46,6 +46,8 @@ import heapq
 import math
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..errors import ConfigurationError, SimulationError
 from ..scheduling import SchedulingProblem
 from ..taskgraph import validate_sequence
@@ -185,7 +187,10 @@ class _OnlineScheduler(Scheduler):
     Maintains the ready pool from the wakeup deltas and picks the
     highest-weight task (ties broken by graph insertion order, matching
     :func:`repro.scheduling.list_scheduler.sequence_by_weights`), then
-    delegates the design-point choice to :meth:`choose_column`.
+    delegates the design-point choice to :meth:`choose_column`.  Each
+    built-in policy also has ``choose_columns``, the same rule for every
+    lane of a columnar :class:`~repro.sim.BatchSimulator` cell at once
+    (see :meth:`_choose_per_lane`).
     """
 
     #: Whether :meth:`task_weights` depends only on (graph, mode) (True for
@@ -221,7 +226,7 @@ class _OnlineScheduler(Scheduler):
         if not self.WEIGHTS_GRAPH_PURE:
             weights = self.task_weights()
             return weights, self._build_order(weights)
-        # Replications and batch lanes re-bind fresh policies to the same
+        # Replications and batch cells re-bind fresh policies to the same
         # (graph, mode); the memo spares each bind an O(graph) — for
         # deadline-slack O(graph^2) — priority table that never changes.
         memo = self._beliefs.weights
@@ -240,19 +245,49 @@ class _OnlineScheduler(Scheduler):
         """Design-point column for the chosen task (live-state dependent)."""
         raise NotImplementedError
 
-    def schedule(self, new_ready, new_finished):
-        # ``self._ready`` is a min-heap of ``(-weight, rank)`` sort keys
-        # (``rank`` is unique, so the key is a total order and the heap
-        # minimum equals the head of the old sort-then-pop(0) list —
-        # identical decisions, without the O(n log n) re-sort per wakeup).
+    def _next_task(self, new_ready: Sequence[str]) -> Optional[str]:
+        """The ordering rule: admit ``new_ready``, pop the head (or ``None``).
+
+        ``self._ready`` is a min-heap of ``(-weight, rank)`` sort keys;
+        ``rank`` is unique, so the key is a total order.
+        """
         ready = self._ready
         order = self._order
         for name in new_ready:
             heapq.heappush(ready, order[name])
         if not ready:
+            return None
+        return self._rank_name[heapq.heappop(ready)[1]]
+
+    def schedule(self, new_ready, new_finished):
+        chosen = self._next_task(new_ready)
+        if chosen is None:
             return ()
-        chosen = self._rank_name[heapq.heappop(ready)[1]]
         return [(chosen, self.choose_column(chosen))]
+
+    def _choose_per_lane(self, name: str, pick: Callable, *limits) -> np.ndarray:
+        """``pick(name, columns)`` per lane, over the columns whose believed
+        times are within every (per-lane) limit, ``[0]`` when none is.
+
+        Those column sets are nested, so a lane's set is named by how many
+        believed times fit, and ``pick`` runs once per distinct set.
+        """
+        times = self._times[name]
+        bounds = sorted(times)
+        fits = np.ones((len(self.simulator.now), len(bounds)), dtype=bool)
+        for limit in limits:
+            fits &= np.array(bounds) <= np.reshape(limit, (-1, 1))
+        levels = fits.sum(axis=1).tolist()
+        picks = {
+            level: pick(
+                name,
+                [column for column, time in enumerate(times) if time <= bounds[level - 1]]
+                if level
+                else [0],
+            )
+            for level in set(levels)
+        }
+        return np.array([picks[level] for level in levels])
 
 
 class GreedyEnergyScheduler(_OnlineScheduler):
@@ -270,11 +305,15 @@ class GreedyEnergyScheduler(_OnlineScheduler):
         return self._beliefs.average_energy
 
     def choose_column(self, name: str) -> int:
+        return self._cheapest(name, self._feasible_columns(name, times=self._times[name]))
+
+    def choose_columns(self, name: str) -> np.ndarray:
+        limit = self._deadline_allowance(name) + _EPS
+        return self._choose_per_lane(name, self._cheapest, limit)
+
+    def _cheapest(self, name: str, columns: List[int]) -> int:
         energies = self._beliefs.energies[name]
-        return min(
-            self._feasible_columns(name, times=self._times[name]),
-            key=lambda column: (energies[column], -column),
-        )
+        return min(columns, key=lambda column: (energies[column], -column))
 
 
 class DeadlineSlackScheduler(_OnlineScheduler):
@@ -302,43 +341,48 @@ class DeadlineSlackScheduler(_OnlineScheduler):
         }
 
     def choose_column(self, name: str) -> int:
+        limits = self._limits(name)
+        if limits is None:
+            return 0
+        deadline_limit, share_limit = limits
+        fitting = [
+            column
+            for column, time in enumerate(self._times[name])
+            if time <= deadline_limit and time <= share_limit
+        ]
+        return self._slowest(name, fitting or [0])
+
+    def choose_columns(self, name: str) -> np.ndarray:
+        limits = self._limits(name)
+        if limits is None:
+            return np.zeros(len(self.simulator.now), dtype=int)
+        return self._choose_per_lane(name, self._slowest, *limits)
+
+    def _limits(self, name: str):
+        """The (deadline, share) limits of a fitting column's believed time.
+
+        ``None`` under ``blind``: with no believed durations to apportion
+        slack over, run the fastest point.  The fastest column fits
+        whenever any column meets the deadline limit, so a "slowest
+        feasible" fallback would never fire.
+        """
         sim = self.simulator
         min_time = sim.min_times[name]
         remaining = sim.remaining_min_time()
         if not (math.isfinite(remaining) and math.isfinite(min_time)):
-            # Blind: no believed durations to apportion slack over — run
-            # the fastest point, and never observe a finite time estimate.
-            return 0
+            return None
         now = sim.now
         deadline = sim.deadline
         slack = deadline - now - remaining
         share = slack * (min_time / remaining) if remaining > 0 else 0.0
-        # One fused pass over the design points, replacing the
-        # _feasible_columns + fitting-filter + max(key=...) pipeline: the
-        # limits are the same floats the helper would compare against, and
-        # ">=" on the running maxima reproduces the (time, column)
-        # tie-break (later equal column wins).  Slowest fitting
-        # implementation (largest execution time) wins; without a fitting
-        # column, the slowest feasible one; without a feasible column, the
-        # fastest point (the deadline is already compromised).
-        share_limit = min_time + max(share, 0.0) + _EPS
+        share_limit = min_time + np.maximum(share, 0.0) + _EPS
         deadline_limit = deadline - now - (remaining - min_time) + _EPS
+        return deadline_limit, share_limit
+
+    def _slowest(self, name: str, columns: List[int]) -> int:
+        """Largest believed time; the later column wins a tie."""
         times = self._times[name]
-        best_feasible = -1
-        best_feasible_time = -1.0
-        best_fitting = -1
-        best_fitting_time = -1.0
-        for column, time in enumerate(times):
-            if time <= deadline_limit:
-                if time >= best_feasible_time:
-                    best_feasible, best_feasible_time = column, time
-                if time <= share_limit and time >= best_fitting_time:
-                    best_fitting, best_fitting_time = column, time
-        if best_fitting >= 0:
-            return best_fitting
-        if best_feasible >= 0:
-            return best_feasible
-        return 0
+        return max(columns, key=lambda column: (times[column], column))
 
 
 class BatteryReactiveScheduler(_OnlineScheduler):
@@ -394,12 +438,36 @@ class BatteryReactiveScheduler(_OnlineScheduler):
         return unavailable / delivered > self.stress_threshold
 
     def choose_column(self, name: str) -> int:
-        times = self._times[name]
-        feasible = self._feasible_columns(name, times=times)
+        feasible = self._feasible_columns(name, times=self._times[name])
         if self._stressed():
-            currents = self.simulator.graph.task(name).currents()
-            return min(feasible, key=lambda column: (currents[column], -column))
-        return min(feasible, key=lambda column: (times[column], column))
+            return self._lowest_current(name, feasible)
+        return self._fastest(name, feasible)
+
+    def choose_columns(self, name: str) -> np.ndarray:
+        # Columnar cells have unbounded batteries: the state of charge is
+        # None, and lanes with no delivered charge never ask for sigma.
+        limit = self._deadline_allowance(name) + _EPS
+        sim = self.simulator
+        sim.state_of_charge()
+        delivered = sim.delivered_charge()
+        charged = ~(delivered <= 0.0)
+        stressed = np.zeros(len(delivered), dtype=bool)
+        if charged.any():
+            unavailable = sim.apparent_charge(charged)[charged] - delivered[charged]
+            stressed[charged] = unavailable / delivered[charged] > self.stress_threshold
+        return np.where(
+            stressed,
+            self._choose_per_lane(name, self._lowest_current, limit),
+            self._choose_per_lane(name, self._fastest, limit),
+        )
+
+    def _lowest_current(self, name: str, columns: List[int]) -> int:
+        currents = self.simulator.graph.task(name).currents()
+        return min(columns, key=lambda column: (currents[column], -column))
+
+    def _fastest(self, name: str, columns: List[int]) -> int:
+        times = self._times[name]
+        return min(columns, key=lambda column: (times[column], column))
 
 
 # ----------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -150,6 +151,56 @@ class TestSimulationJob:
         assert digest.hexdigest() == (
             "8d6d3611421a2eb91451b220588f26155516b194f9dd4ce6d2fa32bec950e38f"
         )
+
+    def test_rendered_keys_equal_the_hash_of_job_spec(self, registry):
+        # The keys are rendered from a hand-built sorted top level and a
+        # per-spec scenario JSON; they must stay the hash of the canonical
+        # JSON of job_spec() (the cell key: without the replication).  The
+        # jobs are the default suite's, with each static-replay job carrying
+        # a whole schedule as the suite's do, plus params holding
+        # infinities and nested mappings.
+        from repro.engine.jobs import _content_hash
+
+        jobs = []
+        for spec in registry.select(stochastic=True):
+            sequence = spec.build_graph().topological_order()
+            schedule = {
+                "sequence": list(sequence),
+                "columns": {name: index % 2 for index, name in enumerate(sequence)},
+            }
+            jobs.extend(
+                SimulationJob(
+                    spec=spec,
+                    policy=policy,
+                    params=schedule if policy == "static-replay" else {},
+                    replication=replication,
+                )
+                for policy in DEFAULT_SIM_POLICIES
+                for replication in range(2)
+            )
+        assert len(jobs) == 58 * 4 * 2
+        odd_params = [
+            {"limits": (float("inf"), float("-inf"), 1.5)},
+            {"outer": {"b": {"z": [1, {"y": -math.inf}], "a": 2}, "a": None}},
+        ]
+        jobs.extend(
+            SimulationJob(
+                spec=registry.get("g2-jitter10-uniform"),
+                policy="static-replay",
+                params=params,
+                seed=-4,
+                replication=replication,
+                evaluate_at=evaluate_at,
+            )
+            for params in odd_params
+            for replication in (0, 11)
+            for evaluate_at in ("completion", "deadline")
+        )
+        for job in jobs:
+            whole = job.job_spec()
+            assert job.key() == _content_hash(whole)
+            cell = {name: value for name, value in whole.items() if name != "replication"}
+            assert job.cell_key() == _content_hash(cell)
 
     def test_label(self, stochastic_spec):
         job = SimulationJob(spec=stochastic_spec, policy="greedy-energy", replication=2)
@@ -417,7 +468,7 @@ class TestJobKeyDedupe:
 
 
 class TestSimulationBatching:
-    """Monte Carlo batching: lockstep cells, bit-identical to the scalar Simulator."""
+    """Monte Carlo batching: batched cells, bit-identical to the scalar Simulator."""
 
     def make_jobs(self, registry, replications=3):
         return [

@@ -92,23 +92,28 @@ class TestTournamentCli:
         assert f"wrote {target}" in capsys.readouterr().out
 
     def test_smoke_gate_passes(self, capsys):
-        # The CI conformance gate: every exact-mode engine record
-        # bitwise-equal to the imode-free simulator.
+        # The CI conformance gate: every engine record of every information
+        # mode bitwise-equal to a direct simulator run.
         assert main(
             ["tournament", "--smoke",
              "--policies", "static-replay", "--replications", "1"]
         ) == 0
         out = capsys.readouterr().out
-        assert "tournament smoke OK" in out
+        assert "tournament smoke OK: 48 records" in out
         assert "bitwise-equal" in out
+        assert "(12 exact-mode records imode-free)" in out
 
-    def test_smoke_gate_fails_on_divergence(self, capsys, monkeypatch):
-        # A reference simulator one ulp off in cost must trip the gate.
+    @pytest.mark.parametrize("mode", ("exact", "noisy"))
+    def test_smoke_gate_fails_on_divergence(self, capsys, monkeypatch, mode):
+        # A reference simulator one ulp off in cost, in exact mode or in a
+        # belief mode, must trip the gate on exactly that mode's records.
         import repro.sim
 
         class NudgedSimulator(repro.sim.Simulator):
             def run(self):
                 result = super().run()
+                if (self.imode.kind if self.imode else "exact") != mode:
+                    return result
                 return dataclasses.replace(
                     result, cost=math.nextafter(result.cost, math.inf)
                 )
@@ -119,5 +124,10 @@ class TestTournamentCli:
              "--policies", "greedy-energy", "--replications", "1"]
         ) == 1
         captured = capsys.readouterr()
-        assert "tournament smoke FAILED" in captured.err
+        failures = [
+            line for line in captured.err.splitlines()
+            if line.startswith("tournament smoke FAILED")
+        ]
+        assert len(failures) == 12
+        assert all(f"-{mode}/" in line for line in failures)
         assert "tournament smoke OK" not in captured.out

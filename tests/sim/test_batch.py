@@ -1,24 +1,32 @@
-"""Lockstep batch simulation == scalar simulation, bitwise, everywhere.
+"""Batch simulation == scalar simulation, bitwise, everywhere.
 
 :class:`~repro.sim.BatchSimulator` promises that every lane's
 :class:`~repro.sim.SimulationResult` equals the scalar
 :class:`~repro.sim.Simulator`'s for the same ``(seed, replication)``
 stream — full dataclass equality, which covers sigma, makespan, rest,
 feasibility, sequence, columns, every interval, retries and events.  This
-suite pins that across every chemistry, every policy, jitter, failures
-with retries, and depletion accounting on finite batteries, plus the
-per-lane error isolation contract.
+suite pins that on both of its paths — the columnar core of retry-free
+cells (a differential grid over chemistries, policies, jitter models,
+evaluation points, information modes and deadlines) and the scalar
+fallback (failures with retries, finite batteries) — plus the choice
+between them, the counters a columnar cell emits, and the per-lane error
+isolation contract.
 """
 
+import itertools
 import math
 
 import pytest
 
 from repro.battery import BatterySpec
 from repro.errors import SimulationError
+from repro.obs import RECORDER, recording
 from repro.scheduling import SchedulingProblem
 from repro.sim import (
     BatchSimulator,
+    BatteryReactiveScheduler,
+    GreedyEnergyScheduler,
+    InformationMode,
     PerturbationModel,
     Scheduler,
     Simulator,
@@ -48,7 +56,9 @@ PERTURBATIONS = {
 }
 
 
-def _problem(chemistry: str, capacity: float = math.inf) -> SchedulingProblem:
+def _problem(
+    chemistry: str, capacity: float = math.inf, deadline: float = 260.0, graph=None
+) -> SchedulingProblem:
     spec = CHEMISTRY_SPECS[chemistry]
     battery = BatterySpec(
         beta=spec.beta,
@@ -56,7 +66,11 @@ def _problem(chemistry: str, capacity: float = math.inf) -> SchedulingProblem:
         chemistry=spec.chemistry,
         chemistry_params=dict(spec.chemistry_params),
     )
-    return SchedulingProblem(graph=build_g3(), deadline=260.0, battery=battery)
+    return SchedulingProblem(
+        graph=graph if graph is not None else build_g3(),
+        deadline=deadline,
+        battery=battery,
+    )
 
 
 def _make_scheduler(policy: str, problem: SchedulingProblem):
@@ -168,8 +182,9 @@ class _FailsAfterScheduler(Scheduler):
     """Delegates to greedy-energy but raises after a decision budget.
 
     A fault probe for the per-lane isolation contract: the raise happens
-    *mid-batch* — after the lane has already made progress in lockstep
-    with its siblings — not at construction or at the first wakeup.
+    *mid-run* — after the lane has already made progress — not at
+    construction or at the first wakeup.  A cell holding it runs on
+    scalar lanes (its policies differ in type).
     """
 
     name = "fails-after"
@@ -320,3 +335,227 @@ class TestBatchConstruction:
             [_make_scheduler("greedy-energy", problem) for _ in range(4)],
         )
         assert len(batch) == 4
+
+
+GRID_PERTURBATIONS = (
+    PerturbationModel(jitter=0.1),
+    PerturbationModel(jitter=0.6),
+    PerturbationModel(jitter=0.3, jitter_model="uniform"),
+    None,
+)
+GRID_MODES = (
+    None,
+    InformationMode.blind(),
+    InformationMode.mean(),
+    InformationMode.noisy(0.3, seed=5),
+)
+
+
+class TestColumnarGrid:
+    """The columnar core against scalar runs, on every axis it reads."""
+
+    @pytest.mark.parametrize("chemistry", sorted(CHEMISTRY_SPECS))
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
+    def test_grid_equals_scalar(self, chemistry, policy):
+        # Per (chemistry, policy): jitter models x evaluation points x
+        # information modes x deadlines (tight, the default, loose) — 96
+        # cells of 3 lanes, each lane equal to its scalar run bitwise.
+        graph = build_g3()
+        for perturbation, evaluate_at, imode, deadline in itertools.product(
+            GRID_PERTURBATIONS,
+            ("completion", "deadline"),
+            GRID_MODES,
+            (150.0, 260.0, 400.0),
+        ):
+            problem = _problem(chemistry, deadline=deadline, graph=graph)
+            kwargs = dict(evaluate_at=evaluate_at, imode=imode)
+            batch = BatchSimulator(
+                problem,
+                [_make_scheduler(policy, problem) for _ in range(3)],
+                rngs=[rng_for_seed(3, replication) for replication in range(3)],
+                perturbation=perturbation,
+                **kwargs,
+            )
+            assert batch.columnar
+            outcomes = batch.run()
+            reference = _scalar_outcomes(problem, policy, perturbation, 3, 3, **kwargs)
+            assert list(outcomes) == reference, (perturbation, evaluate_at, imode, deadline)
+            assert [o.to_dict() for o in outcomes] == [r.to_dict() for r in reference]
+
+    @pytest.mark.parametrize("perturbation", GRID_PERTURBATIONS[:3], ids=repr)
+    def test_vector_draws_equal_scalar_draws(self, perturbation):
+        for replication in range(8):
+            vector = rng_for_seed(11, replication)
+            scalar = rng_for_seed(11, replication)
+            drawn = perturbation.duration_factors(vector, 25)
+            assert drawn.tolist() == [
+                perturbation.duration_factor(scalar) for _ in range(25)
+            ]
+            # Both generators sit at the same point of their streams.
+            assert vector.random() == scalar.random()
+
+    def test_null_perturbation_draws_nothing(self):
+        rng = rng_for_seed(2, 0)
+        state = rng.bit_generator.state
+        assert PerturbationModel().duration_factors(rng, 4).tolist() == [1.0] * 4
+        assert rng.bit_generator.state == state
+
+
+class _SubclassedGreedy(GreedyEnergyScheduler):
+    """A subclass may override anything, so its cells run scalar."""
+
+
+class _CustomPolicy(Scheduler):
+    """A registered-style custom policy: topological order, fastest points."""
+
+    name = "custom"
+
+    def init(self, simulator) -> None:
+        super().init(simulator)
+        self._sent = False
+
+    def schedule(self, new_ready, new_finished):
+        if self._sent:
+            return ()
+        self._sent = True
+        return [(name, 0) for name in self.simulator.graph.topological_order()]
+
+
+class TestColumnarEligibility:
+    """Which cells run columnar: input properties only, each one checked."""
+
+    def _batch(self, problem, schedulers, perturbation=PERTURBATIONS["jitter"], **kwargs):
+        return BatchSimulator(
+            problem,
+            schedulers,
+            rngs=[rng_for_seed(5, lane) for lane in range(len(schedulers))],
+            perturbation=perturbation,
+            **kwargs,
+        )
+
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
+    def test_retry_free_cells_of_built_in_policies_are_columnar(self, policy):
+        problem = _problem("kibam")
+        schedulers = [_make_scheduler(policy, problem) for _ in range(3)]
+        assert self._batch(problem, schedulers).columnar
+
+    @pytest.mark.parametrize(
+        "case",
+        (
+            "failures",
+            "finite-capacity",
+            "trace",
+            "subclass",
+            "custom-policy",
+            "mixed-types",
+            "unequal-params",
+        ),
+    )
+    def test_each_ineligible_property_falls_back_to_scalar_lanes(self, case):
+        capacity = 2500.0 if case == "finite-capacity" else math.inf
+        problem = _problem("rakhmatov", capacity=capacity)
+        perturbation = PERTURBATIONS["failures" if case == "failures" else "jitter"]
+        kwargs = {"trace_samples": 8} if case == "trace" else {}
+
+        def scheduler(lane):
+            if case == "subclass":
+                return _SubclassedGreedy()
+            if case == "custom-policy":
+                return _CustomPolicy()
+            if case == "mixed-types" and lane == 1:
+                return make_policy("battery-reactive", problem)
+            if case == "unequal-params":
+                return BatteryReactiveScheduler(stress_threshold=0.5 if lane == 2 else 0.25)
+            return make_policy("greedy-energy", problem)
+
+        batch = self._batch(
+            problem, [scheduler(lane) for lane in range(3)], perturbation, **kwargs
+        )
+        assert not batch.columnar
+        reference = [
+            Simulator(
+                problem,
+                scheduler(lane),
+                perturbation=perturbation,
+                rng=rng_for_seed(5, lane),
+                **kwargs,
+            ).run()
+            for lane in range(3)
+        ]
+        assert list(batch.run()) == reference
+
+    def test_invalid_replay_sequence_fails_every_lane_like_scalar(self):
+        problem = _problem("ideal")
+        sequence = list(reversed(problem.graph.topological_order()))
+        columns = {name: 0 for name in sequence}
+        outcomes = self._batch(
+            problem, [StaticReplayScheduler(sequence, columns) for _ in range(3)]
+        ).run()
+        with pytest.raises(Exception) as scalar:
+            Simulator(
+                problem,
+                StaticReplayScheduler(sequence, columns),
+                perturbation=PERTURBATIONS["jitter"],
+                rng=rng_for_seed(5, 0),
+            ).run()
+        for outcome in outcomes:
+            assert type(outcome) is scalar.type
+            assert str(outcome) == str(scalar.value)
+
+    def test_out_of_range_replay_column_fails_every_lane_like_scalar(self):
+        problem = _problem("ideal")
+        sequence = problem.graph.topological_order()
+        columns = {name: 0 for name in sequence}
+        columns[sequence[2]] = 99
+        outcomes = self._batch(
+            problem, [StaticReplayScheduler(sequence, columns) for _ in range(2)]
+        ).run()
+        with pytest.raises(SimulationError) as scalar:
+            Simulator(problem, StaticReplayScheduler(sequence, columns)).run()
+        assert "out of range" in str(scalar.value)
+        assert [str(outcome) for outcome in outcomes] == [str(scalar.value)] * 2
+
+
+def _sim_counters(run):
+    """The deterministic ``sim.*`` counters ``run()`` emits (lane-level ones)."""
+    try:
+        with recording() as recorder:
+            run()
+        counters = recorder.counters_snapshot()["counters"]
+    finally:
+        RECORDER.reset()
+    return {
+        key: value
+        for key, value in counters.items()
+        if key.startswith("sim.") and not key.startswith("sim.batch.")
+    }
+
+
+class TestColumnarCounters:
+    @pytest.mark.parametrize("chemistry", ("rakhmatov", "peukert"))
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
+    @pytest.mark.parametrize(
+        "imode", (None, InformationMode.noisy(0.3, seed=101)), ids=("exact", "noisy")
+    )
+    def test_columnar_cell_emits_the_scalar_lane_totals(self, chemistry, policy, imode):
+        problem = _problem(chemistry)
+        perturbation = PERTURBATIONS["jitter"]
+        lanes = 4
+
+        def columnar():
+            batch = BatchSimulator(
+                problem,
+                [_make_scheduler(policy, problem) for _ in range(lanes)],
+                rngs=[rng_for_seed(9, lane) for lane in range(lanes)],
+                perturbation=perturbation,
+                imode=imode,
+            )
+            assert batch.columnar
+            batch.run()
+
+        def scalar():
+            _scalar_outcomes(problem, policy, perturbation, 9, lanes, imode=imode)
+
+        expected = _sim_counters(scalar)
+        assert expected["sim.decisions[%s]" % policy] == lanes * problem.graph.num_tasks
+        assert _sim_counters(columnar) == expected

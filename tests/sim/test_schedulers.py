@@ -108,6 +108,25 @@ class TestOnlinePolicies:
         # changes the chosen design points.
         assert relaxed.columns != stressed.columns
 
+    @pytest.mark.parametrize("imode", ("exact", "blind", "mean", "noisy"))
+    def test_believed_min_time_is_the_fastest_believed_column(self, imode):
+        # Why deadline-slack has no "slowest feasible" fallback: a fitting
+        # column must be feasible, and when any column is feasible the
+        # fastest one (believed time == believed min-time) fits as well.
+        from repro.scenarios import default_registry
+        from repro.sim import resolve_beliefs
+
+        mode = (
+            InformationMode.noisy(0.3, seed=101)
+            if imode == "noisy"
+            else InformationMode(kind=imode)
+        )
+        registry = default_registry()
+        for name in registry.names():
+            beliefs = resolve_beliefs(registry.get(name).build_graph(), mode)
+            for task, times in beliefs.times.items():
+                assert beliefs.min_times[task] == min(times), (name, task)
+
     def test_reactive_parameter_validation(self):
         with pytest.raises(ConfigurationError):
             BatteryReactiveScheduler(stress_threshold=-0.1)
