@@ -36,8 +36,8 @@ Subpackages
     The scenario catalogue: named, seeded specs crossing DAG families,
     platform models, battery chemistries and deadline tiers.
 ``repro.engine``
-    Parallel experiment execution: jobs, executors, battery-cost caching
-    and resumable result stores (offline experiments and simulations).
+    Parallel experiment execution: jobs, executors and resumable result
+    stores (offline experiments and simulations).
 ``repro.sim``
     Event-driven runtime simulation: online scheduling policies,
     seeded perturbations, bit-conformant replay of offline schedules.

@@ -14,8 +14,8 @@ uniform assignment).
 
 :func:`best_uniform_baseline` evaluates all ``m`` uniform columns in one
 batch call of the battery model's schedule path
-(:meth:`~repro.battery.ScheduleKernelMixin.schedule_charge_batch`, shared
-by all four chemistries) — one vectorized sigma computation instead of
+(:meth:`~repro.battery.BatteryModel.schedule_charge_batch`, shared by
+every chemistry) — one vectorized sigma computation instead of
 ``m`` independent ones — with per-column costs bit-identical to
 :func:`~repro.scheduling.battery_cost`.
 """
@@ -86,42 +86,36 @@ def best_uniform_baseline(
     This is the strongest baseline one can build without mixing design
     points across tasks; it corresponds to picking the widest feasible
     window column in the paper's terminology.  All columns share one batch
-    sigma evaluation when the model supports it.
+    sigma evaluation.
     """
     battery_model = model if model is not None else problem.model()
     graph = problem.graph
     m = graph.uniform_design_point_count()
-    if hasattr(battery_model, "schedule_charge_batch"):
-        sequence = sequence_by_decreasing_energy(graph)
-        points = {
-            task.name: task.ordered_design_points() for task in graph
-        }
-        durations = np.array(
-            [[points[name][column].execution_time for name in sequence] for column in range(m)]
-        )
-        currents = np.array(
-            [[points[name][column].current for name in sequence] for column in range(m)]
-        )
-        costs = battery_model.schedule_charge_batch(durations, currents)
-        results = []
-        for column in range(m):
-            assignment = DesignPointAssignment.uniform(graph, column)
-            results.append(
-                BaselineResult(
-                    name=f"uniform-column-{column + 1}",
-                    graph=graph,
-                    deadline=problem.deadline,
-                    sequence=sequence,
-                    assignment=assignment,
-                    cost=float(costs[column]),
-                    makespan=assignment.total_execution_time(graph),
-                )
+    sequence = sequence_by_decreasing_energy(graph)
+    points = {
+        task.name: task.ordered_design_points() for task in graph
+    }
+    durations = np.array(
+        [[points[name][column].execution_time for name in sequence] for column in range(m)]
+    )
+    currents = np.array(
+        [[points[name][column].current for name in sequence] for column in range(m)]
+    )
+    costs = battery_model.schedule_charge_batch(durations, currents)
+    results = []
+    for column in range(m):
+        assignment = DesignPointAssignment.uniform(graph, column)
+        results.append(
+            BaselineResult(
+                name=f"uniform-column-{column + 1}",
+                graph=graph,
+                deadline=problem.deadline,
+                sequence=sequence,
+                assignment=assignment,
+                cost=float(costs[column]),
+                makespan=assignment.total_execution_time(graph),
             )
-    else:
-        results = [
-            uniform_baseline(problem, column=column, model=battery_model)
-            for column in range(m)
-        ]
+        )
     feasible = [result for result in results if result.feasible]
     pool = feasible if feasible else results
     best = min(pool, key=lambda result: result.cost)

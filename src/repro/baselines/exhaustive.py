@@ -7,24 +7,22 @@ enumeration would exceed a configurable budget; within that budget the
 result is the true optimum, which the test-suite uses to check that the
 iterative heuristic and the annealer land close to (and never below) it.
 
-For models with a vectorized schedule path (all four built-in chemistries),
-orders are enumerated by a depth-first search that costs tasks as they are
+Orders are enumerated by a depth-first search that costs tasks as they are
 placed: an interval's sigma contribution depends only on its design point
 and its *time-to-end* (makespan minus completion time), both known the
 moment it is placed, so a prefix's sigma is exact long before the order is
 complete.  Each chemistry supplies a per-interval **contribution floor**
-(:meth:`~repro.battery.ScheduleKernelMixin.contribution_floor`) — the
-nominal charge ``I * Delta`` for the Rakhmatov–Vrudhula and kinetic models
-(their rate-capacity excess only adds), the *exact* contribution for the
-time-insensitive Peukert and ideal models — so the quantity
+(:meth:`~repro.battery.BatteryModel.contribution_floor`) — the nominal
+charge ``I * Delta`` for the Rakhmatov–Vrudhula and kinetic models (their
+rate-capacity excess only adds), the *exact* contribution for the
+time-insensitive Peukert and ideal models, and zero for any other
+time-sensitive model — so the quantity
 
     prefix sigma + sum of remaining contribution floors
 
 is a valid lower bound on every completion of the prefix and prunes the
 subtree whenever it cannot beat the incumbent.  Shared prefixes across
-orders are also costed once instead of once per order.  Models without the
-vectorized path (or without a floor) fall back to the plain
-enumerate-and-evaluate loop.
+orders are also costed once instead of once per order.
 """
 
 from __future__ import annotations
@@ -116,30 +114,9 @@ def exhaustive_optimum(
     }
     names = graph.task_names()
 
-    best = None
-    pruned = False
-    if hasattr(battery_model, "interval_contributions"):
-        try:
-            best = _pruned_search(
-                graph, names, durations, currents, battery_model, deadline, m, n
-            )
-            pruned = True
-        except (NotImplementedError, AttributeError):
-            # Two shapes of "kernel but no floor": a ScheduleKernelMixin
-            # subclass that never overrode the raising contribution_floor
-            # stub (hasattr cannot tell it from a real implementation), and
-            # a model implementing interval_contributions without the mixin
-            # at all (no contribution_floor attribute: AttributeError).
-            # Both take the
-            # documented fallback; the probe raises before any candidate is
-            # accepted, so nothing partial leaks out of the abandoned search.
-            pruned = False
-    if not pruned:
-        orders = list(enumerate_topological_orders(graph))
-        best = _legacy_search(
-            orders, names, durations, currents, battery_model, deadline, m, n
-        )
-
+    best = _pruned_search(
+        graph, names, durations, currents, battery_model, deadline, m, n
+    )
     if best is None:
         raise InfeasibleDeadlineError(
             f"no design-point combination meets the deadline {deadline:g}"
@@ -245,31 +222,3 @@ def _pruned_search(
 
     return best
 
-
-def _legacy_search(
-    orders: Sequence[Tuple[str, ...]],
-    names: Sequence[str],
-    durations: Dict[str, List[float]],
-    currents: Dict[str, List[float]],
-    model: BatteryModel,
-    deadline: float,
-    m: int,
-    n: int,
-) -> Optional[Tuple[Tuple[str, ...], Tuple[int, ...], float]]:
-    """Plain enumerate-and-evaluate loop for models without an array path."""
-    best_cost = math.inf
-    best: Optional[Tuple[Tuple[str, ...], Tuple[int, ...], float]] = None
-    for columns in itertools.product(range(m), repeat=n):
-        column_by_name = dict(zip(names, columns))
-        makespan = sum(durations[name][column_by_name[name]] for name in names)
-        if makespan > deadline + 1e-9:
-            continue
-        for order in orders:
-            cost = model.schedule_charge(
-                [durations[name][column_by_name[name]] for name in order],
-                [currents[name][column_by_name[name]] for name in order],
-            )
-            if cost < best_cost:
-                best_cost = cost
-                best = (order, columns, makespan)
-    return best

@@ -8,10 +8,13 @@ Every model answers two questions about a :class:`~repro.battery.LoadProfile`:
   charge reaches the available capacity ``alpha`` (the battery is then
   considered exhausted).
 
-The scheduling algorithms only ever minimise the apparent charge at the end
-of the schedule, so any object implementing this interface can be plugged in
-as the cost function (the ideal and Peukert models exist precisely to show
-how the ranking of schedules changes with the battery abstraction).
+The scheduling stack costs candidates through the per-interval kernel of
+:class:`~repro.battery.kernels.ScheduleKernelMixin`, which this class
+derives from.  A custom chemistry subclasses :class:`BatteryModel` and
+implements both :meth:`~BatteryModel.apparent_charge` and
+``interval_contributions``; it may override ``contribution_floor`` and
+``TIME_SENSITIVE`` (the ideal and Peukert models exist precisely to show how
+the ranking of schedules changes with the battery abstraction).
 """
 
 from __future__ import annotations
@@ -21,12 +24,13 @@ import math
 from typing import Optional
 
 from ..errors import BatteryModelError
+from .kernels import ScheduleKernelMixin
 from .profile import LoadProfile
 
 __all__ = ["BatteryModel"]
 
 
-class BatteryModel(abc.ABC):
+class BatteryModel(ScheduleKernelMixin):
     """Abstract base class for battery charge/lifetime models."""
 
     #: Number of bisection refinement steps used by the generic lifetime search.
@@ -59,32 +63,6 @@ class BatteryModel(abc.ABC):
     def cost(self, profile: LoadProfile) -> float:
         """Scheduling cost of a profile: apparent charge at its completion time."""
         return self.apparent_charge(profile, at_time=profile.end_time)
-
-    def schedule_charge(self, durations, currents, rest: float = 0.0) -> float:
-        """Apparent charge of a gap-free back-to-back schedule.
-
-        The schedule runs ``durations[k]`` at ``currents[k]`` consecutively
-        from time zero; sigma is evaluated ``rest`` time units after the
-        makespan (``rest > 0`` credits post-completion recovery, for models
-        that have any).  This generic fallback materialises the
-        :class:`LoadProfile`; models with an analytical per-interval
-        structure (the Rakhmatov–Vrudhula model) override it with a
-        vectorized array path that the scheduling evaluator uses directly.
-        """
-        if rest < 0:
-            raise BatteryModelError(f"rest must be >= 0, got {rest!r}")
-        pairs = [
-            (float(duration), float(current))
-            for duration, current in zip(durations, currents)
-            if duration > 0.0
-        ]
-        if not pairs:
-            return 0.0
-        profile = LoadProfile.from_back_to_back(
-            durations=[duration for duration, _ in pairs],
-            currents=[current for _, current in pairs],
-        )
-        return self.apparent_charge(profile, at_time=profile.end_time + rest)
 
     def supports(self, profile: LoadProfile, capacity: float) -> bool:
         """True when the battery of capacity ``capacity`` survives the whole profile."""

@@ -25,13 +25,12 @@ from typing import Optional
 import numpy as np
 
 from .base import BatteryModel
-from .kernels import ScheduleKernelMixin
 from .profile import LoadProfile
 
 __all__ = ["IdealBatteryModel"]
 
 
-class IdealBatteryModel(ScheduleKernelMixin, BatteryModel):
+class IdealBatteryModel(BatteryModel):
     """Coulomb counter: apparent charge equals the nominal charge drawn."""
 
     #: Contributions ignore time-to-end entirely (pure coulomb counting).

@@ -14,9 +14,10 @@ contribution is unchanged by any edit at or before its position — the
 invariant the incremental evaluator exploits to re-cost single-move
 neighbours without touching unaffected intervals, for any chemistry.
 
-:class:`ScheduleKernelMixin` turns one model-specific method
-(:meth:`~ScheduleKernelMixin.interval_contributions`) into the complete
-canonical schedule API:
+:class:`ScheduleKernelMixin` — the base of every
+:class:`~repro.battery.BatteryModel` — turns one abstract, model-specific
+method (:meth:`~ScheduleKernelMixin.interval_contributions`) into the
+complete canonical schedule API:
 
 * :meth:`~ScheduleKernelMixin.schedule_contributions` /
   :meth:`~ScheduleKernelMixin.schedule_charge` — one schedule, exact
@@ -28,18 +29,18 @@ canonical schedule API:
   bound that makes branch-and-bound pruning (the exhaustive baseline's DFS)
   valid for the chemistry.
 
-Two class attributes describe the chemistry to the evaluator stack:
-
-* ``TIME_SENSITIVE`` — whether contributions actually depend on time-to-end.
-  The diffusion-style chemistries (Rakhmatov–Vrudhula, KiBaM) are sensitive:
-  a move changes the time-to-end — and hence the contribution — of every
-  interval before it.  Per-interval energy laws (Peukert, ideal) are not:
-  the incremental evaluator then reuses contributions on *both* sides of a
-  move and re-costs only the changed segment.
+One class attribute describes the chemistry to the evaluator stack,
+``TIME_SENSITIVE``: whether contributions actually depend on time-to-end.
+The diffusion-style chemistries (Rakhmatov–Vrudhula, KiBaM) are sensitive:
+a move changes the time-to-end — and hence the contribution — of every
+interval before it.  Per-interval energy laws (Peukert, ideal) are not: the
+incremental evaluator then reuses contributions on *both* sides of a move
+and re-costs only the changed segment.
 """
 
 from __future__ import annotations
 
+import abc
 import math
 from typing import Sequence, Union
 
@@ -68,19 +69,15 @@ def suffix_durations(durations: "np.ndarray") -> "np.ndarray":
     return np.concatenate((reverse[::-1][1:], [0.0]))
 
 
-class ScheduleKernelMixin:
+class ScheduleKernelMixin(abc.ABC):
     """Canonical schedule-evaluation API derived from ``interval_contributions``.
 
-    Mix into a :class:`~repro.battery.BatteryModel` *before* the base class
-    so the derived ``schedule_charge`` overrides the profile-materialising
-    fallback::
-
-        class MyModel(ScheduleKernelMixin, BatteryModel): ...
-
-    The only required method is :meth:`interval_contributions`; it must be a
-    pure elementwise kernel (same-shape array in, array out) so that the
-    single-schedule and batch paths reduce the exact same per-interval
-    values.
+    :class:`~repro.battery.BatteryModel` derives from this class, so a
+    chemistry subclasses ``BatteryModel`` alone.  The one abstract method
+    here is :meth:`interval_contributions`; it must be a pure elementwise
+    kernel (same-shape array in, array out) so that the single-schedule and
+    batch paths reduce the exact same per-interval values.  A model without
+    it cannot be instantiated.
     """
 
     #: Whether per-interval contributions depend on the time-to-end argument.
@@ -97,6 +94,7 @@ class ScheduleKernelMixin:
         """The elementwise kernel every derived schedule path reduces."""
         return self.interval_contributions(durations, currents, time_to_end)
 
+    @abc.abstractmethod
     def interval_contributions(
         self,
         durations: "np.ndarray",
@@ -109,10 +107,6 @@ class ScheduleKernelMixin:
         evaluation time (>= 0: every interval has completed).  Implemented by
         each chemistry; must be elementwise (no cross-interval coupling).
         """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not implement the vectorized "
-            "schedule kernel"
-        )
 
     def contribution_floor(
         self, durations: "np.ndarray", currents: "np.ndarray"
@@ -123,13 +117,13 @@ class ScheduleKernelMixin:
         ``prefix sigma + sum of remaining floors``; the bound is valid
         because no placement can push an interval's contribution below its
         floor.  Time-insensitive chemistries get the exact contribution for
-        free; time-sensitive ones must override with their own bound.
+        free.  Time-sensitive ones default to zeros — valid for non-negative
+        currents, whose contributions are non-negative — and override with a
+        tighter bound to prune harder.
         """
-        if self.TIME_SENSITIVE:
-            raise NotImplementedError(
-                f"{type(self).__name__} must supply its own contribution floor"
-            )
         durations = np.asarray(durations, dtype=float)
+        if self.TIME_SENSITIVE:
+            return np.zeros(durations.shape)
         return self.interval_contributions(
             durations, currents, np.zeros(durations.shape)
         )

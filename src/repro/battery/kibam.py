@@ -61,13 +61,12 @@ import numpy as np
 
 from ..errors import BatteryModelError
 from .base import BatteryModel
-from .kernels import ScheduleKernelMixin
 from .profile import LoadProfile
 
 __all__ = ["KineticBatteryModel"]
 
 
-class KineticBatteryModel(ScheduleKernelMixin, BatteryModel):
+class KineticBatteryModel(BatteryModel):
     """Two-well kinetic battery model with closed-form per-interval updates.
 
     Parameters

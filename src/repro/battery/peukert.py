@@ -38,13 +38,12 @@ import numpy as np
 
 from ..errors import BatteryModelError
 from .base import BatteryModel
-from .kernels import ScheduleKernelMixin
 from .profile import LoadProfile
 
 __all__ = ["PeukertModel"]
 
 
-class PeukertModel(ScheduleKernelMixin, BatteryModel):
+class PeukertModel(BatteryModel):
     """Per-interval Peukert's-law effective-charge model.
 
     Parameters

@@ -61,7 +61,7 @@ import numpy as np
 
 from ..errors import BatteryModelError
 from .base import BatteryModel
-from .kernels import ScheduleKernelMixin, suffix_durations
+from .kernels import suffix_durations
 from .profile import LoadProfile
 
 __all__ = ["RakhmatovVrudhulaModel", "suffix_durations"]
@@ -70,7 +70,7 @@ __all__ = ["RakhmatovVrudhulaModel", "suffix_durations"]
 DEFAULT_SERIES_TERMS = 10
 
 
-class RakhmatovVrudhulaModel(ScheduleKernelMixin, BatteryModel):
+class RakhmatovVrudhulaModel(BatteryModel):
     """Analytical high-level battery model with rate-capacity and recovery effects.
 
     Parameters

@@ -38,11 +38,11 @@ search would.
 
 Chemistry dispatch
 ------------------
-The evaluator is chemistry-generic: every model built on
-:class:`~repro.battery.ScheduleKernelMixin` (all four built-in chemistries
-— Rakhmatov–Vrudhula, Peukert, KiBaM, ideal) gets true incremental updates
-through its ``interval_contributions`` kernel.  The recompute window
-depends on the chemistry's ``TIME_SENSITIVE`` flag:
+The evaluator is chemistry-generic: every :class:`~repro.battery.BatteryModel`
+(all four built-in chemistries — Rakhmatov–Vrudhula, Peukert, KiBaM,
+ideal) gets true incremental updates through its ``interval_contributions``
+kernel.  The recompute window depends on the chemistry's ``TIME_SENSITIVE``
+flag:
 
 * **time-sensitive** chemistries (Rakhmatov–Vrudhula, KiBaM): a move at
   window ``[lo, hi]`` changes the time-to-end of every interval at or
@@ -52,11 +52,6 @@ depends on the chemistry's ``TIME_SENSITIVE`` flag:
   time-to-end entirely, so only the changed segment ``[lo, hi]`` is
   re-costed — contributions on *both* sides are reused bit-for-bit, and a
   moved evaluation point (deadline mode) invalidates nothing.
-
-Third-party models without a vectorized schedule path (no
-``interval_contributions``) degrade gracefully: proposals fall back to a
-full ``schedule_charge`` evaluation, which for them materialises the load
-profile — exactly what the pre-evaluator call sites did.
 
 A complete propose/apply/undo round trip (shared by the doctests below):
 
@@ -212,10 +207,9 @@ class ScheduleState:
     ``durations``/``currents`` are per-position arrays in sequence order;
     ``tail[k]`` is the time-to-end of interval ``k`` (suffix sum of the
     durations after it); ``contributions[k]`` is interval ``k``'s share of
-    sigma (``None`` for models without a vectorized schedule path, which
-    evaluate whole schedules only).  For time-insensitive chemistries the
-    contributions never read ``tail``, so the evaluator leaves it at its
-    construction-time values rather than maintaining it per move.
+    sigma.  For time-insensitive chemistries the contributions never read
+    ``tail``, so the evaluator leaves it at its construction-time values
+    rather than maintaining it per move.
     """
 
     sequence: List[str]
@@ -223,7 +217,7 @@ class ScheduleState:
     durations: np.ndarray
     currents: np.ndarray
     tail: np.ndarray
-    contributions: Optional[np.ndarray]
+    contributions: np.ndarray
     makespan: float
     rest: float
     cost: float
@@ -241,9 +235,7 @@ class ScheduleState:
             durations=self.durations.copy(),
             currents=self.currents.copy(),
             tail=self.tail.copy(),
-            contributions=(
-                self.contributions.copy() if self.contributions is not None else None
-            ),
+            contributions=self.contributions.copy(),
             makespan=self.makespan,
             rest=self.rest,
             cost=self.cost,
@@ -269,9 +261,9 @@ class MoveProposal:
     _durations: np.ndarray = field(repr=False)
     _currents: np.ndarray = field(repr=False)
     _recompute_hi: int = field(repr=False)
+    _contrib_head: np.ndarray = field(repr=False)
     _recompute_lo: int = field(repr=False, default=0)
     _tail_head: Optional[np.ndarray] = field(repr=False, default=None)
-    _contrib_head: Optional[np.ndarray] = field(repr=False, default=None)
     _version: int = field(repr=False, default=0)
     _changed_column: Optional[Tuple[str, int]] = field(repr=False, default=None)
     _move_window: Optional[Tuple[int, int]] = field(repr=False, default=None)
@@ -291,7 +283,7 @@ class _UndoRecord:
     durations: np.ndarray
     currents: np.ndarray
     tail_slice: Optional[np.ndarray]
-    contrib_slice: Optional[np.ndarray]
+    contrib_slice: np.ndarray
     lo: int
     hi: int
     makespan: float
@@ -311,13 +303,10 @@ class IncrementalCostEvaluator:
     sequence, assignment:
         The starting candidate (validated against the graph).
     model:
-        Battery model supplying the cost function.  Models implementing the
-        vectorized schedule path (``interval_contributions`` — all four
-        built-in chemistries) get true incremental updates, with the
-        recompute window narrowed further for time-insensitive chemistries
-        (see the module docstring); any other model is evaluated
-        whole-schedule per proposal, which matches the pre-evaluator
-        behaviour of the searchers.
+        Battery model supplying the cost function through its
+        ``interval_contributions`` kernel, with the recompute window
+        narrowed further for time-insensitive chemistries (see the module
+        docstring).
     deadline, evaluate_at:
         Sigma evaluation point, with the same semantics (including deadline
         clamping) as :func:`repro.scheduling.battery_cost`.
@@ -345,10 +334,9 @@ class IncrementalCostEvaluator:
         self.model = model
         self.deadline = None if deadline is None else float(deadline)
         self.evaluate_at = evaluate_at
-        self._vectorized = hasattr(model, "interval_contributions")
         # Chemistry dispatch: time-insensitive kernels (Peukert, ideal) keep
         # contributions valid on both sides of a move.
-        self._time_sensitive = bool(getattr(model, "TIME_SENSITIVE", True))
+        self._time_sensitive = model.TIME_SENSITIVE
         # Per-task design-point tables, indexed by canonical column.
         self._durations_by_task: Dict[str, Tuple[float, ...]] = {}
         self._currents_by_task: Dict[str, Tuple[float, ...]] = {}
@@ -576,23 +564,18 @@ class IncrementalCostEvaluator:
         if _OBS.enabled:
             _OBS.count(f"eval.propose.{kind}")
             _OBS.observe("eval.recompute_window", recompute_hi - recompute_lo + 1)
-        tail_head: Optional[np.ndarray] = None
-        contrib_head: Optional[np.ndarray] = None
-        if self._vectorized and self.state.contributions is not None:
-            tail_head, contrib_head = self._recompute_window(
-                new_durations, new_currents, recompute_lo, recompute_hi, rest
-            )
-            # fsum over plain floats (tolist) — exact, order-independent, and
-            # much faster than iterating the boxed numpy elements.
-            values = (
-                contrib_head.tolist()
-                + self.state.contributions[recompute_hi + 1 :].tolist()
-            )
-            if recompute_lo:
-                values += self.state.contributions[:recompute_lo].tolist()
-            cost = float(math.fsum(values))
-        else:
-            cost = self.model.schedule_charge(new_durations, new_currents, rest)
+        tail_head, contrib_head = self._recompute_window(
+            new_durations, new_currents, recompute_lo, recompute_hi, rest
+        )
+        # fsum over plain floats (tolist) — exact, order-independent, and
+        # much faster than iterating the boxed numpy elements.
+        values = (
+            contrib_head.tolist()
+            + self.state.contributions[recompute_hi + 1 :].tolist()
+        )
+        if recompute_lo:
+            values += self.state.contributions[:recompute_lo].tolist()
+        cost = float(math.fsum(values))
         return MoveProposal(
             kind=kind,
             cost=cost,
@@ -690,7 +673,7 @@ class IncrementalCostEvaluator:
                 durations=state.durations,
                 currents=state.currents,
                 tail_slice=None,
-                contrib_slice=None,
+                contrib_slice=state.contributions[lo : hi + 1].copy(),
                 lo=lo,
                 hi=hi,
                 makespan=state.makespan,
@@ -699,15 +682,12 @@ class IncrementalCostEvaluator:
                 positions=self._positions,
                 columns_key=self._columns_key,
             )
-        if self._vectorized and state.contributions is not None:
-            tail_head, contrib_head = proposal._tail_head, proposal._contrib_head
+        tail_head = proposal._tail_head
+        state.contributions[lo : hi + 1] = proposal._contrib_head
+        if tail_head is not None and hi > 0:
             if record is not None:
-                record.contrib_slice = state.contributions[lo : hi + 1].copy()
-            state.contributions[lo : hi + 1] = contrib_head
-            if tail_head is not None and hi > 0:
-                if record is not None:
-                    record.tail_slice = state.tail[:hi].copy()
-                state.tail[:hi] = tail_head
+                record.tail_slice = state.tail[:hi].copy()
+            state.tail[:hi] = tail_head
         state.durations = proposal._durations
         state.currents = proposal._currents
         if proposal._changed_column is not None:
@@ -751,8 +731,7 @@ class IncrementalCostEvaluator:
             state.columns[name] = column
         state.durations = record.durations
         state.currents = record.currents
-        if state.contributions is not None and record.contrib_slice is not None:
-            state.contributions[record.lo : record.hi + 1] = record.contrib_slice
+        state.contributions[record.lo : record.hi + 1] = record.contrib_slice
         if record.tail_slice is not None:
             state.tail[: record.hi] = record.tail_slice
         state.makespan = record.makespan
@@ -778,14 +757,8 @@ class IncrementalCostEvaluator:
         makespan = math.fsum(durations)
         rest = _resolve_rest(makespan, self.deadline, self.evaluate_at)
         tail = suffix_durations(durations)
-        if self._vectorized:
-            contributions = self.model.interval_contributions(
-                durations, currents, tail + rest
-            )
-            cost = float(math.fsum(contributions))
-        else:
-            contributions = None
-            cost = self.model.schedule_charge(durations, currents, rest)
+        contributions = self.model.interval_contributions(durations, currents, tail + rest)
+        cost = float(math.fsum(contributions))
         return ScheduleState(
             sequence=sequence,
             columns=columns,

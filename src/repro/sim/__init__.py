@@ -12,9 +12,9 @@ through the same chemistry kernels the offline cost stack uses.
 The pieces (estee-style discrete-event shape):
 
 * :class:`Simulator` (:mod:`repro.sim.runtime`) — the event loop: a
-  :class:`VirtualClock`, a heap of :class:`SimEvent` wakeups, per-task
-  :class:`TaskRuntimeInfo`, and a scheduler wakeup protocol
-  (``schedule(new_ready, new_finished)``).
+  :class:`VirtualClock`, one in-flight task-end event kept in a
+  ``(time, task)`` slot, per-task :class:`TaskRuntimeInfo`, and a
+  scheduler wakeup protocol (``schedule(new_ready, new_finished)``).
 * :class:`Scheduler` policies (:mod:`repro.sim.schedulers`) —
   :class:`StaticReplayScheduler` (replays an offline schedule: the bridge
   to every existing result), :class:`GreedyEnergyScheduler`,
@@ -48,7 +48,7 @@ True
 """
 
 from .batch import BatchSimulator, LaneOutcome
-from .events import SimEvent, TaskRuntimeInfo, TaskState, VirtualClock
+from .events import TaskRuntimeInfo, TaskState, VirtualClock
 from .imode import (
     INFORMATION_MODES,
     GraphBeliefs,
@@ -72,7 +72,6 @@ from .schedulers import (
 
 __all__ = [
     "VirtualClock",
-    "SimEvent",
     "TaskState",
     "TaskRuntimeInfo",
     "PerturbationModel",

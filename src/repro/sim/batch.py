@@ -16,9 +16,8 @@ scalar draws, one per attempt in start order), and an online policy's
 ``schedule_charge_batch`` call with per-lane rests costs every lane.
 
 A cell is columnar when ``failure_rate == 0``, the battery has no finite
-capacity, no trace is sampled, the chemistry has the vectorized schedule
-kernel, and all lanes run one built-in policy type (exactly: a subclass
-may override anything) with equal parameters.  Every other cell falls
+capacity, no trace is sampled, and all lanes run one built-in policy
+type (exactly: a subclass may override anything) with equal parameters.  Every other cell falls
 back to one scalar :class:`~repro.sim.Simulator` per lane; a lane that
 fails (say, by exhausting its retry budget) yields its exception while
 its siblings complete.  A columnar cell cannot fail per lane: a set-up
@@ -36,7 +35,6 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..battery import BatteryModel
-from ..battery.kernels import ScheduleKernelMixin
 from ..errors import SimulationError
 from ..obs import RECORDER as _OBS
 from ..scheduling import SchedulingProblem
@@ -133,7 +131,6 @@ class BatchSimulator:
             perturbation.failure_rate == 0.0
             and not problem.battery.has_finite_capacity
             and int(trace_samples) <= 0
-            and isinstance(self.model, ScheduleKernelMixin)
             and type(first) in _COLUMNAR_POLICIES
             and all(
                 type(lane) is type(first) and vars(lane) == vars(first)

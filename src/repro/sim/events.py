@@ -1,24 +1,25 @@
 """Event-loop primitives of the runtime simulator.
 
-The simulator advances a :class:`VirtualClock` through a heap of
-:class:`SimEvent` records; each task carries a :class:`TaskRuntimeInfo`
-whose :class:`TaskState` walks ``WAITING -> READY -> RUNNING -> FINISHED``
+The simulator advances a :class:`VirtualClock` from one task-end event to
+the next; each task carries a :class:`TaskRuntimeInfo` whose
+:class:`TaskState` walks ``WAITING -> READY -> RUNNING -> FINISHED``
 (possibly looping through ``RUNNING`` several times when an attempt fails
 and is retried).  The shapes follow estee's simulator — ``TaskState`` /
 per-task runtime info / an explicit wakeup event — minus the simpy
-dependency: the loop is a plain heap, which keeps the core importable
-anywhere and the event order bit-deterministic.
+dependency: the single-PE loop keeps its one in-flight event in a
+``(time, task)`` slot, which keeps the core importable anywhere and the
+event order bit-deterministic.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..errors import SimulationError
 
-__all__ = ["VirtualClock", "SimEvent", "TaskState", "TaskRuntimeInfo"]
+__all__ = ["VirtualClock", "TaskState", "TaskRuntimeInfo"]
 
 
 class VirtualClock:
@@ -26,7 +27,7 @@ class VirtualClock:
 
     Pluggable so tests (and future co-simulation layers) can observe or
     intercept time advances; the default implementation simply stores the
-    time of the last event popped from the heap.
+    time of the last event processed.
     """
 
     def __init__(self, start: float = 0.0) -> None:
@@ -67,26 +68,6 @@ class TaskState(enum.Enum):
 
     FINISHED = "finished"
     """Completed successfully."""
-
-
-@dataclass(order=True)
-class SimEvent:
-    """One scheduled wakeup in the simulation heap.
-
-    Ordered by ``(time, seq)``: ``seq`` is a monotonically increasing
-    tie-breaker assigned by the simulator, so simultaneous events pop in
-    creation order and the whole run is deterministic.
-    """
-
-    time: float
-    seq: int
-    kind: str = field(compare=False)
-    """Event type: ``"task-end"`` is the only kind the single-PE loop emits
-    today; the field exists so multi-resource extensions can add their own
-    without changing the heap discipline."""
-
-    task: str = field(compare=False)
-    """Name of the task the event concerns."""
 
 
 @dataclass

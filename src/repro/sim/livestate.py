@@ -137,7 +137,7 @@ class LiveRuntimeState:
         remaining_partials: Optional[Sequence[float]] = None,
     ) -> None:
         self._model = model
-        self._time_sensitive = bool(getattr(model, "TIME_SENSITIVE", True))
+        self._time_sensitive = model.TIME_SENSITIVE
         self._min_times = dict(min_times)
         #: ``remaining_partials`` (when given) must be the exact partials of
         #: summing ``min_times.values()`` — the per-graph tables precompute

@@ -5,7 +5,7 @@ on the paper's single-processing-element platform under a pluggable
 :class:`~repro.sim.schedulers.Scheduler` policy and an optional
 :class:`~repro.sim.perturbation.PerturbationModel`.  The loop follows
 estee's shape — per-task runtime info, a ready set, and a scheduler
-*wakeup protocol* — on a plain event heap:
+*wakeup protocol*:
 
 1. whenever the processing element is idle and the scheduler's decision
    queue is empty, the scheduler is woken with the tasks that became ready

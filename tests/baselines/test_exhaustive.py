@@ -1,5 +1,9 @@
 """Unit tests for the exhaustive-search baseline."""
 
+import itertools
+import math
+
+import numpy as np
 import pytest
 
 from repro.baselines import (
@@ -7,12 +11,41 @@ from repro.baselines import (
     exhaustive_optimum,
     rakhmatov_baseline,
 )
-from repro.baselines.exhaustive import _legacy_search
-from repro.battery import BatterySpec
+from repro.battery import BatterySpec, IdealBatteryModel
+from repro.battery.base import BatteryModel
 from repro.core import battery_aware_schedule
 from repro.errors import ConfigurationError, InfeasibleDeadlineError
 from repro.scheduling import SchedulingProblem
 from repro.taskgraph import validate_sequence
+
+
+def _brute_force(problem, model):
+    """Oracle: cost every (design-point combo, topological order) pair.
+
+    Returns the cheapest sigma among the pairs that meet the deadline
+    (``inf`` when none does); no pruning, so it checks the pruned search.
+    """
+    graph = problem.graph
+    names = graph.task_names()
+    durations = {
+        t.name: [dp.execution_time for dp in t.ordered_design_points()] for t in graph
+    }
+    currents = {t.name: [dp.current for dp in t.ordered_design_points()] for t in graph}
+    orders = list(enumerate_topological_orders(graph))
+    best_cost = math.inf
+    for columns in itertools.product(
+        range(graph.uniform_design_point_count()), repeat=graph.num_tasks
+    ):
+        column_by_name = dict(zip(names, columns))
+        makespan = sum(durations[name][column_by_name[name]] for name in names)
+        if makespan > problem.deadline + 1e-9:
+            continue
+        for order in orders:
+            best_cost = min(best_cost, model.schedule_charge(
+                [durations[name][column_by_name[name]] for name in order],
+                [currents[name][column_by_name[name]] for name in order],
+            ))
+    return best_cost
 
 
 class TestEnumerateTopologicalOrders:
@@ -70,20 +103,14 @@ class TestExhaustiveOptimum:
             exhaustive_optimum(problem)
 
 
-class TestFloorlessMixinFallback:
-    def test_mixin_model_without_floor_falls_back_to_legacy(self, diamond4):
-        """A time-sensitive kernel-mixin model that never overrode
-        ``contribution_floor`` must take the plain enumeration path, not
-        crash inside the pruned DFS (hasattr cannot tell the mixin's raising
-        floor stub from a real implementation)."""
-        import numpy as np
+class TestDefaultFloor:
+    def test_sensitive_model_without_floor_override_reaches_optimum(self, diamond4):
+        """A time-sensitive model that keeps the default zero
+        ``contribution_floor`` runs the pruned search and still lands on the
+        brute-force optimum."""
 
-        from repro.battery import IdealBatteryModel, ScheduleKernelMixin
-        from repro.battery.base import BatteryModel
-
-        class FloorlessModel(ScheduleKernelMixin, BatteryModel):
-            # TIME_SENSITIVE stays True, so the inherited contribution_floor
-            # raises NotImplementedError.
+        class FloorlessModel(BatteryModel):
+            # TIME_SENSITIVE stays True: the inherited floor is all zeros.
             def apparent_charge(self, profile, at_time=None):
                 return IdealBatteryModel().apparent_charge(profile, at_time)
 
@@ -94,33 +121,9 @@ class TestFloorlessMixinFallback:
         problem = SchedulingProblem(
             graph=diamond4, deadline=deadline, battery=BatterySpec(beta=0.273)
         )
-        result = exhaustive_optimum(problem, model=FloorlessModel())
-        reference = exhaustive_optimum(problem, model=IdealBatteryModel())
-        assert result.cost == pytest.approx(reference.cost, rel=1e-12)
-
-    def test_non_mixin_model_with_kernel_falls_back_to_legacy(self, diamond4):
-        """A model exposing ``interval_contributions`` without the mixin has
-        no ``contribution_floor`` attribute at all — the pruned search's
-        probe raises AttributeError, which must also take the fallback."""
-        import numpy as np
-
-        from repro.battery import IdealBatteryModel
-        from repro.battery.base import BatteryModel
-
-        class KernelOnlyModel(BatteryModel):
-            def apparent_charge(self, profile, at_time=None):
-                return IdealBatteryModel().apparent_charge(profile, at_time)
-
-            def interval_contributions(self, durations, currents, time_to_end):
-                return np.asarray(currents, float) * np.asarray(durations, float)
-
-        deadline = 0.6 * (diamond4.min_makespan() + diamond4.max_makespan())
-        problem = SchedulingProblem(
-            graph=diamond4, deadline=deadline, battery=BatterySpec(beta=0.273)
-        )
-        result = exhaustive_optimum(problem, model=KernelOnlyModel())
-        reference = exhaustive_optimum(problem, model=IdealBatteryModel())
-        assert result.cost == pytest.approx(reference.cost, rel=1e-12)
+        model = FloorlessModel()
+        result = exhaustive_optimum(problem, model=model)
+        assert result.cost == pytest.approx(_brute_force(problem, model), rel=1e-12)
 
 
 class TestCrossChemistryPruning:
@@ -146,26 +149,6 @@ class TestCrossChemistryPruning:
         )
         model = problem.model()
         pruned = exhaustive_optimum(problem)
-
-        graph = problem.graph
-        names = graph.task_names()
-        durations = {
-            t.name: [dp.execution_time for dp in t.ordered_design_points()]
-            for t in graph
-        }
-        currents = {
-            t.name: [dp.current for dp in t.ordered_design_points()] for t in graph
-        }
-        orders = list(enumerate_topological_orders(graph))
-        legacy = _legacy_search(
-            orders, names, durations, currents, model, deadline,
-            graph.uniform_design_point_count(), graph.num_tasks,
-        )
-        assert legacy is not None
-        assert pruned.cost == pytest.approx(
-            model.schedule_charge(
-                [durations[n][dict(zip(names, legacy[1]))[n]] for n in legacy[0]],
-                [currents[n][dict(zip(names, legacy[1]))[n]] for n in legacy[0]],
-            ),
-            rel=1e-12,
-        )
+        oracle = _brute_force(problem, model)
+        assert oracle < math.inf
+        assert pruned.cost == pytest.approx(oracle, rel=1e-12)

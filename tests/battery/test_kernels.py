@@ -1,4 +1,4 @@
-"""Unit tests for the shared schedule-kernel mixin and every chemistry's kernel."""
+"""Unit tests for the shared schedule-kernel contract and every chemistry's kernel."""
 
 import numpy as np
 import pytest
@@ -8,14 +8,13 @@ from repro.battery import (
     KineticBatteryModel,
     PeukertModel,
     RakhmatovVrudhulaModel,
-    ScheduleKernelMixin,
     suffix_durations,
 )
 from repro.battery.base import BatteryModel
 from repro.errors import BatteryModelError
 
 
-class _StubKernel(ScheduleKernelMixin, BatteryModel):
+class _StubKernel(BatteryModel):
     """Minimal chemistry: contribution = I * Delta + time_to_end (sensitive)."""
 
     def apparent_charge(self, profile, at_time=None):  # pragma: no cover - unused
@@ -30,16 +29,16 @@ class _StubKernel(ScheduleKernelMixin, BatteryModel):
 
 class TestMixinContracts:
     def test_kernel_required(self):
-        class NoKernel(ScheduleKernelMixin, BatteryModel):
+        class NoKernel(BatteryModel):
             def apparent_charge(self, profile, at_time=None):
                 return 0.0
 
-        with pytest.raises(NotImplementedError):
-            NoKernel().interval_contributions([1.0], [1.0], [0.0])
+        with pytest.raises(TypeError):
+            NoKernel()
 
-    def test_sensitive_chemistry_must_supply_its_own_floor(self):
-        with pytest.raises(NotImplementedError):
-            _StubKernel().contribution_floor([1.0], [1.0])
+    def test_sensitive_floor_defaults_to_zeros(self):
+        floors = _StubKernel().contribution_floor([1.0, 2.0], [1.0, 3.0])
+        assert floors.tolist() == [0.0, 0.0]
 
     def test_insensitive_floor_defaults_to_exact_contribution(self):
         class Insensitive(_StubKernel):

@@ -1,57 +1,34 @@
-"""Tier-1 wiring for the public-API doctests.
+"""Tier-1 wiring for the package's doctests.
 
-The docstring examples on the documented public modules are executable
-documentation; this module runs them under plain ``pytest -x -q`` so the
-tier-1 gate catches a drifting example even when the dedicated CI docs job
-(`pytest --doctest-modules` over the same modules) is not run locally.
+Every ``repro`` module whose docstrings carry examples is discovered with
+:func:`pkgutil.walk_packages` and run here, so plain ``pytest -x -q`` covers
+exactly what the CI docs job (``pytest --doctest-modules src/repro``) runs,
+with no hand-kept module list to drift.
 """
 
 import doctest
+import importlib
+import pkgutil
 
 import pytest
 
 import repro
-import repro.engine.api
-import repro.scenarios
-import repro.scenarios.catalog
-import repro.scenarios.families
-import repro.scenarios.platforms
-import repro.scenarios.registry
-import repro.scenarios.report
-import repro.scenarios.spec
-import repro.scheduling.evaluator
-import repro.sim
-import repro.sim.perturbation
-import repro.engine.simjobs
-import repro.experiments.simulate
-import repro.battery.parameters
-import repro.taskgraph.validation
-import repro.workloads.generators
-import repro.analysis.leaderboard
-import repro.experiments.suite
-import repro.obs.core
+
+_FINDER = doctest.DocTestFinder()
+
+
+def _has_examples(module) -> bool:
+    return any(test.examples for test in _FINDER.find(module))
+
 
 DOCUMENTED_MODULES = [
-    repro,
-    repro.engine.api,
-    repro.scenarios,
-    repro.scenarios.catalog,
-    repro.scenarios.families,
-    repro.scenarios.platforms,
-    repro.scenarios.registry,
-    repro.scenarios.report,
-    repro.scenarios.spec,
-    repro.scheduling.evaluator,
-    repro.sim,
-    repro.sim.perturbation,
-    repro.engine.simjobs,
-    repro.experiments.simulate,
-    repro.battery.parameters,
-    repro.taskgraph.validation,
-    repro.workloads.generators,
-    repro.analysis.leaderboard,
-    repro.experiments.suite,
-    repro.obs.core,
+    module
+    for module in [repro]
+    + [
+        importlib.import_module(info.name)
+        for info in pkgutil.walk_packages(repro.__path__, "repro.")
+    ]
+    if _has_examples(module)
 ]
 
 
@@ -59,11 +36,9 @@ DOCUMENTED_MODULES = [
     "module", DOCUMENTED_MODULES, ids=lambda m: m.__name__
 )
 def test_module_doctests(module):
-    results = doctest.testmod(
-        module,
-        optionflags=doctest.NORMALIZE_WHITESPACE | doctest.IGNORE_EXCEPTION_DETAIL,
-        verbose=False,
-    )
+    # ELLIPSIS is pytest's default ``doctest_optionflags``, so both runners
+    # judge an example the same way.
+    results = doctest.testmod(module, optionflags=doctest.ELLIPSIS, verbose=False)
     assert results.failed == 0, (
         f"{module.__name__} has {results.failed} failing doctest(s)"
     )
@@ -71,9 +46,8 @@ def test_module_doctests(module):
 
 def test_documented_modules_actually_have_examples():
     """Guard against the doctest gate silently going vacuous."""
-    finder = doctest.DocTestFinder()
     total = sum(
-        len([t for t in finder.find(module) if t.examples])
+        len([t for t in _FINDER.find(module) if t.examples])
         for module in DOCUMENTED_MODULES
     )
     assert total >= 15

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.battery import BatteryModel, IdealBatteryModel, RakhmatovVrudhulaModel
+from repro.battery import RakhmatovVrudhulaModel
 from repro.errors import ConfigurationError, ScheduleError
 from repro.scheduling import (
     DesignPointAssignment,
@@ -13,13 +13,6 @@ from repro.scheduling import (
 )
 
 SEQ = ("A", "B", "C", "D")
-
-
-class _CoulombOnlyModel(BatteryModel):
-    """A minimal third-party model with no vectorized schedule kernel."""
-
-    def apparent_charge(self, profile, at_time=None):
-        return IdealBatteryModel().apparent_charge(profile, at_time)
 
 
 @pytest.fixture
@@ -186,43 +179,6 @@ class TestRepeatedProposals:
         assert evaluator.cost == before_cost
         assert np.array_equal(evaluator.state.contributions, before_contrib)
         assert evaluator.cost == evaluator.evaluate_full()
-
-
-class TestModelWithoutKernel:
-    """Models lacking ``interval_contributions`` take the full-evaluation path."""
-
-    @pytest.fixture
-    def generic(self, diamond4, assignment):
-        return IncrementalCostEvaluator(diamond4, SEQ, assignment, _CoulombOnlyModel())
-
-    def test_proposals_match_battery_cost(self, diamond4, generic):
-        proposal = generic.propose_design_point("B", 1)
-        expected = battery_cost(
-            diamond4,
-            SEQ,
-            DesignPointAssignment({"A": 0, "B": 1, "C": 0, "D": 0}),
-            IdealBatteryModel(),
-        )
-        assert proposal.cost == pytest.approx(expected)
-        relocated = generic.propose_relocate("B", 2)
-        assert relocated.cost == pytest.approx(
-            battery_cost(
-                diamond4,
-                ("A", "C", "B", "D"),
-                DesignPointAssignment.all_fastest(diamond4),
-                IdealBatteryModel(),
-            )
-        )
-
-    def test_apply_and_undo_round_trip(self, generic):
-        before = generic.cost
-        proposal = generic.propose_design_point("C", 2)
-        generic.apply(proposal)
-        assert generic.cost == proposal.cost
-        assert generic.cost == generic.evaluate_full()
-        generic.undo()
-        assert generic.cost == before
-        assert generic.columns["C"] == 0
 
 
 class TestUndoTracking:
