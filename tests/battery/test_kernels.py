@@ -11,6 +11,7 @@ from repro.battery import (
     suffix_durations,
 )
 from repro.battery.base import BatteryModel
+from repro.battery.kernels import ScheduleKernelMixin
 from repro.errors import BatteryModelError
 
 
@@ -35,6 +36,12 @@ class TestMixinContracts:
 
         with pytest.raises(TypeError):
             NoKernel()
+
+    def test_kernel_class_cannot_be_mixed_in_beside_the_base(self):
+        # BatteryModel already derives from the kernel class, so listing
+        # the kernel class first leaves no consistent method order.
+        with pytest.raises(TypeError):
+            type("Mixed", (ScheduleKernelMixin, BatteryModel), {})
 
     def test_sensitive_floor_defaults_to_zeros(self):
         floors = _StubKernel().contribution_floor([1.0, 2.0], [1.0, 3.0])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.battery import RakhmatovVrudhulaModel
+from repro.battery import BatteryModel, RakhmatovVrudhulaModel
 from repro.errors import ConfigurationError, ScheduleError
 from repro.scheduling import (
     DesignPointAssignment,
@@ -13,6 +13,19 @@ from repro.scheduling import (
 )
 
 SEQ = ("A", "B", "C", "D")
+
+
+class _CustomKernelModel(BatteryModel):
+    """A minimal third-party chemistry whose kernel depends on time-to-end."""
+
+    def apparent_charge(self, profile, at_time=None):  # pragma: no cover - unused
+        return 0.0
+
+    def interval_contributions(self, durations, currents, time_to_end):
+        durations = np.asarray(durations, dtype=float)
+        currents = np.asarray(currents, dtype=float)
+        time_to_end = np.asarray(time_to_end, dtype=float)
+        return currents * durations * (1.0 + 0.01 * time_to_end)
 
 
 @pytest.fixture
@@ -179,6 +192,45 @@ class TestRepeatedProposals:
         assert evaluator.cost == before_cost
         assert np.array_equal(evaluator.state.contributions, before_contrib)
         assert evaluator.cost == evaluator.evaluate_full()
+
+
+class TestCustomKernelModel:
+    """A custom model runs the same incremental kernel path as the built-ins."""
+
+    @pytest.fixture
+    def custom(self, diamond4, assignment):
+        return IncrementalCostEvaluator(diamond4, SEQ, assignment, _CustomKernelModel())
+
+    def test_proposals_match_battery_cost(self, diamond4, custom):
+        model = _CustomKernelModel()
+        proposal = custom.propose_design_point("B", 1)
+        expected = battery_cost(
+            diamond4,
+            SEQ,
+            DesignPointAssignment({"A": 0, "B": 1, "C": 0, "D": 0}),
+            model,
+        )
+        assert proposal.cost == pytest.approx(expected, rel=1e-12)
+        relocated = custom.propose_relocate("B", 2)
+        assert relocated.cost == pytest.approx(
+            battery_cost(
+                diamond4,
+                ("A", "C", "B", "D"),
+                DesignPointAssignment.all_fastest(diamond4),
+                model,
+            ),
+            rel=1e-12,
+        )
+
+    def test_apply_and_undo_round_trip(self, custom):
+        before = custom.cost
+        proposal = custom.propose_design_point("C", 2)
+        custom.apply(proposal)
+        assert custom.cost == proposal.cost
+        assert custom.cost == custom.evaluate_full()
+        custom.undo()
+        assert custom.cost == before
+        assert custom.columns["C"] == 0
 
 
 class TestUndoTracking:
