@@ -45,7 +45,7 @@ Subpackages
     Tracing/metrics/profiling: a no-op-when-disabled recorder, JSONL
     traces, Chrome-trace export (``--trace`` / ``repro stats``).
 ``repro.analysis``
-    Metrics, text tables, algorithm comparisons and suite leaderboards.
+    Metrics, text tables, suite leaderboards and result export.
 ``repro.experiments``
     Drivers reproducing every table and figure of the paper, plus the
     scenario-suite driver (:func:`repro.experiments.run_suite`).

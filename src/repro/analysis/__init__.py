@@ -1,13 +1,6 @@
-"""Analysis helpers: metrics, text tables, comparisons, visualisation, export."""
+"""Analysis helpers: metrics, text tables, leaderboards, visualisation, export."""
 
-from .comparison import (
-    AlgorithmOutcome,
-    ComparisonRow,
-    compare_algorithms,
-    comparison_table,
-)
 from .export import (
-    comparison_rows_to_records,
     save_json_records,
     save_table_csv,
     table_to_csv,
@@ -46,10 +39,6 @@ __all__ = [
     "percent_saving",
     "TextTable",
     "format_value",
-    "AlgorithmOutcome",
-    "ComparisonRow",
-    "compare_algorithms",
-    "comparison_table",
     "LeaderboardEntry",
     "compute_leaderboard",
     "leaderboard_table",
@@ -70,6 +59,5 @@ __all__ = [
     "table_to_csv",
     "save_table_csv",
     "table_to_records",
-    "comparison_rows_to_records",
     "save_json_records",
 ]

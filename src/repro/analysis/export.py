@@ -12,16 +12,14 @@ import csv
 import io
 import json
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Union
 
-from .comparison import ComparisonRow
 from .tables import TextTable
 
 __all__ = [
     "table_to_csv",
     "save_table_csv",
     "table_to_records",
-    "comparison_rows_to_records",
     "save_json_records",
 ]
 
@@ -49,29 +47,6 @@ def table_to_records(table: TextTable) -> list:
     """A table as a list of per-row dictionaries (JSON-friendly)."""
     headers = [str(header) for header in table.headers]
     return [dict(zip(headers, row)) for row in table.rows]
-
-
-def comparison_rows_to_records(
-    rows: Sequence[ComparisonRow],
-    baseline: Optional[str] = None,
-    ours: Optional[str] = None,
-) -> list:
-    """Comparison rows as flat dictionaries, optionally with a % difference."""
-    records = []
-    for row in rows:
-        record = {
-            "problem": row.problem.name or row.problem.graph.name,
-            "deadline": row.problem.deadline,
-            "beta": row.problem.battery.beta,
-        }
-        for outcome in row.outcomes:
-            record[f"{outcome.algorithm}.cost"] = outcome.cost
-            record[f"{outcome.algorithm}.makespan"] = outcome.makespan
-            record[f"{outcome.algorithm}.feasible"] = outcome.feasible
-        if baseline is not None and ours is not None:
-            record["percent_difference"] = row.percent_difference(baseline, ours)
-        records.append(record)
-    return records
 
 
 def save_json_records(records: list, path: _PathLike, indent: int = 2) -> Path:

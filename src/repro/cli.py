@@ -540,7 +540,7 @@ def _dispatch(args: argparse.Namespace, out: List[str]) -> int:
             )
             out.append(f"wrote {target}")
     elif args.command == "optimize":
-        from .taskgraph import graph_signature, optimize_graph, parse_passes
+        from .taskgraph import optimize_graph, parse_passes
         from .taskgraph.io import save_json, to_dot
 
         if args.scenario:
@@ -560,8 +560,6 @@ def _dispatch(args: argparse.Namespace, out: List[str]) -> int:
             out.append(f"culled {len(result.removed)}: {', '.join(result.removed)}")
         for compound, members in result.chains.items():
             out.append(f"fused {compound} <- {', '.join(members)}")
-        out.append(f"signature before: {graph_signature(graph)}")
-        out.append(f"signature after:  {graph_signature(optimized)}")
         if args.out:
             save_json(optimized, args.out)
             out.append(f"wrote {args.out}")

@@ -23,7 +23,8 @@ The pieces (estee-style discrete-event shape):
 * :class:`PerturbationModel` (:mod:`repro.sim.perturbation`) — seeded
   multiplicative duration jitter (lognormal/uniform) and task
   failure + retry, driven by explicit :class:`numpy.random.Generator`
-  streams so every run is reproducible and engine-cacheable.
+  streams so every run is reproducible and resumable from the engine's
+  result store.
 * :class:`SimulationResult` (:mod:`repro.sim.result`) — the executed
   timeline plus the final sigma, computed through the model's
   ``schedule_charge`` so that replaying an offline schedule with zero

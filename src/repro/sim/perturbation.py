@@ -15,10 +15,11 @@ deviates from the modeled schedule:
 All randomness flows through an explicit :class:`numpy.random.Generator`
 handed to the draw methods — the model itself holds no state — so a
 (seed, policy) pair fully determines a run: the simulator draws in event
-order, which is deterministic, making simulation results content-hashable
-and engine-cacheable.  :func:`rng_for_seed` builds the canonical PCG64
-stream used throughout the sim stack (``SeedSequence([seed, replication])``
-keeps replications independent without magic offsets).
+order, which is deterministic, so a simulation job's content hash fully
+determines its result and the engine can resume it from a result store.
+:func:`rng_for_seed` builds the canonical PCG64 stream used throughout the
+sim stack (``SeedSequence([seed, replication])`` keeps replications
+independent without magic offsets).
 
 >>> model = PerturbationModel(jitter=0.2)
 >>> rng = rng_for_seed(7)

@@ -28,16 +28,9 @@ from .library import (
 from .optimize import (
     FUSE_SEPARATOR,
     OPTIMIZE_PASSES,
-    CanonicalForm,
-    CullResult,
-    FuseResult,
-    InlineResult,
     OptimizedGraph,
-    canonical_form,
     cull,
     fuse,
-    graph_signature,
-    inline,
     optimize_graph,
     parse_passes,
 )
@@ -87,14 +80,7 @@ __all__ = [
     "parse_passes",
     "cull",
     "fuse",
-    "inline",
-    "canonical_form",
-    "graph_signature",
     "optimize_graph",
-    "CullResult",
-    "FuseResult",
-    "InlineResult",
-    "CanonicalForm",
     "OptimizedGraph",
     "validate_sequence",
     "sequence_positions",

@@ -1,8 +1,8 @@
-"""Task-graph rewrite passes: cull, fuse, inline, canonical form.
+"""Task-graph rewrite passes: cull and fuse.
 
-A dask-style optimization layer over :class:`~repro.taskgraph.TaskGraph`
-(ROADMAP item 2).  Each pass takes a graph and returns a *new* graph plus
-enough bookkeeping to translate schedules back to the original:
+A dask-style optimization layer over :class:`~repro.taskgraph.TaskGraph`.
+Each pass takes a graph and returns an :class:`OptimizedGraph`: a *new*
+graph plus enough bookkeeping to translate schedules back to the original:
 
 * :func:`cull` drops every task with no path to a kept sink, generalising
   :func:`~repro.taskgraph.require_connected_sinks` from a checker into a
@@ -11,16 +11,7 @@ enough bookkeeping to translate schedules back to the original:
   single-predecessor tasks) into compound tasks whose per-column design
   points sum the members' durations and charges exactly, and keeps an
   *unfuse* map so a schedule found on the fused graph can be expressed on
-  the original one;
-* :func:`inline` duplicates cheap zero-fanin tasks into each consumer
-  (dask's ``inline``), trading duplicated work for fewer synchronisation
-  edges — because it duplicates work it is *not* sigma-preserving for
-  fanout > 1 and is therefore excluded from the spec-level pass list;
-* :func:`canonical_form` relabels tasks by a content + structure signature
-  (Weisfeiler–Leman-style refinement) so that structurally-isomorphic
-  graphs canonicalise to the *same* graph, and :func:`graph_signature`
-  hashes that canonical form — the content address used by the engine's
-  structural job dedup.
+  the original one.
 
 Sigma-preservation contract (the conformance anchor of the optimize
 layer): for ``cull`` + ``fuse``, the canonical evaluator
@@ -46,24 +37,11 @@ True
 
 from __future__ import annotations
 
-import hashlib
-import heapq
-import json
 import math
 from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from ..errors import ConfigurationError, TaskGraphError, UnknownTaskError
+from ..errors import ConfigurationError, UnknownTaskError
 from .designpoint import DesignPoint
 from .graph import TaskGraph
 from .task import Task
@@ -74,14 +52,7 @@ __all__ = [
     "parse_passes",
     "cull",
     "fuse",
-    "inline",
-    "canonical_form",
-    "graph_signature",
     "optimize_graph",
-    "CullResult",
-    "FuseResult",
-    "InlineResult",
-    "CanonicalForm",
     "OptimizedGraph",
 ]
 
@@ -91,6 +62,18 @@ OPTIMIZE_PASSES: Tuple[str, ...] = ("cull", "fuse")
 
 #: Separator joining member names into a compound (fused) task name.
 FUSE_SEPARATOR = "+"
+
+
+def _check_passes(passes: Sequence[str]) -> Tuple[str, ...]:
+    """Reject unknown and repeated passes; return the list as a tuple."""
+    for index, name in enumerate(passes):
+        if name not in OPTIMIZE_PASSES:
+            raise ConfigurationError(
+                f"unknown optimize pass {name!r}; choose from {OPTIMIZE_PASSES}"
+            )
+        if name in passes[:index]:
+            raise ConfigurationError(f"duplicate optimize pass {name!r}")
+    return tuple(passes)
 
 
 def parse_passes(text: str) -> Tuple[str, ...]:
@@ -104,39 +87,19 @@ def parse_passes(text: str) -> Tuple[str, ...]:
     >>> parse_passes("")
     ()
     """
-    tokens = [
-        token.strip()
-        for token in text.replace(",", FUSE_SEPARATOR).split(FUSE_SEPARATOR)
-        if token.strip()
-    ]
-    for token in tokens:
-        if token not in OPTIMIZE_PASSES:
-            raise ConfigurationError(
-                f"unknown optimize pass {token!r}; choose from {OPTIMIZE_PASSES}"
-            )
-    if len(set(tokens)) != len(tokens):
-        raise ConfigurationError(f"duplicate optimize pass in {text!r}")
-    return tuple(tokens)
+    return _check_passes(
+        [
+            token.strip()
+            for token in text.replace(",", FUSE_SEPARATOR).split(FUSE_SEPARATOR)
+            if token.strip()
+        ]
+    )
 
 
 # ----------------------------------------------------------------------
 # cull
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class CullResult:
-    """Outcome of :func:`cull`: the pruned graph and what was dropped."""
-
-    graph: TaskGraph
-    """Graph containing only tasks with a path to a kept sink."""
-
-    removed: Tuple[str, ...]
-    """Culled task names, in original insertion order."""
-
-    sinks: Tuple[str, ...]
-    """The sinks that were kept."""
-
-
-def cull(graph: TaskGraph, sinks: Optional[Sequence[str]] = None) -> CullResult:
+def cull(graph: TaskGraph, sinks: Optional[Sequence[str]] = None) -> OptimizedGraph:
     """Drop every task with no path to a kept sink.
 
     ``sinks`` defaults to all of the graph's exit tasks, in which case
@@ -168,7 +131,7 @@ def cull(graph: TaskGraph, sinks: Optional[Sequence[str]] = None) -> CullResult:
         if parent in keep and child in keep:
             culled.add_edge(parent, child)
     removed = tuple(name for name in graph.task_names() if name not in keep)
-    return CullResult(graph=culled, removed=removed, sinks=kept_sinks)
+    return OptimizedGraph(graph=culled, passes=("cull",), removed=removed)
 
 
 # ----------------------------------------------------------------------
@@ -252,49 +215,13 @@ def _compound_task(graph: TaskGraph, members: Tuple[str, ...], name: str) -> Opt
     return compound
 
 
-@dataclass(frozen=True)
-class FuseResult:
-    """Outcome of :func:`fuse`: the fused graph plus the unfuse map."""
-
-    graph: TaskGraph
-    """Graph with each fused chain replaced by one compound task."""
-
-    chains: Mapping[str, Tuple[str, ...]]
-    """Compound task name -> member names, in chain (execution) order."""
-
-    def expand_sequence(self, sequence: Sequence[str]) -> Tuple[str, ...]:
-        """Translate a fused-graph sequence to the original task names."""
-        expanded: List[str] = []
-        for name in sequence:
-            expanded.extend(self.chains.get(name, (name,)))
-        return tuple(expanded)
-
-    def expand_assignment(self, assignment: Mapping[str, int]) -> Dict[str, int]:
-        """Translate a fused-graph column assignment to the original tasks.
-
-        Compound column ``j`` maps to column ``j`` for every member (the
-        compound's columns were built member-column-aligned).
-        """
-        expanded: Dict[str, int] = {}
-        for name, column in assignment.items():
-            for member in self.chains.get(name, (name,)):
-                expanded[member] = int(column)
-        return expanded
-
-    def expand(
-        self, sequence: Sequence[str], assignment: Mapping[str, int]
-    ) -> Tuple[Tuple[str, ...], Dict[str, int]]:
-        """Translate a full fused-graph schedule to the original graph."""
-        return self.expand_sequence(sequence), self.expand_assignment(assignment)
-
-
-def fuse(graph: TaskGraph) -> FuseResult:
+def fuse(graph: TaskGraph) -> OptimizedGraph:
     """Collapse every maximal linear chain into one compound task.
 
     A chain is fusable when every link is single-successor feeding
     single-predecessor; the compound's design points sum the members'
     durations and charges exactly (see :func:`_compound_task`).  The
-    returned :class:`FuseResult` carries the unfuse map so the final
+    returned :class:`OptimizedGraph` carries the unfuse map so the final
     schedule can always be expressed on the original graph.
     """
     chains: Dict[str, Tuple[str, ...]] = {}
@@ -327,227 +254,7 @@ def fuse(graph: TaskGraph) -> FuseResult:
         new_child = member_of.get(child, child)
         if new_parent != new_child:
             fused.add_edge(new_parent, new_child)
-    return FuseResult(graph=fused, chains=chains)
-
-
-# ----------------------------------------------------------------------
-# inline
-# ----------------------------------------------------------------------
-def _default_inline_predicate(task: Task) -> bool:
-    """Inline "constants": tasks with a single design point (no freedom)."""
-    return task.num_design_points == 1
-
-
-@dataclass(frozen=True)
-class InlineResult:
-    """Outcome of :func:`inline`: the rewritten graph and what was copied."""
-
-    graph: TaskGraph
-    """Graph with each inlined task duplicated into its consumers."""
-
-    inlined: Mapping[str, Tuple[str, ...]]
-    """Inlined source name -> the consumers that received a private copy."""
-
-
-def inline(
-    graph: TaskGraph,
-    predicate: Optional[Callable[[Task], bool]] = None,
-) -> InlineResult:
-    """Duplicate cheap zero-fanin tasks into each of their consumers.
-
-    Like dask's ``inline``: a zero-fanin task approved by ``predicate``
-    (default: single design point) with at least one successor is removed,
-    and every consumer gains a private copy named ``source@consumer``.
-    With fanout > 1 the work is *duplicated*, so this pass trades total
-    energy for fewer synchronisation edges — it is deliberately excluded
-    from the sigma-preserving spec-level passes.
-    """
-    accept = predicate if predicate is not None else _default_inline_predicate
-    position = {name: index for index, name in enumerate(graph.task_names())}
-    sources: Dict[str, Tuple[str, ...]] = {}
-    for name in graph.task_names():
-        if graph.predecessors(name):
-            continue
-        successors = graph.successors(name)
-        if not successors:
-            continue  # an isolated source is also a sink; nothing to inline into
-        if accept(graph.task(name)):
-            sources[name] = tuple(sorted(successors, key=position.__getitem__))
-    if not sources:
-        return InlineResult(graph=graph.copy(), inlined={})
-    copies: Dict[str, List[Tuple[str, str]]] = {}  # consumer -> [(copy, source)]
-    for source, consumers in sources.items():
-        for consumer in consumers:
-            copy_name = f"{source}@{consumer}"
-            while copy_name in graph:
-                copy_name += "~"
-            copies.setdefault(consumer, []).append((copy_name, source))
-    rewritten = TaskGraph(name=graph.name)
-    for task in graph:
-        if task.name in sources:
-            continue
-        for copy_name, source in copies.get(task.name, ()):
-            original = graph.task(source)
-            rewritten.add_task(
-                Task(
-                    name=copy_name,
-                    design_points=original.design_points,
-                    metadata={**original.metadata, "inlined_from": source},
-                )
-            )
-        rewritten.add_task(task)
-    for parent, child in graph.edges():
-        if parent in sources:
-            continue
-        rewritten.add_edge(parent, child)
-    for consumer, pairs in copies.items():
-        for copy_name, _ in pairs:
-            rewritten.add_edge(copy_name, consumer)
-    return InlineResult(graph=rewritten, inlined=sources)
-
-
-# ----------------------------------------------------------------------
-# canonical form
-# ----------------------------------------------------------------------
-def _digest(payload: Any) -> str:
-    """Short stable hash of a JSON-serialisable payload."""
-    encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(encoded.encode("utf-8")).hexdigest()[:16]
-
-
-def _content_signature(task: Task) -> str:
-    """Name-free content hash of a task: its canonical design-point rows."""
-    return _digest(
-        [
-            [dp.execution_time, dp.current, dp.voltage]
-            for dp in task.ordered_design_points()
-        ]
-    )
-
-
-def _refine_signatures(graph: TaskGraph) -> Dict[str, str]:
-    """Weisfeiler–Leman-style refinement of per-task structural signatures.
-
-    Starts from name-free content hashes and repeatedly folds in the
-    signature multisets of predecessors and successors until the induced
-    partition stops splitting.  Tasks left with equal signatures are
-    structurally indistinguishable at WL resolution (automorphic in every
-    graph this library generates).
-    """
-    names = graph.task_names()
-    signature = {name: _content_signature(graph.task(name)) for name in names}
-    groups = len(set(signature.values()))
-    for _ in range(len(names)):
-        signature = {
-            name: _digest(
-                [
-                    signature[name],
-                    sorted(signature[p] for p in graph.predecessors(name)),
-                    sorted(signature[s] for s in graph.successors(name)),
-                ]
-            )
-            for name in names
-        }
-        refined = len(set(signature.values()))
-        if refined == groups:
-            break
-        groups = refined
-    return signature
-
-
-@dataclass(frozen=True)
-class CanonicalForm:
-    """Outcome of :func:`canonical_form`: the relabeled graph and the map."""
-
-    graph: TaskGraph
-    """Canonical graph: tasks named ``v0..vN`` in signature-topological order."""
-
-    mapping: Mapping[str, str]
-    """Original task name -> canonical task name."""
-
-    @property
-    def inverse(self) -> Dict[str, str]:
-        """Canonical task name -> original task name."""
-        return {canon: orig for orig, canon in self.mapping.items()}
-
-
-def canonical_form(graph: TaskGraph) -> CanonicalForm:
-    """Content-addressed canonicalization of a task graph.
-
-    Tasks are relabeled ``v0..vN`` in a topological order keyed on their
-    refined structural signature (see :func:`_refine_signatures`), design
-    points are re-sorted into canonical order with presentation labels
-    dropped, and edges are emitted sorted — so two graphs that differ only
-    in task naming, insertion order, design-point listing order, or
-    metadata canonicalise to equal graphs.  Signature ties (automorphic
-    tasks) fall back to insertion order, which cannot change the resulting
-    canonical graph precisely because such tasks are interchangeable.
-    """
-    signature = _refine_signatures(graph)
-    position = {name: index for index, name in enumerate(graph.task_names())}
-    indegree = {name: len(graph.predecessors(name)) for name in graph.task_names()}
-    ready = [
-        (signature[name], position[name], name)
-        for name in graph.task_names()
-        if indegree[name] == 0
-    ]
-    heapq.heapify(ready)
-    order: List[str] = []
-    while ready:
-        _, _, name = heapq.heappop(ready)
-        order.append(name)
-        for child in graph.successors(name):
-            indegree[child] -= 1
-            if indegree[child] == 0:
-                heapq.heappush(ready, (signature[child], position[child], child))
-    if len(order) != graph.num_tasks:
-        raise TaskGraphError("task graph contains a cycle")
-    mapping = {name: f"v{index}" for index, name in enumerate(order)}
-    canonical = TaskGraph(name="")
-    for name in order:
-        task = graph.task(name)
-        canonical.add_task(
-            Task(
-                name=mapping[name],
-                design_points=[
-                    DesignPoint(
-                        execution_time=dp.execution_time,
-                        current=dp.current,
-                        voltage=dp.voltage,
-                    )
-                    for dp in task.ordered_design_points()
-                ],
-            )
-        )
-    canonical_edges = sorted(
-        (mapping[parent], mapping[child]) for parent, child in graph.edges()
-    )
-    for parent, child in canonical_edges:
-        canonical.add_edge(parent, child)
-    return CanonicalForm(graph=canonical, mapping=mapping)
-
-
-def graph_signature(graph: TaskGraph) -> str:
-    """Content address of a graph's canonical form.
-
-    Equal for structurally-isomorphic graphs (same shape, same design-point
-    values) regardless of task names, insertion order, or metadata; this is
-    the key the engine's structural dedup groups jobs by.
-
-    >>> from repro.workloads import chain_graph
-    >>> a = chain_graph(3, seed=5)
-    >>> b = TaskGraph.from_dict(a.to_dict())
-    >>> b.name = "renamed"
-    >>> graph_signature(a) == graph_signature(b)
-    True
-    """
-    canonical = canonical_form(graph).graph
-    return _digest(
-        {
-            "tasks": [task.to_dict() for task in canonical],
-            "edges": [list(edge) for edge in canonical.edges()],
-        }
-    )
+    return OptimizedGraph(graph=fused, passes=("fuse",), chains=chains)
 
 
 # ----------------------------------------------------------------------
@@ -555,7 +262,7 @@ def graph_signature(graph: TaskGraph) -> str:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class OptimizedGraph:
-    """Outcome of :func:`optimize_graph`: the final graph plus translations.
+    """Outcome of :func:`optimize_graph` or of one pass: graph plus translations.
 
     ``expand``/``expand_sequence``/``expand_assignment`` translate a
     schedule of :attr:`graph` back to the *culled* original — culled tasks
@@ -583,7 +290,11 @@ class OptimizedGraph:
         return tuple(expanded)
 
     def expand_assignment(self, assignment: Mapping[str, int]) -> Dict[str, int]:
-        """Translate an optimized-graph column assignment to original tasks."""
+        """Translate an optimized-graph column assignment to original tasks.
+
+        Compound column ``j`` maps to column ``j`` for every member (the
+        compound's columns were built member-column-aligned).
+        """
         expanded: Dict[str, int] = {}
         for name, column in assignment.items():
             for member in self.chains.get(name, (name,)):
@@ -605,29 +316,21 @@ def optimize_graph(
     """Apply the sigma-preserving passes (``cull``, ``fuse``) in order.
 
     ``sinks`` feeds the cull pass (default: every exit task, i.e. cull
-    removes nothing).  Unknown passes raise
+    removes nothing).  Unknown or repeated passes raise
     :class:`~repro.errors.ConfigurationError`.
     """
-    applied: List[str] = []
+    applied = _check_passes(passes)
     removed: Tuple[str, ...] = ()
-    chains: Dict[str, Tuple[str, ...]] = {}
+    chains: Mapping[str, Tuple[str, ...]] = {}
     current = graph
-    for name in passes:
-        if name not in OPTIMIZE_PASSES:
-            raise ConfigurationError(
-                f"unknown optimize pass {name!r}; choose from {OPTIMIZE_PASSES}"
-            )
-        if name in applied:
-            raise ConfigurationError(f"duplicate optimize pass {name!r}")
+    for name in applied:
         if name == "cull":
             result = cull(current, sinks=sinks)
             removed = result.removed
-            current = result.graph
         else:  # fuse
-            fused = fuse(current)
-            chains = dict(fused.chains)
-            current = fused.graph
-        applied.append(name)
+            result = fuse(current)
+            chains = result.chains
+        current = result.graph
     return OptimizedGraph(
-        graph=current, passes=tuple(applied), removed=removed, chains=chains
+        graph=current, passes=applied, removed=removed, chains=chains
     )

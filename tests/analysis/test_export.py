@@ -8,16 +8,11 @@ import pytest
 
 from repro.analysis import (
     TextTable,
-    compare_algorithms,
-    comparison_rows_to_records,
     save_json_records,
     save_table_csv,
     table_to_csv,
     table_to_records,
 )
-from repro.baselines import all_fastest_baseline, best_uniform_baseline
-from repro.battery import BatterySpec
-from repro.scheduling import SchedulingProblem
 
 
 @pytest.fixture
@@ -47,32 +42,14 @@ class TestTableExport:
         assert len(records) == 2
 
 
-class TestComparisonExport:
-    @pytest.fixture
-    def rows(self, g2):
-        problems = [
-            SchedulingProblem(graph=g2, deadline=75.0, battery=BatterySpec(beta=0.273), name="G2@75")
-        ]
-        return compare_algorithms(
-            problems, {"uniform": best_uniform_baseline, "fastest": all_fastest_baseline}
-        )
-
-    def test_records_contain_all_algorithms(self, rows):
-        records = comparison_rows_to_records(rows)
-        record = records[0]
-        assert record["problem"] == "G2@75"
-        assert "uniform.cost" in record and "fastest.cost" in record
-        assert record["uniform.feasible"] is True
-
-    def test_percent_difference_column(self, rows):
-        records = comparison_rows_to_records(rows, baseline="fastest", ours="uniform")
-        assert records[0]["percent_difference"] > 0
-
-    def test_save_json(self, rows, tmp_path):
-        records = comparison_rows_to_records(rows)
-        path = save_json_records(records, tmp_path / "out.json")
+class TestJsonExport:
+    def test_save_json(self, table, tmp_path):
+        path = save_json_records(table_to_records(table), tmp_path / "out.json")
         loaded = json.loads(path.read_text())
-        assert loaded[0]["deadline"] == 75.0
+        assert loaded == [
+            {"name": "a", "sigma": 1.5, "note": None},
+            {"name": "b", "sigma": 2.0, "note": "x"},
+        ]
 
     def test_json_handles_numpy_scalars(self, tmp_path):
         import numpy as np

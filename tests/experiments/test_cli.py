@@ -214,8 +214,6 @@ class TestOptimizeCommand:
         out = capsys.readouterr().out
         assert "25 tasks / 24 edges -> 1 tasks / 0 edges" in out
         assert "fused " in out
-        assert "signature before:" in out
-        assert "signature after:" in out
 
     def test_graph_file_source_and_outputs(self, tmp_path, capsys):
         graph_path = tmp_path / "g2.json"

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import compare_algorithms, schedule_metrics
+from repro.analysis import schedule_metrics
 from repro.baselines import (
     AnnealingConfig,
     all_fastest_baseline,
@@ -14,6 +14,7 @@ from repro.baselines import (
 )
 from repro.battery import BatterySpec, IdealBatteryModel
 from repro.core import SchedulerConfig, battery_aware_schedule
+from repro.engine import run_experiments
 from repro.scheduling import Schedule, SchedulingProblem
 from repro.taskgraph import build_g2, build_g3, validate_sequence
 from repro.workloads import problem_with_tightness, suite_problems
@@ -73,16 +74,13 @@ class TestSuiteWorkloads:
             # energy-optimal baseline on synthetic workloads.
             assert solution.cost <= baseline.cost * 1.10
 
-    def test_comparison_helper_over_suite(self):
+    def test_engine_over_suite(self):
         problems = suite_problems(tightness_levels=(0.5,), names=("fork-join-2x4", "tree-in-3x2"))
-        rows = compare_algorithms(
-            problems,
-            {"ours": battery_aware_schedule, "dp": rakhmatov_baseline},
-        )
-        assert len(rows) == 2
-        for row in rows:
-            assert row.outcome("ours").feasible
-            assert row.outcome("dp").feasible
+        run = run_experiments(problems, ["iterative", "dp-energy+greedy"])
+        assert len(run.results) == 4
+        for result in run.results:
+            assert result.ok
+            assert result.feasible
 
 
 class TestCrossModelConsistency:

@@ -1,11 +1,9 @@
 """Property-based tests for the task-graph optimization passes."""
 
-import random
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.taskgraph import Task, TaskGraph, canonical_form, cull, fuse, graph_signature
+from repro.taskgraph import cull, fuse
 from repro.taskgraph.io import dumps, loads
 from repro.workloads import (
     chain_graph,
@@ -40,35 +38,6 @@ def graph_strategy():
         st.builds(diamond_graph, st.integers(1, 3), seed=seeds),
         st.builds(erdos_graph, st.integers(2, 12), st.floats(0.0, 0.6), seed=seeds),
     )
-
-
-def relabeled(graph, seed):
-    """Same structure, shuffled insertion order and fresh task names."""
-    rng = random.Random(seed)
-    names = list(graph.task_names())
-    order = names[:]
-    rng.shuffle(order)
-    mapping = {name: f"r{index}_{rng.randrange(1000)}" for index, name in enumerate(names)}
-    other = TaskGraph(name="relabeled")
-    pending = {name: set(graph.predecessors(name)) for name in order}
-    # Insert in a shuffled-but-valid order (edges require both endpoints).
-    added = set()
-    while pending:
-        for name in order:
-            if name in added or not pending[name] <= added:
-                continue
-            other.add_task(
-                Task(
-                    name=mapping[name],
-                    design_points=graph.task(name).design_points,
-                )
-            )
-            added.add(name)
-            del pending[name]
-            break
-    for parent, child in graph.edges():
-        other.add_edge(mapping[parent], mapping[child])
-    return other
 
 
 class TestCullProperties:
@@ -158,32 +127,6 @@ class TestFuseProperties:
         result = fuse(graph)
         result.graph.validate()
         assert result.graph.num_tasks <= graph.num_tasks
-
-
-class TestCanonicalFormProperties:
-    @given(graph=graph_strategy())
-    @settings(max_examples=50, deadline=None)
-    def test_idempotent(self, graph):
-        once = canonical_form(graph).graph
-        twice = canonical_form(once).graph
-        assert once.to_dict() == twice.to_dict()
-
-    @given(graph=graph_strategy(), seed=seeds)
-    @settings(max_examples=50, deadline=None)
-    def test_invariant_under_relabeling(self, graph, seed):
-        other = relabeled(graph, seed)
-        assert (
-            canonical_form(graph).graph.to_dict()
-            == canonical_form(other).graph.to_dict()
-        )
-        assert graph_signature(graph) == graph_signature(other)
-
-    @given(graph=graph_strategy())
-    @settings(max_examples=50, deadline=None)
-    def test_mapping_is_a_bijection(self, graph):
-        result = canonical_form(graph)
-        assert sorted(result.mapping) == sorted(graph.task_names())
-        assert len(set(result.mapping.values())) == graph.num_tasks
 
 
 class TestIoProperties:

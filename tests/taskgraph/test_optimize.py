@@ -1,4 +1,4 @@
-"""Unit tests for repro.taskgraph.optimize (cull / fuse / inline / canonical)."""
+"""Unit tests for repro.taskgraph.optimize (cull / fuse / pass pipeline)."""
 
 import math
 
@@ -9,15 +9,12 @@ from repro.taskgraph import (
     DesignPoint,
     Task,
     TaskGraph,
-    canonical_form,
     cull,
     fuse,
-    graph_signature,
-    inline,
     optimize_graph,
 )
 from repro.taskgraph.optimize import OPTIMIZE_PASSES, parse_passes
-from repro.workloads import chain_graph, erdos_graph, fork_join_graph
+from repro.workloads import chain_graph, fork_join_graph
 
 from ..conftest import make_simple_task
 
@@ -182,134 +179,6 @@ class TestFuse:
     def test_fused_graph_validates(self):
         result = fuse(diamond_with_tail())
         result.graph.validate()
-
-
-class TestInline:
-    def inline_graph(self):
-        graph = TaskGraph(name="inl")
-        graph.add_task(Task("const", [DesignPoint(1.0, 10.0)]))
-        graph.add_task(make_simple_task("a"))
-        graph.add_task(make_simple_task("b"))
-        graph.add_task(make_simple_task("join"))
-        graph.add_edge("const", "a")
-        graph.add_edge("const", "b")
-        graph.add_edge("a", "join")
-        graph.add_edge("b", "join")
-        return graph
-
-    def test_default_predicate_inlines_single_point_sources(self):
-        result = inline(self.inline_graph())
-        assert "const" not in result.graph
-        assert "const@a" in result.graph and "const@b" in result.graph
-        assert result.inlined == {"const": ("a", "b")}
-
-    def test_copies_feed_only_their_consumer(self):
-        result = inline(self.inline_graph())
-        assert result.graph.successors("const@a") == {"a"}
-        assert result.graph.successors("const@b") == {"b"}
-
-    def test_copy_metadata_records_source(self):
-        result = inline(self.inline_graph())
-        assert result.graph.task("const@a").metadata["inlined_from"] == "const"
-
-    def test_custom_predicate(self):
-        result = inline(self.inline_graph(), predicate=lambda task: False)
-        assert result.inlined == {}
-        assert result.graph.task_names() == self.inline_graph().task_names()
-
-    def test_isolated_source_not_inlined(self):
-        graph = self.inline_graph()
-        graph.add_task(Task("lonely", [DesignPoint(1.0, 5.0)]))
-        result = inline(graph)
-        assert "lonely" in result.graph
-
-    def test_rewritten_graph_validates(self):
-        inline(self.inline_graph()).graph.validate()
-
-
-class TestCanonicalForm:
-    def relabel(self, graph, prefix="z"):
-        """Same structure, different names, reversed insertion order."""
-        mapping = {name: f"{prefix}_{name}" for name in graph.task_names()}
-        relabeled = TaskGraph(name="other")
-        for task in reversed(list(graph)):
-            relabeled.add_task(
-                Task(
-                    name=mapping[task.name],
-                    design_points=list(reversed(task.ordered_design_points())),
-                )
-            )
-        for parent, child in graph.edges():
-            relabeled.add_edge(mapping[parent], mapping[child])
-        return relabeled
-
-    def test_canonical_names_are_v_indexed(self):
-        canon = canonical_form(erdos_graph(num_tasks=8, seed=3)).graph
-        assert canon.task_names() == tuple(f"v{i}" for i in range(8))
-
-    def test_relabel_invariance(self):
-        graph = erdos_graph(num_tasks=10, seed=5)
-        a = canonical_form(graph).graph
-        b = canonical_form(self.relabel(graph)).graph
-        assert a.to_dict() == b.to_dict()
-
-    def test_idempotent(self):
-        graph = erdos_graph(num_tasks=9, seed=8)
-        once = canonical_form(graph).graph
-        twice = canonical_form(once).graph
-        assert once.to_dict() == twice.to_dict()
-
-    def test_mapping_is_an_isomorphism(self):
-        graph = erdos_graph(num_tasks=8, seed=2)
-        result = canonical_form(graph)
-        mapped_edges = sorted(
-            (result.mapping[p], result.mapping[c]) for p, c in graph.edges()
-        )
-        assert mapped_edges == sorted(result.graph.edges())
-        assert result.inverse[result.mapping["T1"]] == "T1"
-
-    def test_canonical_topological(self):
-        graph = erdos_graph(num_tasks=12, seed=11)
-        canon = canonical_form(graph).graph
-        canon.validate()
-        assert canon.is_valid_sequence(canon.task_names())
-
-    def test_metadata_and_dp_names_stripped(self):
-        graph = TaskGraph(name="meta")
-        graph.add_task(
-            Task(
-                "A",
-                [DesignPoint(1.0, 10.0, name="fancy")],
-                metadata={"k": "v"},
-            )
-        )
-        canon = canonical_form(graph).graph
-        task = canon.task("v0")
-        assert task.metadata == {}
-        assert task.ordered_design_points()[0].name == ""
-
-
-class TestGraphSignature:
-    def test_equal_for_isomorphic_graphs(self):
-        graph = erdos_graph(num_tasks=10, seed=7)
-        other = TestCanonicalForm().relabel(graph)
-        assert graph_signature(graph) == graph_signature(other)
-
-    def test_name_and_metadata_free(self):
-        graph = chain_graph(4, seed=1)
-        clone = TaskGraph.from_dict(graph.to_dict())
-        clone.name = "renamed"
-        assert graph_signature(graph) == graph_signature(clone)
-
-    def test_differs_on_structure(self):
-        a = chain_graph(4, seed=1)
-        b = chain_graph(5, seed=1)
-        assert graph_signature(a) != graph_signature(b)
-
-    def test_differs_on_design_point_values(self):
-        a = chain_graph(4, seed=1)
-        b = chain_graph(4, seed=2)
-        assert graph_signature(a) != graph_signature(b)
 
 
 class TestOptimizeGraph:
