@@ -27,3 +27,22 @@ def test_every_exported_name_resolves():
     assert missing == []
     # Guard against the check silently going vacuous.
     assert checked >= 500
+
+
+def test_no_module_exports_a_name_twice():
+    repeated = []
+    for module in MODULES:
+        names = list(getattr(module, "__all__", ()))
+        repeated.extend(
+            f"{module.__name__}.{name}" for name in set(names) if names.count(name) > 1
+        )
+    assert sorted(repeated) == []
+
+
+def test_star_import_of_every_package_succeeds():
+    for module in MODULES:
+        if hasattr(module, "__all__"):
+            namespace = {}
+            exec(f"from {module.__name__} import *", namespace)
+            assert set(module.__all__) <= set(namespace)
+

@@ -207,6 +207,81 @@ class TestRunExperiments:
         assert problems[0].name in text
 
 
+class TestComparingAlgorithms:
+    """Comparing schedulers on one problem set goes through ``run_experiments``."""
+
+    COMPARED = ["iterative", "dp-energy+greedy", "all-fastest"]
+
+    @pytest.fixture(scope="class")
+    def g2_problems(self):
+        from repro.battery import BatterySpec
+
+        battery = BatterySpec(beta=0.273)
+        return [
+            SchedulingProblem(graph=build_g2(), deadline=75.0, battery=battery, name="G2@75"),
+            SchedulingProblem(graph=build_g2(), deadline=95.0, battery=battery, name="G2@95"),
+        ]
+
+    @pytest.fixture(scope="class")
+    def run(self, g2_problems):
+        return run_experiments(g2_problems, self.COMPARED)
+
+    def test_cells_cover_problems_and_algorithms(self, run):
+        grouped = run.by_problem()
+        assert set(grouped) == {"G2@75", "G2@95"}
+        for cells in grouped.values():
+            assert set(cells) == set(self.COMPARED)
+            assert all(cell.ok and cell.cost > 0 for cell in cells.values())
+
+    def test_result_lookup(self, run):
+        assert run.result_for("G2@75", "iterative").feasible
+        with pytest.raises(KeyError, match="nope"):
+            run.result_for("G2@75", "nope")
+        with pytest.raises(KeyError):
+            run.result_for("G2@60", "iterative")
+
+    def test_iterative_never_loses_to_the_dp_baseline_on_g2(self, run):
+        for cells in run.by_problem().values():
+            ours = cells["iterative"].cost
+            baseline = cells["dp-energy+greedy"].cost
+            assert 100.0 * (baseline - ours) / baseline >= -1e-6
+
+    def test_looser_deadline_never_costs_more(self, run):
+        tight = run.result_for("G2@75", "iterative").cost
+        loose = run.result_for("G2@95", "iterative").cost
+        assert loose <= tight + 1e-9
+
+    def test_failing_algorithm_recorded_as_error(self, g2_problems, monkeypatch):
+        from repro.engine import jobs as engine_jobs
+
+        def broken(problem, model, params):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(engine_jobs._REGISTRY, "broken", broken)
+        run = run_experiments(g2_problems[:1], ["all-fastest", "broken"])
+        ok, failed = run.results
+        assert ok.ok and ok.cost > 0
+        assert failed.error == "RuntimeError: boom"
+        assert failed.cost is None and failed.feasible is None
+        assert run.failures() == (failed,)
+        assert run.summary() == "2 jobs (2 executed, 0 resumed), 1 failed"
+
+    def test_table_has_one_row_per_cell(self, run):
+        table = run.to_table()
+        assert table.headers == ("problem", "algorithm", "sigma", "makespan", "status")
+        assert len(table.rows) == 2 * len(self.COMPARED)
+        assert [row[:2] for row in table.rows[:3]] == [
+            ("G2@75", name) for name in self.COMPARED
+        ]
+
+    def test_table_status_carries_the_error(self, g2_problems):
+        too_tight = dataclasses.replace(g2_problems[0], deadline=40.0, name="G2@40")
+        table = run_experiments([too_tight], ["iterative"]).to_table()
+        (row,) = table.rows
+        assert row[2] is None
+        assert row[4].startswith("InfeasibleDeadlineError")
+
+
 class TestDriverIntegration:
     """The rewired experiment drivers stay consistent with their legacy paths."""
 

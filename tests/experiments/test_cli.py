@@ -215,6 +215,14 @@ class TestOptimizeCommand:
         assert "25 tasks / 24 edges -> 1 tasks / 0 edges" in out
         assert "fused " in out
 
+    def test_report_has_no_signature_lines(self, capsys):
+        # The structure-only graph signature was deleted with the dedupe
+        # machinery; the report keeps the shape, pass and chain lines.
+        assert main(["optimize", "--scenario", "chain-25"]) == 0
+        out = capsys.readouterr().out
+        assert "signature" not in out
+        assert "25 tasks / 24 edges" in out
+
     def test_graph_file_source_and_outputs(self, tmp_path, capsys):
         graph_path = tmp_path / "g2.json"
         save_json(build_g2(), graph_path)
@@ -252,6 +260,14 @@ class TestOptimizeCommand:
         save_json(build_g2(), graph_path)
         with pytest.raises(ConfigurationError, match="unknown optimize pass"):
             main(["optimize", "--graph", str(graph_path), "--passes", "explode"])
+
+    def test_duplicate_pass_is_a_cli_error(self, tmp_path):
+        from repro.errors import ConfigurationError
+
+        graph_path = tmp_path / "g2.json"
+        save_json(build_g2(), graph_path)
+        with pytest.raises(ConfigurationError, match="duplicate optimize pass 'fuse'"):
+            main(["optimize", "--graph", str(graph_path), "--passes", "fuse+cull+fuse"])
 
     def test_graph_and_scenario_mutually_exclusive(self):
         with pytest.raises(SystemExit):

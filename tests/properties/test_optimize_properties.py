@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.taskgraph import cull, fuse
+from repro.taskgraph import cull, fuse, optimize_graph
 from repro.taskgraph.io import dumps, loads
 from repro.workloads import (
     chain_graph,
@@ -74,6 +74,18 @@ class TestCullProperties:
         for name in result.removed:
             assert not (graph.descendants(name) & kept)
 
+    @given(graph=graph_strategy(), data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_removed_and_kept_partition_the_graph(self, graph, data):
+        exits = list(graph.exit_tasks())
+        sinks = data.draw(
+            st.lists(st.sampled_from(exits), min_size=1, unique=True)
+        )
+        result = cull(graph, sinks=sinks)
+        kept = set(result.graph.task_names())
+        assert kept.isdisjoint(result.removed)
+        assert kept | set(result.removed) == set(graph.task_names())
+
 
 class TestFuseProperties:
     @given(graph=graph_strategy())
@@ -127,6 +139,40 @@ class TestFuseProperties:
         result = fuse(graph)
         result.graph.validate()
         assert result.graph.num_tasks <= graph.num_tasks
+
+
+class TestPipelineProperties:
+    @given(graph=graph_strategy())
+    @settings(max_examples=50, deadline=None)
+    def test_fuse_is_idempotent(self, graph):
+        once = fuse(graph).graph
+        again = fuse(once)
+        assert again.chains == {}
+        assert again.graph.to_dict() == once.to_dict()
+
+    @given(graph=graph_strategy(), data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_pipeline_is_the_composition_of_its_passes(self, graph, data):
+        exits = list(graph.exit_tasks())
+        sinks = data.draw(
+            st.lists(st.sampled_from(exits), min_size=1, unique=True)
+        )
+        culled = cull(graph, sinks=sinks)
+        fused = fuse(culled.graph)
+        result = optimize_graph(graph, sinks=sinks)
+        assert result.graph.to_dict() == fused.graph.to_dict()
+        assert result.removed == culled.removed
+        assert dict(result.chains) == dict(fused.chains)
+
+    @given(graph=graph_strategy(), column=st.integers(0, 2))
+    @settings(max_examples=50, deadline=None)
+    def test_expanded_assignment_covers_every_original_task(self, graph, column):
+        result = optimize_graph(graph)
+        column = min(column, graph.uniform_design_point_count() - 1)
+        assignment = result.expand_assignment(
+            {name: column for name in result.graph.task_names()}
+        )
+        assert assignment == {name: column for name in graph.task_names()}
 
 
 class TestIoProperties:

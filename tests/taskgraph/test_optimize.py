@@ -13,7 +13,7 @@ from repro.taskgraph import (
     fuse,
     optimize_graph,
 )
-from repro.taskgraph.optimize import OPTIMIZE_PASSES, parse_passes
+from repro.taskgraph.optimize import OPTIMIZE_PASSES, OptimizedGraph, parse_passes
 from repro.workloads import chain_graph, fork_join_graph
 
 from ..conftest import make_simple_task
@@ -180,6 +180,16 @@ class TestFuse:
         result = fuse(diamond_with_tail())
         result.graph.validate()
 
+    def test_graph_without_chains_is_unchanged(self):
+        graph = TaskGraph(name="diamond")
+        for name in ("A", "B", "C", "D"):
+            graph.add_task(make_simple_task(name))
+        for parent, child in (("A", "B"), ("A", "C"), ("B", "D"), ("C", "D")):
+            graph.add_edge(parent, child)
+        result = fuse(graph)
+        assert result.chains == {}
+        assert result.graph.to_dict() == graph.to_dict()
+
 
 class TestOptimizeGraph:
     def test_default_passes(self):
@@ -217,3 +227,76 @@ class TestOptimizeGraph:
         result = optimize_graph(graph, passes=())
         assert result.graph.to_dict() == graph.to_dict()
         assert result.passes == ()
+
+
+class TestOnePassResultType:
+    """``cull`` and ``fuse`` return the same :class:`OptimizedGraph` as the pipeline."""
+
+    def test_cull_returns_an_optimized_graph(self):
+        result = cull(diamond_with_tail(), sinks=["F"])
+        assert isinstance(result, OptimizedGraph)
+        assert result.passes == ("cull",)
+        assert result.chains == {}
+
+    def test_fuse_returns_an_optimized_graph(self):
+        result = fuse(diamond_with_tail())
+        assert isinstance(result, OptimizedGraph)
+        assert result.passes == ("fuse",)
+        assert result.removed == ()
+
+    def test_cull_expand_is_the_identity(self):
+        result = cull(diamond_with_tail(), sinks=["F"])
+        order = result.graph.topological_order()
+        assignment = {name: index % 3 for index, name in enumerate(order)}
+        assert result.expand(order, assignment) == (order, assignment)
+
+    def test_fuse_expand_assignment_fans_compound_columns_out(self):
+        result = fuse(diamond_with_tail())
+        expanded = result.expand_assignment({"A": 0, "D+E+F": 2, "X+Y": 1})
+        assert expanded == {"A": 0, "D": 2, "E": 2, "F": 2, "X": 1, "Y": 1}
+
+    def test_pipeline_is_the_composition_of_its_passes(self):
+        graph = diamond_with_tail()
+        culled = cull(graph, sinks=["F"])
+        fused = fuse(culled.graph)
+        result = optimize_graph(graph, sinks=["F"])
+        assert result.graph.to_dict() == fused.graph.to_dict()
+        assert result.removed == culled.removed
+        assert dict(result.chains) == dict(fused.chains)
+
+    def test_fuse_then_cull_names_compound_sinks(self):
+        result = optimize_graph(
+            diamond_with_tail(), passes=("fuse", "cull"), sinks=["D+E+F"]
+        )
+        assert result.passes == ("fuse", "cull")
+        assert result.removed == ("X+Y",)
+        assert result.chains["D+E+F"] == ("D", "E", "F")
+        assert result.expand_sequence(["A", "B", "C", "D+E+F"]) == (
+            "A", "B", "C", "D", "E", "F",
+        )
+
+
+class TestSharedPassCheck:
+    """``parse_passes`` and ``optimize_graph`` refuse the same pass lists."""
+
+    @pytest.mark.parametrize(
+        "passes, message",
+        [
+            (("inline",), "unknown optimize pass 'inline'"),
+            (("cull", "canonical"), "unknown optimize pass 'canonical'"),
+            (("cull", "cull"), "duplicate optimize pass 'cull'"),
+            (("fuse", "cull", "fuse"), "duplicate optimize pass 'fuse'"),
+        ],
+    )
+    def test_both_entry_points_agree(self, passes, message):
+        with pytest.raises(ConfigurationError, match=message):
+            parse_passes("+".join(passes))
+        with pytest.raises(ConfigurationError, match=message):
+            optimize_graph(diamond_with_tail(), passes=passes)
+
+    def test_parsed_passes_feed_the_pipeline(self):
+        graph = diamond_with_tail()
+        parsed = optimize_graph(graph, passes=parse_passes("cull, fuse"))
+        default = optimize_graph(graph)
+        assert parsed.passes == default.passes == OPTIMIZE_PASSES
+        assert parsed.graph.to_dict() == default.graph.to_dict()
