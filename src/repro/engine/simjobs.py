@@ -79,6 +79,18 @@ def _key_tail(spec: ScenarioSpec, seed: int) -> str:
     return _canonical_json({"scenario": _scenario_payload(spec), "seed": seed})[1:]
 
 
+def _key_head(evaluate_at: str, params: Mapping[str, Any], policy: str) -> str:
+    """The ``"evaluate_at"``/``"params"``/``"policy"`` start of a job's
+    canonical JSON, left open for the replication and the tail."""
+    return _canonical_json(
+        {"evaluate_at": evaluate_at, "params": _canonical(params), "policy": policy}
+    )[:-1]
+
+
+def _job_key(head: str, replication: int, tail: str) -> str:
+    return _digest(f'{head},"replication":{_canonical_json(replication)},{tail}')
+
+
 @lru_cache(maxsize=256)
 def _problem(spec: ScenarioSpec):
     """One problem per spec per process, so a spec's cells share its graph
@@ -217,6 +229,34 @@ class SimulationJob:
             )
         object.__setattr__(self, "params", dict(self.params))
 
+    @classmethod
+    def cell(
+        cls,
+        spec: ScenarioSpec,
+        policy: str,
+        replications: int,
+        params: Optional[Mapping[str, Any]] = None,
+        seed: int = 0,
+        evaluate_at: str = "completion",
+    ) -> Tuple["SimulationJob", ...]:
+        """Replications ``0 .. replications - 1`` of one Monte Carlo cell.
+
+        Each job equals, keys included, the ``SimulationJob`` built alone
+        with the same fields; the cell's canonical head (evaluation point,
+        params, policy) is rendered once for all of them, not per job.
+        """
+        jobs = tuple(
+            cls(spec, policy, params or {}, seed, replication, evaluate_at)
+            for replication in range(replications)
+        )
+        if jobs:
+            head = _key_head(evaluate_at, jobs[0].params, policy)
+            tail = _key_tail(spec, seed)
+            cell_key = _digest(f"{head},{tail}")
+            for job in jobs:
+                job._set_keys(_job_key(head, job.replication, tail), cell_key)
+        return jobs
+
     # ------------------------------------------------------------------
     def job_spec(self) -> Dict[str, Any]:
         """The complete, JSON-serialisable description of this job.
@@ -256,19 +296,15 @@ class SimulationJob:
         # The canonical JSON of job_spec(), rendered once for both keys: a
         # head (evaluate_at, params, policy), the replication, and a tail
         # (scenario, seed) memoised per spec and seed.
-        head = _canonical_json(
-            {
-                "evaluate_at": self.evaluate_at,
-                "params": _canonical(self.params),
-                "policy": self.policy,
-            }
-        )[:-1]
+        head = _key_head(self.evaluate_at, self.params, self.policy)
         tail = _key_tail(self.spec, self.seed)
-        replication = _canonical_json(self.replication)
-        object.__setattr__(
-            self, "_key", _digest(f'{head},"replication":{replication},{tail}')
+        self._set_keys(
+            _job_key(head, self.replication, tail), _digest(f"{head},{tail}")
         )
-        object.__setattr__(self, "_cell_key", _digest(f"{head},{tail}"))
+
+    def _set_keys(self, key: str, cell_key: str) -> None:
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_cell_key", cell_key)
 
     @property
     def label(self) -> str:
@@ -394,7 +430,8 @@ def execute_simulation_batch(batch: SimulationBatch) -> SimulationBatchResult:
     per-graph simulator tables), the battery model and — for
     ``static-replay`` — the offline schedule once per batch, then every
     replication runs as a :class:`~repro.sim.BatchSimulator` lane
-    (columnar for retry-free cells, scalar lanes otherwise).  Each lane's
+    (columnar for retry-free cells, scalar lanes otherwise), and its
+    :class:`~repro.sim.LaneSummary` becomes the job's record.  Each lane's
     outcome is bit-identical to a scalar :class:`~repro.sim.Simulator`
     run of the same job, so the rows do not depend on how a cell was
     chunked; errors stay isolated per lane (a replication that

@@ -3,7 +3,9 @@
 :func:`run_simulation_suite` is the experiments-layer entry point over
 :mod:`repro.sim`: select scenarios (default: the catalogue's stochastic
 tier), cross them with simulation policies and seeded replications into
-:class:`~repro.engine.SimulationJob` grids, run them through the engine
+:class:`~repro.engine.SimulationJob` grids (one
+:meth:`~repro.engine.SimulationJob.cell` per scenario and policy), run
+them through the engine
 (each cell's replications as lanes of one columnar batch, or scalar
 lanes when tasks can fail; parallel
 byte-identical to serial, resumable), anchor each scenario with
@@ -169,16 +171,16 @@ def run_simulation_suite(
             replay_params[spec.name] = {"algorithm": offline_algorithm}
 
     jobs = [
-        SimulationJob(
-            spec=spec,
-            policy=policy,
-            params=replay_params[spec.name] if policy == "static-replay" else {},
-            seed=seed,
-            replication=replication,
-        )
+        job
         for spec in specs
         for policy in policy_list
-        for replication in range(replications)
+        for job in SimulationJob.cell(
+            spec,
+            policy,
+            replications,
+            params=replay_params[spec.name] if policy == "static-replay" else None,
+            seed=seed,
+        )
     ]
     run = run_simulation_jobs(
         jobs,

@@ -30,6 +30,12 @@ The pieces (estee-style discrete-event shape):
   ``schedule_charge`` so that replaying an offline schedule with zero
   perturbation reproduces the offline evaluator's cost **bitwise** (the
   conformance anchor, gated by the golden-fixture tests).
+* :class:`BatchSimulator` (:mod:`repro.sim.batch`) — one Monte Carlo
+  cell's replications at once.  ``run()`` gives each lane's
+  :class:`LaneSummary` (the six scalars a store row keeps) or its
+  exception (a :data:`LaneOutcome`); ``results()`` gives the full
+  :class:`SimulationResult` timelines.  Both equal the scalar
+  :class:`Simulator`'s, bitwise.
 
 Orchestration at scale lives in :mod:`repro.engine`
 (:class:`~repro.engine.SimulationJob` — content-hashed, parallel,
@@ -48,7 +54,7 @@ resumable) and :mod:`repro.experiments.simulate`
 True
 """
 
-from .batch import BatchSimulator, LaneOutcome
+from .batch import BatchSimulator, LaneOutcome, LaneSummary
 from .events import TaskRuntimeInfo, TaskState, VirtualClock
 from .imode import (
     INFORMATION_MODES,
@@ -87,6 +93,7 @@ __all__ = [
     "Simulator",
     "BatchSimulator",
     "LaneOutcome",
+    "LaneSummary",
     "Scheduler",
     "StaticReplayScheduler",
     "GreedyEnergyScheduler",

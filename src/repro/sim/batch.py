@@ -1,9 +1,12 @@
 """Batched Monte Carlo simulation: one cell's replications, columnar.
 
 :class:`BatchSimulator` runs the replications of one (scenario, policy)
-cell and returns, per lane, the :class:`~repro.sim.SimulationResult` the
-scalar :class:`~repro.sim.Simulator` returns for the same
-``(seed, replication)`` stream — bitwise, every field.
+cell.  :meth:`~BatchSimulator.run` returns, per lane, a
+:class:`LaneSummary` — the six scalars a store row keeps — and
+:meth:`~BatchSimulator.results` the full
+:class:`~repro.sim.SimulationResult` timeline.  Either equals, bitwise,
+what the scalar :class:`~repro.sim.Simulator` returns for the same
+``(seed, replication)`` stream.
 
 When no task can fail, a replication's task order does not depend on its
 draws (static replay follows its sequence; an online policy pops a
@@ -13,7 +16,9 @@ arrays: the order is computed once through the policy's ordering step,
 each lane draws its duration factors in one call (bitwise equal to the
 scalar draws, one per attempt in start order), and an online policy's
 ``choose_columns`` rule takes one vector step per task position.  One
-``schedule_charge_batch`` call with per-lane rests costs every lane.
+``schedule_charge_batch`` call with per-lane rests costs every lane, and
+a summary is read straight off those arrays; only :meth:`results` builds
+per-interval objects.
 
 A cell is columnar when ``failure_rate == 0``, the battery has no finite
 capacity, no trace is sampled, and all lanes run one built-in policy
@@ -30,7 +35,7 @@ from __future__ import annotations
 import math
 import time as _time
 from itertools import repeat
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -51,10 +56,49 @@ from .schedulers import (
     StaticReplayScheduler,
 )
 
-__all__ = ["BatchSimulator", "LaneOutcome"]
+__all__ = ["BatchSimulator", "LaneOutcome", "LaneSummary"]
 
-#: One lane's outcome: its result, or the exception that aborted it.
-LaneOutcome = Union[SimulationResult, Exception]
+
+class LaneSummary(NamedTuple):
+    """One completed lane as a store row reads it: six scalars, no timeline."""
+
+    cost: float
+    makespan: float
+    feasible: bool
+    retries: int
+    events: int
+    depletion_time: Optional[float]
+
+    @classmethod
+    def of(cls, result: SimulationResult) -> "LaneSummary":
+        """The summary of a full :class:`~repro.sim.SimulationResult`."""
+        return cls(
+            result.cost,
+            result.makespan,
+            result.feasible,
+            result.retries,
+            result.events,
+            result.depletion_time,
+        )
+
+
+#: One lane's :meth:`BatchSimulator.run` outcome: its summary, or the
+#: exception that aborted it.
+LaneOutcome = Union[LaneSummary, Exception]
+
+
+class _Cell(NamedTuple):
+    """A columnar cell's outcome as arrays, one row (or entry) per lane."""
+
+    order: Tuple[str, ...]
+    columns: np.ndarray
+    durations: np.ndarray
+    currents: np.ndarray
+    events: int
+    makespans: List[float]
+    rests: List[float]
+    costs: List[float]
+
 
 _COLUMNAR_POLICIES = (
     StaticReplayScheduler,
@@ -87,8 +131,11 @@ class BatchSimulator:
         share one resolved :class:`~repro.sim.imode.GraphBeliefs`).
 
     :meth:`run` returns one :data:`LaneOutcome` per replication, in order:
-    the lane's :class:`~repro.sim.SimulationResult`, or the exception that
-    aborted that lane.  ``columnar`` tells which path the cell takes.
+    the lane's :class:`LaneSummary`, or the exception that aborted that
+    lane.  :meth:`results` returns the full timelines instead, one
+    :class:`~repro.sim.SimulationResult` (or exception) per lane.  A batch
+    runs once, through either.  ``columnar`` tells which path the cell
+    takes.
     """
 
     def __init__(
@@ -160,7 +207,14 @@ class BatchSimulator:
         return len(self._schedulers)
 
     def run(self) -> Tuple[LaneOutcome, ...]:
-        """Run every lane to completion and return the per-lane outcomes."""
+        """Run every lane to completion; one summary (or exception) per lane."""
+        return self._execute(timelines=False)
+
+    def results(self) -> Tuple[Union[SimulationResult, Exception], ...]:
+        """Run every lane to completion; one full result (or exception) per lane."""
+        return self._execute(timelines=True)
+
+    def _execute(self, timelines: bool) -> tuple:
         if self._ran:
             raise SimulationError("a BatchSimulator instance runs exactly once")
         self._ran = True
@@ -168,11 +222,17 @@ class BatchSimulator:
         with _OBS.span("sim.batch.run", label=self._obs_label):
             if self.columnar:
                 try:
-                    outcomes: Tuple[LaneOutcome, ...] = self._run_columnar()
+                    cell = self._run_columnar()
+                    outcomes = self._results(cell) if timelines else self._summaries(cell)
                 except Exception as exc:  # noqa: BLE001 - every lane's set-up error
                     outcomes = (exc,) * len(self)
             else:
                 outcomes = tuple(map(_run_lane, self._lanes))
+                if not timelines:
+                    outcomes = tuple(
+                        outcome if isinstance(outcome, Exception) else LaneSummary.of(outcome)
+                        for outcome in outcomes
+                    )
             if _OBS.enabled:
                 _OBS.count("sim.batch.lanes", len(self), label=self._obs_label)
                 _OBS.observe(
@@ -182,7 +242,7 @@ class BatchSimulator:
                 )
         return outcomes
 
-    def _run_columnar(self) -> Tuple[SimulationResult, ...]:
+    def _run_columnar(self) -> _Cell:
         scheduler = self._schedulers[0]
         tables = self._tables
         lanes = len(self)
@@ -233,9 +293,6 @@ class BatchSimulator:
                 for values in (view.durations, view.currents, picked)
             )
             wakeups = len(order)
-        # The clock: each start is the sum of the durations before it.
-        starts = np.zeros_like(durations)
-        np.cumsum(durations[:, :-1], axis=1, out=starts[:, 1:])
         if _OBS.enabled:
             label = self._obs_label
             decisions = lanes * len(order)
@@ -245,8 +302,15 @@ class BatchSimulator:
             if not mode.is_exact:
                 _OBS.count("sim.imode.decisions", decisions, label=f"{label}|{mode.label}")
             _OBS.count("sim.event.task-end", decisions, label=label)
-        return self._results(
-            tuple(order), columns, starts, durations, currents, wakeups + len(order)
+        deadline = float(self.problem.deadline)
+        makespans = [math.fsum(row) for row in durations.tolist()]
+        rests = [_resolve_rest(span, deadline, self.evaluate_at) for span in makespans]
+        costs = self.model.schedule_charge_batch(
+            np.ascontiguousarray(durations), np.ascontiguousarray(currents), np.array(rests)
+        ).tolist()
+        return _Cell(
+            tuple(order), columns, durations, currents, wakeups + len(order),
+            makespans, rests, costs,
         )
 
     def _factors(self, count: int) -> np.ndarray:
@@ -255,20 +319,27 @@ class BatchSimulator:
             [self.perturbation.duration_factors(rng, count) for rng in self._rngs]
         ).reshape(len(self), count)
 
-    def _results(self, order, columns, starts, durations, currents, events):
-        """Every lane's :class:`SimulationResult`, costed in one kernel call."""
+    def _summaries(self, cell: _Cell) -> Tuple[LaneSummary, ...]:
+        """Every lane's :class:`LaneSummary`, read off the cell's arrays."""
+        limit = float(self.problem.deadline) + _EPS
+        return tuple(
+            LaneSummary(cost, makespan, makespan <= limit, 0, cell.events, None)
+            for cost, makespan in zip(cell.costs, cell.makespans)
+        )
+
+    def _results(self, cell: _Cell) -> Tuple[SimulationResult, ...]:
+        """Every lane's :class:`SimulationResult`, built from the cell's arrays."""
         deadline = float(self.problem.deadline)
-        duration_rows = durations.tolist()
-        makespans = [math.fsum(row) for row in duration_rows]
-        rests = [_resolve_rest(span, deadline, self.evaluate_at) for span in makespans]
-        costs = self.model.schedule_charge_batch(
-            np.ascontiguousarray(durations), np.ascontiguousarray(currents), np.array(rests)
-        ).tolist()
+        order, durations = cell.order, cell.durations
+        # The clock: each start is the sum of the durations before it.
+        starts = np.zeros_like(durations)
+        np.cumsum(durations[:, :-1], axis=1, out=starts[:, 1:])
         position = {name: index for index, name in enumerate(order)}
         names = self.problem.graph.task_names()
         lanes = zip(
-            self._schedulers, costs, makespans, rests, columns.tolist(),
-            starts.tolist(), duration_rows, currents.tolist(),
+            self._schedulers, cell.costs, cell.makespans, cell.rests,
+            cell.columns.tolist(), starts.tolist(), durations.tolist(),
+            cell.currents.tolist(),
         )
         return tuple(
             SimulationResult(
@@ -285,7 +356,7 @@ class BatchSimulator:
                         repeat(1), repeat(False))
                 ),
                 retries=0,
-                events=events,
+                events=cell.events,
                 evaluate_at=self.evaluate_at,
             )
             for scheduler, cost, makespan, rest, picked, begins, lengths, amps in lanes

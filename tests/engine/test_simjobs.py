@@ -4,6 +4,8 @@ import dataclasses
 import hashlib
 import json
 import math
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +20,7 @@ from repro.engine import (
     run_simulation_jobs,
 )
 from repro.errors import ConfigurationError
-from repro.experiments.simulate import DEFAULT_SIM_POLICIES
+from repro.experiments.simulate import DEFAULT_SIM_POLICIES, run_simulation_suite
 from repro.scenarios import ScenarioSpec, default_registry
 from repro.sim import Simulator, make_policy, rng_for_seed
 
@@ -122,35 +124,100 @@ class TestSimulationJob:
             != SimulationJob(spec=hotter, policy="greedy-energy").key()
         )
 
-    def test_keys_of_the_stochastic_catalogue_are_pinned(self, registry):
-        # Every stored simulation record is addressed by these keys, so their
-        # bytes must never drift; the digest was recorded before key and
-        # cell key started sharing one job_spec() and a memoised scenario
-        # payload.  The static-replay params exercise nested mappings,
-        # tuples and infinities in the canonicalisation.
-        from repro.experiments.simulate import DEFAULT_SIM_POLICIES
+    @staticmethod
+    def _catalogue_jobs(registry, params, seed, evaluate_ats, one_by_one):
+        """The stochastic catalogue's jobs, 3 replications per cell, built
+        one ``SimulationJob`` at a time or one :meth:`SimulationJob.cell`
+        at a time."""
+        jobs = []
+        for spec in registry.select(stochastic=True):
+            for policy in DEFAULT_SIM_POLICIES:
+                for evaluate_at in evaluate_ats:
+                    cell_params = params if policy == "static-replay" else {}
+                    if one_by_one:
+                        jobs.extend(
+                            SimulationJob(
+                                spec=spec,
+                                policy=policy,
+                                params=cell_params,
+                                seed=seed,
+                                replication=replication,
+                                evaluate_at=evaluate_at,
+                            )
+                            for replication in range(3)
+                        )
+                    else:
+                        jobs.extend(
+                            SimulationJob.cell(
+                                spec, policy, 3, params=cell_params, seed=seed,
+                                evaluate_at=evaluate_at,
+                            )
+                        )
+        return jobs
 
+    @staticmethod
+    def _key_digest(jobs):
+        digest = hashlib.sha256()
+        for job in jobs:
+            digest.update(job.key().encode())
+            digest.update(job.cell_key().encode())
+        return digest.hexdigest()
+
+    @pytest.mark.parametrize("one_by_one", (True, False), ids=("jobs", "cells"))
+    def test_keys_of_the_stochastic_catalogue_are_pinned(self, registry, one_by_one):
+        # Every stored simulation record is addressed by these keys, so their
+        # bytes must never drift, whichever way the jobs are built; the
+        # digest was recorded before key and cell key started sharing one
+        # job_spec() and a memoised scenario payload.  The static-replay
+        # params exercise nested mappings, tuples and infinities in the
+        # canonicalisation.
         params = {
             "sequence": ["T1", "T2"],
             "columns": {"T2": 1, "T1": 0},
             "limits": (1.5, float("inf")),
         }
-        digest = hashlib.sha256()
-        for spec in registry.select(stochastic=True):
-            for policy in DEFAULT_SIM_POLICIES:
-                for replication in range(3):
-                    job = SimulationJob(
-                        spec=spec,
-                        policy=policy,
-                        params=params if policy == "static-replay" else {},
-                        seed=7,
-                        replication=replication,
-                    )
-                    digest.update(job.key().encode())
-                    digest.update(job.cell_key().encode())
-        assert digest.hexdigest() == (
+        jobs = self._catalogue_jobs(registry, params, 7, ("completion",), one_by_one)
+        assert self._key_digest(jobs) == (
             "8d6d3611421a2eb91451b220588f26155516b194f9dd4ce6d2fa32bec950e38f"
         )
+
+    @pytest.mark.parametrize("one_by_one", (True, False), ids=("jobs", "cells"))
+    def test_odd_params_and_evaluation_points_are_pinned(self, registry, one_by_one):
+        # Recorded with jobs built one by one, before cells rendered their
+        # key head once: nested lists and tuples, non-str mapping keys,
+        # both infinities and both evaluation points.
+        params = {
+            "sequence": ["T1", ("T2", ["T3", ("T4",)])],
+            "columns": {"T2": 1, "T1": 0},
+            "by_index": {10: (0, 1), 9: [2, {1.5: -1, 0.5: None}]},
+            "limits": (1.5, math.inf, -math.inf, [math.inf, (-math.inf,)]),
+        }
+        jobs = self._catalogue_jobs(
+            registry, params, 11, ("completion", "deadline"), one_by_one
+        )
+        assert self._key_digest(jobs) == (
+            "f1b0da2f9033bda57fc470830b8f56a3cbd621b66b53dc3204db85e174f083e1"
+        )
+
+    def test_cell_jobs_equal_jobs_built_one_by_one(self, registry):
+        spec = registry.get("g3-jitter10")
+        params = {"sequence": ["T1"], "columns": {"T1": 0}}
+        cell = SimulationJob.cell(
+            spec, "static-replay", 4, params=params, seed=5, evaluate_at="deadline"
+        )
+        alone = [
+            SimulationJob(
+                spec=spec, policy="static-replay", params=params, seed=5,
+                replication=replication, evaluate_at="deadline",
+            )
+            for replication in range(4)
+        ]
+        assert list(cell) == alone
+        assert [job.key() for job in cell] == [job.key() for job in alone]
+        assert {job.cell_key() for job in cell} == {alone[0].cell_key()}
+        assert SimulationJob.cell(spec, "greedy-energy", 0) == ()
+        with pytest.raises(ConfigurationError, match="unknown simulation policy"):
+            SimulationJob.cell(spec, "no-such-policy", 2)
 
     def test_rendered_keys_equal_the_hash_of_job_spec(self, registry):
         # The keys are rendered from a hand-built sorted top level and a
@@ -337,6 +404,34 @@ class TestRunSimulationJobs:
         resumed = run_simulation_jobs(jobs, store=store, resume=True)
         assert (resumed.executed, resumed.skipped) == (0, len(jobs))
         assert resumed.records == fresh.records
+
+    def test_store_of_an_earlier_commit_resumes_with_nothing_to_run(self, tmp_path):
+        # The golden store was written by an earlier commit's
+        # run_simulation_suite with these arguments: two replications of a
+        # static-replay cell (its key carries the offline schedule), a
+        # battery-reactive cell, and the same on a -fail5 scenario, whose
+        # lanes retry.  Today's keys must find every row, and today's rows
+        # must equal the stored ones apart from timing.
+        golden = Path(__file__).with_name("golden_sim_store.jsonl")
+        stored = [json.loads(line) for line in golden.read_text().splitlines()]
+        assert any(row["retries"] for row in stored)
+        path = tmp_path / "sim.jsonl"
+        shutil.copy(golden, path)
+        store = ResultStore(path, record_type=SimulationRecord)
+        arguments = dict(
+            scenarios=["g3-jitter10", "g3-jitter10-fail5"],
+            policies=["static-replay", "battery-reactive"],
+            replications=2,
+            seed=0,
+        )
+        resumed = run_simulation_suite(store=store, resume=True, **arguments).run
+        assert (resumed.executed, resumed.skipped) == (0, len(stored))
+        assert path.read_bytes() == golden.read_bytes()
+        fresh = run_simulation_suite(**arguments).run
+        assert strip_timing(fresh.records) == [
+            {key: value for key, value in row.items() if key != "elapsed_s"}
+            for row in stored
+        ]
 
     def test_resume_requires_store(self, registry):
         with pytest.raises(ConfigurationError):

@@ -1,16 +1,17 @@
 """Batch simulation == scalar simulation, bitwise, everywhere.
 
 :class:`~repro.sim.BatchSimulator` promises that every lane's
-:class:`~repro.sim.SimulationResult` equals the scalar
-:class:`~repro.sim.Simulator`'s for the same ``(seed, replication)``
+:class:`~repro.sim.SimulationResult` (from ``results()``) equals the
+scalar :class:`~repro.sim.Simulator`'s for the same ``(seed, replication)``
 stream — full dataclass equality, which covers sigma, makespan, rest,
-feasibility, sequence, columns, every interval, retries and events.  This
-suite pins that on both of its paths — the columnar core of retry-free
-cells (a differential grid over chemistries, policies, jitter models,
-evaluation points, information modes and deadlines) and the scalar
-fallback (failures with retries, finite batteries) — plus the choice
-between them, the counters a columnar cell emits, and the per-lane error
-isolation contract.
+feasibility, sequence, columns, every interval, retries and events — and
+that ``run()``'s per-lane :class:`~repro.sim.LaneSummary` is that
+result's projection.  This suite pins that on both of its paths — the
+columnar core of retry-free cells (a differential grid over chemistries,
+policies, jitter models, evaluation points, information modes and
+deadlines) and the scalar fallback (failures with retries, finite
+batteries) — plus the choice between them, the counters a columnar cell
+emits, and the per-lane error isolation contract.
 """
 
 import itertools
@@ -27,6 +28,7 @@ from repro.sim import (
     BatteryReactiveScheduler,
     GreedyEnergyScheduler,
     InformationMode,
+    LaneSummary,
     PerturbationModel,
     Scheduler,
     Simulator,
@@ -34,7 +36,7 @@ from repro.sim import (
     make_policy,
     rng_for_seed,
 )
-from repro.taskgraph import build_g3
+from repro.taskgraph import DesignPoint, Task, TaskGraph, build_g3
 
 CHEMISTRY_SPECS = {
     "rakhmatov": BatterySpec(beta=0.273),
@@ -109,7 +111,7 @@ def _batch_outcomes(problem, policy, perturbation, seed, lanes, **kwargs):
         perturbation=perturbation,
         **kwargs,
     )
-    return batch.run()
+    return batch.results()
 
 
 def _assert_matching(batch_outcomes, scalar_outcomes):
@@ -253,7 +255,7 @@ class TestBatchEdgeCases:
             schedulers,
             rngs=[rng_for_seed(7, replication) for replication in range(3)],
             perturbation=perturbation,
-        ).run()
+        ).results()
         scalar = _scalar_outcomes(problem, "greedy-energy", perturbation, 7, 3)
         assert isinstance(outcomes[1], RuntimeError)
         assert "injected scheduler fault" in str(outcomes[1])
@@ -319,14 +321,16 @@ class TestBatchConstruction:
         with pytest.raises(SimulationError):
             BatchSimulator(problem, schedulers, rngs=[rng_for_seed(0, 0)])
 
-    def test_runs_exactly_once(self):
+    @pytest.mark.parametrize("first", ("run", "results"))
+    def test_runs_exactly_once_through_either_method(self, first):
         problem = _problem("ideal")
         batch = BatchSimulator(
             problem, [_make_scheduler("greedy-energy", problem)]
         )
-        batch.run()
-        with pytest.raises(SimulationError):
-            batch.run()
+        getattr(batch, first)()
+        for method in (batch.run, batch.results):
+            with pytest.raises(SimulationError, match="exactly once"):
+                method()
 
     def test_len_counts_lanes(self):
         problem = _problem("ideal")
@@ -377,7 +381,7 @@ class TestColumnarGrid:
                 **kwargs,
             )
             assert batch.columnar
-            outcomes = batch.run()
+            outcomes = batch.results()
             reference = _scalar_outcomes(problem, policy, perturbation, 3, 3, **kwargs)
             assert list(outcomes) == reference, (perturbation, evaluate_at, imode, deadline)
             assert [o.to_dict() for o in outcomes] == [r.to_dict() for r in reference]
@@ -482,7 +486,7 @@ class TestColumnarEligibility:
             ).run()
             for lane in range(3)
         ]
-        assert list(batch.run()) == reference
+        assert list(batch.results()) == reference
 
     def test_invalid_replay_sequence_fails_every_lane_like_scalar(self):
         problem = _problem("ideal")
@@ -559,3 +563,139 @@ class TestColumnarCounters:
         expected = _sim_counters(scalar)
         assert expected["sim.decisions[%s]" % policy] == lanes * problem.graph.num_tasks
         assert _sim_counters(columnar) == expected
+
+
+class TestLaneSummaries:
+    """``run()`` gives each lane's six store scalars: ``results()`` projected."""
+
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
+    @pytest.mark.parametrize("tier", sorted(PERTURBATIONS))
+    @pytest.mark.parametrize("evaluate_at", ("completion", "deadline"))
+    def test_summaries_equal_projected_results(self, policy, tier, evaluate_at):
+        problem = _problem("kibam", deadline=150.0)
+
+        def batch():
+            return BatchSimulator(
+                problem,
+                [_make_scheduler(policy, problem) for _ in range(5)],
+                rngs=[rng_for_seed(4, lane) for lane in range(5)],
+                perturbation=PERTURBATIONS[tier],
+                evaluate_at=evaluate_at,
+            )
+
+        summaries = batch().run()
+        assert all(type(outcome) is LaneSummary for outcome in summaries)
+        assert list(summaries) == [LaneSummary.of(result) for result in batch().results()]
+
+    def test_a_makespan_on_the_deadline_is_feasible(self):
+        # A draw-free replay ends exactly at its modeled makespan; with the
+        # deadline set there, the lane is feasible on both paths.
+        problem = _problem("ideal")
+        scheduler = _make_scheduler("static-replay", problem)
+        makespan = Simulator(problem, scheduler).run().makespan
+        problem = _problem("ideal", deadline=makespan)
+        summaries = BatchSimulator(
+            problem, [_make_scheduler("static-replay", problem) for _ in range(2)]
+        ).run()
+        reference = Simulator(problem, _make_scheduler("static-replay", problem)).run()
+        assert reference.feasible
+        assert list(summaries) == [LaneSummary.of(reference)] * 2
+
+    def test_finite_battery_summaries_carry_depletion_time(self):
+        problem = _problem("rakhmatov", capacity=2500.0)
+        summaries = _scalar_outcomes(problem, "greedy-energy", PERTURBATIONS["jitter"], 3, 4)
+        batch = BatchSimulator(
+            problem,
+            [_make_scheduler("greedy-energy", problem) for _ in range(4)],
+            rngs=[rng_for_seed(3, lane) for lane in range(4)],
+            perturbation=PERTURBATIONS["jitter"],
+        )
+        assert not batch.columnar
+        assert list(batch.run()) == [LaneSummary.of(result) for result in summaries]
+        assert any(summary.depletion_time is not None for summary in summaries)
+
+    def test_lane_exceptions_keep_their_positions(self):
+        problem = _problem("ideal")
+        perturbation = PerturbationModel(jitter=0.05, failure_rate=0.3, max_retries=0)
+        scalar = _scalar_outcomes(problem, "greedy-energy", perturbation, 11, 12)
+        summaries = BatchSimulator(
+            problem,
+            [_make_scheduler("greedy-energy", problem) for _ in range(12)],
+            rngs=[rng_for_seed(11, lane) for lane in range(12)],
+            perturbation=perturbation,
+        ).run()
+        assert any(isinstance(outcome, Exception) for outcome in scalar)
+        for summary, reference in zip(summaries, scalar):
+            if isinstance(reference, Exception):
+                assert str(summary) == str(reference)
+            else:
+                assert summary == LaneSummary.of(reference)
+
+
+#: Believed times under which ``b``'s slower column 1 looks the faster one.
+ZERO_CHARGE_MODE = InformationMode.noisy(0.3, seed=0)
+
+
+def _zero_charge_problem() -> SchedulingProblem:
+    """A chain whose jittered lanes split into charged and uncharged ones.
+
+    ``a`` draws no current at either column.  Under
+    :data:`ZERO_CHARGE_MODE` the policy believes ``b``'s charging column 1
+    is its fastest, so a lane that ran ``a`` fast picks it; a slow lane
+    fits no column and falls back to column 0, which draws no current.
+    So at ``c`` some lanes have delivered charge and ask for sigma, and
+    the others have delivered none and do not ask.
+    """
+    graph = TaskGraph(
+        tasks=[
+            Task("a", [DesignPoint(5.0, 0.0), DesignPoint(6.0, 0.0)]),
+            Task("b", [DesignPoint(2.0, 0.0), DesignPoint(2.2, 40.0)]),
+            Task("c", [DesignPoint(3.0, 30.0), DesignPoint(6.0, 10.0)]),
+            Task("d", [DesignPoint(3.0, 30.0), DesignPoint(6.0, 10.0)]),
+        ],
+        edges=[("a", "b"), ("b", "c"), ("c", "d")],
+    )
+    return SchedulingProblem(graph=graph, deadline=12.0, battery=BatterySpec(beta=0.273))
+
+
+class TestZeroDeliveredCharge:
+    """Lanes with no delivered charge never ask for sigma, nor count as asking."""
+
+    LANES = 8
+
+    def _batch(self, problem):
+        return BatchSimulator(
+            problem,
+            [make_policy("battery-reactive", problem) for _ in range(self.LANES)],
+            rngs=[rng_for_seed(1, lane) for lane in range(self.LANES)],
+            perturbation=PERTURBATIONS["jitter"],
+            imode=ZERO_CHARGE_MODE,
+        )
+
+    def test_some_lanes_ask_for_sigma_and_some_do_not(self):
+        problem = _zero_charge_problem()
+        batch = self._batch(problem)
+        assert batch.columnar
+        results = batch.results()
+        scalar = _scalar_outcomes(
+            problem, "battery-reactive", PERTURBATIONS["jitter"], 1, self.LANES,
+            imode=ZERO_CHARGE_MODE,
+        )
+        assert list(results) == scalar
+        picks = {result.columns["b"] for result in results}
+        assert picks == {0, 1}, "expected both charged and uncharged lanes at c"
+
+    def test_apparent_charge_counts_only_asking_lanes(self):
+        problem = _zero_charge_problem()
+
+        def scalar():
+            _scalar_outcomes(
+                problem, "battery-reactive", PERTURBATIONS["jitter"], 1, self.LANES,
+                imode=ZERO_CHARGE_MODE,
+            )
+
+        expected = _sim_counters(scalar)
+        asked = expected["sim.query.apparent_charge[battery-reactive]"]
+        # Charged lanes ask at c and d; uncharged ones ask only at d.
+        assert self.LANES < asked < 2 * self.LANES
+        assert _sim_counters(lambda: self._batch(problem).run()) == expected

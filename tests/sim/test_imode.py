@@ -116,7 +116,7 @@ class TestExactModeIsBitwiseInvisible:
             rngs=[rng_for_seed(7, replication) for replication in range(lanes)],
             perturbation=PerturbationModel(jitter=0.10),
             imode=InformationMode.exact(),
-        ).run()
+        ).results()
         assert list(batched) == scalar
 
     @pytest.mark.parametrize("graph_name", ("g2", "g3"))
@@ -308,7 +308,7 @@ class TestBeliefModeRuns:
             rngs=[rng_for_seed(3, replication) for replication in range(lanes)],
             perturbation=perturbation,
             imode=mode,
-        ).run()
+        ).results()
         assert list(batched) == scalar
 
     def test_blind_greedy_runs_slowest_columns(self):
