@@ -96,6 +96,7 @@ class _Cell(NamedTuple):
     currents: np.ndarray
     events: int
     makespans: List[float]
+    feasible: List[bool]
     rests: List[float]
     costs: List[float]
 
@@ -304,13 +305,14 @@ class BatchSimulator:
             _OBS.count("sim.event.task-end", decisions, label=label)
         deadline = float(self.problem.deadline)
         makespans = [math.fsum(row) for row in durations.tolist()]
+        feasible = [span <= deadline + _EPS for span in makespans]
         rests = [_resolve_rest(span, deadline, self.evaluate_at) for span in makespans]
         costs = self.model.schedule_charge_batch(
             np.ascontiguousarray(durations), np.ascontiguousarray(currents), np.array(rests)
         ).tolist()
         return _Cell(
             tuple(order), columns, durations, currents, wakeups + len(order),
-            makespans, rests, costs,
+            makespans, feasible, rests, costs,
         )
 
     def _factors(self, count: int) -> np.ndarray:
@@ -321,10 +323,9 @@ class BatchSimulator:
 
     def _summaries(self, cell: _Cell) -> Tuple[LaneSummary, ...]:
         """Every lane's :class:`LaneSummary`, read off the cell's arrays."""
-        limit = float(self.problem.deadline) + _EPS
         return tuple(
-            LaneSummary(cost, makespan, makespan <= limit, 0, cell.events, None)
-            for cost, makespan in zip(cell.costs, cell.makespans)
+            LaneSummary(cost, makespan, feasible, 0, cell.events, None)
+            for cost, makespan, feasible in zip(cell.costs, cell.makespans, cell.feasible)
         )
 
     def _results(self, cell: _Cell) -> Tuple[SimulationResult, ...]:
@@ -337,7 +338,7 @@ class BatchSimulator:
         position = {name: index for index, name in enumerate(order)}
         names = self.problem.graph.task_names()
         lanes = zip(
-            self._schedulers, cell.costs, cell.makespans, cell.rests,
+            self._schedulers, cell.costs, cell.makespans, cell.feasible, cell.rests,
             cell.columns.tolist(), starts.tolist(), durations.tolist(),
             cell.currents.tolist(),
         )
@@ -347,7 +348,7 @@ class BatchSimulator:
                 cost=cost,
                 makespan=makespan,
                 rest=rest,
-                feasible=makespan <= deadline + _EPS,
+                feasible=feasible,
                 deadline=deadline,
                 sequence=order,
                 columns={name: picked[position[name]] for name in names},
@@ -359,7 +360,8 @@ class BatchSimulator:
                 events=cell.events,
                 evaluate_at=self.evaluate_at,
             )
-            for scheduler, cost, makespan, rest, picked, begins, lengths, amps in lanes
+            for scheduler, cost, makespan, feasible, rest, picked, begins, lengths, amps
+            in lanes
         )
 
     def __repr__(self) -> str:
@@ -445,8 +447,12 @@ def _lane_fsums(columns: List[np.ndarray], lanes: int) -> np.ndarray:
     return np.array([math.fsum(row) for row in np.array(columns).T.tolist()])
 
 
-def _run_lane(lane: Simulator) -> LaneOutcome:
+def _run_lane(lane: Simulator) -> Union[SimulationResult, Exception]:
     try:
         return lane.run()
     except Exception as exc:  # noqa: BLE001 - per-lane isolation
         return exc
+    finally:
+        # The lane and its policy refer to each other; unlinking the spent
+        # lane frees it with its batch instead of at a later gc pass.
+        lane.scheduler = None

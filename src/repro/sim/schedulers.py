@@ -455,12 +455,11 @@ class BatteryReactiveScheduler(_OnlineScheduler):
         if charged.any():
             unavailable = sim.apparent_charge(charged)[charged] - delivered[charged]
             stressed[charged] = unavailable / delivered[charged] > self.stress_threshold
-        fastest = self._choose_per_lane(name, self._fastest, limit)
-        if not stressed.any():
-            return fastest
-        return np.where(
-            stressed, self._choose_per_lane(name, self._lowest_current, limit), fastest
-        )
+        picks = self._choose_per_lane(name, self._fastest, limit)
+        if stressed.any():
+            lowest = self._choose_per_lane(name, self._lowest_current, limit)
+            picks = np.where(stressed, lowest, picks)
+        return picks
 
     def _lowest_current(self, name: str, columns: List[int]) -> int:
         currents = self.simulator.graph.task(name).currents()

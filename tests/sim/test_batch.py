@@ -14,8 +14,10 @@ batteries) — plus the choice between them, the counters a columnar cell
 emits, and the per-lane error isolation contract.
 """
 
+import gc
 import itertools
 import math
+import weakref
 
 import pytest
 
@@ -331,6 +333,31 @@ class TestBatchConstruction:
         for method in (batch.run, batch.results):
             with pytest.raises(SimulationError, match="exactly once"):
                 method()
+
+    def test_scalar_lanes_are_freed_with_their_batch(self):
+        # A spent scalar lane and its policy refer to each other; the batch
+        # unlinks them, so reference counting alone frees both with it.
+        problem = _problem("ideal")
+        schedulers = [_make_scheduler("greedy-energy", problem) for _ in range(6)]
+        alive = [weakref.ref(scheduler) for scheduler in schedulers]
+        batch = BatchSimulator(
+            problem,
+            schedulers,
+            rngs=[rng_for_seed(11, lane) for lane in range(6)],
+            perturbation=PERTURBATIONS["failures"],
+        )
+        alive += [weakref.ref(lane) for lane in batch._lanes]
+        del schedulers
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            summaries = batch.run()
+            assert sum(summary.retries for summary in summaries) > 0
+            del batch
+            assert [ref() for ref in alive] == [None] * 12
+        finally:
+            if collecting:
+                gc.enable()
 
     def test_len_counts_lanes(self):
         problem = _problem("ideal")
