@@ -266,8 +266,8 @@ def _run_pipeline(
     What differs between job types is read off ``job_type``:
     ``record_type`` (the store must hold exactly that record class),
     ``counters`` (the obs counter prefix) and ``last_duplicate_runs``.
-    Jobs with equal keys within one call (e.g. differently named problems
-    describing the same work, since names are excluded from keys) are
+    Jobs with equal keys within one call (e.g. problems that differ only in
+    display name: offline keys exclude it, not the graph's own name) are
     executed and stored once, and that one record is fanned back to every
     duplicate's position.  Offline jobs run the *last* duplicate, in the
     first one's dispatch slot, so every position reports the last

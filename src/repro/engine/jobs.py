@@ -56,7 +56,11 @@ def _canonical(value: Any) -> Any:
     # The ``collections.abc`` ABC, not the much slower ``typing`` alias: this
     # recursion visits every node of a static-replay job's whole schedule.
     if isinstance(value, collections.abc.Mapping):
-        return {str(k): _canonical(v) for k, v in sorted(value.items())}
+        # Unsorted, so mixed key types work: the canonical JSON sorts keys.
+        canonical = {str(k): _canonical(v) for k, v in value.items()}
+        if len(canonical) < len(value):
+            raise ConfigurationError(f"mapping keys {list(value)!r} collide as strings")
+        return canonical
     if isinstance(value, (list, tuple)):
         return [_canonical(v) for v in value]
     if isinstance(value, float) and math.isinf(value):
@@ -217,10 +221,10 @@ class Job:
 
         The key covers everything that influences the result — the graph
         structure and design points, the deadline, the battery parameters,
-        the algorithm and its parameters — and nothing presentational (the
-        problem's display name is excluded).  Memoised: every field is
-        frozen after construction and the full-graph serialisation is too
-        expensive to repeat on every store/ordering probe.
+        the algorithm and its parameters — plus the graph's own name (in
+        ``graph.to_dict()``), but not the problem's display name.  Memoised:
+        every field is frozen after construction and the full-graph
+        serialisation is too expensive to repeat on every store/ordering probe.
         """
         cached = self.__dict__.get("_key")
         if cached is None:

@@ -8,9 +8,9 @@ resumable through the same append-only :class:`~repro.engine.ResultStore`
 (with ``record_type=SimulationRecord``).  A job does not run itself:
 :func:`run_simulation_jobs` groups the pending jobs of each Monte Carlo
 cell into :class:`SimulationBatch` work items, and every job runs as one
-lane of its cell's :class:`~repro.sim.BatchSimulator` — columnar for
-retry-free cells, a scalar simulator per lane (with per-lane error
-isolation) otherwise.
+lane of its cell's :class:`~repro.sim.BatchSimulator` — columnar, retries
+included, or a scalar simulator per lane (with per-lane error isolation)
+for finite batteries, custom policies and exhausted retry budgets.
 
 Determinism mirrors the experiment engine's guarantee: a job's outcome is
 a pure function of its content (the perturbation stream is seeded by
@@ -93,8 +93,9 @@ def _job_key(head: str, replication: int, tail: str) -> str:
 
 @lru_cache(maxsize=256)
 def _problem(spec: ScenarioSpec):
-    """One problem per spec per process, so a spec's cells share its graph
-    and per-graph tables.  Only :func:`execute_simulation_batch` reads it."""
+    """One problem per spec per process, so a spec's cells and its offline
+    anchor in :func:`~repro.experiments.run_simulation_suite` share its
+    graph and per-graph tables."""
     return spec.build_problem()
 
 
@@ -430,7 +431,7 @@ def execute_simulation_batch(batch: SimulationBatch) -> SimulationBatchResult:
     per-graph simulator tables), the battery model and — for
     ``static-replay`` — the offline schedule once per batch, then every
     replication runs as a :class:`~repro.sim.BatchSimulator` lane
-    (columnar for retry-free cells, scalar lanes otherwise), and its
+    (columnar, or scalar lanes where the batch falls back), and its
     :class:`~repro.sim.LaneSummary` becomes the job's record.  Each lane's
     outcome is bit-identical to a scalar :class:`~repro.sim.Simulator`
     run of the same job, so the rows do not depend on how a cell was
@@ -608,8 +609,8 @@ def run_simulation_jobs(
     Every pending job runs as a lane of its Monte Carlo cell: replications
     of one (scenario, policy, params, seed) cell are grouped into
     :class:`SimulationBatch` work items of up to :data:`DEFAULT_BATCH_SIZE`
-    lanes and run through a :class:`~repro.sim.BatchSimulator` (columnar
-    for retry-free cells, scalar lanes otherwise).
+    lanes and run through a :class:`~repro.sim.BatchSimulator` (columnar,
+    or scalar lanes where the batch falls back).
     ``progress`` therefore fires once per cell batch, with its
     :class:`SimulationBatchResult`.
 

@@ -5,12 +5,11 @@
 tier), cross them with simulation policies and seeded replications into
 :class:`~repro.engine.SimulationJob` grids (one
 :meth:`~repro.engine.SimulationJob.cell` per scenario and policy), run
-them through the engine
-(each cell's replications as lanes of one columnar batch, or scalar
-lanes when tasks can fail; parallel
-byte-identical to serial, resumable), anchor each scenario with
-its offline-predicted sigma, and reduce everything into the robustness
-report of :mod:`repro.analysis.robustness`.
+them through the engine (each cell's replications as lanes of one batch;
+parallel byte-identical to serial, resumable), anchor each scenario with
+its offline-predicted sigma (one offline run per distinct problem), and
+reduce everything into the robustness report of
+:mod:`repro.analysis.robustness`.
 
 >>> from repro.experiments import run_simulation_suite
 >>> result = run_simulation_suite(scenarios=["g3-jitter10"],
@@ -42,7 +41,9 @@ from ..engine import (
     run_experiments,
     run_simulation_jobs,
 )
+from ..engine.simjobs import _problem
 from ..scenarios import ScenarioRegistry, ScenarioSpec, default_registry
+from ..scenarios import problem_fingerprint
 
 __all__ = ["DEFAULT_SIM_POLICIES", "SimulationSuiteResult", "run_simulation_suite"]
 
@@ -130,7 +131,8 @@ def run_simulation_suite(
         by the ``static-replay`` policy.
 
     The offline anchors are computed in-process first (exactly one
-    deterministic offline run per scenario — the simulations are the
+    deterministic offline run per distinct problem, which scenarios that
+    differ only in name or stochastic tier share — the simulations are the
     expensive, fanned-out part), and ``static-replay`` jobs receive the
     anchor's explicit schedule as parameters, so replications replay it
     without re-solving the offline problem in every worker.
@@ -150,15 +152,18 @@ def run_simulation_suite(
             f"replications must be >= 1, got {replications!r}"
         )
 
-    offline = run_experiments(
-        [spec.build_problem() for spec in specs], [offline_algorithm]
-    )
-    # Keyed positionally by spec, not by result.problem_name: scenarios that
-    # differ only in their stochastic tier build identical offline problems,
-    # which the engine deduplicates onto one job key (and one display name).
+    # One anchor per distinct problem: the offline job key covers the
+    # graph's name, so the engine alone would solve each named twin.
+    prints = [problem_fingerprint(_problem(spec)) for spec in specs]
+    anchors: Dict[str, object] = {}
+    for spec, fingerprint in zip(specs, prints):
+        anchors.setdefault(fingerprint, _problem(spec))
+    offline = run_experiments(list(anchors.values()), [offline_algorithm])
+    results = dict(zip(anchors, offline.results))
     offline_costs: Dict[str, float] = {}
     replay_params: Dict[str, Dict] = {}
-    for spec, result in zip(specs, offline.results):
+    for spec, fingerprint in zip(specs, prints):
+        result = results[fingerprint]
         if result.ok:
             offline_costs[spec.name] = float(result.cost)
             replay_params[spec.name] = {

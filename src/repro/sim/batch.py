@@ -8,33 +8,35 @@ cell.  :meth:`~BatchSimulator.run` returns, per lane, a
 what the scalar :class:`~repro.sim.Simulator` returns for the same
 ``(seed, replication)`` stream.
 
-When no task can fail, a replication's task order does not depend on its
-draws (static replay follows its sequence; an online policy pops a
-``(-weight, rank)`` heap keyed by the graph and the belief tables), only
-its design-point columns do.  Such a cell runs as ``(lanes, tasks)``
-arrays: the order is computed once through the policy's ordering step,
-each lane draws its duration factors in one call (bitwise equal to the
-scalar draws, one per attempt in start order), and an online policy's
-``choose_columns`` rule takes one vector step per task position.  One
+A replication's task order does not depend on its draws (static replay
+follows its sequence; an online policy pops a ``(-weight, rank)`` heap
+keyed by the graph and the belief tables; a failed attempt reruns at
+once), only its design-point columns do, and the draws do not depend on
+decisions.  So each lane's attempts are drawn up front, in scalar order,
+and the cell runs as ``(lanes, attempt slots)`` arrays: the order is
+computed once through the policy's ordering step, and an online policy's
+``choose_columns`` rule takes one vector step per task position.  A
+lane's spare slots (where another lane retried) are zero-length,
+zero-current intervals, which change no clock, charge or sigma.  One
 ``schedule_charge_batch`` call with per-lane rests costs every lane, and
 a summary is read straight off those arrays; only :meth:`results` builds
 per-interval objects.
 
-A cell is columnar when ``failure_rate == 0``, the battery has no finite
-capacity, no trace is sampled, and all lanes run one built-in policy
-type (exactly: a subclass may override anything) with equal parameters.  Every other cell falls
-back to one scalar :class:`~repro.sim.Simulator` per lane; a lane that
-fails (say, by exhausting its retry budget) yields its exception while
-its siblings complete.  A columnar cell cannot fail per lane: a set-up
-error, such as an invalid replay sequence, is the error each lane's
-scalar run raises, and every lane gets it.
+A cell is columnar when the battery has no finite capacity, no trace is
+sampled, all lanes run one built-in policy type (exactly: a subclass may
+override anything) with equal parameters, and no lane exhausts its retry
+budget.  Every other cell falls back to one scalar
+:class:`~repro.sim.Simulator` per lane; a lane that fails yields its
+exception while its siblings complete.  A columnar cell cannot fail per
+lane: a set-up error, such as an invalid replay sequence, is the error
+each lane's scalar run raises, and every lane gets it.
 """
 
 from __future__ import annotations
 
 import math
 import time as _time
-from itertools import repeat
+from itertools import compress, repeat
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -87,6 +89,15 @@ class LaneSummary(NamedTuple):
 LaneOutcome = Union[LaneSummary, Exception]
 
 
+class _Plan(NamedTuple):
+    """Task position ``p`` owns ``widths[p]`` attempt slots; ``present`` marks
+    a lane's attempts, ``factors`` their duration factors (``0.0`` if spare)."""
+
+    widths: List[int]
+    factors: np.ndarray
+    present: np.ndarray
+
+
 class _Cell(NamedTuple):
     """A columnar cell's outcome as arrays, one row (or entry) per lane."""
 
@@ -94,7 +105,8 @@ class _Cell(NamedTuple):
     columns: np.ndarray
     durations: np.ndarray
     currents: np.ndarray
-    events: int
+    events: List[int]
+    retries: List[int]
     makespans: List[float]
     feasible: List[bool]
     rests: List[float]
@@ -136,7 +148,7 @@ class BatchSimulator:
     lane.  :meth:`results` returns the full timelines instead, one
     :class:`~repro.sim.SimulationResult` (or exception) per lane.  A batch
     runs once, through either.  ``columnar`` tells which path the cell
-    takes.
+    takes; a columnar cell draws its attempt plans on construction.
     """
 
     def __init__(
@@ -175,18 +187,20 @@ class BatchSimulator:
         self._ran = False
         first = schedulers[0]
         self._obs_label = getattr(first, "name", type(first).__name__)
-        self.columnar = (
-            perturbation.failure_rate == 0.0
-            and not problem.battery.has_finite_capacity
+        self._plan: Optional[_Plan] = None
+        if (
+            not problem.battery.has_finite_capacity
             and int(trace_samples) <= 0
             and type(first) in _COLUMNAR_POLICIES
             and all(
                 type(lane) is type(first) and vars(lane) == vars(first)
                 for lane in schedulers
             )
-        )
+        ):
+            rngs = [_stream(perturbation, rng) for rng in rngs]
+            self._plan = _draw_plan(perturbation, rngs, problem.graph.num_tasks)
+        self.columnar = self._plan is not None
         if self.columnar:
-            self._rngs = [_stream(perturbation, rng) for rng in rngs]
             self._tables = _graph_tables(problem.graph)
             self._beliefs = resolve_beliefs(problem.graph, imode)
         else:
@@ -246,6 +260,7 @@ class BatchSimulator:
     def _run_columnar(self) -> _Cell:
         scheduler = self._schedulers[0]
         tables = self._tables
+        plan = self._plan
         lanes = len(self)
         view = _Lanes(self)
         scheduler.init(view)
@@ -258,16 +273,16 @@ class BatchSimulator:
             ]
             rows = np.array(
                 [tables.attempt_rows[name][column] for name, column in zip(order, picked)]
-            ).reshape(len(order), 2)
-            durations = rows[:, 0] * self._factors(len(order))
-            currents = np.broadcast_to(rows[:, 1], durations.shape)
-            columns = np.broadcast_to(np.array(picked, dtype=int), durations.shape)
+            ).reshape(len(order), 2)[np.repeat(np.arange(len(order)), plan.widths)]
+            durations = rows[:, 0] * plan.factors
+            currents = rows[:, 1] * plan.present
+            columns = np.broadcast_to(np.array(picked, dtype=int), (lanes, len(order)))
             wakeups = 1
         else:
-            factors = self._factors(len(tables.rank))
             order, picked = [], []
             unfinished = dict(tables.num_inputs)
             ready = tables.initial_ready
+            slot = 0
             while True:
                 started = _time.perf_counter()
                 name = scheduler._next_task(ready)
@@ -281,7 +296,13 @@ class BatchSimulator:
                         label=self._obs_label,
                     )
                 attempt = np.array(tables.attempt_rows[name])[column]
-                view.record(name, attempt[:, 0] * factors[:, len(order)], attempt[:, 1])
+                # Every attempt at this position; a retry keeps its column.
+                first, slot = slot, slot + plan.widths[len(order)]
+                view.record(
+                    name,
+                    attempt[:, :1] * plan.factors[:, first:slot],
+                    attempt[:, 1:] * plan.present[:, first:slot],
+                )
                 order.append(name)
                 picked.append(column)
                 ready = []
@@ -289,11 +310,14 @@ class BatchSimulator:
                     unfinished[child] -= 1
                     if unfinished[child] == 0:
                         ready.append(child)
-            durations, currents, columns = (
-                np.array(values).reshape(len(order), lanes).T
-                for values in (view.durations, view.currents, picked)
+            durations, currents = (
+                np.array(values).reshape(-1, lanes).T
+                for values in (view.durations, view.currents)
             )
+            columns = np.array(picked).reshape(len(order), lanes).T
             wakeups = len(order)
+        attempts = plan.present.sum(axis=1)
+        made = int(attempts.sum())
         if _OBS.enabled:
             label = self._obs_label
             decisions = lanes * len(order)
@@ -302,7 +326,9 @@ class BatchSimulator:
             mode = self._beliefs.mode
             if not mode.is_exact:
                 _OBS.count("sim.imode.decisions", decisions, label=f"{label}|{mode.label}")
-            _OBS.count("sim.event.task-end", decisions, label=label)
+            _OBS.count("sim.event.task-end", made, label=label)
+            if made > decisions:
+                _OBS.count("sim.retries", made - decisions, label=label)
         deadline = float(self.problem.deadline)
         makespans = [math.fsum(row) for row in durations.tolist()]
         feasible = [span <= deadline + _EPS for span in makespans]
@@ -311,36 +337,37 @@ class BatchSimulator:
             np.ascontiguousarray(durations), np.ascontiguousarray(currents), np.array(rests)
         ).tolist()
         return _Cell(
-            tuple(order), columns, durations, currents, wakeups + len(order),
-            makespans, feasible, rests, costs,
+            tuple(order), columns, durations, currents, (wakeups + attempts).tolist(),
+            (attempts - len(order)).tolist(), makespans, feasible, rests, costs,
         )
-
-    def _factors(self, count: int) -> np.ndarray:
-        """Every lane's duration factors, ``(lanes, count)``."""
-        return np.array(
-            [self.perturbation.duration_factors(rng, count) for rng in self._rngs]
-        ).reshape(len(self), count)
 
     def _summaries(self, cell: _Cell) -> Tuple[LaneSummary, ...]:
         """Every lane's :class:`LaneSummary`, read off the cell's arrays."""
         return tuple(
-            LaneSummary(cost, makespan, feasible, 0, cell.events, None)
-            for cost, makespan, feasible in zip(cell.costs, cell.makespans, cell.feasible)
+            map(LaneSummary, cell.costs, cell.makespans, cell.feasible, cell.retries,
+                cell.events, repeat(None))
         )
 
     def _results(self, cell: _Cell) -> Tuple[SimulationResult, ...]:
         """Every lane's :class:`SimulationResult`, built from the cell's arrays."""
         deadline = float(self.problem.deadline)
-        order, durations = cell.order, cell.durations
+        order, durations, present = cell.order, cell.durations, self._plan.present
         # The clock: each start is the sum of the durations before it.
         starts = np.zeros_like(durations)
         np.cumsum(durations[:, :-1], axis=1, out=starts[:, 1:])
+        positions = np.repeat(np.arange(len(order)), self._plan.widths)
+        slot_tasks = [order[index] for index in positions.tolist()]
+        attempts = [k for width in self._plan.widths for k in range(1, width + 1)]
+        # An attempt failed when its lane makes a next one at its position.
+        failed = np.zeros_like(present)
+        failed[:, :-1] = present[:, 1:] & (np.array(attempts[1:]) > 1)
         position = {name: index for index, name in enumerate(order)}
         names = self.problem.graph.task_names()
         lanes = zip(
             self._schedulers, cell.costs, cell.makespans, cell.feasible, cell.rests,
-            cell.columns.tolist(), starts.tolist(), durations.tolist(),
-            cell.currents.tolist(),
+            cell.retries, cell.events, cell.columns.tolist(),
+            cell.columns[:, positions].tolist(), starts.tolist(), durations.tolist(),
+            cell.currents.tolist(), failed.tolist(), present.tolist(),
         )
         return tuple(
             SimulationResult(
@@ -353,15 +380,18 @@ class BatchSimulator:
                 sequence=order,
                 columns={name: picked[position[name]] for name in names},
                 intervals=tuple(
-                    map(SimulatedInterval, order, picked, begins, lengths, amps,
-                        repeat(1), repeat(False))
+                    compress(
+                        map(SimulatedInterval, slot_tasks, slot_columns, begins,
+                            lengths, amps, attempts, failures),
+                        made,
+                    )
                 ),
-                retries=0,
-                events=cell.events,
+                retries=retries,
+                events=events,
                 evaluate_at=self.evaluate_at,
             )
-            for scheduler, cost, makespan, feasible, rest, picked, begins, lengths, amps
-            in lanes
+            for (scheduler, cost, makespan, feasible, rest, retries, events, picked,
+                 slot_columns, begins, lengths, amps, failures, made) in lanes
         )
 
     def __repr__(self) -> str:
@@ -396,17 +426,18 @@ class _Lanes:
         self._remaining = (
             None if beliefs.blind else ExactSum.from_partials(beliefs.remaining_partials)
         )
-        #: Per executed position, every lane's duration and current.
+        #: Per executed attempt slot, every lane's duration and current.
         self.durations: List[np.ndarray] = []
         self.currents: List[np.ndarray] = []
         self._charges: List[np.ndarray] = []
 
     def record(self, name: str, durations: np.ndarray, currents: np.ndarray) -> None:
-        """Run ``name`` on every lane, as the next position."""
-        self.durations.append(durations)
-        self.currents.append(np.ascontiguousarray(currents))
-        self._charges.append(durations * currents)
-        self.now = self.now + durations
+        """Run ``name`` on every lane, as the next position (one column per attempt)."""
+        for spent, amps in zip(durations.T, currents.T):
+            self.durations.append(spent)
+            self.currents.append(amps)
+            self._charges.append(spent * amps)
+            self.now = self.now + spent
         if self._remaining is not None:
             self._remaining.add(-self.min_times[name])
 
@@ -438,6 +469,38 @@ class _Lanes:
         """``None``: a columnar cell's battery has no finite capacity."""
         self._count("sim.query.state_of_charge", self._lanes)
         return None
+
+
+def _draw_plan(
+    perturbation: PerturbationModel, rngs: List, positions: int
+) -> Optional[_Plan]:
+    """Every lane's attempts at ``positions`` tasks, drawn like the scalar
+    run draws them (a factor, then a failure flag, per attempt); ``None``,
+    with every stream restored, when a lane exhausts its retry budget."""
+    if perturbation.failure_rate == 0.0:
+        factors = np.array(
+            [perturbation.duration_factors(rng, positions) for rng in rngs]
+        ).reshape(len(rngs), positions)
+        return _Plan([1] * positions, factors, np.ones(factors.shape, dtype=bool))
+    states = [rng.bit_generator.state for rng in rngs]
+    plans = [[] for _ in rngs]
+    for rng, plan in zip(rngs, plans):
+        for _ in range(positions):
+            plan.append([perturbation.duration_factor(rng)])
+            while perturbation.draw_failure(rng):
+                if len(plan[-1]) > perturbation.max_retries:
+                    for stream, state in zip(rngs, states):
+                        stream.bit_generator.state = state
+                    return None
+                plan[-1].append(perturbation.duration_factor(rng))
+    counts = np.array([list(map(len, plan)) for plan in plans])
+    widths = counts.max(axis=0).tolist()
+    # Slot s runs attempt s - first[p] of its position p: made below the count.
+    slots = np.repeat(np.arange(positions), widths)
+    present = np.arange(len(slots)) - np.cumsum([0] + widths[:-1])[slots] < counts[:, slots]
+    factors = np.zeros(present.shape)
+    factors[present] = [factor for plan in plans for attempts in plan for factor in attempts]
+    return _Plan(widths, factors, present)
 
 
 def _lane_fsums(columns: List[np.ndarray], lanes: int) -> np.ndarray:

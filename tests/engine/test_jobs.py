@@ -105,6 +105,18 @@ class TestJobKeys:
         b = Job(problem=problem, algorithm="annealing", params={"iterations": 50, "seed": 1})
         assert a.key() == b.key()
 
+    def test_mixed_type_mapping_keys_get_a_key(self, problem):
+        # Keys are stringified, not compared: an int beside a str is fine,
+        # and the key equals the one of the all-str spelling.
+        mixed = Job(problem=problem, algorithm="annealing", params={"by": {"T1": 0, 3: 2}})
+        spelled = Job(problem=problem, algorithm="annealing", params={"by": {"3": 2, "T1": 0}})
+        assert mixed.key() == spelled.key()
+
+    def test_mapping_keys_colliding_as_strings_are_rejected(self, problem):
+        job = Job(problem=problem, algorithm="annealing", params={"by": {1: "a", "1": "b"}})
+        with pytest.raises(ConfigurationError, match="collide"):
+            job.key()
+
     def test_infinite_capacity_is_serialisable(self, problem):
         spec = Job(problem=problem, algorithm="iterative").spec()
         assert spec["battery"]["capacity"] == "inf"

@@ -116,6 +116,31 @@ class TestSimulationJob:
             == SimulationJob(spec=renamed, policy="greedy-energy").key()
         )
 
+    def test_mixed_type_param_keys_hash_like_their_string_spelling(self, stochastic_spec):
+        mixed = SimulationJob(
+            spec=stochastic_spec, policy="static-replay", params={"columns": {"T1": 0, 3: 2}}
+        )
+        spelled = SimulationJob(
+            spec=stochastic_spec, policy="static-replay", params={"columns": {"3": 2, "T1": 0}}
+        )
+        assert mixed.key() == spelled.key()
+        assert mixed.cell_key() == spelled.cell_key()
+        (cell_job,) = SimulationJob.cell(
+            stochastic_spec, "static-replay", 1, params={"columns": {"T1": 0, 3: 2}}
+        )
+        assert cell_job.key() == mixed.key()
+
+    def test_param_keys_colliding_as_strings_are_rejected(self, stochastic_spec):
+        job = SimulationJob(
+            spec=stochastic_spec, policy="static-replay", params={"columns": {1: 0, "1": 1}}
+        )
+        with pytest.raises(ConfigurationError, match="collide"):
+            job.key()
+        with pytest.raises(ConfigurationError, match="collide"):
+            SimulationJob.cell(
+                stochastic_spec, "static-replay", 2, params={"columns": {1: 0, "1": 1}}
+            )
+
     def test_key_covers_perturbation_tier(self, registry):
         base = registry.get("g3-jitter10")
         hotter = dataclasses.replace(base, jitter=0.3)

@@ -11,6 +11,8 @@ from repro.analysis import (
 from repro.engine import ParallelExecutor, ResultStore, SimulationRecord
 from repro.errors import ConfigurationError
 from repro.experiments import DEFAULT_SIM_POLICIES, run_simulation_suite
+from repro.obs import RECORDER, recording
+from repro.scenarios import default_registry
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +84,74 @@ class TestRunSimulationSuite:
         # replayed offline schedule, bitwise-equal sigma.
         assert row.mean_cost == row.offline_cost
         assert row.degradation_percent == 0.0
+
+
+#: Scenarios that build one problem under three graph names.
+TWINS = (
+    "tour-erdos-18-rakhmatov-j10-exact",
+    "tour-erdos-18-rakhmatov-j25-blind",
+    "erdos-18-jitter25-fail5",
+)
+
+
+def _replay_params(result):
+    """Scenario name -> its static-replay params."""
+    return {job.spec.name: job.params for job in result.run.jobs if job.policy == "static-replay"}
+
+
+def _traced_suite(scenarios, **kwargs):
+    """``run_simulation_suite`` (static replay, one replication) and its counters."""
+    try:
+        with recording() as recorder:
+            result = run_simulation_suite(
+                scenarios=scenarios, policies=["static-replay"], replications=1, **kwargs
+            )
+        counters = recorder.counters_snapshot()["counters"]
+    finally:
+        RECORDER.reset()
+    return result, counters
+
+
+class TestOfflineAnchors:
+    """One offline run per distinct problem, fanned back to every spec."""
+
+    def test_named_twins_share_one_offline_run(self):
+        graphs = {default_registry().get(name).build_graph().name for name in TWINS}
+        assert len(graphs) == len(TWINS), "twins should differ in graph name"
+        result, counters = _traced_suite([*TWINS, "g3-jitter10"])
+        assert counters["engine.jobs.executed"] == 2
+        assert "engine.jobs.duplicates" not in counters
+        costs = [result.offline_costs[name] for name in TWINS]
+        assert costs == [costs[0]] * len(TWINS)
+        assert result.offline_costs["g3-jitter10"] != costs[0]
+        params = _replay_params(result)
+        assert [params[name] for name in TWINS] == [params[TWINS[0]]] * len(TWINS)
+        assert params["g3-jitter10"] != params[TWINS[0]]
+
+    def test_each_spec_gets_the_anchor_it_would_get_alone(self):
+        together = run_simulation_suite(
+            scenarios=["g3-jitter10", *TWINS], policies=["static-replay"], replications=1
+        )
+        for name in ("g3-jitter10", *TWINS):
+            alone = run_simulation_suite(
+                scenarios=[name], policies=["static-replay"], replications=1
+            )
+            assert together.offline_costs[name] == alone.offline_costs[name]
+            assert _replay_params(together)[name] == _replay_params(alone)[name]
+
+    def test_a_failed_anchor_falls_back_to_the_algorithm(self, monkeypatch):
+        from repro.engine import jobs as engine_jobs
+
+        def broken(problem, model, params):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(engine_jobs._REGISTRY, "broken", broken)
+        result, counters = _traced_suite(TWINS, offline_algorithm="broken")
+        assert counters["engine.jobs.failed"] == 1
+        assert "engine.jobs.executed" not in counters
+        assert result.offline_costs == {}
+        assert _replay_params(result) == {name: {"algorithm": "broken"} for name in TWINS}
+        assert {record.error for record in result.run.records} == {"RuntimeError: boom"}
 
 
 class TestRobustnessAnalysis:

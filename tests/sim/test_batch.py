@@ -7,11 +7,12 @@ stream — full dataclass equality, which covers sigma, makespan, rest,
 feasibility, sequence, columns, every interval, retries and events — and
 that ``run()``'s per-lane :class:`~repro.sim.LaneSummary` is that
 result's projection.  This suite pins that on both of its paths — the
-columnar core of retry-free cells (a differential grid over chemistries,
-policies, jitter models, evaluation points, information modes and
-deadlines) and the scalar fallback (failures with retries, finite
-batteries) — plus the choice between them, the counters a columnar cell
-emits, and the per-lane error isolation contract.
+columnar core (a differential grid over chemistries, policies, jitter
+models, failures with retries, evaluation points, information modes and
+deadlines) and the scalar fallback (finite batteries, traces, custom
+policies, exhausted retry budgets) — plus the choice between them, the
+counters a columnar cell emits, and the per-lane error isolation
+contract.
 """
 
 import gc
@@ -57,6 +58,15 @@ POLICY_NAMES = (
 PERTURBATIONS = {
     "jitter": PerturbationModel(jitter=0.10),
     "failures": PerturbationModel(jitter=0.15, failure_rate=0.08),
+}
+
+#: Cells whose tasks fail and retry: the three jitter shapes, and a retry
+#: budget every lane exhausts (such a cell runs on scalar lanes).
+FAILURE_TIERS = {
+    "lognormal": PerturbationModel(jitter=0.15, failure_rate=0.12),
+    "uniform": PerturbationModel(jitter=0.2, jitter_model="uniform", failure_rate=0.12),
+    "no-jitter": PerturbationModel(failure_rate=0.12),
+    "exhausted": PerturbationModel(jitter=0.05, failure_rate=0.3, max_retries=0),
 }
 
 
@@ -133,13 +143,22 @@ class TestBatchMatchesScalarBitwise:
     @pytest.mark.parametrize("policy", POLICY_NAMES)
     @pytest.mark.parametrize("tier", sorted(PERTURBATIONS))
     def test_all_chemistries_policies_perturbations(self, chemistry, policy, tier):
+        # Both tiers run columnar: a failures cell's lanes retry, each as
+        # often as its scalar run, so its timelines have ragged lengths.
         problem = _problem(chemistry)
         perturbation = PERTURBATIONS[tier]
         lanes = 6
-        _assert_matching(
-            _batch_outcomes(problem, policy, perturbation, 7, lanes),
-            _scalar_outcomes(problem, policy, perturbation, 7, lanes),
+        batch = BatchSimulator(
+            problem,
+            [_make_scheduler(policy, problem) for _ in range(lanes)],
+            rngs=[rng_for_seed(7, replication) for replication in range(lanes)],
+            perturbation=perturbation,
         )
+        assert batch.columnar
+        scalar = _scalar_outcomes(problem, policy, perturbation, 7, lanes)
+        _assert_matching(batch.results(), scalar)
+        if tier == "failures":
+            assert len({outcome.retries for outcome in scalar}) > 1
 
     @pytest.mark.parametrize("policy", POLICY_NAMES)
     def test_depletion_accounting_on_finite_battery(self, policy):
@@ -171,11 +190,19 @@ class TestBatchMatchesScalarBitwise:
         problem = _problem("ideal")
         # Zero retry budget + a high failure rate: whichever lanes draw an
         # early failure die with SimulationError while siblings complete.
+        # Drawing the attempt plans consumed every stream, so the cell's
+        # fallback to scalar lanes must first restore each one.
         perturbation = PerturbationModel(jitter=0.05, failure_rate=0.3, max_retries=0)
         lanes = 12
         scalar = _scalar_outcomes(problem, "greedy-energy", perturbation, 11, lanes)
-        batched = _batch_outcomes(problem, "greedy-energy", perturbation, 11, lanes)
-        _assert_matching(batched, scalar)
+        batch = BatchSimulator(
+            problem,
+            [_make_scheduler("greedy-energy", problem) for _ in range(lanes)],
+            rngs=[rng_for_seed(11, replication) for replication in range(lanes)],
+            perturbation=perturbation,
+        )
+        assert not batch.columnar
+        _assert_matching(batch.results(), scalar)
         failed = [o for o in scalar if isinstance(o, Exception)]
         completed = [o for o in scalar if not isinstance(o, Exception)]
         assert failed, "expected at least one lane to exhaust its retry budget"
@@ -337,6 +364,7 @@ class TestBatchConstruction:
     def test_scalar_lanes_are_freed_with_their_batch(self):
         # A spent scalar lane and its policy refer to each other; the batch
         # unlinks them, so reference counting alone frees both with it.
+        # (A traced cell runs on scalar lanes.)
         problem = _problem("ideal")
         schedulers = [_make_scheduler("greedy-energy", problem) for _ in range(6)]
         alive = [weakref.ref(scheduler) for scheduler in schedulers]
@@ -345,6 +373,7 @@ class TestBatchConstruction:
             schedulers,
             rngs=[rng_for_seed(11, lane) for lane in range(6)],
             perturbation=PERTURBATIONS["failures"],
+            trace_samples=4,
         )
         alive += [weakref.ref(lane) for lane in batch._lanes]
         del schedulers
@@ -373,6 +402,7 @@ GRID_PERTURBATIONS = (
     PerturbationModel(jitter=0.6),
     PerturbationModel(jitter=0.3, jitter_model="uniform"),
     None,
+    PerturbationModel(jitter=0.2, failure_rate=0.15),
 )
 GRID_MODES = (
     None,
@@ -470,10 +500,15 @@ class TestColumnarEligibility:
         schedulers = [_make_scheduler(policy, problem) for _ in range(3)]
         assert self._batch(problem, schedulers).columnar
 
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
+    def test_failing_cells_within_their_retry_budget_are_columnar(self, policy):
+        problem = _problem("kibam")
+        schedulers = [_make_scheduler(policy, problem) for _ in range(3)]
+        assert self._batch(problem, schedulers, PERTURBATIONS["failures"]).columnar
+
     @pytest.mark.parametrize(
         "case",
         (
-            "failures",
             "finite-capacity",
             "trace",
             "subclass",
@@ -485,7 +520,7 @@ class TestColumnarEligibility:
     def test_each_ineligible_property_falls_back_to_scalar_lanes(self, case):
         capacity = 2500.0 if case == "finite-capacity" else math.inf
         problem = _problem("rakhmatov", capacity=capacity)
-        perturbation = PERTURBATIONS["failures" if case == "failures" else "jitter"]
+        perturbation = PERTURBATIONS["jitter"]
         kwargs = {"trace_samples": 8} if case == "trace" else {}
 
         def scheduler(lane):
@@ -591,6 +626,35 @@ class TestColumnarCounters:
         assert expected["sim.decisions[%s]" % policy] == lanes * problem.graph.num_tasks
         assert _sim_counters(columnar) == expected
 
+    @pytest.mark.parametrize("chemistry", ("rakhmatov", "peukert"))
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
+    @pytest.mark.parametrize("tier", sorted(FAILURE_TIERS))
+    def test_failing_cell_emits_the_scalar_lane_totals(self, chemistry, policy, tier):
+        # Every attempt counts a task-end and every failed one a retry; a
+        # cell whose budget runs out emits only its scalar lanes' counters
+        # (drawing the plans counts nothing).
+        problem = _problem(chemistry, deadline=200.0)
+        perturbation = FAILURE_TIERS[tier]
+        lanes = 5
+
+        def batch():
+            batch = BatchSimulator(
+                problem,
+                [_make_scheduler(policy, problem) for _ in range(lanes)],
+                rngs=[rng_for_seed(9, lane) for lane in range(lanes)],
+                perturbation=perturbation,
+            )
+            assert batch.columnar is (tier != "exhausted")
+            batch.run()
+
+        def scalar():
+            _scalar_outcomes(problem, policy, perturbation, 9, lanes)
+
+        expected = _sim_counters(scalar)
+        # A zero budget fails at the first failed attempt, before a retry.
+        assert ("sim.retries[%s]" % policy in expected) is (tier != "exhausted")
+        assert _sim_counters(batch) == expected
+
 
 class TestLaneSummaries:
     """``run()`` gives each lane's six store scalars: ``results()`` projected."""
@@ -613,6 +677,28 @@ class TestLaneSummaries:
         summaries = batch().run()
         assert all(type(outcome) is LaneSummary for outcome in summaries)
         assert list(summaries) == [LaneSummary.of(result) for result in batch().results()]
+
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
+    @pytest.mark.parametrize("tier", sorted(FAILURE_TIERS))
+    def test_failing_cells_summarise_their_scalar_runs(self, policy, tier):
+        problem = _problem("kibam", deadline=150.0)
+        perturbation = FAILURE_TIERS[tier]
+        batch = BatchSimulator(
+            problem,
+            [_make_scheduler(policy, problem) for _ in range(6)],
+            rngs=[rng_for_seed(4, lane) for lane in range(6)],
+            perturbation=perturbation,
+        )
+        assert batch.columnar is (tier != "exhausted")
+        scalar = _scalar_outcomes(problem, policy, perturbation, 4, 6)
+        for summary, reference in zip(batch.run(), scalar):
+            if isinstance(reference, Exception):
+                assert type(summary) is type(reference)
+                assert str(summary) == str(reference)
+            else:
+                assert summary == LaneSummary.of(reference)
+        if tier != "exhausted":
+            assert len({outcome.retries for outcome in scalar}) > 1
 
     def test_a_makespan_on_the_deadline_is_feasible(self):
         # A draw-free replay ends exactly at its modeled makespan; with the
