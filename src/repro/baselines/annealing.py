@@ -104,8 +104,7 @@ def simulated_annealing_baseline(
     columns = {name: 0 for name in graph.task_names()}
 
     evaluator = IncrementalCostEvaluator(
-        graph, sequence, DesignPointAssignment(columns), battery_model,
-        track_undo=False,  # the walk only moves forward; rejects are never applied
+        graph, sequence, DesignPointAssignment(columns), battery_model
     )
 
     def penalised(sigma: float, makespan: float) -> Tuple[float, bool]:

@@ -168,6 +168,7 @@ class BatteryAwareScheduler:
             require_feasible=config.require_feasible_windows,
             repair_infeasible=config.repair_infeasible,
             record_evaluations=config.record_evaluations,
+            evaluate_at=config.evaluate_at,
         )
         assignment = window_evaluation.best.assignment
 

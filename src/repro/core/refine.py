@@ -70,8 +70,7 @@ def refine_solution(
     battery_model = model if model is not None else problem.model()
 
     evaluator = IncrementalCostEvaluator(
-        graph, solution.sequence, solution.assignment, battery_model,
-        track_undo=False,  # the sweep commits improvements only, never undoes
+        graph, solution.sequence, solution.assignment, battery_model
     )
     best_cost = solution.cost
 

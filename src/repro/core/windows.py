@@ -20,6 +20,7 @@ import numpy as np
 from ..battery import BatteryModel
 from ..errors import AlgorithmError, InfeasibleDeadlineError
 from ..scheduling import DesignPointAssignment
+from ..scheduling.evaluator import _resolve_rest
 from .choose import choose_design_points, promote_until_feasible
 from .factors import FactorWeights
 from .matrices import SequencedMatrices
@@ -103,6 +104,7 @@ def evaluate_windows(
     require_feasible: bool = True,
     repair_infeasible: bool = True,
     record_evaluations: bool = False,
+    evaluate_at: str = "completion",
 ) -> WindowEvaluation:
     """The paper's ``EvaluateWindows`` for one sequence.
 
@@ -125,6 +127,10 @@ def evaluate_windows(
     weights:
         Optional factor weights forwarded to the design-point chooser
         (ablation support).
+    evaluate_at:
+        Sigma evaluation point of every window's cost, with the semantics of
+        :func:`repro.scheduling.evaluate_schedule` (``"deadline"`` credits
+        the recovery between completion and ``deadline``).
     """
     start = initial_window_start(matrices, deadline)
     records = []
@@ -144,7 +150,7 @@ def evaluate_windows(
                 makespan = matrices.total_time(selection)
             except AlgorithmError:
                 pass  # keep the unrepaired assignment, marked infeasible below
-        cost = _selection_cost(matrices, selection, model)
+        cost = _selection_cost(matrices, selection, model, deadline, evaluate_at)
         records.append(
             WindowRecord(
                 window_start=window_start,
@@ -161,17 +167,23 @@ def evaluate_windows(
 
 
 def _selection_cost(
-    matrices: SequencedMatrices, selection: np.ndarray, model: BatteryModel
+    matrices: SequencedMatrices,
+    selection: np.ndarray,
+    model: BatteryModel,
+    deadline: float,
+    evaluate_at: str,
 ) -> float:
     """Battery cost of executing the sequence back-to-back with ``selection``.
 
     Routed through the model's vectorized schedule path (the same canonical
-    computation as :func:`~repro.scheduling.battery_cost`), so the window
-    search never materialises load profiles on its hot path.
+    computation as :func:`~repro.scheduling.evaluate_schedule`, evaluation
+    point included), so the window search never materialises load profiles
+    on its hot path.
     """
+    durations = matrices.selection_durations(selection)
+    rest = _resolve_rest(math.fsum(durations.tolist()), deadline, evaluate_at)
     return model.schedule_charge(
-        matrices.selection_durations(selection),
-        matrices.selection_currents(selection),
+        durations, matrices.selection_currents(selection), rest
     )
 
 

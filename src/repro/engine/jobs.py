@@ -16,10 +16,8 @@ the executor built from the job's problem.
 
 from __future__ import annotations
 
-import collections.abc
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
@@ -35,6 +33,7 @@ from ..baselines import (
 from ..battery import BatteryModel
 from ..core import FactorWeights, SchedulerConfig, battery_aware_schedule
 from ..errors import ConfigurationError
+from ..scenarios.spec import _canonical
 from ..scheduling import SchedulingProblem
 
 __all__ = [
@@ -51,23 +50,6 @@ __all__ = [
 # ----------------------------------------------------------------------
 # the job specification
 # ----------------------------------------------------------------------
-def _canonical(value: Any) -> Any:
-    """Normalise a parameter value so that equal configs produce equal JSON."""
-    # The ``collections.abc`` ABC, not the much slower ``typing`` alias: this
-    # recursion visits every node of a static-replay job's whole schedule.
-    if isinstance(value, collections.abc.Mapping):
-        # Unsorted, so mixed key types work: the canonical JSON sorts keys.
-        canonical = {str(k): _canonical(v) for k, v in value.items()}
-        if len(canonical) < len(value):
-            raise ConfigurationError(f"mapping keys {list(value)!r} collide as strings")
-        return canonical
-    if isinstance(value, (list, tuple)):
-        return [_canonical(v) for v in value]
-    if isinstance(value, float) and math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    return value
-
-
 def _canonical_json(value: Any) -> str:
     """``value`` as the canonical JSON the content keys hash."""
     return json.dumps(value, sort_keys=True, separators=(",", ":"))

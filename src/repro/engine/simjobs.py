@@ -39,8 +39,9 @@ import traceback as traceback_module
 from ..errors import ConfigurationError
 from ..obs import RECORDER as _OBS
 from ..scenarios import ScenarioSpec
+from ..scenarios.spec import _canonical
 from .api import _run_pipeline
-from .jobs import _canonical, _canonical_json, _digest
+from .jobs import _canonical_json, _digest
 from .store import ResultStore
 
 __all__ = [

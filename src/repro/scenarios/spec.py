@@ -21,6 +21,7 @@ True
 
 from __future__ import annotations
 
+import collections.abc
 import hashlib
 import json
 import math
@@ -62,12 +63,23 @@ def _thaw_params(params: FrozenParams) -> Dict[str, Any]:
     return {key: _thaw_value(value) for key, value in params}
 
 
-def _jsonable(value: Any) -> Any:
-    """Make a value JSON-serialisable (inf/-inf become tagged strings)."""
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in sorted(value.items())}
+def _canonical(value: Any) -> Any:
+    """Normalise a value so that equal contents produce equal JSON.
+
+    Mapping keys become strings, sequences become lists and ``inf``/``-inf``
+    become tagged strings.  The one normaliser behind every content key: the
+    scenario hashes here and the engine's job keys.
+    """
+    # The ``collections.abc`` ABC, not the much slower ``typing`` alias: this
+    # recursion visits every node of a static-replay job's whole schedule.
+    if isinstance(value, collections.abc.Mapping):
+        # Unsorted, so mixed key types work: the canonical JSON sorts keys.
+        canonical = {str(k): _canonical(v) for k, v in value.items()}
+        if len(canonical) < len(value):
+            raise ConfigurationError(f"mapping keys {list(value)!r} collide as strings")
+        return canonical
     if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
+        return [_canonical(v) for v in value]
     if isinstance(value, float) and math.isinf(value):
         return "inf" if value > 0 else "-inf"
     return value
@@ -75,7 +87,7 @@ def _jsonable(value: Any) -> Any:
 
 def canonical_json(data: Any) -> str:
     """Deterministic JSON used for content hashing (sorted keys, no spaces)."""
-    return json.dumps(_jsonable(data), sort_keys=True, separators=(",", ":"))
+    return json.dumps(_canonical(data), sort_keys=True, separators=(",", ":"))
 
 
 def _digest(payload: str) -> str:
@@ -313,9 +325,8 @@ class ScenarioSpec:
         """
         from ..workloads.suite import problem_with_tightness
 
-        graph = self.build_graph()
-        if self.has_optimize:
-            graph = self.optimization().graph
+        optimized = self.optimization()
+        graph = self.build_graph() if optimized is None else optimized.graph
         return problem_with_tightness(
             graph,
             self.tightness,
@@ -433,13 +444,13 @@ class ScenarioSpec:
         data = {
             "name": self.name,
             "family": self.family,
-            "family_params": _jsonable(_thaw_params(self.family_params)),
+            "family_params": _canonical(_thaw_params(self.family_params)),
             "seed": self.seed,
             "tightness": self.tightness,
             "platform": self.platform,
-            "platform_params": _jsonable(_thaw_params(self.platform_params)),
+            "platform_params": _canonical(_thaw_params(self.platform_params)),
             "chemistry": self.chemistry,
-            "chemistry_params": _jsonable(_thaw_params(self.chemistry_params)),
+            "chemistry_params": _canonical(_thaw_params(self.chemistry_params)),
             "beta": self.beta,
             "jitter": self.jitter,
             "jitter_model": self.jitter_model,

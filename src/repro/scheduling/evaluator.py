@@ -14,10 +14,11 @@ speeds:
   :func:`~repro.scheduling.battery_cost` is a thin wrapper over it.
 * :class:`IncrementalCostEvaluator` — **delta** evaluation for neighbourhood
   search.  It keeps a :class:`ScheduleState` (timeline arrays plus
-  per-interval sigma contributions) and exposes ``propose``/``apply``/
-  ``undo`` for the two neighbourhood moves every searcher uses: change one
-  task's design point, or relocate one task to another position.  A proposal
-  re-costs only the intervals whose contribution can have changed.
+  per-interval sigma contributions) and exposes ``propose``/``apply`` for
+  the two neighbourhood moves every searcher uses: change one task's design
+  point, or relocate one task to another position.  A proposal re-costs only
+  the intervals whose contribution can have changed.  The evaluator only
+  moves forward: a rejected proposal is simply never applied.
 * :meth:`~repro.battery.RakhmatovVrudhulaModel.schedule_charge_batch` —
   **batch** evaluation of many same-length schedules at once (used by the
   uniform-assignment bounds).
@@ -53,7 +54,7 @@ flag:
   re-costed — contributions on *both* sides are reused bit-for-bit, and a
   moved evaluation point (deadline mode) invalidates nothing.
 
-A complete propose/apply/undo round trip (shared by the doctests below):
+A complete propose/apply round trip:
 
 >>> from repro.battery import RakhmatovVrudhulaModel
 >>> from repro.scheduling import DesignPointAssignment
@@ -67,9 +68,8 @@ A complete propose/apply/undo round trip (shared by the doctests below):
 >>> evaluator.apply(proposal)
 >>> evaluator.cost == proposal.cost and evaluator.cost == evaluator.evaluate_full()
 True
->>> evaluator.undo()
 >>> evaluator.columns["T2"]
-0
+3
 """
 
 from __future__ import annotations
@@ -147,7 +147,6 @@ def evaluate_schedule(
     model: BatteryModel,
     deadline: Optional[float] = None,
     evaluate_at: str = "completion",
-    validate: bool = True,
 ) -> ScheduleEvaluation:
     """Canonical full evaluation of one candidate solution.
 
@@ -171,9 +170,8 @@ def evaluate_schedule(
     >>> evaluation.cost > 0 and evaluation.rest == 0.0
     True
     """
-    if validate:
-        validate_sequence(graph, sequence)
-        assignment.validate(graph)
+    validate_sequence(graph, sequence)
+    assignment.validate(graph)
     interval_durations: List[float] = []
     interval_currents: List[float] = []
     for name in sequence:
@@ -222,25 +220,6 @@ class ScheduleState:
     rest: float
     cost: float
 
-    def copy(self) -> "ScheduleState":
-        """Independent deep-enough copy (external snapshotting hook).
-
-        The evaluator itself reverts moves through O(window) undo records
-        rather than full-state copies; this remains for callers that want a
-        frozen view of a state.
-        """
-        return ScheduleState(
-            sequence=list(self.sequence),
-            columns=dict(self.columns),
-            durations=self.durations.copy(),
-            currents=self.currents.copy(),
-            tail=self.tail.copy(),
-            contributions=self.contributions.copy(),
-            makespan=self.makespan,
-            rest=self.rest,
-            cost=self.cost,
-        )
-
 
 @dataclass(frozen=True)
 class MoveProposal:
@@ -257,7 +236,6 @@ class MoveProposal:
     makespan: float
     rest: float
     sequence: Tuple[str, ...]
-    columns: Tuple[Tuple[str, int], ...]
     _durations: np.ndarray = field(repr=False)
     _currents: np.ndarray = field(repr=False)
     _recompute_hi: int = field(repr=False)
@@ -267,30 +245,6 @@ class MoveProposal:
     _version: int = field(repr=False, default=0)
     _changed_column: Optional[Tuple[str, int]] = field(repr=False, default=None)
     _move_window: Optional[Tuple[int, int]] = field(repr=False, default=None)
-
-
-@dataclass
-class _UndoRecord:
-    """Minimal delta needed to revert one applied proposal.
-
-    ``apply`` replaces the state's array/list/dict *objects* wholesale except
-    for ``tail``/``contributions`` (mutated in place over the recompute
-    window), so the record keeps cheap references to the replaced objects and
-    copies only the overwritten slices — O(window), not O(n)."""
-
-    sequence: List[str]
-    columns_change: Optional[Tuple[str, int]]
-    durations: np.ndarray
-    currents: np.ndarray
-    tail_slice: Optional[np.ndarray]
-    contrib_slice: np.ndarray
-    lo: int
-    hi: int
-    makespan: float
-    rest: float
-    cost: float
-    positions: Dict[str, int]
-    columns_key: Tuple[Tuple[str, int], ...]
 
 
 class IncrementalCostEvaluator:
@@ -310,11 +264,6 @@ class IncrementalCostEvaluator:
     deadline, evaluate_at:
         Sigma evaluation point, with the same semantics (including deadline
         clamping) as :func:`repro.scheduling.battery_cost`.
-    track_undo:
-        When true (default) every ``apply`` records the one-level delta that
-        ``undo`` reverts.  Searchers that only ever move forward (annealing,
-        the refinement sweep: a rejected candidate is simply never applied)
-        disable it to keep commits allocation-free.
     """
 
     def __init__(
@@ -325,7 +274,6 @@ class IncrementalCostEvaluator:
         model: BatteryModel,
         deadline: Optional[float] = None,
         evaluate_at: str = "completion",
-        track_undo: bool = True,
     ) -> None:
         validate_sequence(graph, sequence)
         assignment.validate(graph)
@@ -349,17 +297,7 @@ class IncrementalCostEvaluator:
                 list(sequence), {name: assignment[name] for name in assignment}
             )
         self._positions = {name: index for index, name in enumerate(self.state.sequence)}
-        self._undo_record: Optional[_UndoRecord] = None
-        self._track_undo = bool(track_undo)
         self._version = 0
-        # Sorted (task, column) key of the current state, spliced per move so
-        # proposals never pay an O(n log n) re-sort on the hot path.
-        self._name_rank = {
-            name: rank for rank, name in enumerate(sorted(self.state.columns))
-        }
-        self._columns_key: Tuple[Tuple[str, int], ...] = tuple(
-            sorted(self.state.columns.items())
-        )
 
     # ------------------------------------------------------------------
     # queries
@@ -431,7 +369,6 @@ class IncrementalCostEvaluator:
             self.model,
             deadline=self.deadline,
             evaluate_at=self.evaluate_at,
-            validate=False,
         ).cost
 
     # ------------------------------------------------------------------
@@ -461,16 +398,9 @@ class IncrementalCostEvaluator:
         new_currents[position] = self._currents_by_task[name][column]
         makespan = math.fsum(new_durations.tolist())
         rest = _resolve_rest(makespan, self.deadline, self.evaluate_at)
-        rank = self._name_rank[name]
-        columns_key = (
-            self._columns_key[:rank]
-            + ((name, column),)
-            + self._columns_key[rank + 1 :]
-        )
         return self._cost_candidate(
             kind="design_point",
             sequence=tuple(self.state.sequence),
-            columns_key=columns_key,
             new_durations=new_durations,
             new_currents=new_currents,
             lo=position,
@@ -524,7 +454,6 @@ class IncrementalCostEvaluator:
         return self._cost_candidate(
             kind="relocate",
             sequence=tuple(new_sequence),
-            columns_key=self._columns_key,
             new_durations=new_durations,
             new_currents=new_currents,
             lo=lo,
@@ -539,7 +468,6 @@ class IncrementalCostEvaluator:
         self,
         kind: str,
         sequence: Tuple[str, ...],
-        columns_key: Tuple[Tuple[str, int], ...],
         new_durations: np.ndarray,
         new_currents: np.ndarray,
         lo: int,
@@ -582,7 +510,6 @@ class IncrementalCostEvaluator:
             makespan=makespan,
             rest=rest,
             sequence=sequence,
-            columns=columns_key,
             _durations=new_durations,
             _currents=new_currents,
             _recompute_hi=recompute_hi,
@@ -652,11 +579,9 @@ class IncrementalCostEvaluator:
     def apply(self, proposal: MoveProposal) -> None:
         """Commit a proposal produced from the *current* state.
 
-        Applies state deltas only: the arrays/objects the proposal replaces
-        are kept by reference in a one-level undo record, the per-interval
-        contributions (and tail) are patched in place over the recompute
-        window, and position/column bookkeeping is touched only where the
-        move kind actually changes it.
+        Applies state deltas only: the per-interval contributions (and tail)
+        are patched in place over the recompute window, and position/column
+        bookkeeping is touched only where the move kind actually changes it.
         """
         if proposal._version != self._version:
             raise ScheduleError(
@@ -664,41 +589,18 @@ class IncrementalCostEvaluator:
             )
         state = self.state
         hi = proposal._recompute_hi
-        lo = proposal._recompute_lo
-        record: Optional[_UndoRecord] = None
-        if self._track_undo:
-            record = _UndoRecord(
-                sequence=state.sequence,
-                columns_change=None,
-                durations=state.durations,
-                currents=state.currents,
-                tail_slice=None,
-                contrib_slice=state.contributions[lo : hi + 1].copy(),
-                lo=lo,
-                hi=hi,
-                makespan=state.makespan,
-                rest=state.rest,
-                cost=state.cost,
-                positions=self._positions,
-                columns_key=self._columns_key,
-            )
-        tail_head = proposal._tail_head
-        state.contributions[lo : hi + 1] = proposal._contrib_head
-        if tail_head is not None and hi > 0:
-            if record is not None:
-                record.tail_slice = state.tail[:hi].copy()
-            state.tail[:hi] = tail_head
+        state.contributions[proposal._recompute_lo : hi + 1] = proposal._contrib_head
+        if proposal._tail_head is not None and hi > 0:
+            state.tail[:hi] = proposal._tail_head
         state.durations = proposal._durations
         state.currents = proposal._currents
         if proposal._changed_column is not None:
             name, column = proposal._changed_column
-            if record is not None:
-                record.columns_change = (name, state.columns[name])
             state.columns[name] = column
         else:
             # Relocation: columns untouched, but order and positions change —
-            # only inside the move window, so patch a copy rather than
-            # rebuilding the whole mapping (the old dict stays in the record).
+            # only inside the move window.  Patch a copy: the ``positions``
+            # view handed out before this move is replaced, never mutated.
             state.sequence = list(proposal.sequence)
             positions = self._positions.copy()
             move_lo, move_hi = proposal._move_window
@@ -709,40 +611,8 @@ class IncrementalCostEvaluator:
         state.rest = proposal.rest
         state.cost = proposal.cost
         self._version += 1
-        self._columns_key = proposal.columns
-        if self._track_undo:
-            self._undo_record = record
         if _OBS.enabled:
             _OBS.count("eval.apply")
-
-    def undo(self) -> None:
-        """Revert the most recently applied proposal (one level deep)."""
-        record = self._undo_record
-        if record is None:
-            if not self._track_undo:
-                raise ScheduleError(
-                    "undo is disabled: this evaluator was built with track_undo=False"
-                )
-            raise ScheduleError("nothing to undo: no proposal has been applied")
-        state = self.state
-        state.sequence = record.sequence
-        if record.columns_change is not None:
-            name, column = record.columns_change
-            state.columns[name] = column
-        state.durations = record.durations
-        state.currents = record.currents
-        state.contributions[record.lo : record.hi + 1] = record.contrib_slice
-        if record.tail_slice is not None:
-            state.tail[: record.hi] = record.tail_slice
-        state.makespan = record.makespan
-        state.rest = record.rest
-        state.cost = record.cost
-        self._positions = record.positions
-        self._columns_key = record.columns_key
-        self._undo_record = None
-        self._version += 1
-        if _OBS.enabled:
-            _OBS.count("eval.undo")
 
     # ------------------------------------------------------------------
     # construction

@@ -2,10 +2,20 @@
 
 import pytest
 
-from repro.battery import RakhmatovVrudhulaModel
-from repro.core import SequencedMatrices, evaluate_windows, initial_window_start
+from repro.battery import BatterySpec, RakhmatovVrudhulaModel
+from repro.core import (
+    SchedulerConfig,
+    SequencedMatrices,
+    battery_aware_schedule,
+    evaluate_windows,
+    initial_window_start,
+)
 from repro.errors import InfeasibleDeadlineError
-from repro.scheduling import sequence_by_decreasing_energy
+from repro.scheduling import (
+    SchedulingProblem,
+    evaluate_schedule,
+    sequence_by_decreasing_energy,
+)
 
 
 @pytest.fixture
@@ -87,3 +97,25 @@ class TestEvaluateWindows:
         evaluation = evaluate_windows(matrices, deadline=75.0, model=model)
         assert evaluation.best.feasible
         assert all(record.label.endswith(":4") for record in evaluation.records)
+
+
+class TestEvaluationPoint:
+    """Window costs are taken at the scheduler's configured evaluation point."""
+
+    @pytest.mark.parametrize("graph_name, deadline", [("g2", 75.0), ("g3", 230.0)])
+    def test_deadline_mode_window_costs_equal_evaluate_schedule(
+        self, request, graph_name, deadline
+    ):
+        graph = request.getfixturevalue(graph_name)
+        problem = SchedulingProblem(graph, deadline, battery=BatterySpec(beta=0.273))
+        model = problem.model()
+        solution = battery_aware_schedule(
+            problem, config=SchedulerConfig(evaluate_at="deadline")
+        )
+        for iteration in solution.iterations:
+            for record in iteration.windows.records:
+                expected = evaluate_schedule(
+                    graph, iteration.sequence, record.assignment, model,
+                    deadline=deadline, evaluate_at="deadline",
+                )
+                assert record.cost == expected.cost, (iteration.index, record.label)

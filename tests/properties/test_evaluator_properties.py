@@ -6,9 +6,9 @@ The contracts under test:
   reference implementation (golden tests on the paper's G3 profiles plus
   randomized profiles with gaps and truncation);
 * the incremental evaluator agrees with full ``battery_cost`` to <= 1e-9
-  over long randomized sequences of mixed moves (and, for the
-  Rakhmatov–Vrudhula model, is in fact bit-identical);
-* ``undo`` restores the previous state bit-for-bit; and
+  over long randomized forward-only walks of mixed moves (and is in fact
+  bit-identical for every chemistry);
+* ``apply`` leaves the state bit-for-bit equal to a freshly built one; and
 * the batch schedule evaluation matches per-schedule evaluation exactly.
 """
 
@@ -58,17 +58,26 @@ def chemistry_model(request):
 
 
 def random_walk_moves(graph, evaluator, rng, steps):
-    """Yield applied proposals from a random mixed-move walk."""
+    """Yield ``(proposal, sequence, columns)`` from a random mixed-move walk.
+
+    ``sequence`` and ``columns`` are the candidate the proposal costs, built
+    from the evaluator's current state plus the move (never read off the
+    proposal), so a test can cost it from scratch.  The caller decides which
+    proposals to apply; the walk only moves forward.
+    """
     names = list(graph.task_names())
     m = graph.uniform_design_point_count()
     produced = 0
     while produced < steps:
+        sequence = list(evaluator.sequence)
+        columns = evaluator.columns
         if rng.random() < 0.5:
             name = rng.choice(names)
             column = rng.randrange(m)
-            if column == evaluator.columns[name]:
+            if column == columns[name]:
                 continue
             proposal = evaluator.propose_design_point(name, column)
+            columns[name] = column
         else:
             name = rng.choice(names)
             position = evaluator.position(name)
@@ -85,8 +94,25 @@ def random_walk_moves(graph, evaluator, rng, steps):
             if target == position:
                 continue
             proposal = evaluator.propose_relocate(name, target)
-        yield proposal
+            sequence.insert(target, sequence.pop(position))
+        assert proposal.sequence == tuple(sequence)
+        yield proposal, tuple(sequence), columns
         produced += 1
+
+
+def assert_state_matches_fresh_build(graph, evaluator, model, **point):
+    """The evaluator's state equals a freshly built one's, bit for bit."""
+    fresh = IncrementalCostEvaluator(
+        graph, evaluator.sequence, evaluator.assignment(), model, **point
+    )
+    assert evaluator.cost == fresh.cost
+    assert (evaluator.makespan, evaluator.state.rest) == (fresh.makespan, fresh.state.rest)
+    assert evaluator.positions == fresh.positions
+    assert np.array_equal(evaluator.state.durations, fresh.state.durations)
+    assert np.array_equal(evaluator.state.currents, fresh.state.currents)
+    assert np.array_equal(evaluator.state.contributions, fresh.state.contributions)
+    if model.TIME_SENSITIVE:  # time-insensitive kernels never read the tail
+        assert np.array_equal(evaluator.state.tail, fresh.state.tail)
 
 
 class TestIncrementalAgreesWithFullCost:
@@ -99,15 +125,10 @@ class TestIncrementalAgreesWithFullCost:
         assignment = DesignPointAssignment.all_fastest(graph)
         evaluator = IncrementalCostEvaluator(graph, sequence, assignment, model)
         rng = random.Random(1000 + seed)
-        for step, proposal in enumerate(
+        for step, (proposal, candidate, columns) in enumerate(
             random_walk_moves(graph, evaluator, rng, steps=220)
         ):
-            full = battery_cost(
-                graph,
-                proposal.sequence,
-                DesignPointAssignment(dict(proposal.columns)),
-                model,
-            )
+            full = battery_cost(graph, candidate, DesignPointAssignment(columns), model)
             assert proposal.cost == pytest.approx(full, abs=AGREEMENT_ATOL), step
             # The stack's stronger, internal contract: bit-identical.
             assert proposal.cost == full, step
@@ -125,11 +146,11 @@ class TestIncrementalAgreesWithFullCost:
             g3, sequence, assignment, model, deadline=deadline, evaluate_at="deadline"
         )
         rng = random.Random(5)
-        for proposal in random_walk_moves(g3, evaluator, rng, steps=60):
+        for proposal, candidate, columns in random_walk_moves(g3, evaluator, rng, steps=60):
             full = battery_cost(
                 g3,
-                proposal.sequence,
-                DesignPointAssignment(dict(proposal.columns)),
+                candidate,
+                DesignPointAssignment(columns),
                 model,
                 deadline=deadline,
                 evaluate_at="deadline",
@@ -145,35 +166,12 @@ class TestIncrementalAgreesWithFullCost:
         assignment = DesignPointAssignment.all_fastest(diamond4)
         evaluator = IncrementalCostEvaluator(diamond4, sequence, assignment, model)
         rng = random.Random(9)
-        for proposal in random_walk_moves(diamond4, evaluator, rng, steps=40):
-            full = battery_cost(
-                diamond4,
-                proposal.sequence,
-                DesignPointAssignment(dict(proposal.columns)),
-                model,
-            )
+        for proposal, candidate, columns in random_walk_moves(
+            diamond4, evaluator, rng, steps=40
+        ):
+            full = battery_cost(diamond4, candidate, DesignPointAssignment(columns), model)
             assert proposal.cost == pytest.approx(full, abs=AGREEMENT_ATOL)
             evaluator.apply(proposal)
-
-    def test_undo_restores_state_bit_for_bit(self, g3):
-        model = RakhmatovVrudhulaModel(beta=G3_BETA)
-        sequence = sequence_by_decreasing_energy(g3)
-        assignment = DesignPointAssignment.all_fastest(g3)
-        evaluator = IncrementalCostEvaluator(g3, sequence, assignment, model)
-        rng = random.Random(3)
-        for proposal in random_walk_moves(g3, evaluator, rng, steps=30):
-            before_cost = evaluator.cost
-            before_sequence = evaluator.sequence
-            before_columns = evaluator.columns
-            before_tail = evaluator.state.tail.copy()
-            before_contrib = evaluator.state.contributions.copy()
-            evaluator.apply(proposal)
-            evaluator.undo()
-            assert evaluator.cost == before_cost
-            assert evaluator.sequence == before_sequence
-            assert evaluator.columns == before_columns
-            assert np.array_equal(evaluator.state.tail, before_tail)
-            assert np.array_equal(evaluator.state.contributions, before_contrib)
 
 
 class TestVectorizedApparentChargeGolden:
@@ -271,7 +269,7 @@ class TestCrossChemistryIncrementalAgreesWithFull:
     """The incremental/full contract, for every battery chemistry.
 
     Mirrors :class:`TestIncrementalAgreesWithFullCost` but parametrised over
-    all four chemistries: 220-move mixed propose/apply/undo walks where every
+    all four chemistries: 220-move mixed forward-only propose/apply walks where every
     proposal must agree with a from-scratch ``battery_cost`` to <= 1e-9 —
     and in fact bitwise, since every chemistry shares the fsum-reduced
     time-to-end kernel of ``ScheduleKernelMixin``.
@@ -284,21 +282,18 @@ class TestCrossChemistryIncrementalAgreesWithFull:
         assignment = DesignPointAssignment.all_fastest(graph)
         evaluator = IncrementalCostEvaluator(graph, sequence, assignment, chemistry_model)
         rng = random.Random(2000 + seed)
-        for step, proposal in enumerate(
+        for step, (proposal, candidate, columns) in enumerate(
             random_walk_moves(graph, evaluator, rng, steps=220)
         ):
-            full = battery_cost(
-                graph,
-                proposal.sequence,
-                DesignPointAssignment(dict(proposal.columns)),
-                chemistry_model,
+            full = evaluate_schedule(
+                graph, candidate, DesignPointAssignment(columns), chemistry_model
             )
-            assert proposal.cost == pytest.approx(full, abs=AGREEMENT_ATOL), step
+            assert proposal.cost == pytest.approx(full.cost, abs=AGREEMENT_ATOL), step
             # The stack's stronger, internal contract: bit-identical.
-            assert proposal.cost == full, step
+            assert (proposal.cost, proposal.makespan) == (full.cost, full.makespan), step
             if rng.random() < 0.7:
                 evaluator.apply(proposal)
-                assert evaluator.cost == full
+                assert evaluator.cost == full.cost
         assert evaluator.cost == evaluator.evaluate_full()
 
     def test_deadline_mode_walk_matches_battery_cost(self, g3, chemistry_model):
@@ -311,36 +306,36 @@ class TestCrossChemistryIncrementalAgreesWithFull:
             deadline=deadline, evaluate_at="deadline",
         )
         rng = random.Random(5)
-        for proposal in random_walk_moves(g3, evaluator, rng, steps=60):
-            full = battery_cost(
+        for proposal, candidate, columns in random_walk_moves(g3, evaluator, rng, steps=60):
+            full = evaluate_schedule(
                 g3,
-                proposal.sequence,
-                DesignPointAssignment(dict(proposal.columns)),
+                candidate,
+                DesignPointAssignment(columns),
                 chemistry_model,
                 deadline=deadline,
                 evaluate_at="deadline",
             )
-            assert proposal.cost == pytest.approx(full, abs=AGREEMENT_ATOL)
-            assert proposal.cost == full
+            assert proposal.cost == pytest.approx(full.cost, abs=AGREEMENT_ATOL)
+            assert (proposal.cost, proposal.makespan) == (full.cost, full.makespan)
+            assert proposal.rest == full.rest
             if rng.random() < 0.5:
                 evaluator.apply(proposal)
 
-    def test_undo_restores_state_bit_for_bit(self, g3, chemistry_model):
+    @pytest.mark.parametrize("evaluate_at", ["completion", "deadline"])
+    def test_applied_state_equals_a_fresh_build(self, g3, chemistry_model, evaluate_at):
+        """Every apply leaves the state a from-scratch build has, bitwise,
+        whatever proposals were made and never applied in between."""
+        point = {"deadline": 400.0, "evaluate_at": evaluate_at}
         sequence = sequence_by_decreasing_energy(g3)
         assignment = DesignPointAssignment.all_fastest(g3)
-        evaluator = IncrementalCostEvaluator(g3, sequence, assignment, chemistry_model)
+        evaluator = IncrementalCostEvaluator(
+            g3, sequence, assignment, chemistry_model, **point
+        )
         rng = random.Random(3)
-        for proposal in random_walk_moves(g3, evaluator, rng, steps=30):
-            before_cost = evaluator.cost
-            before_sequence = evaluator.sequence
-            before_columns = evaluator.columns
-            before_contrib = evaluator.state.contributions.copy()
-            evaluator.apply(proposal)
-            evaluator.undo()
-            assert evaluator.cost == before_cost
-            assert evaluator.sequence == before_sequence
-            assert evaluator.columns == before_columns
-            assert np.array_equal(evaluator.state.contributions, before_contrib)
+        for proposal, _, _ in random_walk_moves(g3, evaluator, rng, steps=40):
+            if rng.random() < 0.7:
+                evaluator.apply(proposal)
+                assert_state_matches_fresh_build(g3, evaluator, chemistry_model, **point)
 
     def test_batch_matches_single_bitwise(self, chemistry_model):
         rng = random.Random(31)
@@ -380,11 +375,9 @@ class TestCrossChemistryIncrementalAgreesWithFull:
             column = 1 if evaluator.columns[name] != 1 else 2
             first = evaluator.propose_design_point(name, column)
             second = evaluator.propose_design_point(name, column)
+            columns = {**evaluator.columns, name: column}
             full = battery_cost(
-                graph,
-                first.sequence,
-                DesignPointAssignment(dict(first.columns)),
-                chemistry_model,
+                graph, evaluator.sequence, DesignPointAssignment(columns), chemistry_model
             )
             assert first.cost == second.cost == full
         assert evaluator.cost == before_cost

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.scenarios import ScenarioSpec, problem_fingerprint
+from repro.scenarios import ScenarioSpec, canonical_json, problem_fingerprint
 
 
 def make_spec(**overrides):
@@ -183,6 +183,20 @@ class TestIdentity:
 
     def test_specs_are_hashable(self):
         assert len({make_spec(), make_spec(), make_spec(seed=6)}) == 2
+
+
+class TestCanonicalJson:
+    def test_keys_sorted_and_infinities_tagged(self):
+        data = {"b": [1.0, float("inf")], "a": {"z": 1, "y": (2, -float("inf"))}}
+        assert canonical_json(data) == '{"a":{"y":[2,"-inf"],"z":1},"b":[1.0,"inf"]}'
+
+    def test_mixed_type_keys_sort_as_strings(self):
+        assert canonical_json({"T1": 0, 3: 2}) == '{"3":2,"T1":0}'
+        assert canonical_json({"T1": 0, 3: 2}) == canonical_json({"3": 2, "T1": 0})
+
+    def test_keys_colliding_as_strings_rejected(self):
+        with pytest.raises(ConfigurationError, match="collide"):
+            canonical_json({3: 0, "3": 1})
 
 
 class TestCrossProcessDeterminism:
@@ -365,6 +379,24 @@ class TestOptimizeTier:
         assert fused.build_problem().deadline == pytest.approx(
             plain.build_problem().deadline
         )
+
+    @pytest.mark.parametrize("optimize", ["", "cull+fuse"])
+    def test_build_problem_builds_the_graph_once(self, monkeypatch, optimize):
+        spec = make_spec(
+            family="chain", family_params={"num_tasks": 25}, optimize=optimize
+        )
+        expected = spec.build_problem()
+        build_graph = ScenarioSpec.build_graph
+        calls = []
+
+        def counting_build_graph(self):
+            calls.append(self.name)
+            return build_graph(self)
+
+        monkeypatch.setattr(ScenarioSpec, "build_graph", counting_build_graph)
+        problem = spec.build_problem()
+        assert calls == [spec.name]
+        assert problem_fingerprint(problem) == problem_fingerprint(expected)
 
     def test_round_trip(self):
         for spec in (make_spec(optimize="fuse"), make_spec(optimize="cull+fuse")):

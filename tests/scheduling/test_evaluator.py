@@ -56,6 +56,10 @@ class TestConstruction:
         with pytest.raises(Exception):
             IncrementalCostEvaluator(diamond4, ("B", "A", "C", "D"), assignment, model)
 
+    def test_full_evaluation_always_validates(self, diamond4, assignment, model):
+        with pytest.raises(ScheduleError):
+            evaluate_schedule(diamond4, ("B", "A", "C", "D"), assignment, model)
+
     def test_deadline_mode_requires_deadline(self, diamond4, assignment, model):
         with pytest.raises(ConfigurationError):
             IncrementalCostEvaluator(
@@ -80,13 +84,13 @@ class TestProposals:
 
     def test_design_point_proposal_cost(self, diamond4, model, evaluator):
         proposal = evaluator.propose_design_point("B", 2)
-        expected = battery_cost(
+        expected = evaluate_schedule(
             diamond4,
             SEQ,
             DesignPointAssignment({"A": 0, "B": 2, "C": 0, "D": 0}),
             model,
         )
-        assert proposal.cost == expected
+        assert (proposal.cost, proposal.makespan) == (expected.cost, expected.makespan)
         assert proposal.kind == "design_point"
 
     def test_relocate_proposal_cost_and_makespan(self, diamond4, model, evaluator):
@@ -131,7 +135,7 @@ class TestProposals:
         assert slow == pytest.approx(assignment.total_execution_time(diamond4))
 
 
-class TestApplyUndo:
+class TestApply:
     def test_apply_commits_proposal(self, evaluator):
         proposal = evaluator.propose_design_point("C", 1)
         evaluator.apply(proposal)
@@ -151,16 +155,6 @@ class TestApplyUndo:
         with pytest.raises(ScheduleError):
             evaluator.apply(stale)
 
-    def test_undo_without_apply_rejected(self, evaluator):
-        with pytest.raises(ScheduleError):
-            evaluator.undo()
-
-    def test_undo_is_single_level(self, evaluator):
-        evaluator.apply(evaluator.propose_design_point("B", 1))
-        evaluator.undo()
-        with pytest.raises(ScheduleError):
-            evaluator.undo()
-
     def test_full_reevaluation_matches_after_walk(self, evaluator):
         evaluator.apply(evaluator.propose_design_point("B", 1))
         evaluator.apply(evaluator.propose_relocate("B", 2))
@@ -174,23 +168,13 @@ class TestRepeatedProposals:
         second = evaluator.propose_design_point("B", 1)
         assert second.cost == first.cost
         assert (second.makespan, second.rest) == (first.makespan, first.rest)
-        assert (second.sequence, second.columns) == (first.sequence, first.columns)
+        assert second.sequence == first.sequence
 
     def test_apply_after_repeated_proposal_keeps_state_consistent(self, evaluator):
         evaluator.propose_design_point("B", 1)
         repeat = evaluator.propose_design_point("B", 1)
         evaluator.apply(repeat)
         assert evaluator.cost == repeat.cost
-        assert evaluator.cost == evaluator.evaluate_full()
-
-    def test_undo_after_repeated_proposal_apply(self, evaluator):
-        before_cost = evaluator.cost
-        before_contrib = evaluator.state.contributions.copy()
-        evaluator.propose_design_point("B", 1)
-        evaluator.apply(evaluator.propose_design_point("B", 1))
-        evaluator.undo()
-        assert evaluator.cost == before_cost
-        assert np.array_equal(evaluator.state.contributions, before_contrib)
         assert evaluator.cost == evaluator.evaluate_full()
 
 
@@ -222,37 +206,12 @@ class TestCustomKernelModel:
             rel=1e-12,
         )
 
-    def test_apply_and_undo_round_trip(self, custom):
-        before = custom.cost
+    def test_apply_matches_full_evaluation(self, custom):
         proposal = custom.propose_design_point("C", 2)
         custom.apply(proposal)
         assert custom.cost == proposal.cost
         assert custom.cost == custom.evaluate_full()
-        custom.undo()
-        assert custom.cost == before
-        assert custom.columns["C"] == 0
-
-
-class TestUndoTracking:
-    def test_track_undo_false_commits_and_refuses_undo(self, diamond4, assignment, model):
-        evaluator = IncrementalCostEvaluator(
-            diamond4, SEQ, assignment, model, track_undo=False
-        )
-        proposal = evaluator.propose_design_point("B", 1)
-        evaluator.apply(proposal)
-        assert evaluator.cost == proposal.cost
-        assert evaluator.cost == evaluator.evaluate_full()
-        with pytest.raises(ScheduleError, match="track_undo"):
-            evaluator.undo()
-
-    def test_interleaved_proposals_and_undo_stay_consistent(self, diamond4, assignment, model):
-        evaluator = IncrementalCostEvaluator(diamond4, SEQ, assignment, model)
-        evaluator.apply(evaluator.propose_relocate("B", 2))
-        evaluator.apply(evaluator.propose_design_point("A", 1))
-        evaluator.undo()  # back to the post-relocate state
-        assert evaluator.sequence == ("A", "C", "B", "D")
-        assert evaluator.columns["A"] == 0
-        assert evaluator.cost == evaluator.evaluate_full()
+        assert custom.columns["C"] == 2
 
 
 class TestPositionsView:
