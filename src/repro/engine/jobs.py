@@ -20,6 +20,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
+from weakref import WeakKeyDictionary
 
 from ..baselines import (
     AnnealingConfig,
@@ -61,8 +62,44 @@ def _digest(payload: str) -> str:
 
 
 def _content_hash(spec: Dict[str, Any]) -> str:
-    """The 24-hex-digit key of a JSON-serialisable job description."""
+    """The 24-hex-digit key of a JSON-serialisable job description: what
+    ``Job.key()`` and ``SimulationJob.key()`` render piecewise."""
     return _digest(_canonical_json(spec))
+
+
+def _problem_spec(problem: SchedulingProblem) -> Dict[str, Any]:
+    """The ``"battery"``/``"deadline"``/``"graph"`` entries of a job spec."""
+    battery = problem.battery
+    return {
+        "graph": problem.graph.to_dict(),
+        "deadline": problem.deadline,
+        "battery": {
+            "beta": battery.beta,
+            "capacity": _canonical(battery.capacity),
+            "series_terms": battery.series_terms,
+            "chemistry": battery.chemistry,
+            "chemistry_params": _canonical(dict(battery.chemistry_params)),
+        },
+    }
+
+
+#: problem -> ((num_tasks, num_edges), rendered problem part of its job
+#: keys).  Weak, so the text lives as long as the problem, and outside the
+#: jobs, so a pickled job never carries it.
+_PROBLEM_TEXT: "WeakKeyDictionary" = WeakKeyDictionary()
+
+
+def _problem_text(problem: SchedulingProblem) -> str:
+    """The canonical JSON of :func:`_problem_spec` without its braces,
+    rendered once per problem (sorted keys put it between a job's
+    ``"algorithm"`` and ``"params"``)."""
+    # The counts guard against a graph grown after the render.
+    shape = (problem.graph.num_tasks, problem.graph.num_edges)
+    memo = _PROBLEM_TEXT.get(problem)
+    if memo is None or memo[0] != shape:
+        memo = (shape, _canonical_json(_problem_spec(problem))[1:-1])
+        _PROBLEM_TEXT[problem] = memo
+    return memo[1]
 
 
 # ----------------------------------------------------------------------
@@ -183,17 +220,8 @@ class Job:
     # ------------------------------------------------------------------
     def spec(self) -> Dict[str, Any]:
         """The complete, JSON-serialisable description of this job."""
-        battery = self.problem.battery
         return {
-            "graph": self.problem.graph.to_dict(),
-            "deadline": self.problem.deadline,
-            "battery": {
-                "beta": battery.beta,
-                "capacity": _canonical(battery.capacity),
-                "series_terms": battery.series_terms,
-                "chemistry": battery.chemistry,
-                "chemistry_params": _canonical(dict(battery.chemistry_params)),
-            },
+            **_problem_spec(self.problem),
             "algorithm": self.algorithm,
             "params": _canonical(self.params),
         }
@@ -204,13 +232,19 @@ class Job:
         The key covers everything that influences the result — the graph
         structure and design points, the deadline, the battery parameters,
         the algorithm and its parameters — plus the graph's own name (in
-        ``graph.to_dict()``), but not the problem's display name.  Memoised:
-        every field is frozen after construction and the full-graph
-        serialisation is too expensive to repeat on every store/ordering probe.
+        ``graph.to_dict()``), but not the problem's display name.  It is the
+        hash of the canonical JSON of :meth:`spec`, rendered from the
+        problem's part (graph, deadline, battery), which every job of one
+        problem shares and renders once, between this job's algorithm and
+        params.  Memoised: every field is frozen after construction.
         """
         cached = self.__dict__.get("_key")
         if cached is None:
-            cached = _content_hash(self.spec())
+            cached = _digest(
+                f'{{"algorithm":{_canonical_json(self.algorithm)},'
+                f"{_problem_text(self.problem)},"
+                f'"params":{_canonical_json(_canonical(self.params))}}}'
+            )
             object.__setattr__(self, "_key", cached)
         return cached
 

@@ -2,11 +2,14 @@
 
 Every completed result record (a :class:`~repro.engine.jobs.JobResult` or
 a :class:`~repro.engine.simjobs.SimulationRecord`) is appended to a
-``*.jsonl`` file as one JSON object per line, flushed immediately, so a run
-killed half-way leaves a valid store behind.  On the next run the engine
-loads the store, skips every job whose key already has a *successful* result
-(failed jobs are retried — their error may have been transient), and only
-executes the remainder.
+``*.jsonl`` file as one JSON object per line, flushed immediately.  The
+engine appends one call's fresh records only after all of them have run
+(``append_many`` after ``dispatch`` in :mod:`repro.engine.api`), so a run
+killed half-way leaves the store valid but saves none of that call's work;
+in-order commits as jobs finish are ROADMAP item 4.  On the next run the
+engine loads the store, skips every job whose key already has a
+*successful* result (failed jobs are retried — their error may have been
+transient), and only executes the remainder.
 
 Append-only means a key can legitimately appear more than once (a retried
 failure, a forced re-run); the last line wins on load.  Lines that fail to

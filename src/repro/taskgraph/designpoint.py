@@ -23,9 +23,26 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional
 
-from ..errors import DesignPointError
+from ..errors import ConfigurationError, DesignPointError
 
 __all__ = ["DesignPoint"]
+
+
+def _string_keyed(value: Any) -> Any:
+    """``value`` with every mapping key a string, nested mappings included.
+
+    What ``to_dict`` emits for free-form metadata, so that any serialised
+    graph renders under ``json.dumps(sort_keys=True)`` (which cannot order
+    mixed key types) exactly as the content keys' canonicaliser sees it.
+    """
+    if isinstance(value, Mapping):
+        keyed = {str(key): _string_keyed(item) for key, item in value.items()}
+        if len(keyed) < len(value):
+            raise ConfigurationError(f"metadata keys {list(value)!r} collide as strings")
+        return keyed
+    if isinstance(value, (list, tuple)):
+        return [_string_keyed(item) for item in value]
+    return value
 
 
 @dataclass(frozen=True, order=False)
@@ -117,7 +134,7 @@ class DesignPoint:
         if self.name:
             data["name"] = self.name
         if self.metadata:
-            data["metadata"] = dict(self.metadata)
+            data["metadata"] = _string_keyed(self.metadata)
         return data
 
     @classmethod

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Optional, Sequence, Tuple
 
 from ..errors import DesignPointError, TaskGraphError
-from .designpoint import DesignPoint
+from .designpoint import DesignPoint, _string_keyed
 
 __all__ = ["Task"]
 
@@ -200,7 +200,7 @@ class Task:
             "design_points": [dp.to_dict() for dp in self.design_points],
         }
         if self.metadata:
-            data["metadata"] = dict(self.metadata)
+            data["metadata"] = _string_keyed(self.metadata)
         return data
 
     @classmethod

@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -122,6 +124,26 @@ class TestRunExperiments:
         assert resumed.executed == 0
         assert resumed.skipped == len(fresh.jobs)
         assert resumed.results == fresh.results
+
+    def test_store_of_an_earlier_commit_resumes_with_nothing_to_run(self, tmp_path):
+        # The golden store was written by an earlier commit's run_suite with
+        # these arguments, unoptimized and then with cull+fuse (whose keys
+        # carry the fused graphs).  Today's keys must find every row, and
+        # today's rows must equal the stored ones apart from timing.
+        golden = Path(__file__).with_name("golden_offline_store.jsonl")
+        stored = [json.loads(line) for line in golden.read_text().splitlines()]
+        path = tmp_path / "suite.jsonl"
+        shutil.copy(golden, path)
+        arguments = dict(scenarios=["g2", "g3", "chain-25"], seed=0)
+        fresh = []
+        for optimize in ("", "cull+fuse"):
+            resumed = run_suite(
+                store=ResultStore(path), resume=True, optimize=optimize, **arguments
+            ).run
+            assert (resumed.executed, resumed.skipped) == (0, 12)
+            fresh.extend(run_suite(optimize=optimize, **arguments).run.results)
+        assert path.read_bytes() == golden.read_bytes()
+        assert _comparable(fresh) == [row | {"elapsed_s": 0.0} for row in stored]
 
     def test_partial_resume_runs_only_new_jobs(self, problems, tmp_path):
         store = ResultStore(tmp_path / "suite.jsonl")

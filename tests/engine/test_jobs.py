@@ -1,21 +1,32 @@
 """Tests for the job specification, its keys, and the algorithm registry."""
 
+import gc
+import json
+import math
+import pickle
+import weakref
+
 import pytest
 
 from repro import BatterySpec, SchedulingProblem, simulated_annealing_baseline
 from repro.baselines import AnnealingConfig
+from repro.battery import CHEMISTRIES
 from repro.core import SchedulerConfig
 from repro.engine import (
     Job,
     JobResult,
     algorithm_names,
+    build_jobs,
     execute_job,
     get_algorithm,
     resolve_algorithm_name,
     scheduler_config_params,
 )
+from repro.engine.jobs import _content_hash, _problem_text
 from repro.errors import ConfigurationError
-from repro.taskgraph import build_g2
+from repro.experiments.suite import DEFAULT_SUITE_ALGORITHMS
+from repro.scenarios import canonical_json, default_registry
+from repro.taskgraph import DesignPoint, Task, TaskGraph, build_g2
 
 
 @pytest.fixture
@@ -135,6 +146,140 @@ class TestJobKeys:
         ]
         jobs = [Job(problem=p, algorithm="iterative") for p in problems]
         assert jobs[0].key() != jobs[1].key()
+
+
+def _deterministic_problems(optimize=""):
+    registry = default_registry()
+    if optimize:
+        registry = registry.optimized(optimize)
+    return [spec.build_problem() for spec in registry.select(stochastic=False)]
+
+
+def _metadata_problem(task_metadata, point_metadata=None):
+    graph = TaskGraph(name="meta")
+    graph.add_task(
+        Task("T1", [DesignPoint(2.0, 100.0, metadata=point_metadata)], metadata=task_metadata)
+    )
+    graph.add_task(Task("T2", [DesignPoint(1.0, 50.0), DesignPoint(3.0, 20.0)]))
+    graph.add_edge("T1", "T2")
+    return SchedulingProblem(graph=graph, deadline=10.0)
+
+
+class TestRenderedKeys:
+    """Job.key() renders each problem's part once and splices the job's own
+    algorithm and params around it; it must stay the hash of spec()."""
+
+    def test_rendered_keys_equal_the_hash_of_job_spec(self, problem):
+        jobs = [
+            job
+            for optimize in ("", "fuse", "cull+fuse")
+            for job in build_jobs(_deterministic_problems(optimize), DEFAULT_SUITE_ALGORITHMS)
+        ]
+        assert len(jobs) == 3 * 41 * 4
+        odd_params = [
+            {"seed": 7},
+            {"limits": (math.inf, -math.inf, 1.5)},
+            {"outer": {"b": {"z": [1, {"y": -math.inf}], "a": 2}, "a": None}},
+            {"by": {"T1": 0, 3: 2}},
+        ]
+        jobs.extend(
+            Job(problem=problem, algorithm="annealing", params=params) for params in odd_params
+        )
+        jobs.extend(
+            Job(
+                problem=SchedulingProblem(
+                    graph=problem.graph,
+                    deadline=problem.deadline,
+                    battery=BatterySpec(beta=0.273, capacity=capacity, chemistry=chemistry),
+                ),
+                algorithm=algorithm,
+            )
+            for chemistry in CHEMISTRIES
+            for capacity in (math.inf, 40000.0)
+            for algorithm in ("iterative", "best-uniform")
+        )
+        for job in jobs:
+            assert job.key() == _content_hash(job.spec()), job
+
+    def test_each_problem_is_rendered_once(self, monkeypatch):
+        problems = _deterministic_problems()
+        renders = []
+        to_dict = TaskGraph.to_dict
+        monkeypatch.setattr(
+            TaskGraph, "to_dict", lambda graph: renders.append(graph) or to_dict(graph)
+        )
+        jobs = build_jobs(problems, DEFAULT_SUITE_ALGORITHMS)
+        assert len(jobs) == 41 * 4
+        for job in jobs:
+            job.key()
+        assert len(renders) == 41
+        # Later jobs of the same problems reuse the render.
+        for job in build_jobs(problems, {"annealing": {"seed": 3}}):
+            job.key()
+        assert len(renders) == 41
+
+    def test_a_pickled_job_carries_no_rendered_text(self, problem):
+        job = Job(problem=problem, algorithm="iterative")
+        key = job.key()
+        shipped = pickle.dumps(job)
+        assert _problem_text(problem).encode() not in shipped
+        assert b'"design_points":' not in shipped
+        assert pickle.loads(shipped).key() == key
+
+    def test_the_rendered_text_is_freed_with_its_problem(self):
+        problem = SchedulingProblem(graph=build_g2(), deadline=75.0)
+        Job(problem=problem, algorithm="iterative").key()
+        alive = weakref.ref(problem)
+        del problem
+        gc.collect()
+        assert alive() is None
+
+    def test_a_graph_grown_after_a_render_is_rendered_again(self):
+        problem = SchedulingProblem(graph=build_g2(), deadline=75.0)
+        before = Job(problem=problem, algorithm="iterative").key()
+        problem.graph.add_task(Task("extra", [DesignPoint(1.0, 10.0)]))
+        grown = Job(problem=problem, algorithm="iterative")
+        assert grown.key() != before
+        assert grown.key() == _content_hash(grown.spec())
+        problem.graph.add_edge("extra", problem.graph.entry_tasks()[0])
+        linked = Job(problem=problem, algorithm="iterative")
+        assert linked.key() == _content_hash(linked.spec()) != grown.key()
+
+    def test_mixed_type_metadata_keys_get_a_key(self):
+        # Task and design-point metadata keys are stringified by to_dict(),
+        # nested mappings too: the key equals the one of the all-str spelling.
+        mixed = _metadata_problem({"T1": 0, 3: {1: "a", "b": 2}}, {"f": 1, 2: 3})
+        spelled = _metadata_problem({"3": {"1": "a", "b": 2}, "T1": 0}, {"2": 3, "f": 1})
+        keys = [Job(problem=p, algorithm="iterative").key() for p in (mixed, spelled)]
+        assert keys[0] == keys[1]
+        job = Job(problem=mixed, algorithm="iterative")
+        assert job.key() == _content_hash(job.spec())
+
+    @pytest.mark.parametrize(
+        "task_metadata, point_metadata",
+        [({1: "a", "1": "b"}, None), ({}, {"x": {2: 0, "2": 1}})],
+    )
+    def test_metadata_keys_colliding_as_strings_are_rejected(
+        self, task_metadata, point_metadata
+    ):
+        problem = _metadata_problem(task_metadata, point_metadata)
+        with pytest.raises(ConfigurationError, match="collide"):
+            Job(problem=problem, algorithm="iterative").key()
+
+    def test_raw_and_canonical_graph_renders_agree_on_the_catalogue(self):
+        # The render hashes to_dict() raw (sorted keys, no canonicaliser
+        # pass); on every catalogue graph that equals the canonical JSON.
+        graphs = 0
+        for optimize in ("", "fuse", "cull+fuse"):
+            registry = default_registry()
+            if optimize:
+                registry = registry.optimized(optimize)
+            for spec in registry:
+                data = spec.build_problem().graph.to_dict()
+                raw = json.dumps(data, sort_keys=True, separators=(",", ":"))
+                assert raw == canonical_json(data), spec.name
+                graphs += 1
+        assert graphs == 297
 
 
 def _relabeled_clone(graph, prefix):
