@@ -23,31 +23,36 @@ pseudocode:
 is the algorithm's hot path.  Every candidate at one position starts from
 the same state — the free tasks before the position sit at the lowest-power
 column — and is promoted in the same ``E`` order, so all candidates walk
-one shared *promotion path* and differ only in how far along it they go.
-:func:`choose_design_points` therefore builds the path once per (window,
-position) and scores all candidate columns of the position in one batch:
+one shared *promotion path* and differ only in their window start and in
+how far along it they go.  The windows of one sequence are independent, so
+:func:`~repro.core.windows.evaluate_windows` searches them all at once: at
+each position every window's candidate columns are the *lanes* of one batch.
 
-* The path lists the free rows in ``E`` order with Python-float prefix sums
-  of their whole-row gains ``D[row, start] - D[row, window_start]``.  A
-  candidate's stopping point is found by ``bisect`` on the prefix sums and a
-  scan of at most ``m`` columns of the one partially promoted row.
-* The approximate totals (the candidate's exact starting makespan minus the
-  path gain) are trusted only while they lie more than a rounding-drift
+* The path lists the free rows in ``E`` order; one in-order cumsum gives
+  every window's prefix sums of the whole-row gains
+  ``D[row, start] - D[row, window_start]``.  A lane's stopping point is
+  found by ``bisect`` on its window's prefix sums and a scan of at most
+  ``m`` columns of the one partially promoted row.
+* The approximate totals (the lane's exact starting makespan minus the path
+  gain) are trusted only while they lie more than a rounding-drift
   tolerance away from ``deadline + eps``.  Within the tolerance, the exact
   :meth:`SequencedMatrices.total_time` of each materialised state decides,
   stepping along the path.  A fixed-order float sum never increases when
   one addend decreases, so the exact totals are monotone along the path and
   the first step at or below the limit is, bit for bit, where recomputing
   the full makespan after every one-column promotion would stop.
-* The k promoted selections form one ``(k, n)`` array: one gather and row
-  sum give every candidate's total energy (ENR), one gather and row count
-  every rising current pair (CIF), and DPF follows from the exact column
-  occupancies of the free rows.
+* The promoted selections form one ``(lanes, n)`` array, built in one step
+  from each free row's rank on the path.  One gather and row sum give every
+  lane's total energy (ENR), one gather and row count every rising current
+  pair (CIF), and DPF follows from the exact column occupancies of the free
+  rows.  ``B`` is computed for all lanes at once, and each window then takes
+  its own lanes' minimum in column order.
 
+:func:`choose_design_points` is the one-window case of the batch;
 :func:`calculate_dpf` and :func:`promote_until_feasible` run the same
-helpers with a single lane.  With the recorder enabled,
-``choose_design_points`` reports the counters ``core.dpf.calls`` (candidates
-scored) and ``core.dpf.promotions`` once per call.
+helpers with a single lane.  With the recorder enabled, every search
+reports the counters ``core.dpf.calls`` (candidates scored) and
+``core.dpf.promotions`` once.
 """
 
 from __future__ import annotations
@@ -56,7 +61,7 @@ import math
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -65,6 +70,7 @@ from ..obs import RECORDER as _OBS
 from .factors import (
     FactorValues,
     FactorWeights,
+    _dpf_weights,
     _windowed_dpf,
     current_ratio,
     energy_ratio,
@@ -137,12 +143,10 @@ def calculate_dpf(
         Task-graph deadline ``d``.
     """
     trials = np.array(selection, dtype=int, ndmin=2)
-    promoted, totals, feasible = _promote(
-        matrices, trials, window_start, deadline, free_end=tagged_position
-    )
-    ((enr, cif, dpf),) = _score(
-        matrices, promoted, totals, feasible, window_start, tagged_position, deadline
-    )
+    lanes = _Lanes(matrices, [window_start], trials[0])
+    promoted, totals, feasible = _promote(matrices, lanes, trials, deadline, tagged_position)
+    scores = _score(matrices, lanes, promoted, totals, feasible, tagged_position, deadline)
+    enr, cif, dpf = (float(np.asarray(values).flat[0]) for values in scores)
     return enr, cif, dpf, promoted[0]
 
 
@@ -170,57 +174,78 @@ def choose_design_points(
         (useful for the illustrative example and the documentation); turn it
         off in tight benchmarking loops.
     """
-    n, m = matrices.n, matrices.m
-    if not (0 <= window_start < m):
-        raise AlgorithmError(f"window_start {window_start} out of range for m={m}")
+    (result,) = _choose_windows(matrices, [window_start], deadline, weights, record_evaluations)
+    return result
 
-    selection = matrices.lowest_power_selection()
-    evaluations: List[DesignPointEvaluation] = []
+
+def _choose_windows(
+    matrices: SequencedMatrices,
+    window_starts: Sequence[int],
+    deadline: float,
+    weights: Optional[FactorWeights],
+    record_evaluations: bool,
+) -> List[ChooseResult]:
+    """:func:`choose_design_points` for several windows of one sequence at once.
+
+    At every position the candidates of all windows (window by window, from
+    the lowest-power column up) are promoted and scored as one batch of
+    lanes; each window keeps its own selection row and fixed time.
+    """
+    n, m = matrices.n, matrices.m
+    for window_start in window_starts:
+        if not (0 <= window_start < m):
+            raise AlgorithmError(f"window_start {window_start} out of range for m={m}")
+
+    windows = len(window_starts)
+    selections = np.full((windows, n), m - 1, dtype=int)
+    evaluations: List[List[DesignPointEvaluation]] = [[] for _ in range(windows)]
     observed = _OBS.enabled
     dpf_calls = promotions = 0
-    durations = matrices.duration_rows
-    # Candidates from the lowest-power column up: one lane each.
-    columns = list(range(m - 1, window_start - 1, -1))
-    trials = np.empty((len(columns), n), dtype=int)
-
+    owners = [w for w, start in enumerate(window_starts) for _ in range(start, m)]
+    columns = [c for start in window_starts for c in range(m - 1, start - 1, -1)]
+    lane_owners = np.array(owners, dtype=np.intp)
+    lane_columns = np.array(columns, dtype=np.intp)
+    lanes = _Lanes(
+        matrices, [window_starts[w] for w in owners], matrices.lowest_power_selection()
+    )
+    # Each lane's candidate duration and current ratio at every position
+    # (the ratio is one float when every current is the same).
+    lane_durations = matrices.durations[:, lane_columns]
+    lane_crs = current_ratio(
+        matrices.currents[:, lane_columns], matrices.current_min, matrices.current_max
+    ) + np.zeros_like(lane_durations)
     # Fix the last task in the sequence to its lowest-power design point.
-    fixed_time = durations[n - 1][m - 1]
+    fixed_times = np.full(windows, matrices.durations[n - 1, m - 1])
 
-    for position in range(n - 2, -1, -1):
-        trials[:] = selection
-        trials[:, position] = columns
-        promoted, totals, feasible = _promote(
-            matrices, trials, window_start, deadline, free_end=position
-        )
-        if record_evaluations or any(feasible):
-            scores = _score(
-                matrices, promoted, totals, feasible, window_start, position, deadline
+    with np.errstate(invalid="ignore"):  # a zero weight times DPF's inf is NaN
+        for position in range(n - 2, -1, -1):
+            trials = selections[lane_owners]
+            trials[:, position] = lane_columns
+            promoted, totals, feasible = _promote(matrices, lanes, trials, deadline, position)
+            enr, cif, dpf = _score(
+                matrices, lanes, promoted, totals, feasible, position, deadline
             )
-        else:
-            # Every candidate misses the deadline, so each B is infinite or
-            # NaN whatever its ENR and CIF are: skip computing them.
-            scores = [(0.0, 0.0, math.inf)] * len(columns)
-        if observed:
-            # Each promotion moves one task one column down.
-            dpf_calls += len(columns)
-            promotions += int(trials.sum() - promoted.sum())
-        currents = matrices.currents[position].tolist()
-        best_column = m - 1
-        best_b = math.inf
-        for column, (enr, cif, dpf) in zip(columns, scores):
-            sr = slack_ratio(fixed_time + durations[position][column], deadline)
-            cr = current_ratio(currents[column], matrices.current_min, matrices.current_max)
-            b_value = suitability(sr, cr, enr, cif, dpf, weights)
+            if observed:
+                # Each promotion moves one task one column down.
+                dpf_calls += len(columns)
+                promotions += int(trials.sum() - promoted.sum())
+            sr = slack_ratio(fixed_times[lane_owners] + lane_durations[position], deadline)
+            cr = lane_crs[position]
+            b_values = suitability(sr, cr, enr, cif, dpf, weights).tolist()
+            best_columns = [m - 1] * windows
+            best_b = [math.inf] * windows
+            for w, column, b_value in zip(owners, columns, b_values):
+                if b_value < best_b[w]:
+                    best_b[w] = b_value
+                    best_columns[w] = column
             if record_evaluations:
-                factors = FactorValues(sr, cr, enr, cif, dpf)
-                evaluations.append(
-                    DesignPointEvaluation(position=position, column=column, factors=factors)
-                )
-            if b_value < best_b:
-                best_b = b_value
-                best_column = column
-        selection[position] = best_column
-        fixed_time += durations[position][best_column]
+                factors = np.stack(np.broadcast_arrays(sr, cr, enr, cif, dpf), axis=1)
+                for w, column, values in zip(owners, columns, factors.tolist()):
+                    evaluations[w].append(
+                        DesignPointEvaluation(position, column, FactorValues(*values))
+                    )
+            selections[:, position] = best_columns
+            fixed_times += matrices.durations[position, best_columns]
 
     # Zero counts stay unemitted: pool workers ship only non-zero deltas,
     # so serial and parallel snapshots then hold the same keys.
@@ -228,11 +253,14 @@ def choose_design_points(
         _OBS.count("core.dpf.calls", dpf_calls)
     if observed and promotions:
         _OBS.count("core.dpf.promotions", promotions)
-    return ChooseResult(
-        selection=selection,
-        evaluations=tuple(evaluations),
-        makespan=matrices.total_time(selection),
-    )
+    return [
+        ChooseResult(
+            selection=selection,
+            evaluations=tuple(recorded),
+            makespan=matrices.total_time(selection),
+        )
+        for selection, recorded in zip(selections, evaluations)
+    ]
 
 
 def promote_until_feasible(
@@ -257,9 +285,8 @@ def promote_until_feasible(
     bottom-up pass overshoot the deadline.
     """
     trials = np.array(selection, dtype=int, ndmin=2)
-    promoted, _, feasible = _promote(
-        matrices, trials, window_start, deadline, free_end=matrices.n
-    )
+    lanes = _Lanes(matrices, [window_start], trials[0])
+    promoted, _, feasible = _promote(matrices, lanes, trials, deadline, matrices.n)
     if not feasible[0]:
         raise AlgorithmError(
             f"cannot meet deadline {deadline:g} within window starting at column "
@@ -268,20 +295,44 @@ def promote_until_feasible(
     return promoted[0]
 
 
+class _Lanes:
+    """Candidates (lanes) with window starts ``starts`` and, in every lane, the
+    free rows at columns ``free``: what a window search needs at any position."""
+
+    def __init__(self, matrices: SequencedMatrices, starts: Sequence[int], free) -> None:
+        self.starts = list(starts)
+        windows = sorted(set(self.starts))
+        self.window_of = [windows.index(start) for start in self.starts]
+        self.free = np.asarray(free).tolist()
+        # The free rows taken whole: each at its lane's window start, or
+        # where it already was above it.
+        self.at_start = np.minimum(free, np.array(self.starts)[:, None])
+        # Each window's gain from taking a whole row: from its free column
+        # down to the window start, or 0 when it is already there.  The
+        # extra last column is a zero gain that starts every prefix sum.
+        n = matrices.n
+        top = matrices.durations[np.arange(n), free]
+        self.row_gains = np.zeros((len(windows), n + 1))
+        np.maximum(top - matrices.durations[:, windows].T, 0.0, out=self.row_gains[:, :n])
+        self.dpf_weights = _dpf_weights(matrices.m, np.array(self.starts))
+        self.bins = matrices.m * np.arange(len(self.starts))[:, None]
+
+
 def _promote(
     matrices: SequencedMatrices,
+    lanes: _Lanes,
     trials: np.ndarray,
-    window_start: int,
     deadline: float,
     free_end: int,
-) -> Tuple[np.ndarray, List[float], List[bool]]:
+) -> Tuple[np.ndarray, np.ndarray, List[bool]]:
     """Promote every lane (row) of ``trials`` along one shared path.
 
-    Positions before ``free_end`` are free and must be equal in every lane.
-    Until a lane meets the deadline, the first free position in ``E`` order
-    that is still above ``window_start`` moves one column towards higher
-    power; the free rows in that order, each taken from its starting column
-    down to ``window_start``, are the path all lanes share.
+    Positions before ``free_end`` are free and hold ``lanes.free`` in every
+    lane.  Until a lane meets the deadline, the first free position in
+    ``E`` order that is still above the lane's window start moves one
+    column towards higher power; the free rows in ``E`` order, each taken
+    from its starting column down to the window start (a row already there
+    gains nothing), are the path all lanes share.
 
     Returns ``(promoted, totals, feasible)``: the promoted ``(k, n)``
     selections, each lane's exact starting makespan, and whether the lane
@@ -289,19 +340,14 @@ def _promote(
     """
     limit = deadline + _EPS
     rows = matrices.duration_rows
-    totals = matrices.durations.ravel()[trials + matrices.row_offsets].sum(axis=1).tolist()
-    free = trials[0, :free_end].tolist()
-    path: List[int] = []
-    starts: List[int] = []
-    prefix = [0.0]  # gain after each whole path row
-    gain = 0.0
-    for pos in matrices.energy_vector:
-        if pos < free_end and free[pos] > window_start:
-            row, start = rows[pos], free[pos]
-            gain += row[start] - row[window_start]
-            path.append(pos)
-            starts.append(start)
-            prefix.append(gain)
+    totals = matrices.durations.ravel()[trials + matrices.row_offsets].sum(axis=1)
+    lane_totals = totals.tolist()
+    path = [pos for pos in matrices.energy_vector if pos < free_end]
+    # Each window's gain after every whole path row: one in-order cumsum
+    # from a zero gain, bitwise a Python running sum.
+    gain_columns = np.array([matrices.n, *path], dtype=np.intp)
+    prefixes = lanes.row_gains[:, gain_columns].cumsum(axis=1).tolist()
+    taken = gain_columns[1:]
 
     # A lane's state after some promotions is approximated by its exact
     # starting total minus the gain along the path.  Durations are positive
@@ -312,77 +358,78 @@ def _promote(
     # each off by at most eps/2 * scale; ``tol`` doubles that bound.  A gain
     # below ``low`` therefore proves the exact sum misses the deadline and
     # one above ``high`` that it meets it; in between, the exact sum decides.
-    tol = (4 * matrices.n + 2) * sys.float_info.epsilon * (max(totals) + abs(limit))
-    taken = np.array(path, dtype=np.intp)
+    tol = (4 * matrices.n + 2) * sys.float_info.epsilon * (max(lane_totals) + abs(limit))
 
     def exact_total(lane: int, row: int, column: int) -> float:
         sel = trials[lane].copy()
-        sel[taken[:row]] = window_start
+        sel[taken[:row]] = np.minimum(sel[taken[:row]], lanes.starts[lane])
         sel[path[row]] = column
         return matrices.total_time(sel)
 
-    def steps(first: int):
-        # Every state along the path from row ``first`` on, with its gain.
-        for row in range(first, len(path)):
-            durations, start = rows[path[row]], starts[row]
-            top, done = durations[start], prefix[row]
-            for column in range(start - 1, window_start - 1, -1):
-                yield row, column, done + (top - durations[column])
-
-    promoted = trials.copy()
-    feasible = []
-    for lane, (sel, total) in enumerate(zip(promoted, totals)):
+    starts, windows, free = lanes.starts, lanes.window_of, lanes.free
+    stops = [0] * len(lane_totals)  # whole path rows each lane takes
+    partial: List[Tuple[int, int, int]] = []  # (lane, stop position, column)
+    feasible = [True] * len(lane_totals)
+    for lane, total in enumerate(lane_totals):
         if total <= limit:
-            feasible.append(True)
             continue
+        start, prefix = starts[lane], prefixes[windows[lane]]
         need = total - limit
         low, high = need - tol, need + tol
+        stops[lane] = len(path)
+        feasible[lane] = False
         # Whole rows whose prefix gain is below ``low`` are certainly taken.
-        for row, column, gain in steps(max(bisect_left(prefix, low) - 1, 0)):
-            if gain >= low and (gain > high or exact_total(lane, row, column) <= limit):
-                sel[taken[:row]] = window_start
-                sel[path[row]] = column
-                feasible.append(True)
-                break
-        else:
-            sel[taken] = window_start
-            feasible.append(False)
+        for row in range(bisect_left(prefix, low, 1) - 1, len(path)):
+            durations, begin = rows[path[row]], free[path[row]]
+            top, done = durations[begin], prefix[row]
+            for column in range(begin - 1, start - 1, -1):
+                gain = done + (top - durations[column])
+                if gain >= low and (gain > high or exact_total(lane, row, column) <= limit):
+                    break
+            else:
+                continue  # no step of this row meets the deadline
+            stops[lane], feasible[lane] = row, True
+            partial.append((lane, path[row], column))
+            break
+
+    # Rows ranked before a lane's stop row are taken whole; then each stop
+    # row is set.
+    rank = np.full(matrices.n, len(path))
+    rank[taken] = np.arange(len(path))
+    promoted = np.where(rank < np.array(stops)[:, None], lanes.at_start, trials)
+    if partial:
+        lane_index, positions, columns = zip(*partial)
+        promoted[lane_index, positions] = columns
     return promoted, totals, feasible
 
 
 def _score(
     matrices: SequencedMatrices,
+    lanes: _Lanes,
     promoted: np.ndarray,
-    totals: List[float],
+    totals: np.ndarray,
     feasible: List[bool],
-    window_start: int,
     tagged_position: int,
     deadline: float,
-) -> List[Tuple[float, float, float]]:
-    """``(ENR, CIF, DPF)`` for every lane of :func:`_promote`'s output."""
+):
+    """``(ENR, CIF, DPF)`` of every lane of :func:`_promote`'s output (ENR is
+    one float for all lanes when the sequence's energy bounds coincide)."""
     n, m = matrices.n, matrices.m
-    lanes = len(promoted)
     index = promoted + matrices.row_offsets
-    energies = matrices.energies.ravel()[index].sum(axis=1).tolist()
+    enr = energy_ratio(
+        matrices.energies.ravel()[index].sum(axis=1), matrices.energy_min, matrices.energy_max
+    )
     currents = matrices.currents.ravel()[index]
-    rises = (currents[:, :-1] < currents[:, 1:]).sum(axis=1).tolist()
-    if tagged_position > 0:
+    cif = (currents[:, :-1] < currents[:, 1:]).sum(axis=1) / max(n - 1, 1)
+    if tagged_position == 0:
+        # The first task in the sequence has no free tasks above it; the
+        # paper replaces DPF by the slack ratio to press the remaining
+        # slack into use.  With nothing free, the lane was never promoted,
+        # so its starting total is its final one.
+        dpf = slack_ratio(totals, deadline)
+    else:
         # Per-lane column counts of the free rows, in one bincount.
-        free = promoted[:, :tagged_position] + m * np.arange(lanes)[:, None]
-        occupancy = np.bincount(free.ravel(), minlength=lanes * m).reshape(lanes, m).tolist()
-    scores = []
-    for lane in range(lanes):
-        if not feasible[lane]:
-            dpf = math.inf
-        elif tagged_position == 0:
-            # The first task in the sequence has no free tasks above it; the
-            # paper replaces DPF by the slack ratio to press the remaining
-            # slack into use.  With nothing free, the lane was never
-            # promoted, so its starting total is its final one.
-            dpf = slack_ratio(totals[lane], deadline)
-        else:
-            dpf = _windowed_dpf(occupancy[lane], m, window_start, tagged_position)
-        cif = rises[lane] / (n - 1) if n > 1 else 0.0
-        enr = energy_ratio(energies[lane], matrices.energy_min, matrices.energy_max)
-        scores.append((enr, cif, dpf))
-    return scores
+        free = (promoted[:, :tagged_position] + lanes.bins).ravel()
+        occupancy = np.bincount(free, minlength=lanes.bins.size * m).reshape(-1, m)
+        dpf = _windowed_dpf(occupancy, lanes.dpf_weights, tagged_position)
+    return enr, cif, np.where(feasible, dpf, math.inf)

@@ -214,30 +214,30 @@ def windowed_design_point_fraction(
     free = np.fromiter(free_positions, dtype=np.intp)
     if not len(free):
         return 0.0
-    occupancy = np.bincount(
-        np.asarray(selection)[free], minlength=num_design_points
-    ).tolist()
-    return _windowed_dpf(occupancy, num_design_points, window_start, len(free))
+    occupancy = np.bincount(np.asarray(selection)[free], minlength=num_design_points)
+    weights = _dpf_weights(num_design_points, np.array([window_start]))
+    return float(_windowed_dpf(occupancy[None, :num_design_points], weights, len(free))[0])
 
 
-def _windowed_dpf(
-    occupancy: Sequence[int], num_design_points: int, window_start: int, free_count: int
-) -> float:
-    """:func:`windowed_design_point_fraction` from per-column task counts.
+def _dpf_weights(num_design_points: int, window_start: np.ndarray) -> np.ndarray:
+    """Per window start, column ``window_start + k`` weighs ``(steps - k) / steps``
+    (``steps = m - window_start - 1`` penalised columns) and others weigh 0."""
+    steps = num_design_points - window_start[:, None] - 1
+    offsets = np.arange(num_design_points) - window_start[:, None]
+    return np.where(
+        (offsets >= 0) & (offsets < steps), (steps - offsets) * (1.0 / np.maximum(steps, 1)), 0.0
+    )
 
-    ``occupancy[k]`` is the number of the ``free_count`` free tasks on column
-    ``k``.  The batched DPF in :mod:`repro.core.choose` calls this directly,
-    so both paths share one float expression.
+
+def _windowed_dpf(occupancy: np.ndarray, weights: np.ndarray, free_count: int) -> np.ndarray:
+    """:func:`windowed_design_point_fraction` of many lanes from column counts.
+
+    ``occupancy[lane, k]`` counts the lane's ``free_count`` free tasks on
+    column ``k``.  The batched DPF in :mod:`repro.core.choose` calls this
+    directly, so both paths share one float expression, summed in column
+    order.
     """
-    steps = num_design_points - window_start - 1  # number of penalised columns
-    if steps < 1 or not free_count:
-        return 0.0
-    factor = 1.0 / steps
-    total = 0.0
-    for offset in range(steps):
-        weight = (steps - offset) * factor
-        total += weight * occupancy[window_start + offset] / free_count
-    return total
+    return (weights * occupancy / free_count).cumsum(axis=1)[:, -1]
 
 
 def suitability(

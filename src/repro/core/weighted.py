@@ -15,7 +15,8 @@ tasks that dominate large high-current subgraphs should be pulled forward.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+import math
+from typing import Dict, FrozenSet, Tuple
 
 from ..scheduling import DesignPointAssignment, sequence_by_weights
 from ..taskgraph import TaskGraph
@@ -26,15 +27,30 @@ __all__ = ["equation4_weights", "find_weighted_sequence"]
 def equation4_weights(
     graph: TaskGraph, assignment: DesignPointAssignment
 ) -> Dict[str, float]:
-    """Equation 4 weights: total chosen-design-point current of each rooted subgraph."""
+    """Equation 4 weights: total chosen-design-point current of each rooted subgraph.
+
+    Each weight is the correctly rounded ``math.fsum`` of its members'
+    currents, so set order (which varies with ``PYTHONHASHSEED``) cannot
+    change it.
+    """
     assignment.validate(graph)
     chosen_currents = {
         name: assignment.design_point(graph, name).current for name in graph.task_names()
     }
     return {
-        name: sum(chosen_currents[member] for member in graph.subgraph_rooted_at(name))
-        for name in graph.task_names()
+        name: math.fsum(chosen_currents[member] for member in members)
+        for name, members in _rooted_subgraphs(graph).items()
     }
+
+
+def _rooted_subgraphs(graph: TaskGraph) -> Dict[str, FrozenSet[str]]:
+    """Every task's ``G_v`` (itself plus its children's), in one reverse-topological walk."""
+    rooted: Dict[str, FrozenSet[str]] = {}
+    for name in reversed(graph.topological_order()):
+        rooted[name] = frozenset({name}).union(
+            *(rooted[child] for child in graph.successors(name))
+        )
+    return {name: rooted[name] for name in graph.task_names()}
 
 
 def find_weighted_sequence(

@@ -5,8 +5,9 @@ consider: window ``k:m`` (1-based, as printed in the paper's Table 3) allows
 columns ``k`` through ``m``.  The search first finds the widest window whose
 *most powerful allowed column alone* still meets the deadline (or reports the
 deadline infeasible if even column 1 cannot), then slides the window start
-towards column 1, running the design-point chooser once per window, and keeps
-the assignment with the smallest battery cost.
+towards column 1 and keeps the assignment with the smallest battery cost.
+The windows do not depend on each other, so the design-point chooser runs
+them all in one batched pass over the sequence (see :mod:`repro.core.choose`).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from ..battery import BatteryModel
 from ..errors import AlgorithmError, InfeasibleDeadlineError
 from ..scheduling import DesignPointAssignment
 from ..scheduling.evaluator import _resolve_rest
-from .choose import choose_design_points, promote_until_feasible
+from .choose import _choose_windows, promote_until_feasible
 from .factors import FactorWeights
 from .matrices import SequencedMatrices
 
@@ -108,9 +109,10 @@ def evaluate_windows(
 ) -> WindowEvaluation:
     """The paper's ``EvaluateWindows`` for one sequence.
 
-    Runs :func:`~repro.core.choose.choose_design_points` once per window from
-    the widest valid starting window down to the full ``1:m`` window and
-    returns every per-window record together with the minimum-cost one.
+    Runs :func:`~repro.core.choose.choose_design_points` for every window
+    from the widest valid starting window down to the full ``1:m`` window,
+    all windows in one batched pass, and returns every per-window record
+    together with the minimum-cost one.
 
     Parameters
     ----------
@@ -132,16 +134,10 @@ def evaluate_windows(
         :func:`repro.scheduling.evaluate_schedule` (``"deadline"`` credits
         the recovery between completion and ``deadline``).
     """
-    start = initial_window_start(matrices, deadline)
+    starts = range(initial_window_start(matrices, deadline), -1, -1)
+    choices = _choose_windows(matrices, starts, deadline, weights, record_evaluations)
     records = []
-    for window_start in range(start, -1, -1):
-        result = choose_design_points(
-            matrices,
-            window_start=window_start,
-            deadline=deadline,
-            weights=weights,
-            record_evaluations=record_evaluations,
-        )
+    for window_start, result in zip(starts, choices):
         selection = result.selection
         makespan = result.makespan
         if makespan > deadline + _EPS and repair_infeasible:

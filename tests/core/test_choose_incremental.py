@@ -13,7 +13,9 @@ without factor weights), and the same repaired selection (or the same
 ``AlgorithmError``) from ``promote_until_feasible``.  Deadlines are placed on
 the exact makespans the reference visits while promoting, one ULP either
 side, and on ``CT(k)``, so the stopping point is probed where rounding drift
-would show.
+would show.  ``evaluate_windows`` searches all windows of a sequence in one
+batch; its records and recorded evaluations are checked against the
+reference run window by window.
 """
 
 import math
@@ -22,13 +24,17 @@ from typing import List, Optional
 import numpy as np
 import pytest
 
+from repro.battery import RakhmatovVrudhulaModel
 from repro.core import (
     SequencedMatrices,
     calculate_dpf,
     choose_design_points,
+    evaluate_windows,
+    initial_window_start,
     promote_until_feasible,
 )
-from repro.core.choose import ChooseResult, DesignPointEvaluation
+from repro.core import choose as choose_module
+from repro.core.choose import ChooseResult, DesignPointEvaluation, _choose_windows
 from repro.core.factors import (
     FactorValues,
     FactorWeights,
@@ -36,6 +42,7 @@ from repro.core.factors import (
     energy_ratio,
     slack_ratio,
 )
+from repro.core.windows import _selection_cost
 from repro.errors import AlgorithmError
 from repro.scheduling import sequence_by_decreasing_energy
 from repro.taskgraph import DesignPoint, Task, TaskGraph
@@ -478,3 +485,92 @@ def test_promote_until_feasible_matches_reference_from_faster_starts(seed):
         selection = rng.integers(window_start + 1, m - 1, size=n, endpoint=True)
         for deadline in _boundary_deadlines(rng, matrices, selection, window_start, n):
             _assert_same_promotion(matrices, selection, window_start, deadline)
+
+
+# ---------------------------------------------------------------------------
+# every window of one sequence at once
+# ---------------------------------------------------------------------------
+_MODEL = RakhmatovVrudhulaModel(beta=0.273)
+
+
+def _ref_evaluate_windows(matrices, deadline, weights, record, evaluate_at):
+    """Per window: the reference chooser, then the repair, then the cost."""
+    windows = []
+    for window_start in range(initial_window_start(matrices, deadline), -1, -1):
+        chosen = _ref_choose_design_points(matrices, window_start, deadline, weights, record)
+        selection, makespan = chosen.selection, chosen.makespan
+        if makespan > deadline + _EPS:
+            try:
+                selection = _ref_promote_until_feasible(
+                    matrices, selection, window_start, deadline
+                )
+                makespan = matrices.total_time(selection)
+            except AlgorithmError:
+                pass
+        cost = _selection_cost(matrices, selection, _MODEL, deadline, evaluate_at)
+        windows.append((window_start, selection, cost, makespan, chosen))
+    return windows
+
+
+def _assert_same_windows(matrices, deadline, weights, record, evaluate_at):
+    expected = _ref_evaluate_windows(matrices, deadline, weights, record, evaluate_at)
+    actual = evaluate_windows(
+        matrices, deadline, _MODEL, weights=weights, require_feasible=False,
+        record_evaluations=record, evaluate_at=evaluate_at,
+    )
+    assert [r.window_start for r in actual.records] == [w[0] for w in expected]
+    for got, (_, selection, cost, makespan, _) in zip(actual.records, expected):
+        assert _bits(got.cost) == _bits(cost)
+        assert _bits(got.makespan) == _bits(makespan)
+        assert got.feasible == (makespan <= deadline + _EPS)
+        assert got.assignment == matrices.to_assignment(selection)
+    # The batch behind it: every window's selection and evaluations.
+    batch = _choose_windows(matrices, [w[0] for w in expected], deadline, weights, record)
+    for got, (*_, chosen) in zip(batch, expected):
+        _assert_same_choice(got, chosen)
+
+
+@pytest.mark.parametrize("evaluate_at", ["completion", "deadline"])
+@pytest.mark.parametrize("seed", range(4))
+def test_evaluate_windows_matches_reference_window_by_window(seed, evaluate_at):
+    rng = np.random.default_rng(8000 + seed)
+    n, m = int(rng.integers(2, 10)), int(rng.integers(2, 6))
+    matrices = _random_matrices(700 + seed, n, m)
+    fastest, slowest = matrices.column_time(0), matrices.column_time(m - 1)
+    for window_start in range(m):
+        start = float(rng.uniform(fastest, slowest))
+        deadlines = _choose_boundary_deadlines(rng, matrices, window_start, start, samples=1)
+        for deadline in deadlines:
+            if deadline < fastest - _EPS:
+                continue  # no window at all: initial_window_start raises
+            for record, weights in _CHOOSE_MODES:
+                _assert_same_windows(matrices, deadline, weights, record, evaluate_at)
+
+
+@pytest.mark.parametrize("optimize", ["", "fuse", "cull+fuse"])
+def test_catalogue_evaluate_windows_matches_reference(optimize):
+    from dataclasses import replace
+
+    from repro.scenarios import default_registry
+
+    specs = list(default_registry())
+    for spec in specs:
+        problem = replace(spec, optimize=optimize).build_problem()
+        graph = problem.graph
+        matrices = SequencedMatrices(graph, sequence_by_decreasing_energy(graph))
+        _assert_same_windows(matrices, problem.deadline, None, True, "completion")
+    assert len(specs) >= 99
+
+
+def test_one_batched_step_per_position(monkeypatch, g3):
+    # Every window is scored at each position in one batch: n - 1 scoring
+    # steps for the whole search, not one per (window, position).
+    steps = []
+    score = choose_module._score
+    monkeypatch.setattr(
+        choose_module, "_score", lambda *args: steps.append(1) or score(*args)
+    )
+    matrices = SequencedMatrices(g3, sequence_by_decreasing_energy(g3))
+    evaluation = evaluate_windows(matrices, 230.0, _MODEL, record_evaluations=True)
+    assert len(evaluation.records) > 1
+    assert len(steps) == matrices.n - 1

@@ -1,8 +1,14 @@
 """Unit tests for repro.core.weighted (Equation 4 re-sequencing)."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.core import equation4_weights, find_weighted_sequence
+from repro.core.weighted import _rooted_subgraphs
 from repro.scheduling import DesignPointAssignment
 from repro.taskgraph import validate_sequence
 
@@ -27,6 +33,45 @@ class TestEquation4Weights:
     def test_root_weight_largest_in_g3(self, g3):
         weights = equation4_weights(g3, DesignPointAssignment.all_slowest(g3))
         assert weights["T1"] == max(weights.values())
+
+
+    def test_one_walk_gives_every_rooted_subgraph_of_the_catalogue(self):
+        from repro.scenarios import default_registry
+
+        for spec in default_registry():
+            graph = spec.build_problem().graph
+            rooted = _rooted_subgraphs(graph)
+            assert list(rooted) == list(graph.task_names())
+            for name in graph.task_names():
+                assert rooted[name] == graph.subgraph_rooted_at(name)
+
+    def test_weights_are_the_same_in_every_process(self):
+        # Set iteration order varies with PYTHONHASHSEED; the weights of
+        # iterative's final assignment must not.
+        assert _weights_under_hash_seed(0) == _weights_under_hash_seed(1)
+
+
+_WEIGHTS_SCRIPT = """
+from repro import battery_aware_schedule
+from repro.core import equation4_weights
+from repro.scenarios import default_registry
+
+registry = default_registry()
+for name in ("chain-10", "fork-join-2x4", "layered-4x3"):
+    problem = registry.get(name).build_problem()
+    weights = equation4_weights(problem.graph, battery_aware_schedule(problem).assignment)
+    print(name, sorted((task, value.hex()) for task, value in weights.items()))
+"""
+
+
+def _weights_under_hash_seed(seed):
+    source = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, "-c", _WEIGHTS_SCRIPT], env=env, capture_output=True, text=True,
+        check=True,
+    ).stdout
 
 
 class TestFindWeightedSequence:
