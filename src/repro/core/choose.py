@@ -61,6 +61,7 @@ import math
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -314,8 +315,15 @@ class _Lanes:
         top = matrices.durations[np.arange(n), free]
         self.row_gains = np.zeros((len(windows), n + 1))
         np.maximum(top - matrices.durations[:, windows].T, 0.0, out=self.row_gains[:, :n])
-        self.dpf_weights = _dpf_weights(matrices.m, np.array(self.starts))
-        self.bins = matrices.m * np.arange(len(self.starts))[:, None]
+        self.m = matrices.m
+
+    @cached_property  # scoring only: promote_until_feasible never scores
+    def dpf_weights(self) -> np.ndarray:
+        return _dpf_weights(self.m, np.array(self.starts))
+
+    @cached_property
+    def bins(self) -> np.ndarray:
+        return self.m * np.arange(len(self.starts))[:, None]
 
 
 def _promote(

@@ -29,9 +29,10 @@ True
 from __future__ import annotations
 
 import dataclasses
+import operator
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import traceback as traceback_module
@@ -88,16 +89,42 @@ def _key_head(evaluate_at: str, params: Mapping[str, Any], policy: str) -> str:
     )[:-1]
 
 
-def _job_key(head: str, replication: int, tail: str) -> str:
-    return _digest(f'{head},"replication":{_canonical_json(replication)},{tail}')
+def _job_key(head: str, replication: str, tail: str) -> str:
+    """A job's key from its rendered head, replication and tail."""
+    return _digest(f'{head},"replication":{replication},{tail}')
 
 
-@lru_cache(maxsize=256)
+@cache
+def _policy_registry():
+    """The sim layer's live ``POLICIES`` dict, imported once per process."""
+    from ..sim.schedulers import POLICIES
+
+    return POLICIES
+
+
+#: The problem memo's key: the spec fields build_problem reads, bar the
+#: display name (so none of the stochastic or information tier).
+_build_inputs = operator.attrgetter(*(
+    f.name for f in dataclasses.fields(ScenarioSpec) if f.name not in {
+        "name", "description", "jitter", "jitter_model", "failure_rate",
+        "imode", "imode_rel_error", "imode_seed"}
+))
+_PROBLEMS: Dict[Tuple, Any] = {}
+
+
 def _problem(spec: ScenarioSpec):
-    """One problem per spec per process, so a spec's cells and its offline
-    anchor in :func:`~repro.experiments.run_simulation_suite` share its
-    graph and per-graph tables."""
-    return spec.build_problem()
+    """One problem per distinct build input per process (at most 256 kept).
+
+    Named twins, specs differing only in name or in their stochastic or
+    information tier, share the problem built from the first of them (no
+    record reads its name), and with it the graph and per-graph tables.
+    """
+    inputs = _build_inputs(spec)
+    if inputs not in _PROBLEMS:
+        if len(_PROBLEMS) >= 256:
+            del _PROBLEMS[next(iter(_PROBLEMS))]  # the oldest
+        _PROBLEMS[inputs] = spec.build_problem()
+    return _PROBLEMS[inputs]
 
 
 @dataclass(frozen=True)
@@ -222,9 +249,9 @@ class SimulationJob:
     last_duplicate_runs = False
 
     def __post_init__(self) -> None:
-        from ..sim.schedulers import POLICIES, policy_names
+        if self.policy not in _policy_registry():
+            from ..sim.schedulers import policy_names
 
-        if self.policy not in POLICIES:
             raise ConfigurationError(
                 f"unknown simulation policy {self.policy!r}; "
                 f"choose from {list(policy_names())}"
@@ -245,7 +272,8 @@ class SimulationJob:
 
         Each job equals, keys included, the ``SimulationJob`` built alone
         with the same fields; the cell's canonical head (evaluation point,
-        params, policy) is rendered once for all of them, not per job.
+        params, policy) is rendered once for all of them, not per job, and
+        ``str`` renders each index as ``json.dumps`` would.
         """
         jobs = tuple(
             cls(spec, policy, params or {}, seed, replication, evaluate_at)
@@ -256,7 +284,7 @@ class SimulationJob:
             tail = _key_tail(spec, seed)
             cell_key = _digest(f"{head},{tail}")
             for job in jobs:
-                job._set_keys(_job_key(head, job.replication, tail), cell_key)
+                job._set_keys(_job_key(head, str(job.replication), tail), cell_key)
         return jobs
 
     # ------------------------------------------------------------------
@@ -300,9 +328,8 @@ class SimulationJob:
         # (scenario, seed) memoised per spec and seed.
         head = _key_head(self.evaluate_at, self.params, self.policy)
         tail = _key_tail(self.spec, self.seed)
-        self._set_keys(
-            _job_key(head, self.replication, tail), _digest(f"{head},{tail}")
-        )
+        key = _job_key(head, _canonical_json(self.replication), tail)
+        self._set_keys(key, _digest(f"{head},{tail}"))
 
     def _set_keys(self, key: str, cell_key: str) -> None:
         object.__setattr__(self, "_key", key)
@@ -428,10 +455,11 @@ def execute_simulation_batch(batch: SimulationBatch) -> SimulationBatchResult:
 
     The one execution path of every simulation job, serial and parallel
     (module-level so pools import it by name): the problem is built once
-    per spec per process (so every cell of a spec shares its graph and
-    per-graph simulator tables), the battery model and — for
-    ``static-replay`` — the offline schedule once per batch, then every
-    replication runs as a :class:`~repro.sim.BatchSimulator` lane
+    per distinct problem per process (so every cell of a spec and of its
+    named twins shares one graph and its per-graph simulator tables), the
+    battery model and — for ``static-replay`` — the offline schedule once
+    per batch, then every replication runs as a
+    :class:`~repro.sim.BatchSimulator` lane
     (columnar, or scalar lanes where the batch falls back), and its
     :class:`~repro.sim.LaneSummary` becomes the job's record.  Each lane's
     outcome is bit-identical to a scalar :class:`~repro.sim.Simulator`

@@ -130,9 +130,9 @@ def run_simulation_suite(
         Offline algorithm anchoring the robustness report *and* replayed
         by the ``static-replay`` policy.
 
-    The offline anchors are computed in-process first (exactly one
-    deterministic offline run per distinct problem, which scenarios that
-    differ only in name or stochastic tier share — the simulations are the
+    Each distinct problem is built, fingerprinted and solved offline once,
+    in-process and first (scenarios that differ only in name or stochastic
+    tier share one built problem and anchor — the simulations are the
     expensive, fanned-out part), and ``static-replay`` jobs receive the
     anchor's explicit schedule as parameters, so replications replay it
     without re-solving the offline problem in every worker.
@@ -153,17 +153,21 @@ def run_simulation_suite(
         )
 
     # One anchor per distinct problem: the offline job key covers the
-    # graph's name, so the engine alone would solve each named twin.
-    prints = [problem_fingerprint(_problem(spec)) for spec in specs]
+    # graph's name, so the engine alone would solve each named twin.  Twins
+    # share one built problem (held alive in `problems`, so ids are unique).
+    problems = [_problem(spec) for spec in specs]
+    prints: Dict[int, str] = {}
     anchors: Dict[str, object] = {}
-    for spec, fingerprint in zip(specs, prints):
-        anchors.setdefault(fingerprint, _problem(spec))
+    for problem in problems:
+        if id(problem) not in prints:
+            prints[id(problem)] = problem_fingerprint(problem)
+            anchors.setdefault(prints[id(problem)], problem)
     offline = run_experiments(list(anchors.values()), [offline_algorithm])
     results = dict(zip(anchors, offline.results))
     offline_costs: Dict[str, float] = {}
     replay_params: Dict[str, Dict] = {}
-    for spec, fingerprint in zip(specs, prints):
-        result = results[fingerprint]
+    for spec, problem in zip(specs, problems):
+        result = results[prints[id(problem)]]
         if result.ok:
             offline_costs[spec.name] = float(result.cost)
             replay_params[spec.name] = {

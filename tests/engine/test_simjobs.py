@@ -225,21 +225,28 @@ class TestSimulationJob:
         )
 
     def test_cell_jobs_equal_jobs_built_one_by_one(self, registry):
+        # Twelve replications, so that the rendered indices reach two digits.
         spec = registry.get("g3-jitter10")
-        params = {"sequence": ["T1"], "columns": {"T1": 0}}
-        cell = SimulationJob.cell(
-            spec, "static-replay", 4, params=params, seed=5, evaluate_at="deadline"
-        )
-        alone = [
-            SimulationJob(
-                spec=spec, policy="static-replay", params=params, seed=5,
-                replication=replication, evaluate_at="deadline",
+        for policy in DEFAULT_SIM_POLICIES:
+            params = (
+                {"sequence": ["T1"], "columns": {"T1": 0}}
+                if policy == "static-replay" else {}
             )
-            for replication in range(4)
-        ]
-        assert list(cell) == alone
-        assert [job.key() for job in cell] == [job.key() for job in alone]
-        assert {job.cell_key() for job in cell} == {alone[0].cell_key()}
+            cell = SimulationJob.cell(
+                spec, policy, 12, params=params, seed=5, evaluate_at="deadline"
+            )
+            alone = [
+                SimulationJob(
+                    spec=spec, policy=policy, params=params, seed=5,
+                    replication=replication, evaluate_at="deadline",
+                )
+                for replication in range(12)
+            ]
+            assert list(cell) == alone
+            keys = [job.key() for job in cell]
+            assert keys == [job.key() for job in alone]
+            assert len(set(keys)) == 12
+            assert {job.cell_key() for job in cell} == {alone[0].cell_key()}
         assert SimulationJob.cell(spec, "greedy-energy", 0) == ()
         with pytest.raises(ConfigurationError, match="unknown simulation policy"):
             SimulationJob.cell(spec, "no-such-policy", 2)

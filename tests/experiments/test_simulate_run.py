@@ -1,5 +1,7 @@
 """Tests for the simulation-suite driver and the robustness analysis."""
 
+from collections import Counter
+
 import pytest
 
 from repro.analysis import (
@@ -8,11 +10,11 @@ from repro.analysis import (
     degradation_table,
     robustness_table,
 )
-from repro.engine import ParallelExecutor, ResultStore, SimulationRecord
+from repro.engine import ParallelExecutor, ResultStore, SimulationRecord, simjobs
 from repro.errors import ConfigurationError
-from repro.experiments import DEFAULT_SIM_POLICIES, run_simulation_suite
+from repro.experiments import DEFAULT_SIM_POLICIES, run_simulation_suite, simulate
 from repro.obs import RECORDER, recording
-from repro.scenarios import default_registry
+from repro.scenarios import ScenarioSpec, default_registry
 
 
 @pytest.fixture(scope="module")
@@ -152,6 +154,68 @@ class TestOfflineAnchors:
         assert result.offline_costs == {}
         assert _replay_params(result) == {name: {"algorithm": "broken"} for name in TWINS}
         assert {record.error for record in result.run.records} == {"RuntimeError: boom"}
+
+
+def _timeless_rows(result, name):
+    """The records of scenario ``name`` as dicts, without ``elapsed_s``."""
+    return [
+        {key: value for key, value in record.to_dict().items() if key != "elapsed_s"}
+        for record in result.run.records
+        if record.scenario == name
+    ]
+
+
+class TestOneProblemPerBuildInput:
+    """Named twins share one built problem, and the sharing shows in no row."""
+
+    def test_named_twins_share_one_built_problem(self, monkeypatch):
+        monkeypatch.setattr(simjobs, "_PROBLEMS", {})
+        registry = default_registry()
+        problems = [simjobs._problem(registry.get(name)) for name in TWINS]
+        assert all(problem is problems[0] for problem in problems)
+        assert problems[0].graph.name == TWINS[0]
+        other = registry.get("g3-jitter10")
+        assert simjobs._problem(other) is not problems[0]
+        tighter = ScenarioSpec.from_dict({**other.to_dict(), "tightness": 0.25})
+        assert simjobs._problem(tighter) is not simjobs._problem(other)
+        assert simjobs._problem(tighter).deadline < simjobs._problem(other).deadline
+
+    def test_default_suite_builds_and_fingerprints_each_problem_once(self, monkeypatch):
+        # The 58 default stochastic specs hold 10 distinct problems.
+        calls = Counter()
+        build, fingerprint = ScenarioSpec.build_problem, simulate.problem_fingerprint
+
+        def counted_build(spec):
+            calls["build_problem"] += 1
+            return build(spec)
+
+        def counted_fingerprint(problem):
+            calls["problem_fingerprint"] += 1
+            return fingerprint(problem)
+
+        monkeypatch.setattr(simjobs, "_PROBLEMS", {})
+        monkeypatch.setattr(ScenarioSpec, "build_problem", counted_build)
+        monkeypatch.setattr(simulate, "problem_fingerprint", counted_fingerprint)
+        result = run_simulation_suite(replications=1)
+        assert result.run.ok
+        assert calls["build_problem"] == 10
+        assert calls["problem_fingerprint"] <= 10
+
+    def test_a_twin_after_its_twins_gets_the_rows_it_gets_alone(self, monkeypatch):
+        for name in TWINS:
+            others = [twin for twin in TWINS if twin != name]
+            monkeypatch.setattr(simjobs, "_PROBLEMS", {})
+            alone = run_simulation_suite(scenarios=[name], replications=2, seed=3)
+            monkeypatch.setattr(simjobs, "_PROBLEMS", {})
+            run_simulation_suite(scenarios=others, replications=2, seed=3)
+            after = run_simulation_suite(scenarios=[name], replications=2, seed=3)
+            # The second run replayed the problem its twin built.
+            spec = default_registry().get(name)
+            assert simjobs._problem(spec).graph.name in others
+            rows = _timeless_rows(after, name)
+            assert len(rows) == 2 * len(DEFAULT_SIM_POLICIES)
+            assert rows == _timeless_rows(alone, name)
+            assert after.offline_costs == alone.offline_costs
 
 
 class TestRobustnessAnalysis:
