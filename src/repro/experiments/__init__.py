@@ -16,12 +16,6 @@ from .figures import (
     table1_g3_table,
 )
 from .illustrative import g3_problem, run_illustrative_example
-from .models import (
-    CandidateSchedule,
-    ModelCrossCheck,
-    battery_model_crosscheck,
-    default_models,
-)
 from .simulate import (
     DEFAULT_SIM_POLICIES,
     SimulationSuiteResult,
@@ -81,8 +75,4 @@ __all__ = [
     "SWEEP_ALGORITHMS",
     "SweepResult",
     "SweepPoint",
-    "battery_model_crosscheck",
-    "default_models",
-    "ModelCrossCheck",
-    "CandidateSchedule",
 ]

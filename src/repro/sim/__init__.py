@@ -1,4 +1,4 @@
-"""Event-driven runtime simulation of schedules under uncertainty.
+"""Runtime simulation of schedules under uncertainty.
 
 Everything below :mod:`repro.sim` in the stack evaluates **static offline**
 schedules: a (sequence, assignment) candidate is costed as if every task
@@ -9,33 +9,34 @@ on the fly — by executing a task graph forward in virtual time on the
 modeled single-processing-element platform while tracking battery state
 through the same chemistry kernels the offline cost stack uses.
 
-The pieces (estee-style discrete-event shape):
+The pieces:
 
-* :class:`Simulator` (:mod:`repro.sim.runtime`) — the event loop: a
-  :class:`VirtualClock`, one in-flight task-end event kept in a
-  ``(time, task)`` slot, per-task :class:`TaskRuntimeInfo`, and a
-  scheduler wakeup protocol (``schedule(new_ready, new_finished)``).
+* :class:`BatchSimulator` (:mod:`repro.sim.batch`) — the simulator: one
+  Monte Carlo cell's replications at once, as ``(lanes, attempt slots)``
+  arrays (the platform runs one task at a time, so a replication's task
+  order never depends on its draws).  ``run()`` gives each lane's
+  :class:`LaneSummary` (the six scalars a store row keeps) or its
+  exception (a :data:`LaneOutcome`); ``results()`` gives the full
+  :class:`SimulationResult` timelines.  :class:`Simulator`
+  (:mod:`repro.sim.runtime`) is its one-lane front.
 * :class:`Scheduler` policies (:mod:`repro.sim.schedulers`) —
   :class:`StaticReplayScheduler` (replays an offline schedule: the bridge
-  to every existing result), :class:`GreedyEnergyScheduler`,
+  to every existing result), and the online :class:`GreedyEnergyScheduler`,
   :class:`DeadlineSlackScheduler` and :class:`BatteryReactiveScheduler`
-  (queries live state-of-charge).
+  (reads the live state of charge), each of which decides every lane's
+  design point at once.
 * :class:`PerturbationModel` (:mod:`repro.sim.perturbation`) — seeded
   multiplicative duration jitter (lognormal/uniform) and task
   failure + retry, driven by explicit :class:`numpy.random.Generator`
   streams so every run is reproducible and resumable from the engine's
   result store.
+* :class:`InformationMode` (:mod:`repro.sim.imode`) — what an online
+  policy believes about durations, against what the simulator draws.
 * :class:`SimulationResult` (:mod:`repro.sim.result`) — the executed
   timeline plus the final sigma, computed through the model's
   ``schedule_charge`` so that replaying an offline schedule with zero
   perturbation reproduces the offline evaluator's cost **bitwise** (the
   conformance anchor, gated by the golden-fixture tests).
-* :class:`BatchSimulator` (:mod:`repro.sim.batch`) — one Monte Carlo
-  cell's replications at once.  ``run()`` gives each lane's
-  :class:`LaneSummary` (the six scalars a store row keeps) or its
-  exception (a :data:`LaneOutcome`); ``results()`` gives the full
-  :class:`SimulationResult` timelines.  Both equal the scalar
-  :class:`Simulator`'s, bitwise.
 
 Orchestration at scale lives in :mod:`repro.engine`
 (:class:`~repro.engine.SimulationJob` — content-hashed, parallel,
@@ -55,7 +56,6 @@ True
 """
 
 from .batch import BatchSimulator, LaneOutcome, LaneSummary
-from .events import TaskRuntimeInfo, TaskState, VirtualClock
 from .imode import (
     INFORMATION_MODES,
     GraphBeliefs,
@@ -78,9 +78,6 @@ from .schedulers import (
 )
 
 __all__ = [
-    "VirtualClock",
-    "TaskState",
-    "TaskRuntimeInfo",
     "PerturbationModel",
     "JITTER_MODELS",
     "rng_for_seed",

@@ -32,7 +32,7 @@ Beliefs are resolved once per (graph, mode) into a :class:`GraphBeliefs`
 table (believed times, min-times, energies, priority inputs) shared by
 every simulator over that graph — including every batch cell.
 The tables are memoised on the simulator's per-graph tables
-(:mod:`repro.sim.runtime`), so they are rebuilt when the graph grows.
+(:mod:`repro.sim.batch`), so they are rebuilt when the graph grows.
 
 >>> mode = InformationMode.noisy(0.3, seed=7)
 >>> mode.is_exact, mode.kind
@@ -204,7 +204,7 @@ class GraphBeliefs:
 
     def __init__(self, graph, mode: InformationMode) -> None:
         from .livestate import ExactSum
-        from .runtime import _graph_tables
+        from .batch import _graph_tables
 
         self.mode = mode
         self.blind = mode.kind == "blind"
@@ -285,7 +285,7 @@ def resolve_beliefs(graph, mode: Optional[InformationMode]) -> GraphBeliefs:
     simulator, batch cell and policy over one graph reads one object, and
     ``resolve_beliefs(graph, None) is resolve_beliefs(graph, exact)``.
     """
-    from .runtime import _graph_tables
+    from .batch import _graph_tables
 
     if mode is None:
         mode = _EXACT

@@ -1,9 +1,8 @@
-"""Scheduling policies driving the runtime simulator.
+"""Scheduling policies driving the Monte Carlo simulator.
 
-A :class:`Scheduler` receives wakeups from the
-:class:`~repro.sim.Simulator` — ``schedule(new_ready, new_finished)`` is
-called whenever the processing element is idle and no decision is queued —
-and answers with ``(task, design-point column)`` decisions.  Four policies
+A policy binds to a :class:`~repro.sim.BatchSimulator` cell through
+:meth:`Scheduler.init` and decides, for every replication lane at once,
+which task runs next and at which design-point column.  Four policies
 ship with the library, spanning the offline/online axis the simulator
 exists to study:
 
@@ -20,10 +19,15 @@ exists to study:
   min-time pressure and spends the *live* slack proportionally: each task
   gets a slack share proportional to its fastest execution time and runs
   at the slowest design point fitting that allowance.
-* :class:`BatteryReactiveScheduler` — queries the simulator's live
-  battery state (state-of-charge on bounded batteries, the
-  recoverable-charge ratio otherwise) and switches between low-current
-  recovery mode and low-energy cruise mode per decision.
+* :class:`BatteryReactiveScheduler` — queries the live battery state
+  (state of charge on bounded batteries, the recoverable-charge ratio
+  otherwise) and switches between low-current recovery mode and fast
+  cruise mode per decision.
+
+An online policy is an :class:`_OnlineScheduler`: ``task_weights`` orders
+the ready tasks (the order is the same for every lane, because the
+platform runs one task at a time), and ``choose_columns`` picks one column
+per lane from that lane's live state.
 
 Policies are registered by name (:data:`POLICIES`) so
 :class:`~repro.engine.SimulationJob` and the CLI can name them as data;
@@ -32,7 +36,7 @@ offline schedule through the engine's algorithm registry.
 
 Every duration estimate the online policies consult — ``sim.min_times``,
 ``remaining_min_time()``, the per-task execution-time rows, the energy
-priorities — is read from the simulator's
+priorities — is read from the cell's
 :class:`~repro.sim.imode.GraphBeliefs`: the modeled tables themselves
 under ``exact`` (or no mode), the believed ones under
 ``blind``/``mean``/``noisy``.  ``static-replay`` is imode-invariant by
@@ -69,80 +73,22 @@ _EPS = 1e-9
 
 
 class Scheduler:
-    """Base class: the wakeup protocol plus shared deadline arithmetic."""
+    """Base class of the policies: a name and the binding to a cell."""
 
     #: Registry/display name; instances may override per construction.
     name: str = "scheduler"
 
     def init(self, simulator) -> None:
-        """Bind to the simulator before the run starts (estee-style)."""
+        """Bind to the cell's live state before the run starts."""
         self.simulator = simulator
-
-    def schedule(
-        self, new_ready: Tuple[str, ...], new_finished: Tuple[str, ...]
-    ) -> Sequence[Tuple[str, int]]:
-        """Return decisions for the idle processing element.
-
-        ``new_ready``/``new_finished`` list the tasks that changed state
-        since the previous wakeup.  Returning an empty sequence while
-        tasks are ready is a protocol violation (the simulator raises).
-        """
-        raise NotImplementedError
-
-    # ------------------------------------------------------------------
-    # shared helpers for online policies
-    # ------------------------------------------------------------------
-    def _deadline_allowance(
-        self, name: str, remaining: Optional[float] = None
-    ) -> float:
-        """Longest execution time ``name`` may take while the rest of the
-        graph can still finish by the deadline at full speed.
-
-        ``remaining`` lets a caller that already queried
-        ``remaining_min_time()`` this decision pass the value through —
-        the state cannot change between queries of one decision, so the
-        reuse is bit-identical to asking again.  Under a ``blind``
-        information mode the believed bound is infinite, and so is the
-        allowance: with no duration information, no column can be ruled
-        out (``inf - inf`` must never reach the arithmetic below).
-        """
-        sim = self.simulator
-        min_time = sim.min_times[name]
-        if remaining is None:
-            remaining = sim.remaining_min_time()
-        if not (math.isfinite(remaining) and math.isfinite(min_time)):
-            return math.inf
-        others = remaining - min_time
-        return sim.deadline - sim.now - others
-
-    def _feasible_columns(
-        self,
-        name: str,
-        times: Sequence[float],
-        remaining: Optional[float] = None,
-    ) -> List[int]:
-        """Design-point columns whose (believed) ``times`` fit the allowance.
-
-        Falls back to the fastest column when nothing fits (the deadline
-        is already compromised; run flat out and record the miss).
-        ``remaining`` is a pass-through for a value the caller already
-        holds (same float, one lookup fewer per decision).
-        """
-        allowance = self._deadline_allowance(name, remaining)
-        feasible = [
-            column
-            for column, time in enumerate(times)
-            if time <= allowance + _EPS
-        ]
-        return feasible or [0]
 
 
 class StaticReplayScheduler(Scheduler):
     """Replay a precomputed (sequence, assignment) offline schedule.
 
-    The whole run is handed to the simulator at the first wakeup —
-    exactly how an offline plan is deployed on a device — so perturbations
-    change *when* things happen but never *what* runs where.
+    The whole run is decided before the first attempt — exactly how an
+    offline plan is deployed on a device — so perturbations change *when*
+    things happen but never *what* runs where.
     """
 
     name = "static-replay"
@@ -162,7 +108,6 @@ class StaticReplayScheduler(Scheduler):
         self.columns = {str(task): int(columns[task]) for task in self.sequence}
         if name is not None:
             self.name = name
-        self._dispatched = False
 
     def init(self, simulator) -> None:
         super().init(simulator)
@@ -172,25 +117,17 @@ class StaticReplayScheduler(Scheduler):
         if self.sequence not in validated:
             validate_sequence(simulator.graph, self.sequence)
             validated.add(self.sequence)
-        self._dispatched = False
-
-    def schedule(self, new_ready, new_finished):
-        if self._dispatched:  # only the first wakeup carries decisions
-            return ()
-        self._dispatched = True
-        return [(task, self.columns[task]) for task in self.sequence]
 
 
 class _OnlineScheduler(Scheduler):
-    """Shared machinery of the online policies: one decision per wakeup.
+    """Shared machinery of the online policies: one decision per position.
 
-    Maintains the ready pool from the wakeup deltas and picks the
-    highest-weight task (ties broken by graph insertion order, matching
+    Maintains the ready pool and picks the highest-weight task (ties
+    broken by graph insertion order, matching
     :func:`repro.scheduling.list_scheduler.sequence_by_weights`), then
-    delegates the design-point choice to :meth:`choose_column`.  Each
-    built-in policy also has ``choose_columns``, the same rule for every
-    lane of a columnar :class:`~repro.sim.BatchSimulator` cell at once
-    (see :meth:`_choose_per_lane`).
+    delegates the design-point choice to :meth:`choose_columns`, which
+    answers for every lane of the cell at once (see
+    :meth:`_choose_per_lane`).
     """
 
     #: Whether :meth:`task_weights` depends only on (graph, mode) (True for
@@ -241,8 +178,8 @@ class _OnlineScheduler(Scheduler):
         """Per-task priority (higher runs first); computed once at init."""
         raise NotImplementedError
 
-    def choose_column(self, name: str) -> int:
-        """Design-point column for the chosen task (live-state dependent)."""
+    def choose_columns(self, name: str) -> np.ndarray:
+        """Design-point column of the chosen task, one per lane."""
         raise NotImplementedError
 
     def _next_task(self, new_ready: Sequence[str]) -> Optional[str]:
@@ -259,11 +196,22 @@ class _OnlineScheduler(Scheduler):
             return None
         return self._rank_name[heapq.heappop(ready)[1]]
 
-    def schedule(self, new_ready, new_finished):
-        chosen = self._next_task(new_ready)
-        if chosen is None:
-            return ()
-        return [(chosen, self.choose_column(chosen))]
+    def _deadline_allowance(self, name: str):
+        """Longest execution time ``name`` may take, per lane, while the
+        rest of the graph can still finish by the deadline at full speed.
+
+        Under a ``blind`` information mode the believed bound is infinite,
+        and so is the allowance: with no duration information, no column
+        can be ruled out (``inf - inf`` must never reach the arithmetic
+        below).
+        """
+        sim = self.simulator
+        min_time = sim.min_times[name]
+        remaining = sim.remaining_min_time()
+        if not (math.isfinite(remaining) and math.isfinite(min_time)):
+            return math.inf
+        others = remaining - min_time
+        return sim.deadline - sim.now - others
 
     def _choose_per_lane(self, name: str, pick: Callable, *limits) -> np.ndarray:
         """``pick(name, columns)`` per lane, over the columns whose believed
@@ -304,9 +252,6 @@ class GreedyEnergyScheduler(_OnlineScheduler):
     def task_weights(self) -> Dict[str, float]:
         return self._beliefs.average_energy
 
-    def choose_column(self, name: str) -> int:
-        return self._cheapest(name, self._feasible_columns(name, times=self._times[name]))
-
     def choose_columns(self, name: str) -> np.ndarray:
         limit = self._deadline_allowance(name) + _EPS
         return self._choose_per_lane(name, self._cheapest, limit)
@@ -339,18 +284,6 @@ class DeadlineSlackScheduler(_OnlineScheduler):
             )
             for task in graph
         }
-
-    def choose_column(self, name: str) -> int:
-        limits = self._limits(name)
-        if limits is None:
-            return 0
-        deadline_limit, share_limit = limits
-        fitting = [
-            column
-            for column, time in enumerate(self._times[name])
-            if time <= deadline_limit and time <= share_limit
-        ]
-        return self._slowest(name, fitting or [0])
 
     def choose_columns(self, name: str) -> np.ndarray:
         limits = self._limits(name)
@@ -426,35 +359,21 @@ class BatteryReactiveScheduler(_OnlineScheduler):
     def task_weights(self) -> Dict[str, float]:
         return self._beliefs.average_energy
 
-    def _stressed(self) -> bool:
+    def choose_columns(self, name: str) -> np.ndarray:
+        limit = self._deadline_allowance(name) + _EPS
         sim = self.simulator
         soc = sim.state_of_charge()
         if soc is not None:
-            return soc < self.soc_reserve
-        delivered = sim.delivered_charge()
-        if delivered <= 0.0:
-            return False
-        unavailable = sim.apparent_charge() - delivered
-        return unavailable / delivered > self.stress_threshold
-
-    def choose_column(self, name: str) -> int:
-        feasible = self._feasible_columns(name, times=self._times[name])
-        if self._stressed():
-            return self._lowest_current(name, feasible)
-        return self._fastest(name, feasible)
-
-    def choose_columns(self, name: str) -> np.ndarray:
-        # Columnar cells have unbounded batteries: the state of charge is
-        # None, and lanes with no delivered charge never ask for sigma.
-        limit = self._deadline_allowance(name) + _EPS
-        sim = self.simulator
-        sim.state_of_charge()
-        delivered = sim.delivered_charge()
-        charged = ~(delivered <= 0.0)
-        stressed = np.zeros(len(delivered), dtype=bool)
-        if charged.any():
-            unavailable = sim.apparent_charge(charged)[charged] - delivered[charged]
-            stressed[charged] = unavailable / delivered[charged] > self.stress_threshold
+            stressed = soc < self.soc_reserve
+        else:
+            # Lanes with no delivered charge are not stressed and never
+            # ask for sigma.
+            delivered = sim.delivered_charge()
+            charged = ~(delivered <= 0.0)
+            stressed = np.zeros(len(delivered), dtype=bool)
+            if charged.any():
+                unavailable = sim.apparent_charge(charged)[charged] - delivered[charged]
+                stressed[charged] = unavailable / delivered[charged] > self.stress_threshold
         picks = self._choose_per_lane(name, self._fastest, limit)
         if stressed.any():
             lowest = self._choose_per_lane(name, self._lowest_current, limit)

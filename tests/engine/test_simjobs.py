@@ -22,7 +22,9 @@ from repro.engine import (
 from repro.errors import ConfigurationError
 from repro.experiments.simulate import DEFAULT_SIM_POLICIES, run_simulation_suite
 from repro.scenarios import ScenarioSpec, default_registry
-from repro.sim import Simulator, make_policy, rng_for_seed
+from repro.sim import make_policy, rng_for_seed
+
+from ..sim.oracle import oracle_run
 
 
 @pytest.fixture(scope="module")
@@ -44,24 +46,24 @@ def strip_timing(records):
 
 
 def _reference_records(jobs):
-    """Each job's record built from a direct scalar :class:`Simulator` run.
+    """Each job's record built from a run of the event-loop oracle.
 
     The reference every engine run must equal: no batch, no lanes, no
     pipeline — the job's own perturbation stream, perturbation model and
-    information mode handed straight to the simulator.
+    information mode handed straight to :func:`tests.sim.oracle.oracle_run`.
     """
     records = []
     for job in jobs:
         problem = job.spec.build_problem()
         try:
-            result = Simulator(
+            result = oracle_run(
                 problem,
                 make_policy(job.policy, problem, job.params),
                 perturbation=job.spec.perturbation(),
                 rng=rng_for_seed(job.seed, job.replication),
                 evaluate_at=job.evaluate_at,
                 imode=job.spec.information_mode(),
-            ).run()
+            )
         except Exception as exc:  # noqa: BLE001 - the engine records it too
             records.append(job.failure_result(f"{type(exc).__name__}: {exc}"))
             continue
@@ -595,7 +597,7 @@ class TestJobKeyDedupe:
 
 
 class TestSimulationBatching:
-    """Monte Carlo batching: batched cells, bit-identical to the scalar Simulator."""
+    """Monte Carlo batching: batched cells, bit-identical to the event-loop oracle."""
 
     def make_jobs(self, registry, replications=3):
         return [

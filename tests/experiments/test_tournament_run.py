@@ -8,6 +8,9 @@ import pytest
 from repro.cli import main
 from repro.experiments import run_tournament, tournament_markdown
 from repro.scenarios import default_registry
+from repro.sim import make_policy, rng_for_seed
+
+from ..sim.oracle import oracle_run
 
 SMALL = [
     "tour-g3-rakhmatov-j10-exact",
@@ -131,3 +134,36 @@ class TestTournamentCli:
         assert len(failures) == 12
         assert all(f"-{mode}/" in line for line in failures)
         assert "tournament smoke OK" not in captured.out
+
+
+class TestSmokeTwin:
+    """``tournament --smoke`` checks the engine's records against the
+    one-lane :class:`~repro.sim.Simulator` front; this twin checks the same
+    records against the event-loop oracle, which shares no simulator code."""
+
+    FIELDS = ("cost", "makespan", "feasible", "retries", "events", "depletion_time")
+
+    def test_every_smoke_record_equals_the_oracle(self):
+        run = run_tournament(replications=2, seed=0).run
+        mismatches = []
+        for job, record in zip(run.jobs, run.records):
+            problem = job.spec.build_problem()
+            try:
+                reference = oracle_run(
+                    problem,
+                    make_policy(job.policy, problem, job.params),
+                    perturbation=job.spec.perturbation(),
+                    rng=rng_for_seed(job.seed, job.replication),
+                    evaluate_at=job.evaluate_at,
+                    imode=job.spec.information_mode(),
+                )
+            except Exception as exc:  # noqa: BLE001 - the engine records it too
+                expected = f"{type(exc).__name__}: {exc}"
+                actual = record.error
+            else:
+                expected = tuple(getattr(reference, name) for name in self.FIELDS)
+                actual = record.error or tuple(getattr(record, name) for name in self.FIELDS)
+            if actual != expected:
+                mismatches.append((job.label, actual, expected))
+        assert len(run.records) == 48 * 4 * 2
+        assert mismatches == []

@@ -8,7 +8,8 @@ The contracts under test:
   changes the belief tables, and the two streams share no material;
 * **blind means blind** — under a ``blind`` mode a policy can never
   observe a finite duration estimate through any simulator surface
-  (``min_times``, ``remaining_min_time()``, believed times/energies);
+  (``min_times``, ``remaining_min_time()``, believed times/energies, the
+  deadline allowance);
 * **static-replay is imode-invariant** — an offline plan replayed at
   runtime is unchanged by whatever the online beliefs would have been.
 """
@@ -24,14 +25,16 @@ from repro import build_g3
 from repro.scheduling import SchedulingProblem
 from repro.sim import (
     GraphBeliefs,
+    GreedyEnergyScheduler,
     InformationMode,
     PerturbationModel,
-    Scheduler,
     Simulator,
     StaticReplayScheduler,
     rng_for_seed,
 )
 from repro.sim.imode import _BELIEF_STREAM
+
+from ..sim.oracle import oracle_run
 
 rel_errors = st.floats(min_value=0.01, max_value=1.5, allow_nan=False)
 belief_seeds = st.integers(min_value=0, max_value=2**31 - 1)
@@ -52,13 +55,19 @@ def _replay(problem: SchedulingProblem) -> StaticReplayScheduler:
 
 
 def _durations(problem, seed, imode):
+    """The realised timeline of a replay, equal to the oracle's."""
+    perturbation = PerturbationModel(jitter=0.2, failure_rate=0.05)
     result = Simulator(
         problem,
         _replay(problem),
-        perturbation=PerturbationModel(jitter=0.2, failure_rate=0.05),
+        perturbation=perturbation,
         rng=rng_for_seed(seed, 0),
         imode=imode,
     ).run()
+    assert result == oracle_run(
+        problem, _replay(problem), perturbation=perturbation,
+        rng=rng_for_seed(seed, 0), imode=imode,
+    )
     return [
         (interval.task, interval.duration, interval.current)
         for interval in result.intervals
@@ -109,7 +118,7 @@ class TestBeliefStreamIndependence:
         assert _BELIEF_STREAM > 2**40
 
 
-class _BlindProbeScheduler(Scheduler):
+class _BlindProbeScheduler(GreedyEnergyScheduler):
     """Records every duration estimate reachable through the simulator."""
 
     name = "blind-probe"
@@ -118,18 +127,15 @@ class _BlindProbeScheduler(Scheduler):
         super().init(simulator)
         self.observed = []
 
-    def schedule(self, new_ready, new_finished):
+    def choose_columns(self, name):
         sim = self.simulator
         beliefs = sim.beliefs
-        decisions = []
-        for name in sim.ready_tasks():
-            self.observed.append(sim.min_times[name])
-            self.observed.extend(beliefs.times[name])
-            self.observed.extend(beliefs.energies[name])
-            self.observed.append(self._deadline_allowance(name))
-            decisions.append((name, 0))
+        self.observed.append(sim.min_times[name])
+        self.observed.extend(beliefs.times[name])
+        self.observed.extend(beliefs.energies[name])
+        self.observed.extend(np.broadcast_to(self._deadline_allowance(name), len(sim.now)))
         self.observed.append(sim.remaining_min_time())
-        return decisions
+        return np.zeros(len(sim.now), dtype=int)
 
 
 class TestBlindNeverObservesFiniteEstimate:

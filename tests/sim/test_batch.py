@@ -1,18 +1,17 @@
-"""Batch simulation == scalar simulation, bitwise, everywhere.
+"""Batch simulation == the scalar event loop, bitwise, everywhere.
 
 :class:`~repro.sim.BatchSimulator` promises that every lane's
-:class:`~repro.sim.SimulationResult` (from ``results()``) equals the
-scalar :class:`~repro.sim.Simulator`'s for the same ``(seed, replication)``
-stream — full dataclass equality, which covers sigma, makespan, rest,
-feasibility, sequence, columns, every interval, retries and events — and
-that ``run()``'s per-lane :class:`~repro.sim.LaneSummary` is that
-result's projection.  This suite pins that on both of its paths — the
-columnar core (a differential grid over chemistries, policies, jitter
-models, failures with retries, evaluation points, information modes and
-deadlines) and the scalar fallback (finite batteries, traces, custom
-policies, exhausted retry budgets) — plus the choice between them, the
-counters a columnar cell emits, and the per-lane error isolation
-contract.
+:class:`~repro.sim.SimulationResult` (from ``results()``) equals what the
+event loop of :mod:`tests.sim.oracle` computes for the same
+``(seed, replication)`` stream — full dataclass equality, which covers
+sigma, makespan, rest, feasibility, sequence, columns, every interval,
+retries, events and the depletion time — and that ``run()``'s per-lane
+:class:`~repro.sim.LaneSummary` is that result's projection.  This suite
+pins that on a differential grid (chemistries, policies, jitter models,
+failures with retries, evaluation points, information modes, deadlines),
+on finite batteries, traces and exhausted retry budgets, plus the
+policies a batch accepts, the counters a cell emits, and the per-lane
+error isolation contract.
 """
 
 import gc
@@ -41,6 +40,8 @@ from repro.sim import (
 )
 from repro.taskgraph import DesignPoint, Task, TaskGraph, build_g3
 
+from .oracle import oracle_run
+
 CHEMISTRY_SPECS = {
     "rakhmatov": BatterySpec(beta=0.273),
     "peukert": BatterySpec(chemistry="peukert", chemistry_params={"exponent": 1.3}),
@@ -61,7 +62,7 @@ PERTURBATIONS = {
 }
 
 #: Cells whose tasks fail and retry: the three jitter shapes, and a retry
-#: budget every lane exhausts (such a cell runs on scalar lanes).
+#: budget some lanes exhaust.
 FAILURE_TIERS = {
     "lognormal": PerturbationModel(jitter=0.15, failure_rate=0.12),
     "uniform": PerturbationModel(jitter=0.2, jitter_model="uniform", failure_rate=0.12),
@@ -97,19 +98,20 @@ def _make_scheduler(policy: str, problem: SchedulingProblem):
     return make_policy(policy, problem)
 
 
-def _scalar_outcomes(problem, policy, perturbation, seed, lanes, **kwargs):
-    """Reference outcomes: one scalar simulator per replication stream."""
+def _oracle_outcomes(problem, policy, perturbation, seed, lanes, **kwargs):
+    """Reference outcomes: one oracle run per replication stream."""
     outcomes = []
     for replication in range(lanes):
-        simulator = Simulator(
-            problem,
-            _make_scheduler(policy, problem),
-            perturbation=perturbation,
-            rng=rng_for_seed(seed, replication),
-            **kwargs,
-        )
         try:
-            outcomes.append(simulator.run())
+            outcomes.append(
+                oracle_run(
+                    problem,
+                    _make_scheduler(policy, problem),
+                    perturbation=perturbation,
+                    rng=rng_for_seed(seed, replication),
+                    **kwargs,
+                )
+            )
         except SimulationError as error:
             outcomes.append(error)
     return outcomes
@@ -126,16 +128,16 @@ def _batch_outcomes(problem, policy, perturbation, seed, lanes, **kwargs):
     return batch.results()
 
 
-def _assert_matching(batch_outcomes, scalar_outcomes):
-    assert len(batch_outcomes) == len(scalar_outcomes)
-    for lane, (batched, scalar) in enumerate(zip(batch_outcomes, scalar_outcomes)):
-        if isinstance(scalar, Exception):
+def _assert_matching(batch_outcomes, oracle_outcomes):
+    assert len(batch_outcomes) == len(oracle_outcomes)
+    for lane, (batched, reference) in enumerate(zip(batch_outcomes, oracle_outcomes)):
+        if isinstance(reference, Exception):
             assert isinstance(batched, SimulationError), f"lane {lane}"
-            assert str(batched) == str(scalar), f"lane {lane}"
+            assert str(batched) == str(reference), f"lane {lane}"
         else:
             # Full dataclass equality: bitwise cost/makespan/rest plus the
-            # whole realised timeline, retries and event counts.
-            assert batched == scalar, f"lane {lane}"
+            # whole realised timeline, retries, event counts and depletion.
+            assert batched == reference, f"lane {lane}"
 
 
 class TestBatchMatchesScalarBitwise:
@@ -143,176 +145,113 @@ class TestBatchMatchesScalarBitwise:
     @pytest.mark.parametrize("policy", POLICY_NAMES)
     @pytest.mark.parametrize("tier", sorted(PERTURBATIONS))
     def test_all_chemistries_policies_perturbations(self, chemistry, policy, tier):
-        # Both tiers run columnar: a failures cell's lanes retry, each as
-        # often as its scalar run, so its timelines have ragged lengths.
+        # A failures cell's lanes retry, each as often as its oracle run,
+        # so its timelines have ragged lengths.
         problem = _problem(chemistry)
         perturbation = PERTURBATIONS[tier]
         lanes = 6
-        batch = BatchSimulator(
-            problem,
-            [_make_scheduler(policy, problem) for _ in range(lanes)],
-            rngs=[rng_for_seed(7, replication) for replication in range(lanes)],
-            perturbation=perturbation,
-        )
-        assert batch.columnar
-        scalar = _scalar_outcomes(problem, policy, perturbation, 7, lanes)
-        _assert_matching(batch.results(), scalar)
+        reference = _oracle_outcomes(problem, policy, perturbation, 7, lanes)
+        _assert_matching(_batch_outcomes(problem, policy, perturbation, 7, lanes), reference)
         if tier == "failures":
-            assert len({outcome.retries for outcome in scalar}) > 1
+            assert len({outcome.retries for outcome in reference}) > 1
 
+    @pytest.mark.parametrize("chemistry", sorted(CHEMISTRY_SPECS))
     @pytest.mark.parametrize("policy", POLICY_NAMES)
-    def test_depletion_accounting_on_finite_battery(self, policy):
-        # A finite capacity takes the depletion_time branch of _finalize;
-        # the lifetime root-find must agree between the paths too.
-        problem = _problem("rakhmatov", capacity=2500.0)
-        perturbation = PerturbationModel(jitter=0.10)
+    @pytest.mark.parametrize("tier", sorted(PERTURBATIONS))
+    def test_depletion_accounting_on_finite_battery(self, chemistry, policy, tier):
+        # A finite capacity gives each lane a state of charge while it runs
+        # and a lifetime root-find over its own attempts when it is done.
+        problem = _problem(chemistry, capacity=CAPACITIES[chemistry])
+        perturbation = PERTURBATIONS[tier]
         lanes = 4
-        scalar = _scalar_outcomes(problem, policy, perturbation, 3, lanes)
-        batched = _batch_outcomes(problem, policy, perturbation, 3, lanes)
-        _assert_matching(batched, scalar)
-        assert any(
-            outcome.depletion_time is not None
-            for outcome in scalar
-            if not isinstance(outcome, Exception)
-        )
+        reference = _oracle_outcomes(problem, policy, perturbation, 3, lanes)
+        _assert_matching(_batch_outcomes(problem, policy, perturbation, 3, lanes), reference)
+        assert all(outcome.depletion_time is not None for outcome in reference)
+
+    @pytest.mark.parametrize("chemistry", sorted(CHEMISTRY_SPECS))
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
+    def test_traces_sample_each_lanes_own_attempts(self, chemistry, policy):
+        # Spare slots (where a sibling retried) stay out of a lane's traced
+        # profile, on bounded and unbounded batteries.
+        perturbation = PERTURBATIONS["failures"]
+        for capacity in (math.inf, CAPACITIES[chemistry]):
+            problem = _problem(chemistry, capacity=capacity)
+            kwargs = dict(trace_samples=7)
+            reference = _oracle_outcomes(problem, policy, perturbation, 5, 4, **kwargs)
+            batched = _batch_outcomes(problem, policy, perturbation, 5, 4, **kwargs)
+            _assert_matching(batched, reference)
+            assert [outcome.trace for outcome in batched] == [
+                outcome.trace for outcome in reference
+            ]
+            assert len({outcome.retries for outcome in reference}) > 1
 
     def test_null_perturbation_lanes_are_identical_and_draw_free(self):
         problem = _problem("rakhmatov")
         lanes = 3
         outcomes = _batch_outcomes(problem, "deadline-slack", None, 0, lanes)
-        scalar = Simulator(
-            problem, _make_scheduler("deadline-slack", problem)
-        ).run()
+        reference = oracle_run(problem, _make_scheduler("deadline-slack", problem))
         for outcome in outcomes:
-            assert outcome == scalar
+            assert outcome == reference
 
-    def test_retry_budget_exhaustion_is_isolated_per_lane(self):
-        problem = _problem("ideal")
+    @pytest.mark.parametrize("chemistry", sorted(CHEMISTRY_SPECS))
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
+    def test_retry_budget_exhaustion_is_isolated_per_lane(self, chemistry, policy):
         # Zero retry budget + a high failure rate: whichever lanes draw an
-        # early failure die with SimulationError while siblings complete.
-        # Drawing the attempt plans consumed every stream, so the cell's
-        # fallback to scalar lanes must first restore each one.
-        perturbation = PerturbationModel(jitter=0.05, failure_rate=0.3, max_retries=0)
+        # early failure die with the oracle's SimulationError while their
+        # siblings complete, on bounded and unbounded batteries alike.
+        perturbation = FAILURE_TIERS["exhausted"]
         lanes = 12
-        scalar = _scalar_outcomes(problem, "greedy-energy", perturbation, 11, lanes)
-        batch = BatchSimulator(
+        for capacity in (math.inf, CAPACITIES[chemistry]):
+            problem = _problem(chemistry, capacity=capacity)
+            reference = _oracle_outcomes(problem, policy, perturbation, 11, lanes)
+            _assert_matching(_batch_outcomes(problem, policy, perturbation, 11, lanes), reference)
+            failed = [o for o in reference if isinstance(o, Exception)]
+            completed = [o for o in reference if not isinstance(o, Exception)]
+            assert failed, "expected at least one lane to exhaust its retry budget"
+            assert completed, "expected at least one lane to survive"
+
+    def test_an_exhausted_lane_draws_no_further(self):
+        # The lane's stream stops at the attempt that exhausts the budget:
+        # exactly what the oracle drew from it, no more.
+        problem = _problem("ideal")
+        perturbation = FAILURE_TIERS["exhausted"]
+        streams = [rng_for_seed(11, replication) for replication in range(12)]
+        BatchSimulator(
             problem,
-            [_make_scheduler("greedy-energy", problem) for _ in range(lanes)],
-            rngs=[rng_for_seed(11, replication) for replication in range(lanes)],
+            [_make_scheduler("greedy-energy", problem) for _ in range(12)],
+            rngs=streams,
             perturbation=perturbation,
         )
-        assert not batch.columnar
-        _assert_matching(batch.results(), scalar)
-        failed = [o for o in scalar if isinstance(o, Exception)]
-        completed = [o for o in scalar if not isinstance(o, Exception)]
-        assert failed, "expected at least one lane to exhaust its retry budget"
-        assert completed, "expected at least one lane to survive"
-
-
-class _FailsAfterScheduler(Scheduler):
-    """Delegates to greedy-energy but raises after a decision budget.
-
-    A fault probe for the per-lane isolation contract: the raise happens
-    *mid-run* — after the lane has already made progress — not at
-    construction or at the first wakeup.  A cell holding it runs on
-    scalar lanes (its policies differ in type).
-    """
-
-    name = "fails-after"
-
-    def __init__(self, problem: SchedulingProblem, after: int):
-        self._inner = make_policy("greedy-energy", problem)
-        self._after = after
-        self._made = 0
-
-    def init(self, simulator) -> None:
-        super().init(simulator)
-        self._inner.init(simulator)
-
-    def schedule(self, new_ready, new_finished):
-        decisions = self._inner.schedule(new_ready, new_finished)
-        self._made += len(decisions)
-        if self._made > self._after:
-            raise RuntimeError("injected scheduler fault")
-        return decisions
-
-
-class _ReadyOrderProbe(Scheduler):
-    """Records every ``ready_tasks()`` snapshot while delegating decisions."""
-
-    name = "ready-order-probe"
-
-    def __init__(self, problem: SchedulingProblem):
-        self._inner = make_policy("greedy-energy", problem)
-        self.snapshots = []
-
-    def init(self, simulator) -> None:
-        super().init(simulator)
-        self._inner.init(simulator)
-
-    def schedule(self, new_ready, new_finished):
-        self.snapshots.append(self.simulator.ready_tasks())
-        return self._inner.schedule(new_ready, new_finished)
+        for replication, stream in enumerate(streams):
+            reference = rng_for_seed(11, replication)
+            try:
+                oracle_run(
+                    problem, _make_scheduler("greedy-energy", problem),
+                    perturbation=perturbation, rng=reference,
+                )
+            except SimulationError:
+                pass
+            assert stream.bit_generator.state == reference.bit_generator.state
 
 
 class TestBatchEdgeCases:
     @pytest.mark.parametrize("tier", sorted(PERTURBATIONS))
     def test_single_lane_equals_scalar(self, tier):
         # The degenerate batch: one lane must still be bitwise-equal to
-        # the scalar simulator on the same stream, through jitter and
-        # failure/retry alike.
+        # the oracle on the same stream, through jitter and failure/retry
+        # alike.
         problem = _problem("kibam")
         perturbation = PERTURBATIONS[tier]
         _assert_matching(
             _batch_outcomes(problem, "battery-reactive", perturbation, 13, 1),
-            _scalar_outcomes(problem, "battery-reactive", perturbation, 13, 1),
+            _oracle_outcomes(problem, "battery-reactive", perturbation, 13, 1),
         )
 
-    def test_mid_batch_scheduler_fault_is_isolated(self):
-        # Lane 1's scheduler raises after three decisions, mid-run.  Its
-        # outcome is that exception; lanes 0 and 2 finish bitwise-equal
-        # to their scalar references as if the faulty sibling never ran.
-        problem = _problem("rakhmatov")
-        perturbation = PerturbationModel(jitter=0.10)
-        schedulers = [
-            _make_scheduler("greedy-energy", problem),
-            _FailsAfterScheduler(problem, after=3),
-            _make_scheduler("greedy-energy", problem),
-        ]
-        outcomes = BatchSimulator(
-            problem,
-            schedulers,
-            rngs=[rng_for_seed(7, replication) for replication in range(3)],
-            perturbation=perturbation,
-        ).results()
-        scalar = _scalar_outcomes(problem, "greedy-energy", perturbation, 7, 3)
-        assert isinstance(outcomes[1], RuntimeError)
-        assert "injected scheduler fault" in str(outcomes[1])
-        assert outcomes[0] == scalar[0]
-        assert outcomes[2] == scalar[2]
-
-    def test_ready_tasks_order_survives_retry_requeues(self):
-        # A failed task re-enters the ready set via bisect.insort on its
-        # graph rank: ready_tasks() stays in graph insertion order even
-        # after failure -> retry re-queues (not append-at-the-end order).
-        problem = _problem("ideal")
-        probe = _ReadyOrderProbe(problem)
-        result = Simulator(
-            problem,
-            probe,
-            perturbation=PerturbationModel(jitter=0.05, failure_rate=0.35),
-            rng=rng_for_seed(2, 0),
-        ).run()
-        assert result.retries > 0, "perturbation never forced a retry"
-        order = {name: rank for rank, name in enumerate(problem.graph.task_names())}
-        for snapshot in probe.snapshots:
-            assert list(snapshot) == sorted(snapshot, key=order.__getitem__)
-
     def test_retry_reruns_same_task_and_column_immediately(self):
-        # The retry contract behind the re-queue: a failed attempt goes to
-        # the *front* of the PE queue with the same design point, so the
-        # very next interval is the same task, same column, attempt + 1 —
-        # the scheduler is never re-consulted for a retry.
+        # The retry contract: a failed attempt goes to the *front* of the
+        # PE queue with the same design point, so the very next interval is
+        # the same task, same column, attempt + 1 — the policy is never
+        # re-consulted for a retry.
         problem = _problem("ideal")
         result = Simulator(
             problem,
@@ -361,10 +300,10 @@ class TestBatchConstruction:
             with pytest.raises(SimulationError, match="exactly once"):
                 method()
 
-    def test_scalar_lanes_are_freed_with_their_batch(self):
-        # A spent scalar lane and its policy refer to each other; the batch
-        # unlinks them, so reference counting alone frees both with it.
-        # (A traced cell runs on scalar lanes.)
+    def test_policies_are_freed_with_their_batch(self):
+        # A bound policy refers to the cell's live state but nothing refers
+        # back, so reference counting alone frees every lane's policy with
+        # the batch.
         problem = _problem("ideal")
         schedulers = [_make_scheduler("greedy-energy", problem) for _ in range(6)]
         alive = [weakref.ref(scheduler) for scheduler in schedulers]
@@ -375,7 +314,6 @@ class TestBatchConstruction:
             perturbation=PERTURBATIONS["failures"],
             trace_samples=4,
         )
-        alive += [weakref.ref(lane) for lane in batch._lanes]
         del schedulers
         collecting = gc.isenabled()
         gc.disable()
@@ -383,7 +321,7 @@ class TestBatchConstruction:
             summaries = batch.run()
             assert sum(summary.retries for summary in summaries) > 0
             del batch
-            assert [ref() for ref in alive] == [None] * 12
+            assert [ref() for ref in alive] == [None] * 6
         finally:
             if collecting:
                 gc.enable()
@@ -396,6 +334,9 @@ class TestBatchConstruction:
         )
         assert len(batch) == 4
 
+
+#: Per chemistry, a capacity every policy's lanes run out of mid-run.
+CAPACITIES = {"rakhmatov": 4000.0, "peukert": 10000.0, "kibam": 4000.0, "ideal": 4000.0}
 
 GRID_PERTURBATIONS = (
     PerturbationModel(jitter=0.1),
@@ -413,14 +354,14 @@ GRID_MODES = (
 
 
 class TestColumnarGrid:
-    """The columnar core against scalar runs, on every axis it reads."""
+    """The columnar simulator against the oracle, on every axis it reads."""
 
     @pytest.mark.parametrize("chemistry", sorted(CHEMISTRY_SPECS))
     @pytest.mark.parametrize("policy", POLICY_NAMES)
     def test_grid_equals_scalar(self, chemistry, policy):
         # Per (chemistry, policy): jitter models x evaluation points x
         # information modes x deadlines (tight, the default, loose) — 96
-        # cells of 3 lanes, each lane equal to its scalar run bitwise.
+        # cells of 3 lanes, each lane equal to its oracle run bitwise.
         graph = build_g3()
         for perturbation, evaluate_at, imode, deadline in itertools.product(
             GRID_PERTURBATIONS,
@@ -430,16 +371,8 @@ class TestColumnarGrid:
         ):
             problem = _problem(chemistry, deadline=deadline, graph=graph)
             kwargs = dict(evaluate_at=evaluate_at, imode=imode)
-            batch = BatchSimulator(
-                problem,
-                [_make_scheduler(policy, problem) for _ in range(3)],
-                rngs=[rng_for_seed(3, replication) for replication in range(3)],
-                perturbation=perturbation,
-                **kwargs,
-            )
-            assert batch.columnar
-            outcomes = batch.results()
-            reference = _scalar_outcomes(problem, policy, perturbation, 3, 3, **kwargs)
+            outcomes = _batch_outcomes(problem, policy, perturbation, 3, 3, **kwargs)
+            reference = _oracle_outcomes(problem, policy, perturbation, 3, 3, **kwargs)
             assert list(outcomes) == reference, (perturbation, evaluate_at, imode, deadline)
             assert [o.to_dict() for o in outcomes] == [r.to_dict() for r in reference]
 
@@ -463,27 +396,17 @@ class TestColumnarGrid:
 
 
 class _SubclassedGreedy(GreedyEnergyScheduler):
-    """A subclass may override anything, so its cells run scalar."""
+    """A subclass of a built-in online policy runs its inherited rules."""
 
 
 class _CustomPolicy(Scheduler):
-    """A registered-style custom policy: topological order, fastest points."""
+    """A policy that is neither a static replay nor an online policy."""
 
     name = "custom"
 
-    def init(self, simulator) -> None:
-        super().init(simulator)
-        self._sent = False
-
-    def schedule(self, new_ready, new_finished):
-        if self._sent:
-            return ()
-        self._sent = True
-        return [(name, 0) for name in self.simulator.graph.topological_order()]
-
 
 class TestColumnarEligibility:
-    """Which cells run columnar: input properties only, each one checked."""
+    """Which lanes a batch accepts: one built-in policy shape, equal lanes."""
 
     def _batch(self, problem, schedulers, perturbation=PERTURBATIONS["jitter"], **kwargs):
         return BatchSimulator(
@@ -494,38 +417,18 @@ class TestColumnarEligibility:
             **kwargs,
         )
 
-    @pytest.mark.parametrize("policy", POLICY_NAMES)
-    def test_retry_free_cells_of_built_in_policies_are_columnar(self, policy):
-        problem = _problem("kibam")
-        schedulers = [_make_scheduler(policy, problem) for _ in range(3)]
-        assert self._batch(problem, schedulers).columnar
+    def test_a_subclassed_online_policy_equals_its_base(self):
+        problem = _problem("rakhmatov", capacity=CAPACITIES["rakhmatov"])
+        results = self._batch(problem, [_SubclassedGreedy() for _ in range(3)]).results()
+        reference = _oracle_outcomes(problem, "greedy-energy", PERTURBATIONS["jitter"], 5, 3)
+        assert [result.policy for result in results] == ["greedy-energy"] * 3
+        assert list(results) == reference
 
-    @pytest.mark.parametrize("policy", POLICY_NAMES)
-    def test_failing_cells_within_their_retry_budget_are_columnar(self, policy):
-        problem = _problem("kibam")
-        schedulers = [_make_scheduler(policy, problem) for _ in range(3)]
-        assert self._batch(problem, schedulers, PERTURBATIONS["failures"]).columnar
-
-    @pytest.mark.parametrize(
-        "case",
-        (
-            "finite-capacity",
-            "trace",
-            "subclass",
-            "custom-policy",
-            "mixed-types",
-            "unequal-params",
-        ),
-    )
-    def test_each_ineligible_property_falls_back_to_scalar_lanes(self, case):
-        capacity = 2500.0 if case == "finite-capacity" else math.inf
-        problem = _problem("rakhmatov", capacity=capacity)
-        perturbation = PERTURBATIONS["jitter"]
-        kwargs = {"trace_samples": 8} if case == "trace" else {}
+    @pytest.mark.parametrize("case", ("custom-policy", "mixed-types", "unequal-params"))
+    def test_each_unsupported_batch_is_rejected_at_construction(self, case):
+        problem = _problem("rakhmatov")
 
         def scheduler(lane):
-            if case == "subclass":
-                return _SubclassedGreedy()
             if case == "custom-policy":
                 return _CustomPolicy()
             if case == "mixed-types" and lane == 1:
@@ -534,21 +437,8 @@ class TestColumnarEligibility:
                 return BatteryReactiveScheduler(stress_threshold=0.5 if lane == 2 else 0.25)
             return make_policy("greedy-energy", problem)
 
-        batch = self._batch(
-            problem, [scheduler(lane) for lane in range(3)], perturbation, **kwargs
-        )
-        assert not batch.columnar
-        reference = [
-            Simulator(
-                problem,
-                scheduler(lane),
-                perturbation=perturbation,
-                rng=rng_for_seed(5, lane),
-                **kwargs,
-            ).run()
-            for lane in range(3)
-        ]
-        assert list(batch.results()) == reference
+        with pytest.raises(SimulationError):
+            self._batch(problem, [scheduler(lane) for lane in range(3)])
 
     def test_invalid_replay_sequence_fails_every_lane_like_scalar(self):
         problem = _problem("ideal")
@@ -557,16 +447,16 @@ class TestColumnarEligibility:
         outcomes = self._batch(
             problem, [StaticReplayScheduler(sequence, columns) for _ in range(3)]
         ).run()
-        with pytest.raises(Exception) as scalar:
-            Simulator(
+        with pytest.raises(Exception) as reference:
+            oracle_run(
                 problem,
                 StaticReplayScheduler(sequence, columns),
                 perturbation=PERTURBATIONS["jitter"],
                 rng=rng_for_seed(5, 0),
-            ).run()
+            )
         for outcome in outcomes:
-            assert type(outcome) is scalar.type
-            assert str(outcome) == str(scalar.value)
+            assert type(outcome) is reference.type
+            assert str(outcome) == str(reference.value)
 
     def test_out_of_range_replay_column_fails_every_lane_like_scalar(self):
         problem = _problem("ideal")
@@ -576,10 +466,10 @@ class TestColumnarEligibility:
         outcomes = self._batch(
             problem, [StaticReplayScheduler(sequence, columns) for _ in range(2)]
         ).run()
-        with pytest.raises(SimulationError) as scalar:
-            Simulator(problem, StaticReplayScheduler(sequence, columns)).run()
-        assert "out of range" in str(scalar.value)
-        assert [str(outcome) for outcome in outcomes] == [str(scalar.value)] * 2
+        with pytest.raises(SimulationError) as reference:
+            oracle_run(problem, StaticReplayScheduler(sequence, columns))
+        assert "out of range" in str(reference.value)
+        assert [str(outcome) for outcome in outcomes] == [str(reference.value)] * 2
 
 
 def _sim_counters(run):
@@ -608,51 +498,53 @@ class TestColumnarCounters:
         perturbation = PERTURBATIONS["jitter"]
         lanes = 4
 
-        def columnar():
-            batch = BatchSimulator(
-                problem,
-                [_make_scheduler(policy, problem) for _ in range(lanes)],
-                rngs=[rng_for_seed(9, lane) for lane in range(lanes)],
-                perturbation=perturbation,
-                imode=imode,
-            )
-            assert batch.columnar
-            batch.run()
+        def batch():
+            _batch_outcomes(problem, policy, perturbation, 9, lanes, imode=imode)
 
-        def scalar():
-            _scalar_outcomes(problem, policy, perturbation, 9, lanes, imode=imode)
+        def oracle():
+            _oracle_outcomes(problem, policy, perturbation, 9, lanes, imode=imode)
 
-        expected = _sim_counters(scalar)
+        expected = _sim_counters(oracle)
         assert expected["sim.decisions[%s]" % policy] == lanes * problem.graph.num_tasks
-        assert _sim_counters(columnar) == expected
+        assert _sim_counters(batch) == expected
 
     @pytest.mark.parametrize("chemistry", ("rakhmatov", "peukert"))
     @pytest.mark.parametrize("policy", POLICY_NAMES)
     @pytest.mark.parametrize("tier", sorted(FAILURE_TIERS))
-    def test_failing_cell_emits_the_scalar_lane_totals(self, chemistry, policy, tier):
+    @pytest.mark.parametrize("bounded", (False, True), ids=("unbounded", "bounded"))
+    def test_failing_cell_emits_the_scalar_lane_totals(self, chemistry, policy, tier, bounded):
         # Every attempt counts a task-end and every failed one a retry; a
-        # cell whose budget runs out emits only its scalar lanes' counters
-        # (drawing the plans counts nothing).
-        problem = _problem(chemistry, deadline=200.0)
+        # lane whose budget runs out stops counting where its oracle run
+        # raises (drawing the plans counts nothing).
+        capacity = CAPACITIES[chemistry] if bounded else math.inf
+        problem = _problem(chemistry, capacity=capacity, deadline=200.0)
         perturbation = FAILURE_TIERS[tier]
         lanes = 5
 
         def batch():
-            batch = BatchSimulator(
-                problem,
-                [_make_scheduler(policy, problem) for _ in range(lanes)],
-                rngs=[rng_for_seed(9, lane) for lane in range(lanes)],
-                perturbation=perturbation,
-            )
-            assert batch.columnar is (tier != "exhausted")
-            batch.run()
+            _batch_outcomes(problem, policy, perturbation, 9, lanes)
 
-        def scalar():
-            _scalar_outcomes(problem, policy, perturbation, 9, lanes)
+        def oracle():
+            _oracle_outcomes(problem, policy, perturbation, 9, lanes)
 
-        expected = _sim_counters(scalar)
+        expected = _sim_counters(oracle)
         # A zero budget fails at the first failed attempt, before a retry.
         assert ("sim.retries[%s]" % policy in expected) is (tier != "exhausted")
+        assert _sim_counters(batch) == expected
+
+    def test_a_bounded_battery_counts_state_of_charge_and_sigma_queries(self):
+        problem = _problem("kibam", capacity=CAPACITIES["kibam"])
+
+        def batch():
+            _batch_outcomes(problem, "battery-reactive", PERTURBATIONS["jitter"], 2, 3)
+
+        expected = _sim_counters(
+            lambda: _oracle_outcomes(problem, "battery-reactive", PERTURBATIONS["jitter"], 2, 3)
+        )
+        asked = 3 * problem.graph.num_tasks
+        assert expected["sim.query.state_of_charge[battery-reactive]"] == asked
+        assert expected["sim.query.apparent_charge[battery-reactive]"] == asked
+        assert "sim.query.delivered_charge[battery-reactive]" not in expected
         assert _sim_counters(batch) == expected
 
 
@@ -689,60 +581,58 @@ class TestLaneSummaries:
             rngs=[rng_for_seed(4, lane) for lane in range(6)],
             perturbation=perturbation,
         )
-        assert batch.columnar is (tier != "exhausted")
-        scalar = _scalar_outcomes(problem, policy, perturbation, 4, 6)
-        for summary, reference in zip(batch.run(), scalar):
-            if isinstance(reference, Exception):
-                assert type(summary) is type(reference)
-                assert str(summary) == str(reference)
+        reference = _oracle_outcomes(problem, policy, perturbation, 4, 6)
+        for summary, expected in zip(batch.run(), reference):
+            if isinstance(expected, Exception):
+                assert type(summary) is type(expected)
+                assert str(summary) == str(expected)
             else:
-                assert summary == LaneSummary.of(reference)
+                assert summary == LaneSummary.of(expected)
         if tier != "exhausted":
-            assert len({outcome.retries for outcome in scalar}) > 1
+            assert len({outcome.retries for outcome in reference}) > 1
 
     def test_a_makespan_on_the_deadline_is_feasible(self):
         # A draw-free replay ends exactly at its modeled makespan; with the
-        # deadline set there, the lane is feasible on both paths.
+        # deadline set there, the lane is feasible.
         problem = _problem("ideal")
         scheduler = _make_scheduler("static-replay", problem)
-        makespan = Simulator(problem, scheduler).run().makespan
+        makespan = oracle_run(problem, scheduler).makespan
         problem = _problem("ideal", deadline=makespan)
         summaries = BatchSimulator(
             problem, [_make_scheduler("static-replay", problem) for _ in range(2)]
         ).run()
-        reference = Simulator(problem, _make_scheduler("static-replay", problem)).run()
+        reference = oracle_run(problem, _make_scheduler("static-replay", problem))
         assert reference.feasible
         assert list(summaries) == [LaneSummary.of(reference)] * 2
 
     def test_finite_battery_summaries_carry_depletion_time(self):
         problem = _problem("rakhmatov", capacity=2500.0)
-        summaries = _scalar_outcomes(problem, "greedy-energy", PERTURBATIONS["jitter"], 3, 4)
+        reference = _oracle_outcomes(problem, "greedy-energy", PERTURBATIONS["jitter"], 3, 4)
         batch = BatchSimulator(
             problem,
             [_make_scheduler("greedy-energy", problem) for _ in range(4)],
             rngs=[rng_for_seed(3, lane) for lane in range(4)],
             perturbation=PERTURBATIONS["jitter"],
         )
-        assert not batch.columnar
-        assert list(batch.run()) == [LaneSummary.of(result) for result in summaries]
-        assert any(summary.depletion_time is not None for summary in summaries)
+        assert list(batch.run()) == [LaneSummary.of(result) for result in reference]
+        assert any(result.depletion_time is not None for result in reference)
 
     def test_lane_exceptions_keep_their_positions(self):
         problem = _problem("ideal")
         perturbation = PerturbationModel(jitter=0.05, failure_rate=0.3, max_retries=0)
-        scalar = _scalar_outcomes(problem, "greedy-energy", perturbation, 11, 12)
+        reference = _oracle_outcomes(problem, "greedy-energy", perturbation, 11, 12)
         summaries = BatchSimulator(
             problem,
             [_make_scheduler("greedy-energy", problem) for _ in range(12)],
             rngs=[rng_for_seed(11, lane) for lane in range(12)],
             perturbation=perturbation,
         ).run()
-        assert any(isinstance(outcome, Exception) for outcome in scalar)
-        for summary, reference in zip(summaries, scalar):
-            if isinstance(reference, Exception):
-                assert str(summary) == str(reference)
+        assert any(isinstance(outcome, Exception) for outcome in reference)
+        for summary, expected in zip(summaries, reference):
+            if isinstance(expected, Exception):
+                assert str(summary) == str(expected)
             else:
-                assert summary == LaneSummary.of(reference)
+                assert summary == LaneSummary.of(expected)
 
 
 #: Believed times under which ``b``'s slower column 1 looks the faster one.
@@ -785,29 +675,22 @@ class TestZeroDeliveredCharge:
             imode=ZERO_CHARGE_MODE,
         )
 
-    def test_some_lanes_ask_for_sigma_and_some_do_not(self):
-        problem = _zero_charge_problem()
-        batch = self._batch(problem)
-        assert batch.columnar
-        results = batch.results()
-        scalar = _scalar_outcomes(
+    def _oracle(self, problem):
+        return _oracle_outcomes(
             problem, "battery-reactive", PERTURBATIONS["jitter"], 1, self.LANES,
             imode=ZERO_CHARGE_MODE,
         )
-        assert list(results) == scalar
+
+    def test_some_lanes_ask_for_sigma_and_some_do_not(self):
+        problem = _zero_charge_problem()
+        results = self._batch(problem).results()
+        assert list(results) == self._oracle(problem)
         picks = {result.columns["b"] for result in results}
         assert picks == {0, 1}, "expected both charged and uncharged lanes at c"
 
     def test_apparent_charge_counts_only_asking_lanes(self):
         problem = _zero_charge_problem()
-
-        def scalar():
-            _scalar_outcomes(
-                problem, "battery-reactive", PERTURBATIONS["jitter"], 1, self.LANES,
-                imode=ZERO_CHARGE_MODE,
-            )
-
-        expected = _sim_counters(scalar)
+        expected = _sim_counters(lambda: self._oracle(problem))
         asked = expected["sim.query.apparent_charge[battery-reactive]"]
         # Charged lanes ask at c and d; uncharged ones ask only at d.
         assert self.LANES < asked < 2 * self.LANES

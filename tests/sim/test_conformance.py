@@ -4,7 +4,9 @@ Simulating a :class:`StaticReplayScheduler` with a null perturbation must
 reproduce the offline evaluator's sigma *bit for bit* for every chemistry
 on the golden G2/G3 fixtures (``tests/battery/golden_chemistry.json``) —
 the contract that lets every simulation result be compared against every
-offline result in the repository.
+offline result in the repository.  The event-loop oracle
+(:mod:`tests.sim.oracle`) must give the same result, so the differential
+suites that compare against it are anchored to the offline evaluator too.
 """
 
 import json
@@ -26,6 +28,8 @@ from repro.scheduling import (
     sequence_by_decreasing_energy,
 )
 from repro.sim import PerturbationModel, Simulator, StaticReplayScheduler
+
+from .oracle import oracle_run
 
 GOLDEN_PATH = (
     Path(__file__).resolve().parents[1] / "battery" / "golden_chemistry.json"
@@ -65,12 +69,16 @@ def _simulate_replay(graph, sequence, assignment, model):
         graph=graph, deadline=graph.max_makespan() + 1.0, name=graph.name
     )
     columns = {name: assignment[name] for name in sequence}
-    return Simulator(
+    result = Simulator(
         problem,
         StaticReplayScheduler(sequence, columns),
         perturbation=PerturbationModel(),
         model=model,
     ).run()
+    assert result == oracle_run(
+        problem, StaticReplayScheduler(sequence, columns), model=model
+    )
+    return result
 
 
 @pytest.mark.parametrize("graph_name", sorted(GRAPH_BUILDERS))

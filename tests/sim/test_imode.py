@@ -2,8 +2,9 @@
 
 The conformance anchor of :mod:`repro.sim.imode`: an ``exact`` information
 mode and no mode at all resolve to one belief table that holds the
-modeled tables verbatim, and reproduce the scalar *and* batched results
-**bitwise** across every chemistry and policy — the golden fixtures
+modeled tables verbatim, and reproduce the simulator's results and the
+event-loop oracle's (:mod:`tests.sim.oracle`) **bitwise** across every
+chemistry and policy — the golden fixtures
 included (``golden_online.json`` pins the online policies per mode).  The belief modes must be deterministic, seeded, and
 mean what they say: ``blind`` erases every duration estimate, ``mean``
 erases per-task identity but keeps the column ladder, ``noisy`` applies
@@ -32,6 +33,8 @@ from repro.sim import (
     resolve_beliefs,
     rng_for_seed,
 )
+
+from .oracle import oracle_run
 
 GOLDEN_PATH = (
     Path(__file__).resolve().parents[1] / "battery" / "golden_chemistry.json"
@@ -102,12 +105,12 @@ class TestExactModeIsBitwiseInvisible:
         problem = _problem(chemistry)
         lanes = 4
         scalar = [
-            Simulator(
+            oracle_run(
                 problem,
                 _scheduler(policy, problem),
                 perturbation=PerturbationModel(jitter=0.10),
                 rng=rng_for_seed(7, replication),
-            ).run()
+            )
             for replication in range(lanes)
         ]
         batched = BatchSimulator(
@@ -161,12 +164,10 @@ class TestExactModeIsBitwiseInvisible:
                 task.average_energy.hex()
             )
             assert beliefs.min_times[task.name] == task.min_execution_time
-        simulator = Simulator(
-            SchedulingProblem(graph=graph, deadline=260.0),
-            _scheduler("greedy-energy", _problem("rakhmatov")),
-        )
-        assert simulator.beliefs is beliefs
-        assert simulator.min_times is beliefs.min_times
+        policy = _scheduler("greedy-energy", _problem("rakhmatov"))
+        Simulator(SchedulingProblem(graph=graph, deadline=260.0), policy).run()
+        assert policy.simulator.beliefs is beliefs
+        assert policy.simulator.min_times is beliefs.min_times
 
 
 class TestModeValidation:
@@ -293,13 +294,13 @@ class TestBeliefModeRuns:
         lanes = 4
         perturbation = PerturbationModel(jitter=0.15, failure_rate=0.05)
         scalar = [
-            Simulator(
+            oracle_run(
                 problem,
                 _scheduler(policy, problem),
                 perturbation=perturbation,
                 rng=rng_for_seed(3, replication),
                 imode=mode,
-            ).run()
+            )
             for replication in range(lanes)
         ]
         batched = BatchSimulator(

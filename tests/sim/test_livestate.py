@@ -7,11 +7,11 @@ Two layers of pinning:
   pathological cancellation — because the simulator's running totals
   replaced per-query ``fsum`` passes and the replacement must be invisible
   at the bit level.
-* A probing scheduler re-derives every policy-visible quantity
-  (``remaining_min_time``, ``delivered_charge``, ``apparent_charge``)
-  from scratch at every wakeup of a live run and requires bit equality
-  with the incremental answers, across time-sensitive and
-  time-insensitive chemistries.
+* A probing policy re-derives every policy-visible quantity
+  (``remaining_min_time``, ``delivered_charge``, ``apparent_charge``,
+  ``state_of_charge``) from scratch, per lane, at every decision of a
+  live cell and requires bit equality with the running answers, across
+  time-sensitive and time-insensitive chemistries.
 """
 
 import math
@@ -21,7 +21,7 @@ import pytest
 
 from repro.battery import BatterySpec
 from repro.scheduling import SchedulingProblem
-from repro.sim import PerturbationModel, Simulator, rng_for_seed
+from repro.sim import BatchSimulator, PerturbationModel, rng_for_seed
 from repro.sim.livestate import ExactSum
 from repro.sim.schedulers import GreedyEnergyScheduler
 from repro.taskgraph import build_g3
@@ -74,33 +74,41 @@ class _ProbingScheduler(GreedyEnergyScheduler):
 
     name = "probing-greedy"
 
-    def __init__(self):
+    def __init__(self, model, capacity):
+        self.model = model
+        self.capacity = capacity
         self.probes = 0
+        self.decided = []
 
-    def schedule(self, new_ready, new_finished):
+    def choose_columns(self, name):
         self._audit()
-        return super().schedule(new_ready, new_finished)
+        self.decided.append(name)
+        return super().choose_columns(name)
 
     def _audit(self):
         sim = self.simulator
-        from repro.sim.events import TaskState
-
         unfinished = [
-            sim.min_times[name]
-            for name in sim.graph.task_names()
-            if sim.info(name).state is not TaskState.FINISHED
+            sim.min_times[task]
+            for task in sim.graph.task_names()
+            if task not in self.decided
         ]
         assert sim.remaining_min_time() == math.fsum(unfinished)
-        assert sim.delivered_charge() == math.fsum(
-            duration * current
-            for duration, current in zip(sim._durations, sim._currents)
-        )
-        expected_sigma = (
-            sim.model.schedule_charge(sim._durations, sim._currents, 0.0)
-            if sim._durations
-            else 0.0
-        )
-        assert sim.apparent_charge() == expected_sigma
+        delivered = sim.delivered_charge()
+        sigma = sim.apparent_charge()
+        soc = sim.state_of_charge()
+        lanes = len(sim.now)
+        rows = zip(*(np.array(values).T.tolist() for values in (sim.durations, sim.currents)))
+        for lane, (durations, currents) in enumerate(rows if sim.durations else [([], [])] * lanes):
+            # A lane's own attempts: its spare slots have zero length.
+            made = [(d, c) for d, c in zip(durations, currents) if d > 0.0]
+            assert delivered[lane] == math.fsum(d * c for d, c in made)
+            expected = (
+                self.model.schedule_charge([d for d, _ in made], [c for _, c in made], 0.0)
+                if made
+                else 0.0
+            )
+            assert sigma[lane] == expected
+            assert soc[lane] == max(0.0, 1.0 - expected / self.capacity)
         self.probes += 1
 
 
@@ -115,18 +123,27 @@ CHEMISTRY_SPECS = {
 class TestLiveStateMatchesRecomputation:
     @pytest.mark.parametrize("chemistry", sorted(CHEMISTRY_SPECS))
     def test_incremental_queries_bitwise_match_recomputed(self, chemistry):
+        spec = CHEMISTRY_SPECS[chemistry]
         problem = SchedulingProblem(
             graph=build_g3(),
             deadline=260.0,
-            battery=CHEMISTRY_SPECS[chemistry],
+            battery=BatterySpec(
+                beta=spec.beta,
+                capacity=5000.0,
+                chemistry=spec.chemistry,
+                chemistry_params=dict(spec.chemistry_params),
+            ),
         )
-        scheduler = _ProbingScheduler()
-        result = Simulator(
+        model = problem.model()
+        policies = [_ProbingScheduler(model, 5000.0) for _ in range(4)]
+        results = BatchSimulator(
             problem,
-            scheduler,
-            perturbation=PerturbationModel(jitter=0.15, failure_rate=0.05),
-            rng=rng_for_seed(13, 0),
-        ).run()
-        assert result.events > 0
-        # One audit per wakeup, covering empty, partial and full timelines.
-        assert scheduler.probes >= problem.graph.num_tasks
+            policies,
+            rngs=[rng_for_seed(13, lane) for lane in range(4)],
+            perturbation=PerturbationModel(jitter=0.15, failure_rate=0.1),
+            model=model,
+        ).results()
+        assert len({result.retries for result in results}) > 1
+        # One audit per decision, covering empty, partial and full timelines
+        # of lanes whose retries leave spare slots.
+        assert policies[0].probes == problem.graph.num_tasks

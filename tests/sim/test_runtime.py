@@ -1,4 +1,4 @@
-"""Unit tests for the simulator's event loop and runtime bookkeeping."""
+"""Unit tests of one simulated run through the :class:`~repro.sim.Simulator` front."""
 
 import math
 
@@ -9,14 +9,13 @@ from repro.battery import BatterySpec
 from repro.errors import SimulationError
 from repro.scheduling import SchedulingProblem
 from repro.sim import (
+    GreedyEnergyScheduler,
     InformationMode,
     PerturbationModel,
     Scheduler,
     SimulationResult,
     Simulator,
     StaticReplayScheduler,
-    TaskState,
-    VirtualClock,
     make_policy,
     rng_for_seed,
 )
@@ -32,22 +31,6 @@ def diamond_problem(diamond4):
 def replay_all_fastest(problem):
     sequence = problem.graph.topological_order()
     return StaticReplayScheduler(sequence, {name: 0 for name in sequence})
-
-
-class TestVirtualClock:
-    def test_starts_at_zero(self):
-        assert VirtualClock().now == 0.0
-
-    def test_advance_is_monotone(self):
-        clock = VirtualClock()
-        clock.advance_to(5.0)
-        with pytest.raises(SimulationError):
-            clock.advance_to(4.0)
-        assert clock.now == 5.0
-
-    def test_negative_start_rejected(self):
-        with pytest.raises(SimulationError):
-            VirtualClock(start=-1.0)
 
 
 class TestDeterministicRun:
@@ -71,15 +54,6 @@ class TestDeterministicRun:
     def test_makespan_is_fsum_of_durations(self, diamond_problem):
         result = Simulator(diamond_problem, replay_all_fastest(diamond_problem)).run()
         assert result.makespan == math.fsum(i.duration for i in result.intervals)
-
-    def test_runtime_info_progression(self, diamond_problem):
-        simulator = Simulator(diamond_problem, replay_all_fastest(diamond_problem))
-        simulator.run()
-        for name in diamond_problem.graph.task_names():
-            info = simulator.info(name)
-            assert info.state is TaskState.FINISHED
-            assert info.attempts == 1
-            assert info.end_time is not None and info.end_time > info.start_time
 
     def test_single_shot(self, diamond_problem):
         simulator = Simulator(diamond_problem, replay_all_fastest(diamond_problem))
@@ -123,15 +97,12 @@ class TestProtocolViolations:
         with pytest.raises(SimulationError):
             Simulator(diamond_problem, scheduler).run()
 
-    def test_stalling_scheduler_rejected(self, diamond_problem):
-        class Staller(Scheduler):
-            name = "staller"
-
-            def schedule(self, new_ready, new_finished):
-                return ()
+    def test_a_policy_of_neither_kind_is_rejected(self, diamond_problem):
+        class Unknown(Scheduler):
+            name = "unknown"
 
         with pytest.raises(SimulationError):
-            Simulator(diamond_problem, Staller()).run()
+            Simulator(diamond_problem, Unknown())
 
     def test_precedence_violating_replay_rejected(self, diamond_problem):
         with pytest.raises(Exception):
@@ -263,80 +234,14 @@ class TestBatteryQueries:
         )
         socs = []
 
-        class Probe(StaticReplayScheduler):
-            def schedule(self, new_ready, new_finished):
-                socs.append(self.simulator.state_of_charge())
-                return super().schedule(new_ready, new_finished)
+        class Probe(GreedyEnergyScheduler):
+            def choose_columns(self, name):
+                socs.append(self.simulator.state_of_charge().tolist())
+                return super().choose_columns(name)
 
-        sequence = problem.graph.topological_order()
-        simulator = Simulator(
-            problem, Probe(sequence, {name: 0 for name in sequence})
-        )
-        simulator.run()
-        assert socs[0] == 1.0
-        assert simulator.state_of_charge() < 1.0
-
-
-class TestReadyTasksOrder:
-    """Regression: the maintained ready set == the original full scan.
-
-    ``ready_tasks()`` used to scan every task in the graph per query and
-    filter on ``state is READY``; it is now served from an
-    insertion-ordered ready set updated on state transitions.  The probe
-    re-derives the original scan at every wakeup and pins the exact
-    (graph-insertion-ordered) tuple, including after failed attempts
-    re-enter the ready pool.
-    """
-
-    class _Probe(Scheduler):
-        name = "ready-order-probe"
-
-        def __init__(self):
-            self.audits = 0
-
-        def init(self, simulator):
-            super().init(simulator)
-            self._pool = []
-
-        def schedule(self, new_ready, new_finished):
-            sim = self.simulator
-            full_scan = tuple(
-                name
-                for name in sim.graph.task_names()
-                if sim.info(name).state is TaskState.READY
-            )
-            assert sim.ready_tasks() == full_scan
-            self.audits += 1
-            self._pool.extend(new_ready)
-            if not self._pool:
-                return ()
-            return [(self._pool.pop(), 0)]
-
-    def test_matches_original_full_scan(self, diamond_problem):
-        probe = self._Probe()
-        Simulator(diamond_problem, probe).run()
-        assert probe.audits == diamond_problem.graph.num_tasks
-
-    def test_matches_full_scan_under_retries(self, diamond_problem):
-        probe = self._Probe()
-        Simulator(
-            diamond_problem,
-            probe,
-            perturbation=PerturbationModel(jitter=0.2, failure_rate=0.4),
-            rng=rng_for_seed(3),
-        ).run()
-        assert probe.audits >= diamond_problem.graph.num_tasks
-
-    def test_ready_tasks_before_run_and_after_start(self, diamond_problem):
-        simulator = Simulator(diamond_problem, replay_all_fastest(diamond_problem))
-        assert simulator.ready_tasks() == ()
-        simulator._begin()
-        sources = tuple(
-            name
-            for name in diamond_problem.graph.task_names()
-            if not diamond_problem.graph.predecessors(name)
-        )
-        assert simulator.ready_tasks() == sources
+        Simulator(problem, Probe()).run()
+        assert socs[0] == [1.0]
+        assert socs[-1][0] < socs[1][0] < 1.0
 
 
 class TestGraphGrowthAfterARun:
