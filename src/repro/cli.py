@@ -306,14 +306,14 @@ def _tournament_smoke(args: argparse.Namespace, out: List[str]) -> int:
 
     One engine run of every tournament scenario, all four information
     modes, must agree **bitwise**, record for record, with a direct
-    :class:`Simulator` built with the spec's own information mode, and
-    the exact-mode records with one built without an ``imode`` argument
-    (which resolves to the same exact belief tables): ``cost``,
+    one-lane :class:`Simulator` built with the spec's own information
+    mode, and the exact-mode records with one built without an ``imode``
+    argument (which resolves to the same exact belief tables): ``cost``,
     ``makespan``, ``feasible``, ``retries``, ``events`` and
     ``depletion_time``, or the error a failed record carries.  So neither
-    the engine's job, batch and scenario plumbing nor the columnar batch
-    path (or its scalar fallback) can shift a result.  Any divergence
-    exits nonzero for CI.
+    the engine's job, batch and scenario plumbing nor the way it chunks a
+    cell into lanes can shift a result.  Any divergence exits nonzero for
+    CI.
     """
     from .experiments import run_tournament
     from .scenarios import default_registry

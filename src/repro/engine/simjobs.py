@@ -8,9 +8,8 @@ resumable through the same append-only :class:`~repro.engine.ResultStore`
 (with ``record_type=SimulationRecord``).  A job does not run itself:
 :func:`run_simulation_jobs` groups the pending jobs of each Monte Carlo
 cell into :class:`SimulationBatch` work items, and every job runs as one
-lane of its cell's :class:`~repro.sim.BatchSimulator` — columnar, retries
-included, or a scalar simulator per lane (with per-lane error isolation)
-for finite batteries, custom policies and exhausted retry budgets.
+lane of its cell's :class:`~repro.sim.BatchSimulator`, with per-lane error
+isolation (a lane that exhausts its retry budget fails alone).
 
 Determinism mirrors the experiment engine's guarantee: a job's outcome is
 a pure function of its content (the perturbation stream is seeded by
@@ -459,10 +458,9 @@ def execute_simulation_batch(batch: SimulationBatch) -> SimulationBatchResult:
     named twins shares one graph and its per-graph simulator tables), the
     battery model and — for ``static-replay`` — the offline schedule once
     per batch, then every replication runs as a
-    :class:`~repro.sim.BatchSimulator` lane
-    (columnar, or scalar lanes where the batch falls back), and its
+    :class:`~repro.sim.BatchSimulator` lane, and its
     :class:`~repro.sim.LaneSummary` becomes the job's record.  Each lane's
-    outcome is bit-identical to a scalar :class:`~repro.sim.Simulator`
+    outcome is bit-identical to a one-lane :class:`~repro.sim.Simulator`
     run of the same job, so the rows do not depend on how a cell was
     chunked; errors stay isolated per lane (a replication that
     exhausts its retry budget fails alone), while a setup failure —
@@ -638,8 +636,7 @@ def run_simulation_jobs(
     Every pending job runs as a lane of its Monte Carlo cell: replications
     of one (scenario, policy, params, seed) cell are grouped into
     :class:`SimulationBatch` work items of up to :data:`DEFAULT_BATCH_SIZE`
-    lanes and run through a :class:`~repro.sim.BatchSimulator` (columnar,
-    or scalar lanes where the batch falls back).
+    lanes and run through a :class:`~repro.sim.BatchSimulator`.
     ``progress`` therefore fires once per cell batch, with its
     :class:`SimulationBatchResult`.
 

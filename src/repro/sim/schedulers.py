@@ -150,7 +150,7 @@ class _OnlineScheduler(Scheduler):
         self._times = self._beliefs.times
         #: ``self._order`` is the precomputed sort key per task —
         #: ``sort(key=self._order.__getitem__)`` orders exactly like
-        #: sorting on ``(-weight, rank)`` tuples built per wakeup, without
+        #: sorting on ``(-weight, rank)`` tuples built per decision, without
         #: rebuilding them.  Memoised with the weights (both are shared
         #: read-only across binds to the same graph and mode).
         self._weights, self._order = self._resolve_weights()
