@@ -52,7 +52,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import ConfigurationError, SimulationError
+from ..errors import ConfigurationError
 from ..scheduling import SchedulingProblem
 from ..taskgraph import validate_sequence
 
