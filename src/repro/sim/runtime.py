@@ -57,7 +57,6 @@ class Simulator:
         trace_samples: int = 0,
         imode: Optional[InformationMode] = None,
     ) -> None:
-        self.scheduler = scheduler
         self.imode = imode
         self._batch = BatchSimulator(
             problem,
@@ -72,7 +71,7 @@ class Simulator:
 
     def run(self) -> SimulationResult:
         """Execute the whole graph and return the realised-timeline result."""
-        with _OBS.span("sim.run", label=self.scheduler.name):
+        with _OBS.span("sim.run", label=self._batch._obs_label):
             (outcome,) = self._batch.results()
         if isinstance(outcome, Exception):
             raise outcome
