@@ -43,7 +43,8 @@ def equation5_weights(
     weights: Dict[str, float] = {}
     for name in graph.task_names():
         members = graph.subgraph_rooted_at(name)
-        mean_current = sum(chosen[member] for member in members) / len(members)
+        # Insertion order, not set order: no weight depends on PYTHONHASHSEED.
+        mean_current = sum(chosen[m] for m in chosen if m in members) / len(members)
         weights[name] = max(chosen[name], mean_current)
     return weights
 

@@ -14,16 +14,20 @@ Error isolation is also part of the contract: a job that raises is captured
 into its record's ``error`` and the rest of the batch keeps running.  A
 sweep with one pathological instance therefore degrades to one ``inf`` cell
 instead of a crashed process.
+
+A ``Job`` names its ``problem`` as shared: the process pool ships each distinct
+problem to each worker once and submits the jobs with an index in its place.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import os
 import time
 import traceback as traceback_module
 from concurrent import futures
-from typing import Any, Callable, Iterable, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..errors import ConfigurationError
 from ..obs import RECORDER as _OBS, TraceContext
@@ -91,17 +95,43 @@ def _job_metrics(obs_before, job, failed: bool = False):
     return _OBS.metrics_delta(obs_before)
 
 
-def _init_worker(obs_enabled: bool = False) -> None:
-    """Process-pool initializer: fresh recorder state.
+#: Worker-side: the pool's shared objects (:func:`_by_reference`), set by :func:`_init_worker`.
+_SHARED: Tuple[Any, ...] = ()
+
+
+def _init_worker(obs_enabled: bool = False, shared: Tuple[Any, ...] = ()) -> None:
+    """Process-pool initializer: fresh recorder state and the shared objects.
 
     The recorder reset matters under ``fork``: the child would otherwise
     inherit the parent's counter values *and* its open sink handles, and
     worker writes would interleave garbage into the parent's trace file.
     Workers record into memory only; per-job deltas travel back on the
-    result (``JobResult.metrics``) and are merged by the parent.
+    result (``JobResult.metrics``) and are merged by the parent.  ``shared``
+    is inherited under ``fork``, pickled once per worker under ``spawn``.
     """
+    global _SHARED
     _OBS.reset()
     _OBS.enabled = obs_enabled
+    _SHARED = shared
+
+
+def _by_reference(items: List) -> Tuple[Tuple[Any, ...], List]:
+    """``(shared, submitted)``: what the pool ships once, and per item what it submits.
+
+    ``shared`` holds every distinct object (by identity) that an item names
+    through its ``shared_field``; the submitted item is a shallow copy with
+    that field set to the object's index in ``shared``, all else kept.
+    """
+    refs: Dict[int, Tuple[int, Any]] = {}
+    submitted = []
+    for item in items:
+        name = getattr(item, "shared_field", None)
+        if name is not None:
+            value = getattr(item, name)
+            item = copy.copy(item)
+            object.__setattr__(item, name, refs.setdefault(id(value), (len(refs), value))[0])
+        submitted.append(item)
+    return tuple(value for _, value in refs.values()), submitted
 
 
 def _run_with_context(item, ctx: Optional[TraceContext]):
@@ -113,7 +143,11 @@ def _run_with_context(item, ctx: Optional[TraceContext]):
     result's ``metrics`` payload under the ``"spans"`` key, alongside
     ``"ctx_elapsed"`` — the worker wall-clock the parent uses to anchor the
     timestamps onto its own clock.  ``merge_metrics`` ignores both keys.
+    A shared field arrives as an index into the worker's copies (:func:`_init_worker`).
     """
+    name = getattr(item, "shared_field", None)
+    if name is not None:
+        object.__setattr__(item, name, _SHARED[getattr(item, name)])
     if ctx is None or not _OBS.enabled:
         return item.run()
     _OBS.activate_context(ctx)
@@ -153,10 +187,10 @@ class SerialExecutor:
 class ParallelExecutor:
     """Fan jobs out over a :class:`concurrent.futures.ProcessPoolExecutor`.
 
-    Work items are pure data that run themselves inside the worker, so the
-    only pickled payload is the item itself.  Results are re-ordered
-    to submission order before returning, keeping parallel output identical
-    to serial output.
+    Work items are pure data that run themselves inside the worker, one
+    future each, submitted without what they share (:func:`_by_reference`).
+    Results are re-ordered to submission order before returning, keeping
+    parallel output identical to serial output.
     """
 
     def __init__(self, max_workers: Optional[int] = None) -> None:
@@ -176,15 +210,16 @@ class ParallelExecutor:
         results: List = [None] * len(job_list)
         workers = min(self.max_workers, len(job_list))
         pool_started = time.perf_counter()
+        shared, items = _by_reference(job_list)
         with futures.ProcessPoolExecutor(
             max_workers=workers,
             initializer=_init_worker,
-            initargs=(_OBS.enabled,),
+            initargs=(_OBS.enabled, shared),
         ) as pool:
             submitted = time.perf_counter()
             pending = {
-                pool.submit(_run_with_context, job, self._job_context()): index
-                for index, job in enumerate(job_list)
+                pool.submit(_run_with_context, item, self._job_context()): index
+                for index, item in enumerate(items)
             }
             done = 0
             for future in futures.as_completed(pending):

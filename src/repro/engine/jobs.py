@@ -208,10 +208,12 @@ class Job:
 
     # What the engine pipeline (repro.engine.api._run_pipeline) needs to
     # know about this job type: the store's record class, the obs counter
-    # prefix, and which of several equal-key jobs in one call executes.
+    # prefix, which of several equal-key jobs in one call executes, and the
+    # field a process pool ships to each worker once (executors._by_reference).
     record_type = JobResult
     counters = "engine.jobs"
     last_duplicate_runs = True
+    shared_field = "problem"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "algorithm", resolve_algorithm_name(self.algorithm))

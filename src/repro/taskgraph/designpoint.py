@@ -19,6 +19,7 @@ defaults to 1.0 and energy degenerates to charge (mA·min).
 
 from __future__ import annotations
 
+import collections.abc
 import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional
@@ -35,7 +36,8 @@ def _string_keyed(value: Any) -> Any:
     graph renders under ``json.dumps(sort_keys=True)`` (which cannot order
     mixed key types) exactly as the content keys' canonicaliser sees it.
     """
-    if isinstance(value, Mapping):
+    # ``collections.abc``, not the much slower ``typing`` alias: job keys render every node.
+    if isinstance(value, collections.abc.Mapping):
         keyed = {str(key): _string_keyed(item) for key, item in value.items()}
         if len(keyed) < len(value):
             raise ConfigurationError(f"metadata keys {list(value)!r} collide as strings")

@@ -11,6 +11,8 @@ from repro.scheduling import DesignPointAssignment, SchedulingProblem
 from repro.battery import BatterySpec
 from repro.taskgraph import validate_sequence
 
+from ..conftest import run_python
+
 
 class TestEquation5Weights:
     def test_max_of_own_and_mean(self, diamond4):
@@ -33,6 +35,28 @@ class TestEquation5Weights:
         assert weights["T15"] == pytest.approx(
             assignment.design_point(g3, "T15").current
         )
+
+    def test_weights_are_the_same_in_every_process(self):
+        # Set iteration order varies with PYTHONHASHSEED; the weights of
+        # the baseline's own assignment must not, down to the last bit.
+        assert _weights_under_hash_seed(0) == _weights_under_hash_seed(1)
+
+
+_WEIGHTS_SCRIPT = """
+from repro.baselines import equation5_weights, minimum_energy_assignment
+from repro.scenarios import default_registry
+
+registry = default_registry()
+for name in ("erdos-24-dense", "fft-8", "series-parallel-d4", "g3x3"):
+    problem = registry.get(name).build_problem()
+    assignment = minimum_energy_assignment(problem.graph, problem.deadline)
+    weights = equation5_weights(problem.graph, assignment)
+    print(name, sorted((task, float(value).hex()) for task, value in weights.items()))
+"""
+
+
+def _weights_under_hash_seed(seed):
+    return run_python(_WEIGHTS_SCRIPT, PYTHONHASHSEED=str(seed))
 
 
 class TestGreedySequence:

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro import (
     BatterySpec,
     DesignPoint,
@@ -44,6 +49,24 @@ def g3_problem(g3) -> SchedulingProblem:
         battery=BatterySpec(beta=G3_BETA),
         name="G3@230",
     )
+
+
+def run_python(script: str, **env: str) -> str:
+    """Run ``script`` in a fresh interpreter on this checkout's ``repro``; its stdout.
+
+    ``env`` adds environment variables (say ``PYTHONHASHSEED``).
+    """
+    source = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    completed = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=path, **env),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert completed.returncode == 0, completed.stderr
+    return completed.stdout
 
 
 def make_simple_task(name: str, base_duration: float = 2.0, base_current: float = 400.0, m: int = 3) -> Task:

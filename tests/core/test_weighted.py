@@ -1,16 +1,13 @@
 """Unit tests for repro.core.weighted (Equation 4 re-sequencing)."""
 
-import os
-import subprocess
-import sys
-
 import pytest
 
-import repro
 from repro.core import equation4_weights, find_weighted_sequence
 from repro.core.weighted import _rooted_subgraphs
 from repro.scheduling import DesignPointAssignment
 from repro.taskgraph import validate_sequence
+
+from ..conftest import run_python
 
 
 class TestEquation4Weights:
@@ -65,13 +62,7 @@ for name in ("chain-10", "fork-join-2x4", "layered-4x3"):
 
 
 def _weights_under_hash_seed(seed):
-    source = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=path)
-    return subprocess.run(
-        [sys.executable, "-c", _WEIGHTS_SCRIPT], env=env, capture_output=True, text=True,
-        check=True,
-    ).stdout
+    return run_python(_WEIGHTS_SCRIPT, PYTHONHASHSEED=str(seed))
 
 
 class TestFindWeightedSequence:

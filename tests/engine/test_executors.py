@@ -1,6 +1,8 @@
 """Tests for the serial and process-parallel executors."""
 
 import dataclasses
+import pickle
+from concurrent import futures
 
 import pytest
 
@@ -17,8 +19,10 @@ from repro.engine import (
 )
 from repro.errors import ConfigurationError
 from repro.scenarios import default_registry
-from repro.taskgraph import build_g2
+from repro.taskgraph import build_g2, build_g3
 from repro.workloads import suite_problems
+
+from ..conftest import run_python
 
 ALGORITHMS = ["iterative", "dp-energy+greedy", "all-fastest"]
 
@@ -132,6 +136,85 @@ def _work_items(kind):
         SimulationJob(spec=spec, policy="greedy-energy", replication=r) for r in range(4)
     ]
     return SimulationBatch(jobs=tuple(jobs[:2])), SimulationBatch(jobs=tuple(jobs[2:]))
+
+
+class _RecordingPool(futures.ProcessPoolExecutor):
+    """A process pool that records its initializer arguments and submitted items."""
+
+    initargs = None
+    items = []
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        type(self).initargs = kwargs["initargs"]
+        type(self).items = []
+
+    def submit(self, fn, *args, **kwargs):
+        type(self).items.append(args[0])
+        return super().submit(fn, *args, **kwargs)
+
+
+class TestSharedProblems:
+    @pytest.fixture
+    def recorded(self, monkeypatch):
+        monkeypatch.setattr(futures, "ProcessPoolExecutor", _RecordingPool)
+        return _RecordingPool
+
+    def test_each_problem_ships_once_and_no_item_carries_one(self, recorded):
+        small = SchedulingProblem(graph=build_g2(), deadline=75.0, name="small")
+        large = SchedulingProblem(graph=build_g3(), deadline=230.0, name="large")
+        jobs = build_jobs([small, large], ["all-fastest", "all-slowest"])
+        seen = []
+        results = ParallelExecutor(max_workers=2).run(
+            jobs, progress=lambda done, total, result: seen.append(done)
+        )
+        assert _comparable(results) == _comparable(SerialExecutor().run(jobs))
+        # One future per job, progress once per job.
+        assert len(recorded.items) == len(jobs)
+        assert sorted(seen) == list(range(1, len(jobs) + 1))
+        # Each distinct problem reaches the workers once, through the initializer.
+        shared = recorded.initargs[1]
+        assert len(shared) == 2
+        assert shared[0] is small and shared[1] is large
+        # The submitted item keeps every field but its problem, and its
+        # pickled size does not grow with the graph.
+        for job, item in zip(jobs, recorded.items):
+            assert item is not job
+            assert item.algorithm == job.algorithm and item.params == job.params
+            assert isinstance(item.problem, int)
+            assert shared[item.problem] is job.problem
+        sizes = [len(pickle.dumps(item)) for item in recorded.items]
+        assert sizes[:2] == sizes[2:]
+        assert max(sizes) < len(pickle.dumps(small)) / 10
+
+    def test_batches_share_nothing(self, recorded):
+        good, other = _work_items("batch")
+        ParallelExecutor(max_workers=2).run([good, other])
+        assert recorded.initargs[1] == ()
+        assert recorded.items[0] is good and recorded.items[1] is other
+
+
+_SPAWN_SCRIPT = """
+import multiprocessing
+
+from repro.engine import ParallelExecutor, SerialExecutor, build_jobs
+from repro.workloads import suite_problems
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method("spawn")
+    problems = suite_problems(tightness_levels=(0.5,), names=["g2", "diamond-3"])
+    jobs = build_jobs(problems, ["iterative", "dp-energy+greedy"])
+    def rows(results):
+        return [result.to_dict() | {"elapsed_s": 0.0} for result in results]
+    parallel = rows(ParallelExecutor(max_workers=2).run(jobs))
+    assert multiprocessing.get_start_method() == "spawn"
+    print("same" if parallel == rows(SerialExecutor().run(jobs)) else parallel)
+"""
+
+
+def test_spawned_workers_receive_the_shared_problems():
+    # Nothing is inherited under spawn: the initializer alone ships the problems.
+    assert run_python(_SPAWN_SCRIPT).strip() == "same"
 
 
 class TestPoolTransportFailure:
