@@ -1,7 +1,7 @@
 """Configuration of the iterative scheduler.
 
-The defaults reproduce the paper's algorithm exactly; the extra knobs exist
-for the robustness and ablation experiments described in DESIGN.md.
+The defaults reproduce the paper's algorithm exactly; the two settings are
+the ones callers vary (the evaluation point and the ablation's weights).
 """
 
 from __future__ import annotations
@@ -18,52 +18,26 @@ __all__ = ["SchedulerConfig"]
 
 @dataclass(frozen=True)
 class SchedulerConfig:
-    """Tuning knobs for :func:`repro.core.battery_aware_schedule`.
+    """Settings of :func:`repro.core.battery_aware_schedule`.
 
     Attributes
     ----------
-    max_iterations:
-        Hard cap on the number of outer iterations.  The paper's stopping
-        rule (no improvement between consecutive iterations) normally fires
-        after a handful of iterations; the cap only guards against
-        pathological oscillation.
     evaluate_at:
-        Where the battery cost sigma is evaluated: ``"completion"`` (paper
-        default, at the schedule's makespan) or ``"deadline"`` (credits
-        recovery during the idle tail).
+        Where every battery cost sigma of the search is evaluated, with the
+        semantics the evaluator and the simulator share: ``"completion"``
+        (the paper's default, at the makespan) or ``"deadline"`` (credits
+        recovery during the idle tail before the deadline).
     factor_weights:
-        Optional per-factor weights for the suitability ``B``; ``None`` means
-        the paper's plain sum.  Used by the ablation experiments.
-    require_feasible_windows:
-        Only let deadline-respecting windows win the per-iteration
-        comparison.
-    repair_infeasible:
-        Repair window assignments that overshoot the deadline by promoting
-        cheap tasks to faster design points.
-    record_evaluations:
-        Keep the per-candidate factor breakdowns inside each window record
-        (memory-heavier; useful for tracing the illustrative example).
-    improvement_tolerance:
-        Minimum cost decrease (mA·min) that counts as an improvement for the
-        stopping rule.
+        Per-factor weights of the suitability ``B`` that ranks candidate
+        design points; ``None`` means the paper's plain sum.  The factor
+        ablation sets it, one factor dropped at a time.
     """
 
-    max_iterations: int = 25
     evaluate_at: str = "completion"
     factor_weights: Optional[FactorWeights] = None
-    require_feasible_windows: bool = True
-    repair_infeasible: bool = True
-    record_evaluations: bool = False
-    improvement_tolerance: float = 1e-9
 
     def __post_init__(self) -> None:
-        if self.max_iterations < 1:
-            raise ConfigurationError(
-                f"max_iterations must be >= 1, got {self.max_iterations!r}"
-            )
         if self.evaluate_at not in EVALUATION_MODES:
             raise ConfigurationError(
                 f"evaluate_at must be one of {EVALUATION_MODES}, got {self.evaluate_at!r}"
             )
-        if self.improvement_tolerance < 0:
-            raise ConfigurationError("improvement_tolerance must be >= 0")

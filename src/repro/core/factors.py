@@ -78,8 +78,9 @@ class FactorValues:
 class FactorWeights:
     """Per-factor multipliers (all 1.0 reproduces the paper's ``B``).
 
-    The ablation experiment (DESIGN.md E8) zeroes one weight at a time to
-    measure how much each factor contributes to solution quality.
+    The ablation experiment (:mod:`repro.experiments.ablation`, the
+    ``ablation`` CLI command) zeroes one weight at a time to measure how
+    much each factor contributes to solution quality.
     """
 
     slack_ratio: float = 1.0

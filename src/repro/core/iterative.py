@@ -24,7 +24,6 @@ import math
 from typing import List, Optional, Sequence, Tuple
 
 from ..battery import BatteryModel
-from ..errors import ConfigurationError
 from ..scheduling import (
     SchedulingProblem,
     evaluate_schedule,
@@ -38,6 +37,14 @@ from .weighted import find_weighted_sequence
 from .windows import evaluate_windows
 
 __all__ = ["battery_aware_schedule", "BatteryAwareScheduler"]
+
+#: Hard cap on the number of outer iterations.  The paper's stopping rule
+#: (no improvement between consecutive iterations) normally fires after a
+#: handful; the cap only guards against pathological oscillation.
+MAX_ITERATIONS = 25
+
+#: Minimum cost decrease (mA·min) that counts as an improvement.
+IMPROVEMENT_TOLERANCE = 1e-9
 
 
 def battery_aware_schedule(
@@ -76,7 +83,7 @@ class BatteryAwareScheduler:
     """Object-oriented wrapper around :func:`battery_aware_schedule`.
 
     Holding the configuration in an object makes it convenient to run the
-    same setup over many problems (as the sweep experiments do).
+    same setup over many problems.
     """
 
     def __init__(self, config: Optional[SchedulerConfig] = None) -> None:
@@ -90,7 +97,6 @@ class BatteryAwareScheduler:
         model: Optional[BatteryModel] = None,
     ) -> SchedulingSolution:
         """Solve one problem instance; see :func:`battery_aware_schedule`."""
-        config = self.config
         graph = problem.graph
         deadline = problem.deadline
         problem.require_feasible()
@@ -109,7 +115,7 @@ class BatteryAwareScheduler:
         iterations: List[IterationRecord] = []
         converged = False
 
-        for index in range(1, config.max_iterations + 1):
+        for index in range(1, MAX_ITERATIONS + 1):
             record = self._run_iteration(
                 graph, sequence, deadline, battery_model, index
             )
@@ -128,14 +134,11 @@ class BatteryAwareScheduler:
 
             # The paper's stopping rule: no improvement over the previous
             # iteration terminates the search.
-            if record.cost >= previous_cost - config.improvement_tolerance:
+            if record.cost >= previous_cost - IMPROVEMENT_TOLERANCE:
                 converged = True
                 break
             previous_cost = record.cost
             sequence = record.weighted_sequence
-
-        if best_assignment is None:  # pragma: no cover - defensive, max_iterations >= 1
-            raise ConfigurationError("scheduler did not run any iteration")
 
         makespan = best_assignment.total_execution_time(graph)
         return SchedulingSolution(
@@ -165,9 +168,6 @@ class BatteryAwareScheduler:
             deadline=deadline,
             model=model,
             weights=config.factor_weights,
-            require_feasible=config.require_feasible_windows,
-            repair_infeasible=config.repair_infeasible,
-            record_evaluations=config.record_evaluations,
             evaluate_at=config.evaluate_at,
         )
         assignment = window_evaluation.best.assignment
@@ -186,7 +186,7 @@ class BatteryAwareScheduler:
         weighted_makespan = assignment.total_execution_time(graph)
 
         min_cost = window_evaluation.best.cost
-        improved_by_weighted = weighted_cost < min_cost - config.improvement_tolerance
+        improved_by_weighted = weighted_cost < min_cost - IMPROVEMENT_TOLERANCE
         if improved_by_weighted:
             min_cost = weighted_cost
 

@@ -102,9 +102,6 @@ def evaluate_windows(
     deadline: float,
     model: BatteryModel,
     weights: Optional[FactorWeights] = None,
-    require_feasible: bool = True,
-    repair_infeasible: bool = True,
-    record_evaluations: bool = False,
     evaluate_at: str = "completion",
 ) -> WindowEvaluation:
     """The paper's ``EvaluateWindows`` for one sequence.
@@ -112,20 +109,15 @@ def evaluate_windows(
     Runs :func:`~repro.core.choose.choose_design_points` for every window
     from the widest valid starting window down to the full ``1:m`` window,
     all windows in one batched pass, and returns every per-window record
-    together with the minimum-cost one.
+    together with the minimum-cost one that meets the deadline, so every
+    iteration yields a valid schedule, as the paper claims.  A window that
+    misses the deadline is first repaired
+    (:func:`~repro.core.choose.promote_until_feasible`); one that stays
+    infeasible is still reported in ``records`` with ``feasible=False``.
+    Raises :class:`InfeasibleDeadlineError` when no window meets it.
 
     Parameters
     ----------
-    require_feasible:
-        When true (default) only deadline-respecting windows compete for the
-        "best" slot, matching the paper's claim that every iteration yields a
-        valid schedule.  Infeasible windows are still reported in ``records``
-        with ``feasible=False``.
-    repair_infeasible:
-        When true, an assignment that misses the deadline is repaired by
-        promoting minimum-average-energy tasks to faster design points within
-        the window (see :func:`~repro.core.choose.promote_until_feasible`)
-        before being recorded.
     weights:
         Optional factor weights forwarded to the design-point chooser
         (ablation support).
@@ -135,12 +127,12 @@ def evaluate_windows(
         the recovery between completion and ``deadline``).
     """
     starts = range(initial_window_start(matrices, deadline), -1, -1)
-    choices = _choose_windows(matrices, starts, deadline, weights, record_evaluations)
+    choices = _choose_windows(matrices, starts, deadline, weights, record_evaluations=False)
     records = []
     for window_start, result in zip(starts, choices):
         selection = result.selection
         makespan = result.makespan
-        if makespan > deadline + _EPS and repair_infeasible:
+        if makespan > deadline + _EPS:
             try:
                 selection = promote_until_feasible(matrices, selection, window_start, deadline)
                 makespan = matrices.total_time(selection)
@@ -158,7 +150,10 @@ def evaluate_windows(
             )
         )
 
-    best = _pick_best(records, require_feasible)
+    feasible = [r for r in records if r.feasible]
+    if not feasible:
+        raise InfeasibleDeadlineError("no window produced a deadline-respecting assignment")
+    best = min(feasible, key=lambda r: (r.cost, r.window_start))
     return WindowEvaluation(records=tuple(records), best=best)
 
 
@@ -181,14 +176,3 @@ def _selection_cost(
     return model.schedule_charge(
         durations, matrices.selection_currents(selection), rest
     )
-
-
-def _pick_best(records, require_feasible: bool) -> WindowRecord:
-    candidates = [r for r in records if r.feasible] if require_feasible else list(records)
-    if not candidates:
-        if require_feasible:
-            raise InfeasibleDeadlineError(
-                "no window produced a deadline-respecting assignment"
-            )
-        candidates = list(records)
-    return min(candidates, key=lambda r: (r.cost, r.window_start))

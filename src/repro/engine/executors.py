@@ -16,7 +16,8 @@ sweep with one pathological instance therefore degrades to one ``inf`` cell
 instead of a crashed process.
 
 A ``Job`` names its ``problem`` as shared: the process pool ships each distinct
-problem to each worker once and submits the jobs with an index in its place.
+problem to each worker once and submits the jobs with an index in its place;
+a problem that cannot be pickled fails only its own jobs.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import os
+import pickle
 import time
 import traceback as traceback_module
 from concurrent import futures
@@ -99,7 +101,7 @@ def _job_metrics(obs_before, job, failed: bool = False):
 _SHARED: Tuple[Any, ...] = ()
 
 
-def _init_worker(obs_enabled: bool = False, shared: Tuple[Any, ...] = ()) -> None:
+def _init_worker(obs_enabled: bool = False, shared: Any = ()) -> None:
     """Process-pool initializer: fresh recorder state and the shared objects.
 
     The recorder reset matters under ``fork``: the child would otherwise
@@ -107,12 +109,13 @@ def _init_worker(obs_enabled: bool = False, shared: Tuple[Any, ...] = ()) -> Non
     worker writes would interleave garbage into the parent's trace file.
     Workers record into memory only; per-job deltas travel back on the
     result (``JobResult.metrics``) and are merged by the parent.  ``shared``
-    is inherited under ``fork``, pickled once per worker under ``spawn``.
+    is inherited under ``fork``; under ``spawn`` or ``forkserver`` it
+    arrives as the bytes :func:`_pickled` made of it.
     """
     global _SHARED
     _OBS.reset()
     _OBS.enabled = obs_enabled
-    _SHARED = shared
+    _SHARED = pickle.loads(shared) if isinstance(shared, bytes) else shared
 
 
 def _by_reference(items: List) -> Tuple[Tuple[Any, ...], List]:
@@ -134,6 +137,26 @@ def _by_reference(items: List) -> Tuple[Tuple[Any, ...], List]:
     return tuple(value for _, value in refs.values()), submitted
 
 
+def _pickled(shared: Tuple[Any, ...]) -> bytes:
+    """``shared`` pickled once, in the parent, for workers that do not fork.
+
+    An object that cannot be pickled is replaced by its pickling error,
+    which its items then raise in the worker (:func:`_run_with_context`).
+    """
+    try:
+        return pickle.dumps(shared)
+    except Exception:  # noqa: BLE001 - fail only the items of the object at fault
+        pass
+    kept = []
+    for value in shared:
+        try:
+            pickle.dumps(value)
+        except Exception as exc:  # noqa: BLE001
+            value = exc
+        kept.append(value)
+    return pickle.dumps(tuple(kept))
+
+
 def _run_with_context(item, ctx: Optional[TraceContext]):
     """Worker-side shim: run a work item inside a shipped :class:`TraceContext`.
 
@@ -147,7 +170,10 @@ def _run_with_context(item, ctx: Optional[TraceContext]):
     """
     name = getattr(item, "shared_field", None)
     if name is not None:
-        object.__setattr__(item, name, _SHARED[getattr(item, name)])
+        value = _SHARED[getattr(item, name)]
+        if isinstance(value, Exception):
+            raise value  # the parent could not pickle the object (_pickled)
+        object.__setattr__(item, name, value)
     if ctx is None or not _OBS.enabled:
         return item.run()
     _OBS.activate_context(ctx)
@@ -211,8 +237,14 @@ class ParallelExecutor:
         workers = min(self.max_workers, len(job_list))
         pool_started = time.perf_counter()
         shared, items = _by_reference(job_list)
+        import multiprocessing  # as lazily as concurrent.futures loads its pool
+
+        context = multiprocessing.get_context()
+        if context.get_start_method() != "fork":
+            shared = _pickled(shared)
         with futures.ProcessPoolExecutor(
             max_workers=workers,
+            mp_context=context,
             initializer=_init_worker,
             initargs=(_OBS.enabled, shared),
         ) as pool:

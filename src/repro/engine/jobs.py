@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 from weakref import WeakKeyDictionary
 
@@ -326,53 +326,39 @@ def scheduler_config_params(
 
     Only non-default values are emitted, so the common case (paper-default
     configuration) yields ``{}`` and the job key stays independent of how
-    the caller spelled the default.  ``record_evaluations`` is intentionally
-    dropped: it changes only the in-memory history, never the result.
+    the caller spelled the default.
     """
     params: Dict[str, Any] = {}
     if config is not None:
-        defaults = SchedulerConfig()
-        for attr in (
-            "max_iterations",
-            "evaluate_at",
-            "require_feasible_windows",
-            "repair_infeasible",
-            "improvement_tolerance",
-        ):
-            value = getattr(config, attr)
-            if value != getattr(defaults, attr):
-                params[attr] = value
+        if config.evaluate_at != SchedulerConfig().evaluate_at:
+            params["evaluate_at"] = config.evaluate_at
         if config.factor_weights is not None:
-            params["factor_weights"] = {
-                name: getattr(config.factor_weights, name)
-                for name in (
-                    "slack_ratio",
-                    "current_ratio",
-                    "energy_ratio",
-                    "current_increase_fraction",
-                    "design_point_fraction",
-                )
-            }
+            params["factor_weights"] = asdict(config.factor_weights)
     if drop_factor is not None:
         params["drop_factor"] = drop_factor
     return params
 
 
+#: What an ``iterative`` job reads from its params.  ``seed``, which
+#: ``run_suite`` and the sweeps merge into every job, is accepted and ignored.
+_ITERATIVE_PARAMS = ("drop_factor", "evaluate_at", "factor_weights")
+
+
 def _scheduler_config_from_params(params: Mapping[str, Any]) -> SchedulerConfig:
     """Inverse of :func:`scheduler_config_params` (engine-side)."""
+    unknown = sorted(set(params) - {*_ITERATIVE_PARAMS, "seed"})
+    if unknown:
+        raise ConfigurationError(
+            f"iterative takes no param {unknown[0]!r}; it reads {list(_ITERATIVE_PARAMS)}"
+        )
     weights: Optional[FactorWeights] = None
     if "factor_weights" in params:
         weights = FactorWeights(**params["factor_weights"])
     if params.get("drop_factor") is not None:
         weights = FactorWeights.without(params["drop_factor"])
     return SchedulerConfig(
-        max_iterations=int(params.get("max_iterations", 25)),
         evaluate_at=str(params.get("evaluate_at", "completion")),
         factor_weights=weights,
-        require_feasible_windows=bool(params.get("require_feasible_windows", True)),
-        repair_infeasible=bool(params.get("repair_infeasible", True)),
-        record_evaluations=False,
-        improvement_tolerance=float(params.get("improvement_tolerance", 1e-9)),
     )
 
 

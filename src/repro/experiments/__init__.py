@@ -1,6 +1,6 @@
 """Experiment harness: one driver per paper table/figure plus extensions.
 
-See DESIGN.md for the experiment index (E1-E9).  Every driver returns a
+README.md lists the CLI command behind each driver.  Every driver returns a
 structured result object with a ``to_table()`` method, so the benchmarks,
 the CLI and the examples share one code path.
 """
@@ -29,7 +29,6 @@ from .sweep import (
     SweepResult,
     beta_sweep,
     deadline_sweep,
-    default_algorithms,
 )
 from .table2 import Table2Result, Table2Row, run_table2
 from .table3 import Table3Result, Table3Row, run_table3
@@ -71,7 +70,6 @@ __all__ = [
     "tournament_markdown",
     "deadline_sweep",
     "beta_sweep",
-    "default_algorithms",
     "SWEEP_ALGORITHMS",
     "SweepResult",
     "SweepPoint",

@@ -14,25 +14,16 @@ Two sweeps extend the paper's point comparisons into curves:
 Both sweeps submit their (coordinate, algorithm) grid to the experiment
 engine (:mod:`repro.engine`), so they fan out across worker processes via
 ``executor=`` and resume from a :class:`~repro.engine.ResultStore` when asked.  A failed cell
-surfaces as ``inf`` instead of aborting the sweep.  Passing an explicit
-``algorithms`` mapping of callables bypasses the engine and evaluates them
-in-process (the legacy path, kept for ad-hoc algorithm experiments).
+surfaces as ``inf`` instead of aborting the sweep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..analysis import TextTable
-from ..baselines import (
-    all_fastest_baseline,
-    best_uniform_baseline,
-    chowdhury_baseline,
-    rakhmatov_baseline,
-)
 from ..battery import BatterySpec
-from ..core import SchedulerConfig, battery_aware_schedule
 from ..engine import ResultStore, run_experiments
 from ..errors import ConfigurationError
 from ..scheduling import SchedulingProblem
@@ -42,7 +33,6 @@ __all__ = [
     "SweepPoint",
     "SweepResult",
     "SWEEP_ALGORITHMS",
-    "default_algorithms",
     "deadline_sweep",
     "beta_sweep",
 ]
@@ -55,6 +45,7 @@ SWEEP_ALGORITHMS: Tuple[Tuple[str, str], ...] = (
     ("best-uniform", "best-uniform"),
     ("all-fastest", "all-fastest"),
 )
+_LABELS = tuple(display for display, _ in SWEEP_ALGORITHMS)
 
 
 @dataclass(frozen=True)
@@ -92,66 +83,40 @@ class SweepResult:
         return tuple(point.costs[algorithm] for point in self.points)
 
 
-def default_algorithms(
-    config: Optional[SchedulerConfig] = None,
-) -> Dict[str, Callable[[SchedulingProblem], object]]:
-    """The sweep's algorithm set as in-process callables (legacy path)."""
-    scheduler_config = config or SchedulerConfig()
-    return {
-        "iterative (ours)": lambda problem: battery_aware_schedule(problem, config=scheduler_config),
-        "dp-energy+greedy": rakhmatov_baseline,
-        "last-task-first": chowdhury_baseline,
-        "best-uniform": best_uniform_baseline,
-        "all-fastest": all_fastest_baseline,
-    }
-
-
-def _evaluate(problem: SchedulingProblem, algorithms: Mapping[str, Callable]) -> Dict[str, float]:
-    costs: Dict[str, float] = {}
-    for name, algorithm in algorithms.items():
-        try:
-            result = algorithm(problem)
-            costs[name] = float(result.cost)
-        except Exception:
-            costs[name] = float("inf")
-    return costs
-
-
 def _engine_points(
     problems: Sequence[SchedulingProblem],
     coordinates: Sequence[float],
     executor,
     store: Optional[ResultStore],
     resume: bool,
-    seed: Optional[int] = None,
-) -> List[SweepPoint]:
+    seed: Optional[int],
+) -> Tuple[SweepPoint, ...]:
     """Run the sweep grid through the engine and fold results into points."""
-    engine_names = [engine for _, engine in SWEEP_ALGORITHMS]
     run = run_experiments(
         problems,
-        engine_names,
+        [engine for _, engine in SWEEP_ALGORITHMS],
         executor=executor,
         store=store,
         resume=resume,
         params={"seed": int(seed)} if seed is not None else None,
     )
-    per_problem = len(engine_names)
-    points: List[SweepPoint] = []
-    for index, coordinate in enumerate(coordinates):
-        row = run.results[index * per_problem : (index + 1) * per_problem]
-        costs = {
-            display: float(result.cost) if result.ok else float("inf")
-            for (display, _), result in zip(SWEEP_ALGORITHMS, row)
-        }
-        points.append(SweepPoint(coordinate=coordinate, costs=costs))
-    return points
+    results = iter(run.results)  # problem-major: one row of algorithms per problem
+    return tuple(
+        SweepPoint(
+            coordinate=coordinate,
+            costs={
+                label: float(result.cost) if result.ok else float("inf")
+                for label, result in zip(_LABELS, results)
+            },
+        )
+        for coordinate in coordinates
+    )
 
 
 def deadline_sweep(
     graph: TaskGraph,
     num_points: int = 8,
     battery: Optional[BatterySpec] = None,
-    algorithms: Optional[Mapping[str, Callable]] = None,
     margin: float = 0.02,
     executor=None,
     store: Optional[ResultStore] = None,
@@ -172,35 +137,21 @@ def deadline_sweep(
     lo = graph.min_makespan()
     hi = graph.max_makespan()
     span = hi - lo
-    deadlines: List[float] = []
-    problems: List[SchedulingProblem] = []
-    for index in range(num_points):
-        fraction = margin + (1.0 - margin) * index / (num_points - 1)
-        deadline = lo + fraction * span
-        deadlines.append(deadline)
-        problems.append(
-            SchedulingProblem(
-                graph=graph, deadline=deadline, battery=battery, name=f"{graph.name}@{deadline:.1f}"
-            )
+    deadlines = [
+        lo + (margin + (1.0 - margin) * index / (num_points - 1)) * span
+        for index in range(num_points)
+    ]
+    problems = [
+        SchedulingProblem(
+            graph=graph, deadline=deadline, battery=battery, name=f"{graph.name}@{deadline:.1f}"
         )
-
-    if algorithms is not None:
-        algorithms = dict(algorithms)
-        points = [
-            SweepPoint(coordinate=deadline, costs=_evaluate(problem, algorithms))
-            for deadline, problem in zip(deadlines, problems)
-        ]
-        labels = tuple(algorithms)
-    else:
-        points = _engine_points(
-            problems, deadlines, executor, store, resume, seed=seed
-        )
-        labels = tuple(display for display, _ in SWEEP_ALGORITHMS)
+        for deadline in deadlines
+    ]
     return SweepResult(
         parameter="deadline",
         graph_name=graph.name or "graph",
-        points=tuple(points),
-        algorithms=labels,
+        points=_engine_points(problems, deadlines, executor, store, resume, seed),
+        algorithms=_LABELS,
     )
 
 
@@ -208,7 +159,6 @@ def beta_sweep(
     graph: TaskGraph,
     deadline: float,
     betas: Sequence[float] = (0.1, 0.2, 0.273, 0.4, 0.8, 1.6, 5.0),
-    algorithms: Optional[Mapping[str, Callable]] = None,
     executor=None,
     store: Optional[ResultStore] = None,
     resume: bool = False,
@@ -226,27 +176,11 @@ def beta_sweep(
         )
         for beta in betas
     ]
-
-    if algorithms is not None:
-        algorithms = dict(algorithms)
-        points = [
-            SweepPoint(coordinate=float(beta), costs=_evaluate(problem, algorithms))
-            for beta, problem in zip(betas, problems)
-        ]
-        labels = tuple(algorithms)
-    else:
-        points = _engine_points(
-            problems,
-            [float(beta) for beta in betas],
-            executor,
-            store,
-            resume,
-            seed=seed,
-        )
-        labels = tuple(display for display, _ in SWEEP_ALGORITHMS)
     return SweepResult(
         parameter="beta",
         graph_name=graph.name or "graph",
-        points=tuple(points),
-        algorithms=labels,
+        points=_engine_points(
+            problems, [float(beta) for beta in betas], executor, store, resume, seed
+        ),
+        algorithms=_LABELS,
     )

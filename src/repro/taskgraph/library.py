@@ -22,8 +22,7 @@ be cross-checked (experiment E7).
    The edge set of G2 is not legible from the published figure (the PDF text
    only lists the node labels).  The reconstruction below keeps the fork-join
    character of the application — task 1 fans out into two pipelines that
-   re-converge before the two final tasks — and is recorded as an
-   interpretation decision in DESIGN.md.  The Table 4 comparison shape does
+   re-converge before the two final tasks.  The Table 4 comparison shape does
    not depend on the exact edge choice because all tasks run sequentially on
    one processing element.
 """

@@ -28,7 +28,7 @@ tables make the distinction visible:
 
 Both rules are provided so that the Table 1 / Figure 5 data can be
 regenerated and cross-checked against the verbatim transcription in
-:mod:`repro.taskgraph.library` (experiment E7 in DESIGN.md).
+:mod:`repro.taskgraph.library`.
 """
 
 from __future__ import annotations

@@ -43,7 +43,7 @@ from repro.core.factors import (
     slack_ratio,
 )
 from repro.core.windows import _selection_cost
-from repro.errors import AlgorithmError
+from repro.errors import AlgorithmError, InfeasibleDeadlineError
 from repro.scheduling import sequence_by_decreasing_energy
 from repro.taskgraph import DesignPoint, Task, TaskGraph
 
@@ -514,16 +514,26 @@ def _ref_evaluate_windows(matrices, deadline, weights, record, evaluate_at):
 
 def _assert_same_windows(matrices, deadline, weights, record, evaluate_at):
     expected = _ref_evaluate_windows(matrices, deadline, weights, record, evaluate_at)
-    actual = evaluate_windows(
-        matrices, deadline, _MODEL, weights=weights, require_feasible=False,
-        record_evaluations=record, evaluate_at=evaluate_at,
-    )
-    assert [r.window_start for r in actual.records] == [w[0] for w in expected]
-    for got, (_, selection, cost, makespan, _) in zip(actual.records, expected):
-        assert _bits(got.cost) == _bits(cost)
-        assert _bits(got.makespan) == _bits(makespan)
-        assert got.feasible == (makespan <= deadline + _EPS)
-        assert got.assignment == matrices.to_assignment(selection)
+    feasible = [(cost, start) for start, _, cost, makespan, _ in expected
+                if makespan <= deadline + _EPS]
+    if not feasible:
+        # No window meets the deadline: the search raises, never returns.
+        with pytest.raises(InfeasibleDeadlineError):
+            evaluate_windows(
+                matrices, deadline, _MODEL, weights=weights, evaluate_at=evaluate_at
+            )
+    else:
+        actual = evaluate_windows(
+            matrices, deadline, _MODEL, weights=weights, evaluate_at=evaluate_at
+        )
+        assert [r.window_start for r in actual.records] == [w[0] for w in expected]
+        for got, (_, selection, cost, makespan, _) in zip(actual.records, expected):
+            assert _bits(got.cost) == _bits(cost)
+            assert _bits(got.makespan) == _bits(makespan)
+            assert got.feasible == (makespan <= deadline + _EPS)
+            assert got.assignment == matrices.to_assignment(selection)
+        # The cheapest deadline-respecting window wins; a tie goes to the wider one.
+        assert actual.best.window_start == min(feasible)[1]
     # The batch behind it: every window's selection and evaluations.
     batch = _choose_windows(matrices, [w[0] for w in expected], deadline, weights, record)
     for got, (*_, chosen) in zip(batch, expected):
@@ -571,6 +581,6 @@ def test_one_batched_step_per_position(monkeypatch, g3):
         choose_module, "_score", lambda *args: steps.append(1) or score(*args)
     )
     matrices = SequencedMatrices(g3, sequence_by_decreasing_energy(g3))
-    evaluation = evaluate_windows(matrices, 230.0, _MODEL, record_evaluations=True)
+    evaluation = evaluate_windows(matrices, 230.0, _MODEL)
     assert len(evaluation.records) > 1
     assert len(steps) == matrices.n - 1

@@ -1,5 +1,7 @@
 """Unit tests for repro.core.config."""
 
+import dataclasses
+
 import pytest
 
 from repro.core import FactorWeights, SchedulerConfig
@@ -9,28 +11,21 @@ from repro.errors import ConfigurationError
 class TestSchedulerConfig:
     def test_defaults(self):
         config = SchedulerConfig()
-        assert config.max_iterations == 25
         assert config.evaluate_at == "completion"
         assert config.factor_weights is None
-        assert config.require_feasible_windows
-        assert config.repair_infeasible
 
-    def test_invalid_max_iterations(self):
-        with pytest.raises(ConfigurationError):
-            SchedulerConfig(max_iterations=0)
+    def test_only_the_settings_a_caller_varies(self):
+        names = [field.name for field in dataclasses.fields(SchedulerConfig)]
+        assert names == ["evaluate_at", "factor_weights"]
 
     def test_invalid_evaluate_at(self):
         with pytest.raises(ConfigurationError):
             SchedulerConfig(evaluate_at="whenever")
 
-    def test_invalid_tolerance(self):
-        with pytest.raises(ConfigurationError):
-            SchedulerConfig(improvement_tolerance=-1.0)
-
     def test_frozen(self):
         config = SchedulerConfig()
         with pytest.raises(Exception):
-            config.max_iterations = 3
+            config.evaluate_at = "deadline"
 
     def test_custom_weights_accepted(self):
         config = SchedulerConfig(factor_weights=FactorWeights(slack_ratio=0.5))

@@ -10,6 +10,7 @@ from repro.core import (
     SchedulerConfig,
     battery_aware_schedule,
 )
+from repro.core import iterative as iterative_module
 from repro.errors import InfeasibleDeadlineError
 from repro.scheduling import Schedule, SchedulingProblem, battery_cost
 from repro.taskgraph import validate_sequence
@@ -128,9 +129,9 @@ class TestConfigurationVariants:
         solution = battery_aware_schedule(g3_problem, config=config)
         assert solution.feasible
 
-    def test_max_iterations_cap(self, g3_problem):
-        config = SchedulerConfig(max_iterations=1)
-        solution = battery_aware_schedule(g3_problem, config=config)
+    def test_max_iterations_cap(self, g3_problem, monkeypatch):
+        monkeypatch.setattr(iterative_module, "MAX_ITERATIONS", 1)
+        solution = battery_aware_schedule(g3_problem)
         assert solution.num_iterations == 1
         assert not solution.converged
 
@@ -147,11 +148,6 @@ class TestConfigurationVariants:
         )
         assert first.feasible and second.feasible
         assert first.graph.name == "G3" and second.graph.name == "G2"
-
-    def test_record_evaluations_flag(self, g3_problem):
-        config = SchedulerConfig(record_evaluations=True, max_iterations=2)
-        solution = battery_aware_schedule(g3_problem, config=config)
-        assert solution.feasible
 
 
 class TestOnTightDeadlines:

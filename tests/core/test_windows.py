@@ -1,5 +1,8 @@
 """Unit tests for repro.core.windows (EvaluateWindows)."""
 
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 
 from repro.battery import BatterySpec, RakhmatovVrudhulaModel
@@ -10,7 +13,8 @@ from repro.core import (
     evaluate_windows,
     initial_window_start,
 )
-from repro.errors import InfeasibleDeadlineError
+from repro.core import windows as windows_module
+from repro.errors import AlgorithmError, InfeasibleDeadlineError
 from repro.scheduling import (
     SchedulingProblem,
     evaluate_schedule,
@@ -97,6 +101,42 @@ class TestEvaluateWindows:
         evaluation = evaluate_windows(matrices, deadline=75.0, model=model)
         assert evaluation.best.feasible
         assert all(record.label.endswith(":4") for record in evaluation.records)
+
+
+def _stub_search(monkeypatch, full_window_column):
+    """Every window but the full one chooses its slowest columns, the full
+    one ``full_window_column`` throughout, and no repair succeeds."""
+
+    def choose(matrices, starts, deadline, weights, record_evaluations):
+        results = []
+        for start in starts:
+            column = full_window_column if start == 0 else matrices.m - 1
+            selection = np.full(matrices.n, column)
+            results.append(
+                SimpleNamespace(selection=selection, makespan=matrices.total_time(selection))
+            )
+        return results
+
+    def no_repair(*args):
+        raise AlgorithmError("no promotion meets the deadline")
+
+    monkeypatch.setattr(windows_module, "_choose_windows", choose)
+    monkeypatch.setattr(windows_module, "promote_until_feasible", no_repair)
+
+
+class TestWindowsThatStayInfeasible:
+    """A window whose repair fails is reported, and never wins."""
+
+    def test_only_the_feasible_window_can_win(self, g3_matrices, model, monkeypatch):
+        _stub_search(monkeypatch, full_window_column=0)
+        evaluation = evaluate_windows(g3_matrices, deadline=230.0, model=model)
+        assert [r.feasible for r in evaluation.records] == [False, False, False, True]
+        assert evaluation.best is evaluation.records[-1]
+
+    def test_raises_when_no_window_meets_the_deadline(self, g3_matrices, model, monkeypatch):
+        _stub_search(monkeypatch, full_window_column=g3_matrices.m - 1)
+        with pytest.raises(InfeasibleDeadlineError):
+            evaluate_windows(g3_matrices, deadline=230.0, model=model)
 
 
 class TestEvaluationPoint:

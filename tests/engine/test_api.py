@@ -7,7 +7,14 @@ from pathlib import Path
 
 import pytest
 
-from repro import SchedulingProblem
+from repro import BatterySpec, SchedulingProblem
+from repro.baselines import (
+    all_fastest_baseline,
+    best_uniform_baseline,
+    chowdhury_baseline,
+    rakhmatov_baseline,
+)
+from repro.core import battery_aware_schedule
 from repro.engine import (
     ParallelExecutor,
     ResultStore,
@@ -19,7 +26,6 @@ from repro.engine import (
 from repro.errors import ConfigurationError
 from repro.experiments import (
     deadline_sweep,
-    default_algorithms,
     run_ablation,
     run_suite,
     run_table4,
@@ -305,18 +311,23 @@ class TestComparingAlgorithms:
 
 
 class TestDriverIntegration:
-    """The rewired experiment drivers stay consistent with their legacy paths."""
+    """The engine-driven experiment drivers agree with the algorithms run directly."""
 
-    def test_engine_sweep_matches_legacy_callables(self, g2):
-        engine = deadline_sweep(g2, num_points=3)
-        legacy = deadline_sweep(g2, num_points=3, algorithms=default_algorithms())
-        assert engine.algorithms == legacy.algorithms
-        for engine_point, legacy_point in zip(engine.points, legacy.points):
-            assert engine_point.coordinate == legacy_point.coordinate
-            for name in engine.algorithms:
-                assert engine_point.costs[name] == pytest.approx(
-                    legacy_point.costs[name]
-                )
+    def test_engine_sweep_matches_direct_calls(self, g2):
+        direct = {
+            "iterative (ours)": battery_aware_schedule,
+            "dp-energy+greedy": rakhmatov_baseline,
+            "last-task-first": chowdhury_baseline,
+            "best-uniform": best_uniform_baseline,
+            "all-fastest": all_fastest_baseline,
+        }
+        sweep = deadline_sweep(g2, num_points=3)
+        assert sweep.algorithms == tuple(direct)
+        battery = BatterySpec()
+        for point in sweep.points:
+            problem = SchedulingProblem(graph=g2, deadline=point.coordinate, battery=battery)
+            for name, algorithm in direct.items():
+                assert point.costs[name] == algorithm(problem).cost, (point.coordinate, name)
 
     def test_sweep_parallel_identical_to_serial(self, g2):
         serial = deadline_sweep(g2, num_points=3, executor=SerialExecutor())

@@ -217,6 +217,38 @@ def test_spawned_workers_receive_the_shared_problems():
     assert run_python(_SPAWN_SCRIPT).strip() == "same"
 
 
+_POISON_SCRIPT = """
+import multiprocessing
+
+from repro import SchedulingProblem
+from repro.engine import ParallelExecutor, SerialExecutor, build_jobs
+from repro.taskgraph import build_g2, build_g3
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method({method!r})
+    good = SchedulingProblem(graph=build_g2(), deadline=75.0, name="good")
+    bad = SchedulingProblem(graph=build_g3(), deadline=230.0, name="bad")
+    object.__setattr__(bad, "poison", lambda: None)
+    jobs = build_jobs([good, bad], ["all-fastest", "all-slowest"])
+    results = ParallelExecutor(max_workers=2).run(jobs)
+    assert multiprocessing.get_start_method() == {method!r}
+    def rows(results):
+        return [result.to_dict() | {{"elapsed_s": 0.0}} for result in results]
+    assert rows(results[:2]) == rows(SerialExecutor().run(jobs[:2]))
+    for job, result in zip(jobs[2:], results[2:]):
+        assert result.error.startswith("PicklingError: "), result.error
+        assert result == job.failure_result(result.error)
+    print("isolated")
+"""
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_unpicklable_problem_fails_only_its_own_jobs(method):
+    # Workers that do not fork receive the shared problems pickled; one that
+    # cannot be pickled fails its jobs, and the other problem's jobs run.
+    assert run_python(_POISON_SCRIPT.format(method=method)).strip() == "isolated"
+
+
 class TestPoolTransportFailure:
     @pytest.mark.parametrize("kind", ["job", "batch"])
     def test_lost_item_yields_its_failure_result(self, kind):

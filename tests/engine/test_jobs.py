@@ -11,10 +11,11 @@ import pytest
 from repro import BatterySpec, SchedulingProblem, simulated_annealing_baseline
 from repro.baselines import AnnealingConfig
 from repro.battery import CHEMISTRIES
-from repro.core import SchedulerConfig
+from repro.core import FactorWeights, SchedulerConfig, battery_aware_schedule
 from repro.engine import (
     Job,
     JobResult,
+    SerialExecutor,
     algorithm_names,
     build_jobs,
     execute_job,
@@ -71,7 +72,7 @@ class TestJobKeys:
         base = Job(problem=problem, algorithm="iterative")
         assert base.key() != Job(problem=problem, algorithm="dp-energy+greedy").key()
         assert base.key() != Job(
-            problem=problem, algorithm="iterative", params={"max_iterations": 3}
+            problem=problem, algorithm="iterative", params={"evaluate_at": "deadline"}
         ).key()
 
     def test_key_distinguishes_chemistries_with_identical_numbers(self, problem):
@@ -353,16 +354,57 @@ class TestSchedulerConfigParams:
 
     def test_non_defaults_survive(self):
         params = scheduler_config_params(
-            SchedulerConfig(max_iterations=3, evaluate_at="deadline")
+            SchedulerConfig(evaluate_at="deadline", factor_weights=FactorWeights(energy_ratio=0.5))
         )
-        assert params == {"max_iterations": 3, "evaluate_at": "deadline"}
+        assert params == {
+            "evaluate_at": "deadline",
+            "factor_weights": {
+                "slack_ratio": 1.0,
+                "current_ratio": 1.0,
+                "energy_ratio": 0.5,
+                "current_increase_fraction": 1.0,
+                "design_point_fraction": 1.0,
+            },
+        }
 
     def test_drop_factor_is_added(self):
         params = scheduler_config_params(None, drop_factor="slack_ratio")
         assert params == {"drop_factor": "slack_ratio"}
 
-    def test_record_evaluations_never_leaks_into_key(self):
-        assert scheduler_config_params(SchedulerConfig(record_evaluations=True)) == {}
+    def test_params_round_trip_into_the_solver(self, problem):
+        config = SchedulerConfig(
+            evaluate_at="deadline", factor_weights=FactorWeights(energy_ratio=0.5)
+        )
+        result = execute_job(
+            Job(problem=problem, algorithm="iterative", params=scheduler_config_params(config))
+        )
+        direct = battery_aware_schedule(problem, config=config)
+        assert (result.cost, result.makespan) == (direct.cost, direct.makespan)
+        assert result.sequence == direct.sequence
+
+    @pytest.mark.parametrize(
+        "removed",
+        [
+            "max_iterations",
+            "require_feasible_windows",
+            "repair_infeasible",
+            "record_evaluations",
+            "improvement_tolerance",
+        ],
+    )
+    def test_an_unread_param_fails_its_job_only(self, problem, removed):
+        # A param the solver does not read must not run the defaults under a
+        # key that names it; the sibling jobs of the batch still run.
+        jobs = [
+            Job(problem=problem, algorithm="iterative", params={removed: 3}),
+            Job(problem=problem, algorithm="iterative", params={"seed": 7}),
+            Job(problem=problem, algorithm="all-fastest"),
+        ]
+        bad, seeded, other = SerialExecutor().run(jobs)
+        assert bad.error.startswith("ConfigurationError: ")
+        assert repr(removed) in bad.error
+        assert seeded.ok and other.ok
+        assert seeded.cost == execute_job(Job(problem=problem, algorithm="iterative")).cost
 
 
 class TestJobResultRoundTrip:

@@ -9,7 +9,6 @@ from repro.experiments import (
     FACTOR_NAMES,
     beta_sweep,
     deadline_sweep,
-    default_algorithms,
     run_ablation,
 )
 from repro.scheduling import SchedulingProblem
@@ -130,8 +129,7 @@ class TestDeadlineSweepG3:
 
 class TestBetaSweep:
     def test_gap_shrinks_as_battery_becomes_ideal(self, g2):
-        algorithms = default_algorithms()
-        sweep = beta_sweep(g2, deadline=75.0, betas=(0.15, 5.0), algorithms=algorithms)
+        sweep = beta_sweep(g2, deadline=75.0, betas=(0.15, 5.0))
         gaps = []
         for point in sweep.points:
             ours = point.costs["iterative (ours)"]

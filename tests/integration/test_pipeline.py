@@ -112,7 +112,7 @@ class TestCrossModelConsistency:
 class TestSchedulePersistence:
     def test_solution_can_be_rebuilt_from_its_parts(self, g3):
         problem = SchedulingProblem(graph=g3, deadline=230.0, battery=BatterySpec(beta=0.273))
-        solution = battery_aware_schedule(problem, config=SchedulerConfig(max_iterations=5))
+        solution = battery_aware_schedule(problem, config=SchedulerConfig())
         rebuilt = Schedule(g3, solution.sequence, solution.assignment)
         assert rebuilt.makespan == pytest.approx(solution.makespan)
         profile = rebuilt.to_profile()
