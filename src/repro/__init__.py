@@ -20,6 +20,10 @@ True
 
 Subpackages
 -----------
+Subpackages load on first use: ``import repro`` imports none of them, and
+the first access of a name (``repro.battery_aware_schedule``,
+``repro.core``) imports only the modules that define it.
+
 ``repro.taskgraph``
     Tasks, design points, DAGs, voltage-scaling synthesis, paper graphs.
 ``repro.battery``
@@ -51,75 +55,40 @@ Subpackages
     scenario-suite driver (:func:`repro.experiments.run_suite`).
 """
 
-from .baselines import (
-    BaselineResult,
-    all_fastest_baseline,
-    all_slowest_baseline,
-    best_uniform_baseline,
-    chowdhury_baseline,
-    exhaustive_optimum,
-    minimum_energy_assignment,
-    rakhmatov_baseline,
-    simulated_annealing_baseline,
-)
-from .battery import (
-    BatteryModel,
-    BatterySpec,
-    IdealBatteryModel,
-    KineticBatteryModel,
-    LoadInterval,
-    LoadProfile,
-    PeukertModel,
-    RakhmatovVrudhulaModel,
-    simulate_discharge,
-)
-from .core import (
-    BatteryAwareScheduler,
-    FactorWeights,
-    SchedulerConfig,
-    SchedulingSolution,
-    battery_aware_schedule,
-    refine_solution,
-)
-from .platform import DvsProcessor, FpgaFabric, OperatingPoint
-from .errors import (
-    BatteryModelError,
-    DeadlineError,
-    InfeasibleDeadlineError,
-    ReproError,
-    ScheduleError,
-    TaskGraphError,
-)
-from .scheduling import (
-    DesignPointAssignment,
-    Schedule,
-    SchedulingProblem,
-    battery_cost,
-    sequence_by_decreasing_energy,
-)
-from .taskgraph import (
-    DesignPoint,
-    Task,
-    TaskGraph,
-    build_g2,
-    build_g3,
-    scaled_design_points,
-)
-from .scenarios import ScenarioRegistry, ScenarioSpec, default_registry
-from .sim import (
-    PerturbationModel,
-    Simulator,
-    SimulationResult,
-    StaticReplayScheduler,
-)
-from .workloads import (
-    chain_graph,
-    diamond_graph,
-    fork_join_graph,
-    layered_graph,
-    problem_with_tightness,
-    tree_graph,
-)
+import importlib as _importlib
+import sys as _sys
+
+
+def _lazy_exports(package, exports, submodules=()):
+    """PEP 562 ``__getattr__`` and ``__dir__`` for a package that re-exports lazily.
+
+    ``exports`` maps a relative submodule (``".core"``) to the public names
+    it provides; ``submodules`` names submodules that resolve as attributes
+    themselves.  The first access of a name imports its submodule and caches
+    the value in the package namespace.  Any other name raises
+    :class:`AttributeError` without importing anything, so ``hasattr`` stays
+    false.  Every package ``__init__`` of :mod:`repro` builds its pair here.
+    """
+    where = {name: module for module, names in exports.items() for name in names}
+    where.update(dict.fromkeys(submodules))
+    namespace = _sys.modules[package].__dict__
+
+    def __getattr__(name):
+        if name not in where:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        module = where[name]
+        if module is None:
+            value = _importlib.import_module(f".{name}", package)
+        else:
+            value = getattr(_importlib.import_module(module, package), name)
+        namespace[name] = value
+        return value
+
+    def __dir__():
+        return sorted({*namespace, *where})
+
+    return __getattr__, __dir__
+
 
 __version__ = "1.0.0"
 
@@ -193,3 +162,50 @@ __all__ = [
     "InfeasibleDeadlineError",
     "BatteryModelError",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        ".taskgraph": (
+            "DesignPoint", "Task", "TaskGraph", "build_g2", "build_g3",
+            "scaled_design_points",
+        ),
+        ".battery": (
+            "BatteryModel", "BatterySpec", "IdealBatteryModel", "KineticBatteryModel",
+            "LoadInterval", "LoadProfile", "PeukertModel", "RakhmatovVrudhulaModel",
+            "simulate_discharge",
+        ),
+        ".platform": ("DvsProcessor", "FpgaFabric", "OperatingPoint"),
+        ".scheduling": (
+            "DesignPointAssignment", "Schedule", "SchedulingProblem", "battery_cost",
+            "sequence_by_decreasing_energy",
+        ),
+        ".core": (
+            "BatteryAwareScheduler", "FactorWeights", "SchedulerConfig",
+            "SchedulingSolution", "battery_aware_schedule", "refine_solution",
+        ),
+        ".baselines": (
+            "BaselineResult", "all_fastest_baseline", "all_slowest_baseline",
+            "best_uniform_baseline", "chowdhury_baseline", "exhaustive_optimum",
+            "minimum_energy_assignment", "rakhmatov_baseline",
+            "simulated_annealing_baseline",
+        ),
+        ".workloads": (
+            "chain_graph", "diamond_graph", "fork_join_graph", "layered_graph",
+            "problem_with_tightness", "tree_graph",
+        ),
+        ".scenarios": ("ScenarioRegistry", "ScenarioSpec", "default_registry"),
+        ".sim": (
+            "PerturbationModel", "Simulator", "SimulationResult", "StaticReplayScheduler",
+        ),
+        ".errors": (
+            "BatteryModelError", "DeadlineError", "InfeasibleDeadlineError",
+            "ReproError", "ScheduleError", "TaskGraphError",
+        ),
+    },
+    submodules=(
+        "analysis", "baselines", "battery", "canonical", "cli", "core", "engine",
+        "errors", "experiments", "obs", "platform", "scenarios", "scheduling", "sim",
+        "taskgraph", "workloads",
+    ),
+)

@@ -1,36 +1,6 @@
 """Analysis helpers: metrics, text tables, leaderboards, visualisation, export."""
 
-from .export import (
-    save_json_records,
-    save_table_csv,
-    table_to_csv,
-    table_to_records,
-)
-from .leaderboard import LeaderboardEntry, compute_leaderboard, leaderboard_table
-from .robustness import (
-    PolicyStanding,
-    RobustnessRow,
-    compute_robustness,
-    degradation_leaderboard,
-    degradation_table,
-    robustness_table,
-)
-from .metrics import (
-    ScheduleMetrics,
-    percent_difference,
-    percent_saving,
-    schedule_metrics,
-)
-from .tournament import (
-    TournamentRow,
-    TournamentStanding,
-    compute_tournament,
-    tournament_leaderboard,
-    tournament_standings_table,
-    tournament_table,
-)
-from .tables import TextTable, format_value
-from .visualize import current_profile_chart, gantt_chart
+from .. import _lazy_exports
 
 __all__ = [
     "ScheduleMetrics",
@@ -61,3 +31,29 @@ __all__ = [
     "table_to_records",
     "save_json_records",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        ".export": (
+            "save_json_records", "save_table_csv", "table_to_csv", "table_to_records",
+        ),
+        ".leaderboard": (
+            "LeaderboardEntry", "compute_leaderboard", "leaderboard_table",
+        ),
+        ".robustness": (
+            "PolicyStanding", "RobustnessRow", "compute_robustness",
+            "degradation_leaderboard", "degradation_table", "robustness_table",
+        ),
+        ".metrics": (
+            "ScheduleMetrics", "percent_difference", "percent_saving",
+            "schedule_metrics",
+        ),
+        ".tournament": (
+            "TournamentRow", "TournamentStanding", "compute_tournament",
+            "tournament_leaderboard", "tournament_standings_table", "tournament_table",
+        ),
+        ".tables": ("TextTable", "format_value"),
+        ".visualize": ("current_profile_chart", "gantt_chart"),
+    },
+)

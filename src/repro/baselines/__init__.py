@@ -10,22 +10,7 @@
 * :func:`exhaustive_optimum` — true optimum for small instances (testing).
 """
 
-from .annealing import AnnealingConfig, simulated_annealing_baseline
-from .bounds import (
-    all_fastest_baseline,
-    all_slowest_baseline,
-    best_uniform_baseline,
-    uniform_baseline,
-)
-from .chowdhury import chowdhury_baseline, last_task_first_assignment
-from .common import BaselineResult
-from .dp_energy import minimum_energy_assignment
-from .exhaustive import enumerate_topological_orders, exhaustive_optimum
-from .greedy_sequence import (
-    equation5_weights,
-    greedy_current_sequence,
-    rakhmatov_baseline,
-)
+from .. import _lazy_exports
 
 __all__ = [
     "BaselineResult",
@@ -44,3 +29,21 @@ __all__ = [
     "enumerate_topological_orders",
     "exhaustive_optimum",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        ".annealing": ("AnnealingConfig", "simulated_annealing_baseline"),
+        ".bounds": (
+            "all_fastest_baseline", "all_slowest_baseline", "best_uniform_baseline",
+            "uniform_baseline",
+        ),
+        ".chowdhury": ("chowdhury_baseline", "last_task_first_assignment"),
+        ".common": ("BaselineResult",),
+        ".dp_energy": ("minimum_energy_assignment",),
+        ".exhaustive": ("enumerate_topological_orders", "exhaustive_optimum"),
+        ".greedy_sequence": (
+            "equation5_weights", "greedy_current_sequence", "rakhmatov_baseline",
+        ),
+    },
+)

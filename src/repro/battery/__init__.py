@@ -10,21 +10,7 @@ contributions parametrised by time-to-end), so the whole evaluator stack —
 full, incremental and batch — is chemistry-generic.
 """
 
-from .base import BatteryModel
-from .ideal import IdealBatteryModel
-from .kernels import suffix_durations
-from .kibam import KineticBatteryModel
-from .parameters import (
-    BETA_PRESETS,
-    CHEMISTRIES,
-    PAPER_BETA,
-    BatterySpec,
-    battery_from_preset,
-)
-from .peukert import PeukertModel
-from .profile import LoadInterval, LoadProfile
-from .rakhmatov import DEFAULT_SERIES_TERMS, RakhmatovVrudhulaModel
-from .simulate import DischargeTrace, simulate_discharge
+from .. import _lazy_exports
 
 __all__ = [
     "BatteryModel",
@@ -44,3 +30,21 @@ __all__ = [
     "DischargeTrace",
     "simulate_discharge",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        ".base": ("BatteryModel",),
+        ".ideal": ("IdealBatteryModel",),
+        ".kernels": ("suffix_durations",),
+        ".kibam": ("KineticBatteryModel",),
+        ".parameters": (
+            "BETA_PRESETS", "CHEMISTRIES", "PAPER_BETA", "BatterySpec",
+            "battery_from_preset",
+        ),
+        ".peukert": ("PeukertModel",),
+        ".profile": ("LoadInterval", "LoadProfile"),
+        ".rakhmatov": ("DEFAULT_SERIES_TERMS", "RakhmatovVrudhulaModel"),
+        ".simulate": ("DischargeTrace", "simulate_discharge"),
+    },
+)

@@ -58,24 +58,8 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from .analysis import gantt_chart
-from .battery import BatterySpec
-from .core import SchedulerConfig, battery_aware_schedule, refine_solution
-from .engine import ResultStore, default_executor
-from .experiments import (
-    deadline_sweep,
-    figure3_windows,
-    figure4_walkthrough,
-    figure5_g2_table,
-    run_ablation,
-    run_table2,
-    run_table3,
-    run_table4,
-    scaling_regeneration_report,
-    table1_g3_table,
-)
-from .scheduling import SchedulingProblem
-from .taskgraph import build_g2, build_g3, load_json
+# Each command imports what it runs inside its own branch of _dispatch, so a
+# process loads only the layers of the command it was started for.
 
 __all__ = ["build_parser", "main"]
 
@@ -368,6 +352,8 @@ def _tournament_smoke(args: argparse.Namespace, out: List[str]) -> int:
 
 def _engine_options(args: argparse.Namespace, record_type=None) -> dict:
     """Executor/store/resume keyword arguments from the engine CLI flags."""
+    from .engine import ResultStore, default_executor
+
     results_dir = args.results_dir
     if results_dir is None and args.resume:
         results_dir = ".repro-results"
@@ -434,13 +420,27 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 def _dispatch(args: argparse.Namespace, out: List[str]) -> int:
     """Run one parsed command, appending its report lines to ``out``."""
     if args.command == "table2":
+        from .experiments import run_table2
+
         out.append(run_table2().to_table().to_text())
     elif args.command == "table3":
+        from .experiments import run_table3
+
         out.append(run_table3().to_table().to_text())
     elif args.command == "table4":
+        from .experiments import run_table4
+
         result = run_table4(**_engine_options(args))
         out.append(result.to_table(include_paper=not args.no_paper).to_text())
     elif args.command == "figures":
+        from .experiments import (
+            figure3_windows,
+            figure4_walkthrough,
+            figure5_g2_table,
+            scaling_regeneration_report,
+            table1_g3_table,
+        )
+
         out.append(figure3_windows().to_text())
         out.append("")
         walkthrough = figure4_walkthrough()
@@ -453,6 +453,8 @@ def _dispatch(args: argparse.Namespace, out: List[str]) -> int:
         out.append("")
         out.append(scaling_regeneration_report().to_text())
     elif args.command == "ablation":
+        from .experiments import run_ablation
+
         result = run_ablation(**_engine_options(args))
         out.append(result.to_table().to_text())
         out.append("")
@@ -460,16 +462,18 @@ def _dispatch(args: argparse.Namespace, out: List[str]) -> int:
         for factor, change in result.mean_degradation().items():
             out.append(f"  {factor}: {change:+.2f}")
     elif args.command == "sweep":
+        from .experiments import deadline_sweep
+        from .taskgraph import build_g2, build_g3
+
         graph = build_g3() if args.graph == "g3" else build_g2()
         sweep_result = deadline_sweep(
             graph, num_points=args.points, **_engine_options(args)
         )
         out.append(sweep_result.to_table().to_text())
     elif args.command == "suite":
-        from .experiments import run_suite
-        from .scenarios import catalogue_table, default_registry
-
         if args.run_suite:
+            from .experiments import run_suite
+
             suite_result = run_suite(
                 scenarios=args.scenarios,
                 algorithms=args.algorithms,
@@ -482,12 +486,11 @@ def _dispatch(args: argparse.Namespace, out: List[str]) -> int:
             out.append("")
             out.append(suite_result.summary())
         else:
+            from .scenarios import ScenarioRegistry, catalogue_table, default_registry
+
             registry = default_registry()
             if args.scenarios is not None:
-                registry_view = registry.select(names=args.scenarios)
-                from .scenarios import ScenarioRegistry
-
-                registry = ScenarioRegistry(registry_view)
+                registry = ScenarioRegistry(registry.select(names=args.scenarios))
             out.append(catalogue_table(registry).to_text())
             out.append("")
             out.append(
@@ -540,8 +543,7 @@ def _dispatch(args: argparse.Namespace, out: List[str]) -> int:
             )
             out.append(f"wrote {target}")
     elif args.command == "optimize":
-        from .taskgraph import optimize_graph, parse_passes
-        from .taskgraph.io import save_json, to_dot
+        from .taskgraph import load_json, optimize_graph, parse_passes, save_json, to_dot
 
         if args.scenario:
             from .scenarios import default_registry
@@ -623,6 +625,12 @@ def _dispatch(args: argparse.Namespace, out: List[str]) -> int:
             )
             return 1
     elif args.command == "schedule":
+        from .analysis import gantt_chart
+        from .battery import BatterySpec
+        from .core import SchedulerConfig, battery_aware_schedule, refine_solution
+        from .scheduling import SchedulingProblem
+        from .taskgraph import load_json
+
         graph = load_json(args.graph)
         problem = SchedulingProblem(
             graph=graph, deadline=args.deadline, battery=BatterySpec(beta=args.beta)

@@ -12,36 +12,7 @@ Public entry points:
   :class:`SequencedMatrices` helper they operate on.
 """
 
-from .choose import (
-    ChooseResult,
-    DesignPointEvaluation,
-    calculate_dpf,
-    choose_design_points,
-    promote_until_feasible,
-)
-from .config import SchedulerConfig
-from .factors import (
-    FactorValues,
-    FactorWeights,
-    current_increase_fraction,
-    current_ratio,
-    design_point_fraction,
-    energy_ratio,
-    slack_ratio,
-    suitability,
-    windowed_design_point_fraction,
-)
-from .iterative import BatteryAwareScheduler, battery_aware_schedule
-from .matrices import SequencedMatrices
-from .refine import refine_solution
-from .result import IterationRecord, SchedulingSolution
-from .weighted import equation4_weights, find_weighted_sequence
-from .windows import (
-    WindowEvaluation,
-    WindowRecord,
-    evaluate_windows,
-    initial_window_start,
-)
+from .. import _lazy_exports
 
 __all__ = [
     "battery_aware_schedule",
@@ -72,3 +43,28 @@ __all__ = [
     "windowed_design_point_fraction",
     "suitability",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        ".choose": (
+            "ChooseResult", "DesignPointEvaluation", "calculate_dpf",
+            "choose_design_points", "promote_until_feasible",
+        ),
+        ".config": ("SchedulerConfig",),
+        ".factors": (
+            "FactorValues", "FactorWeights", "current_increase_fraction",
+            "current_ratio", "design_point_fraction", "energy_ratio", "slack_ratio",
+            "suitability", "windowed_design_point_fraction",
+        ),
+        ".iterative": ("BatteryAwareScheduler", "battery_aware_schedule"),
+        ".matrices": ("SequencedMatrices",),
+        ".refine": ("refine_solution",),
+        ".result": ("IterationRecord", "SchedulingSolution"),
+        ".weighted": ("equation4_weights", "find_weighted_sequence"),
+        ".windows": (
+            "WindowEvaluation", "WindowRecord", "evaluate_windows",
+            "initial_window_start",
+        ),
+    },
+)

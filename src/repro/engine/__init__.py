@@ -32,32 +32,7 @@ Guarantees
   successful stored result are skipped entirely.
 """
 
-from .api import ExperimentRun, build_jobs, run_experiments, run_jobs
-from .executors import (
-    ParallelExecutor,
-    SerialExecutor,
-    default_executor,
-    execute_job,
-)
-from .jobs import (
-    Job,
-    JobResult,
-    algorithm_names,
-    get_algorithm,
-    register_algorithm,
-    resolve_algorithm_name,
-    scheduler_config_params,
-)
-from .simjobs import (
-    SimulationBatch,
-    SimulationBatchResult,
-    SimulationJob,
-    SimulationRecord,
-    SimulationRun,
-    execute_simulation_batch,
-    run_simulation_jobs,
-)
-from .store import ResultStore
+from .. import _lazy_exports
 
 __all__ = [
     "SimulationBatch",
@@ -84,3 +59,23 @@ __all__ = [
     "run_experiments",
     "run_jobs",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        ".api": ("ExperimentRun", "build_jobs", "run_experiments", "run_jobs"),
+        ".executors": (
+            "ParallelExecutor", "SerialExecutor", "default_executor", "execute_job",
+        ),
+        ".jobs": (
+            "Job", "JobResult", "algorithm_names", "get_algorithm",
+            "register_algorithm", "resolve_algorithm_name", "scheduler_config_params",
+        ),
+        ".simjobs": (
+            "SimulationBatch", "SimulationBatchResult", "SimulationJob",
+            "SimulationRecord", "SimulationRun", "execute_simulation_batch",
+            "run_simulation_jobs",
+        ),
+        ".store": ("ResultStore",),
+    },
+)

@@ -33,8 +33,8 @@ from ..baselines import (
 )
 from ..battery import BatteryModel
 from ..core import FactorWeights, SchedulerConfig, battery_aware_schedule
+from ..canonical import _canonical
 from ..errors import ConfigurationError
-from ..scenarios.spec import _canonical
 from ..scheduling import SchedulingProblem
 
 __all__ = [
@@ -339,18 +339,27 @@ def scheduler_config_params(
     return params
 
 
-#: What an ``iterative`` job reads from its params.  ``seed``, which
-#: ``run_suite`` and the sweeps merge into every job, is accepted and ignored.
+#: What an ``iterative`` job reads from its params.
 _ITERATIVE_PARAMS = ("drop_factor", "evaluate_at", "factor_weights")
+
+
+def _require_read(algorithm: str, params: Mapping[str, Any], reads: Tuple[str, ...]) -> None:
+    """Fail a job whose params name a setting ``algorithm`` does not read.
+
+    Otherwise the defaults would run under a key that names another setting.
+    ``seed``, which ``run_suite`` and the sweeps merge into every job, is
+    always accepted.
+    """
+    unknown = sorted(set(params) - {*reads, "seed"})
+    if unknown:
+        raise ConfigurationError(
+            f"{algorithm} takes no param {unknown[0]!r}; it reads {list(reads)}"
+        )
 
 
 def _scheduler_config_from_params(params: Mapping[str, Any]) -> SchedulerConfig:
     """Inverse of :func:`scheduler_config_params` (engine-side)."""
-    unknown = sorted(set(params) - {*_ITERATIVE_PARAMS, "seed"})
-    if unknown:
-        raise ConfigurationError(
-            f"iterative takes no param {unknown[0]!r}; it reads {list(_ITERATIVE_PARAMS)}"
-        )
+    _require_read("iterative", params, _ITERATIVE_PARAMS)
     weights: Optional[FactorWeights] = None
     if "factor_weights" in params:
         weights = FactorWeights(**params["factor_weights"])
@@ -372,6 +381,7 @@ def _run_iterative(
 def _run_annealing(
     problem: SchedulingProblem, model: Optional[BatteryModel], params: Dict[str, Any]
 ):
+    _require_read("annealing", params, ("iterations", "seed"))
     config = AnnealingConfig(
         iterations=int(params.get("iterations", AnnealingConfig.iterations)),
     )
@@ -381,23 +391,22 @@ def _run_annealing(
     )
 
 
-def _baseline_runner(function: Callable) -> AlgorithmRunner:
+def _register_baseline(name: str, function: Callable, aliases: Tuple[str, ...] = ()) -> None:
+    """Register a baseline, which reads no params (bar the accepted seed)."""
+
     def run(problem: SchedulingProblem, model: Optional[BatteryModel], params: Dict[str, Any]):
+        _require_read(name, params, ())
         return function(problem, model=model)
 
-    return run
+    register_algorithm(name, run, aliases=aliases)
 
 
 register_algorithm("iterative", _run_iterative, aliases=("iterative (ours)", "ours"))
-register_algorithm(
-    "dp-energy+greedy", _baseline_runner(rakhmatov_baseline), aliases=("rakhmatov",)
-)
-register_algorithm(
-    "last-task-first", _baseline_runner(chowdhury_baseline), aliases=("chowdhury",)
-)
-register_algorithm("best-uniform", _baseline_runner(best_uniform_baseline))
-register_algorithm("all-fastest", _baseline_runner(all_fastest_baseline))
-register_algorithm("all-slowest", _baseline_runner(all_slowest_baseline))
+_register_baseline("dp-energy+greedy", rakhmatov_baseline, aliases=("rakhmatov",))
+_register_baseline("last-task-first", chowdhury_baseline, aliases=("chowdhury",))
+_register_baseline("best-uniform", best_uniform_baseline)
+_register_baseline("all-fastest", all_fastest_baseline)
+_register_baseline("all-slowest", all_slowest_baseline)
 register_algorithm(
     "annealing", _run_annealing, aliases=("simulated-annealing", "sa")
 )

@@ -31,15 +31,18 @@ import dataclasses
 import operator
 import time
 from dataclasses import dataclass, field
-from functools import cache, lru_cache
+from functools import lru_cache
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import traceback as traceback_module
 
+from ..canonical import _canonical
 from ..errors import ConfigurationError
 from ..obs import RECORDER as _OBS
 from ..scenarios import ScenarioSpec
-from ..scenarios.spec import _canonical
+from ..sim.batch import BatchSimulator
+from ..sim.perturbation import rng_for_seed
+from ..sim.schedulers import POLICIES, StaticReplayScheduler, make_policy, policy_names
 from .api import _run_pipeline
 from .jobs import _canonical_json, _digest
 from .store import ResultStore
@@ -91,14 +94,6 @@ def _key_head(evaluate_at: str, params: Mapping[str, Any], policy: str) -> str:
 def _job_key(head: str, replication: str, tail: str) -> str:
     """A job's key from its rendered head, replication and tail."""
     return _digest(f'{head},"replication":{replication},{tail}')
-
-
-@cache
-def _policy_registry():
-    """The sim layer's live ``POLICIES`` dict, imported once per process."""
-    from ..sim.schedulers import POLICIES
-
-    return POLICIES
 
 
 #: The problem memo's key: the spec fields build_problem reads, bar the
@@ -248,9 +243,7 @@ class SimulationJob:
     last_duplicate_runs = False
 
     def __post_init__(self) -> None:
-        if self.policy not in _policy_registry():
-            from ..sim.schedulers import policy_names
-
+        if self.policy not in POLICIES:
             raise ConfigurationError(
                 f"unknown simulation policy {self.policy!r}; "
                 f"choose from {list(policy_names())}"
@@ -467,10 +460,6 @@ def execute_simulation_batch(batch: SimulationBatch) -> SimulationBatchResult:
     unresolvable scenario, unknown policy parameters — fails every member
     with the same error, since none of them could have run.
     """
-    from ..sim.batch import BatchSimulator
-    from ..sim.perturbation import rng_for_seed
-    from ..sim.schedulers import StaticReplayScheduler, make_policy
-
     obs_before = _OBS.counters_snapshot(include_volatile=True) if _OBS.enabled else None
     started = time.perf_counter()
     jobs = batch.jobs

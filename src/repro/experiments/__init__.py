@@ -5,34 +5,7 @@ structured result object with a ``to_table()`` method, so the benchmarks,
 the CLI and the examples share one code path.
 """
 
-from .ablation import FACTOR_NAMES, AblationResult, AblationRow, run_ablation
-from .figures import (
-    Figure4Walkthrough,
-    figure3_windows,
-    figure4_walkthrough,
-    figure5_g2_table,
-    g2_dot,
-    scaling_regeneration_report,
-    table1_g3_table,
-)
-from .illustrative import g3_problem, run_illustrative_example
-from .simulate import (
-    DEFAULT_SIM_POLICIES,
-    SimulationSuiteResult,
-    run_simulation_suite,
-)
-from .suite import DEFAULT_SUITE_ALGORITHMS, SuiteRunResult, run_suite
-from .tournament import TournamentResult, run_tournament, tournament_markdown
-from .sweep import (
-    SWEEP_ALGORITHMS,
-    SweepPoint,
-    SweepResult,
-    beta_sweep,
-    deadline_sweep,
-)
-from .table2 import Table2Result, Table2Row, run_table2
-from .table3 import Table3Result, Table3Row, run_table3
-from .table4 import PAPER_TABLE4, Table4Result, Table4Row, run_table4, table4_problems
+from .. import _lazy_exports
 
 __all__ = [
     "g3_problem",
@@ -74,3 +47,31 @@ __all__ = [
     "SweepResult",
     "SweepPoint",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        ".ablation": ("FACTOR_NAMES", "AblationResult", "AblationRow", "run_ablation"),
+        ".figures": (
+            "Figure4Walkthrough", "figure3_windows", "figure4_walkthrough",
+            "figure5_g2_table", "g2_dot", "scaling_regeneration_report",
+            "table1_g3_table",
+        ),
+        ".illustrative": ("g3_problem", "run_illustrative_example"),
+        ".simulate": (
+            "DEFAULT_SIM_POLICIES", "SimulationSuiteResult", "run_simulation_suite",
+        ),
+        ".suite": ("DEFAULT_SUITE_ALGORITHMS", "SuiteRunResult", "run_suite"),
+        ".tournament": ("TournamentResult", "run_tournament", "tournament_markdown"),
+        ".sweep": (
+            "SWEEP_ALGORITHMS", "SweepPoint", "SweepResult", "beta_sweep",
+            "deadline_sweep",
+        ),
+        ".table2": ("Table2Result", "Table2Row", "run_table2"),
+        ".table3": ("Table3Result", "Table3Row", "run_table3"),
+        ".table4": (
+            "PAPER_TABLE4", "Table4Result", "Table4Row", "run_table4",
+            "table4_problems",
+        ),
+    },
+)

@@ -42,6 +42,7 @@ from ..engine import (
     run_simulation_jobs,
 )
 from ..engine.simjobs import _problem
+from ..errors import ConfigurationError
 from ..scenarios import ScenarioRegistry, ScenarioSpec, default_registry
 from ..scenarios import problem_fingerprint
 
@@ -146,8 +147,6 @@ def run_simulation_suite(
         tuple(policies) if policies is not None else DEFAULT_SIM_POLICIES
     )
     if replications < 1:
-        from ..errors import ConfigurationError
-
         raise ConfigurationError(
             f"replications must be >= 1, got {replications!r}"
         )

@@ -36,17 +36,7 @@ Submodules
     comparison, span aggregates (the ``repro obs diff`` subcommand).
 """
 
-from .context import TraceContext
-from .core import (
-    RECORDER,
-    Counter,
-    Histogram,
-    Recorder,
-    Span,
-    is_volatile,
-    recording,
-)
-from .sinks import SUPPORTED_TRACE_VERSIONS, JsonlSink, MemorySink, TRACE_VERSION
+from .. import _lazy_exports
 
 __all__ = [
     "RECORDER",
@@ -62,3 +52,17 @@ __all__ = [
     "TRACE_VERSION",
     "SUPPORTED_TRACE_VERSIONS",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        ".context": ("TraceContext",),
+        ".core": (
+            "RECORDER", "Counter", "Histogram", "Recorder", "Span", "is_volatile",
+            "recording",
+        ),
+        ".sinks": (
+            "SUPPORTED_TRACE_VERSIONS", "JsonlSink", "MemorySink", "TRACE_VERSION",
+        ),
+    },
+)

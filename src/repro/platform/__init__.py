@@ -8,7 +8,14 @@ constant platform overhead) and an FPGA implementation-alternative model
 problem instances can be generated from physical platform descriptions.
 """
 
-from .dvs import DvsProcessor, OperatingPoint
-from .fpga import FpgaFabric
+from .. import _lazy_exports
 
 __all__ = ["DvsProcessor", "OperatingPoint", "FpgaFabric"]
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        ".dvs": ("DvsProcessor", "OperatingPoint"),
+        ".fpga": ("FpgaFabric",),
+    },
+)

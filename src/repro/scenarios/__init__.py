@@ -30,18 +30,7 @@ documents.
 12
 """
 
-from .families import FAMILIES, FamilyInfo, build_family, family_names, register_family
-from .platforms import (
-    PLATFORMS,
-    DvsSynthesis,
-    FpgaSynthesis,
-    make_platform,
-    platform_names,
-)
-from .registry import ScenarioRegistry, default_registry
-from .report import catalogue_markdown, catalogue_table, leaderboard_markdown
-from .spec import ScenarioSpec, canonical_json, problem_fingerprint
-from .catalog import CORE_SCENARIOS, build_catalog
+from .. import _lazy_exports
 
 __all__ = [
     "ScenarioSpec",
@@ -65,3 +54,20 @@ __all__ = [
     "catalogue_markdown",
     "leaderboard_markdown",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        ".families": (
+            "FAMILIES", "FamilyInfo", "build_family", "family_names", "register_family",
+        ),
+        ".platforms": (
+            "PLATFORMS", "DvsSynthesis", "FpgaSynthesis", "make_platform",
+            "platform_names",
+        ),
+        ".registry": ("ScenarioRegistry", "default_registry"),
+        ".report": ("catalogue_markdown", "catalogue_table", "leaderboard_markdown"),
+        ".spec": ("ScenarioSpec", "canonical_json", "problem_fingerprint"),
+        ".catalog": ("CORE_SCENARIOS", "build_catalog"),
+    },
+)

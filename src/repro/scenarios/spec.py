@@ -21,18 +21,20 @@ True
 
 from __future__ import annotations
 
-import collections.abc
 import hashlib
-import json
-import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Mapping, Tuple
 
 from ..battery import CHEMISTRIES, PAPER_BETA, BatterySpec
 from ..battery.parameters import freeze_params as _freeze_params
+from ..canonical import _canonical, canonical_json
 from ..errors import ConfigurationError
 from ..scheduling import SchedulingProblem
+from ..sim.imode import InformationMode
+from ..sim.perturbation import PerturbationModel
 from ..taskgraph import TaskGraph
+from ..taskgraph.optimize import optimize_graph, parse_passes
+from ..workloads.suite import problem_with_tightness
 from .families import FAMILIES, build_family, family_names
 from .platforms import PLATFORMS, make_platform, platform_names
 
@@ -61,33 +63,6 @@ def _thaw_value(value: Any) -> Any:
 def _thaw_params(params: FrozenParams) -> Dict[str, Any]:
     """Frozen parameter pairs back to a plain dict."""
     return {key: _thaw_value(value) for key, value in params}
-
-
-def _canonical(value: Any) -> Any:
-    """Normalise a value so that equal contents produce equal JSON.
-
-    Mapping keys become strings, sequences become lists and ``inf``/``-inf``
-    become tagged strings.  The one normaliser behind every content key: the
-    scenario hashes here and the engine's job keys.
-    """
-    # The ``collections.abc`` ABC, not the much slower ``typing`` alias: this
-    # recursion visits every node of a static-replay job's whole schedule.
-    if isinstance(value, collections.abc.Mapping):
-        # Unsorted, so mixed key types work: the canonical JSON sorts keys.
-        canonical = {str(k): _canonical(v) for k, v in value.items()}
-        if len(canonical) < len(value):
-            raise ConfigurationError(f"mapping keys {list(value)!r} collide as strings")
-        return canonical
-    if isinstance(value, (list, tuple)):
-        return [_canonical(v) for v in value]
-    if isinstance(value, float) and math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    return value
-
-
-def canonical_json(data: Any) -> str:
-    """Deterministic JSON used for content hashing (sorted keys, no spaces)."""
-    return json.dumps(_canonical(data), sort_keys=True, separators=(",", ":"))
 
 
 def _digest(payload: str) -> str:
@@ -264,8 +239,6 @@ class ScenarioSpec:
                     f"mode, not {self.imode!r}"
                 )
         if self.optimize:
-            from ..taskgraph.optimize import parse_passes
-
             parse_passes(self.optimize)  # raises ConfigurationError on junk
         if not FAMILIES[self.family].uses_synthesis:
             # Paper-graph families carry published design points; a platform
@@ -323,8 +296,6 @@ class ScenarioSpec:
         :func:`repro.workloads.problem_with_tightness`), so every scenario
         is feasible by construction.
         """
-        from ..workloads.suite import problem_with_tightness
-
         optimized = self.optimization()
         graph = self.build_graph() if optimized is None else optimized.graph
         return problem_with_tightness(
@@ -359,19 +330,14 @@ class ScenarioSpec:
         """
         if not self.has_optimize:
             return None
-        from ..taskgraph.optimize import optimize_graph, parse_passes
-
         return optimize_graph(self.build_graph(), parse_passes(self.optimize))
 
     def perturbation(self):
         """The stochastic tier as a :class:`repro.sim.PerturbationModel`.
 
         Always returns a model — a null one for deterministic scenarios —
-        so simulation call sites need no branching.  (Imported lazily:
-        the scenario layer sits below the sim layer.)
+        so simulation call sites need no branching.
         """
-        from ..sim.perturbation import PerturbationModel
-
         return PerturbationModel(
             jitter=self.jitter,
             jitter_model=self.jitter_model,
@@ -386,8 +352,6 @@ class ScenarioSpec:
         branching.  (The simulator treats an exact mode and no mode
         identically, bitwise.)
         """
-        from ..sim.imode import InformationMode
-
         if self.imode == "noisy":
             return InformationMode.noisy(self.imode_rel_error, seed=self.imode_seed)
         return InformationMode(kind=self.imode)

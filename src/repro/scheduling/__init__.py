@@ -8,23 +8,7 @@ fully resolved :class:`Schedule`, and the cost-evaluation stack
 :class:`IncrementalCostEvaluator` for delta-updating neighbourhood search).
 """
 
-from .assignment import DesignPointAssignment
-from .cost import EVALUATION_MODES, battery_cost, profile_for
-from .evaluator import (
-    IncrementalCostEvaluator,
-    MoveProposal,
-    ScheduleEvaluation,
-    ScheduleState,
-    evaluate_schedule,
-)
-from .list_scheduler import (
-    average_energy_weights,
-    list_schedule,
-    sequence_by_decreasing_energy,
-    sequence_by_weights,
-)
-from .problem import SchedulingProblem
-from .schedule import Schedule, ScheduledTask
+from .. import _lazy_exports
 
 __all__ = [
     "DesignPointAssignment",
@@ -44,3 +28,21 @@ __all__ = [
     "sequence_by_decreasing_energy",
     "average_energy_weights",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        ".assignment": ("DesignPointAssignment",),
+        ".cost": ("EVALUATION_MODES", "battery_cost", "profile_for"),
+        ".evaluator": (
+            "IncrementalCostEvaluator", "MoveProposal", "ScheduleEvaluation",
+            "ScheduleState", "evaluate_schedule",
+        ),
+        ".list_scheduler": (
+            "average_energy_weights", "list_schedule", "sequence_by_decreasing_energy",
+            "sequence_by_weights",
+        ),
+        ".problem": ("SchedulingProblem",),
+        ".schedule": ("Schedule", "ScheduledTask"),
+    },
+)

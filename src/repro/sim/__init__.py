@@ -55,27 +55,7 @@ resumable) and :mod:`repro.experiments.simulate`
 True
 """
 
-from .batch import BatchSimulator, LaneOutcome, LaneSummary
-from .imode import (
-    INFORMATION_MODES,
-    GraphBeliefs,
-    InformationMode,
-    resolve_beliefs,
-)
-from .perturbation import JITTER_MODELS, PerturbationModel, rng_for_seed
-from .result import SimulatedInterval, SimulationResult
-from .runtime import Simulator
-from .schedulers import (
-    POLICIES,
-    BatteryReactiveScheduler,
-    DeadlineSlackScheduler,
-    GreedyEnergyScheduler,
-    Scheduler,
-    StaticReplayScheduler,
-    make_policy,
-    policy_names,
-    register_policy,
-)
+from .. import _lazy_exports
 
 __all__ = [
     "PerturbationModel",
@@ -101,3 +81,21 @@ __all__ = [
     "policy_names",
     "make_policy",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        ".batch": ("BatchSimulator", "LaneOutcome", "LaneSummary"),
+        ".imode": (
+            "INFORMATION_MODES", "GraphBeliefs", "InformationMode", "resolve_beliefs",
+        ),
+        ".perturbation": ("JITTER_MODELS", "PerturbationModel", "rng_for_seed"),
+        ".result": ("SimulatedInterval", "SimulationResult"),
+        ".runtime": ("Simulator",),
+        ".schedulers": (
+            "POLICIES", "BatteryReactiveScheduler", "DeadlineSlackScheduler",
+            "GreedyEnergyScheduler", "Scheduler", "StaticReplayScheduler",
+            "make_policy", "policy_names", "register_policy",
+        ),
+    },
+)

@@ -406,6 +406,36 @@ class TestSchedulerConfigParams:
         assert seeded.ok and other.ok
         assert seeded.cost == execute_job(Job(problem=problem, algorithm="iterative")).cost
 
+    @pytest.mark.parametrize(
+        "algorithm, unread",
+        [
+            ("annealing", {"iterationz": 5}),
+            ("annealing", {"evaluate_at": "deadline"}),
+            ("dp-energy+greedy", {"evaluate_at": "deadline"}),
+            ("last-task-first", {"drop_factor": "slack_ratio"}),
+            ("best-uniform", {"iterations": 5}),
+            ("all-fastest", {"factor_weights": {}}),
+            ("all-slowest", {"evaluate_at": "deadline"}),
+        ],
+    )
+    def test_a_param_a_baseline_does_not_read_fails_its_job_only(
+        self, problem, algorithm, unread
+    ):
+        # Annealing reads its iterations and seed, the other baselines read
+        # nothing; every one accepts the seed run_suite merges into all jobs.
+        read = {"iterations": 50} if algorithm == "annealing" else {}
+        jobs = [
+            Job(problem=problem, algorithm=algorithm, params={**read, **unread}),
+            Job(problem=problem, algorithm=algorithm, params={**read, "seed": 7}),
+            Job(problem=problem, algorithm="all-fastest"),
+        ]
+        bad, seeded, other = SerialExecutor().run(jobs)
+        assert bad.error.startswith(f"ConfigurationError: {algorithm} takes no param ")
+        assert repr(next(iter(unread))) in bad.error
+        assert seeded.ok and other.ok
+        if algorithm != "annealing":
+            assert seeded.cost == execute_job(Job(problem=problem, algorithm=algorithm)).cost
+
 
 class TestJobResultRoundTrip:
     def test_success_round_trips(self):
