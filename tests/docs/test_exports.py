@@ -8,15 +8,13 @@ A deletion that leaves a stale entry in some ``__all__`` breaks
 import functools
 import importlib
 import json
-import os
 import pkgutil
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 import repro
+
+from ..conftest import run_python
 
 MODULES = [repro] + [
     importlib.import_module(info.name)
@@ -58,7 +56,6 @@ def test_star_import_of_every_package_succeeds():
 # ----------------------------------------------------------------------
 # lazy packages: each checked in a fresh interpreter
 # ----------------------------------------------------------------------
-ROOT = Path(__file__).resolve().parents[2]
 PACKAGES = ["repro"] + sorted(
     info.name for info in pkgutil.iter_modules(repro.__path__, "repro.") if info.ispkg
 )
@@ -100,15 +97,7 @@ print(json.dumps(facts))
 
 @functools.lru_cache(maxsize=None)
 def probe(package):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
-    )
-    code = f"package = {package!r}\nsubmodules = {SUBMODULES!r}\n{PROBE}"
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, cwd=ROOT,
-        capture_output=True, text=True, check=True,
-    ).stdout
+    out = run_python(f"package = {package!r}\nsubmodules = {SUBMODULES!r}\n{PROBE}")
     return json.loads(out.splitlines()[-1])
 
 

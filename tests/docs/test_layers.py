@@ -10,16 +10,15 @@ table; the table itself must be acyclic.
 from __future__ import annotations
 
 import json
-import os
 import pkgutil
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
 import repro
+
+from ..conftest import run_python
 
 ROOT = Path(__file__).resolve().parents[2]
 ARCHITECTURE = ROOT / "docs" / "architecture.md"
@@ -42,19 +41,11 @@ def documented_dag():
 
 def loaded_layers(code: str):
     """The ``repro`` layers loaded after running ``code`` in a fresh interpreter."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
-    )
-    probe = (
+    out = run_python(
         f"{code}\nimport json, sys\n"
         "print(json.dumps(sorted({m.split('.')[1] for m in sys.modules "
         "if m.startswith('repro.')})))"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, cwd=ROOT,
-        capture_output=True, text=True, check=True,
-    ).stdout
     return set(json.loads(out.splitlines()[-1]))
 
 

@@ -13,12 +13,8 @@ one job of every registered algorithm in a fresh interpreter.  No new
 from __future__ import annotations
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[2]
+from ..conftest import run_python
 
 #: The imports of the benchmark worker and of every pass, before its timer.
 PREAMBLE = """
@@ -78,14 +74,7 @@ print(json.dumps(facts))
 
 
 def run_fresh(setup):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", PREAMBLE + setup + REPORT], env=env, cwd=ROOT,
-        capture_output=True, text=True, check=True,
-    ).stdout
+    out = run_python(PREAMBLE + setup + REPORT)
     return json.loads(out.splitlines()[-1])
 
 
