@@ -20,13 +20,13 @@ regions yet always reports a feasible incumbent when one exists.
 
 Both neighbourhood moves are the
 :class:`~repro.scheduling.IncrementalCostEvaluator`'s moves, so the walk is
-driven incrementally *for every chemistry*: each candidate re-costs only
-the schedule window its move touches instead of rebuilding a load profile
-and re-evaluating the whole model, and rejected candidates leave the state
-(and its cached per-interval contributions) untouched.  Incremental costs
-are bit-identical to full re-evaluation, so the walk's trajectory is
-exactly the one a full-recompute annealer with the same RNG stream would
-take.
+driven through one evaluator *for every chemistry*: each candidate is costed
+in full by the battery model's schedule path, the same call
+:func:`~repro.scheduling.evaluate_schedule` makes, and a rejected candidate
+leaves the state untouched.  Without fused compound tasks (which the
+evaluator prices at their averaged design point), the walk's trajectory is
+exactly the one a search costing every candidate with ``evaluate_schedule``
+and the same RNG stream would take.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from ..scheduling import (
     DesignPointAssignment,
     IncrementalCostEvaluator,
     SchedulingProblem,
+    relocation_window,
     sequence_by_decreasing_energy,
 )
 from ..taskgraph import TaskGraph
@@ -217,18 +218,11 @@ def _relocation_target(
     """A random legal new position for ``name``; None when it cannot move.
 
     Draws from the same distribution (and consumes the same RNG values) as
-    the pre-evaluator implementation that rebuilt the sequence list.
+    the pre-evaluator implementation that rebuilt the sequence list: a task
+    whose window is its own position alone still consumes one draw.
     """
-    index = positions[name]
-    predecessors = graph.predecessors(name)
-    successors = graph.successors(name)
-    lower = max((positions[p] for p in predecessors), default=-1) + 1
-    upper = min((positions[s] for s in successors), default=len(sequence)) - 1
-    if upper <= lower and (upper < index or lower > index):
-        return None
-    if upper < lower:
-        return None
+    lower, upper = relocation_window(graph, positions, name, len(sequence))
     target = rng.randint(lower, upper)
-    if target == index:
+    if target == positions[name]:
         return None
     return target

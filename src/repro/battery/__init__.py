@@ -7,7 +7,7 @@ model (KiBaM) as alternative chemistries, plus the :class:`LoadProfile`
 structure all of them consume.  Every :class:`BatteryModel` implements the
 vectorized schedule kernel of :mod:`repro.battery.kernels` (per-interval
 contributions parametrised by time-to-end), so the whole evaluator stack —
-full, incremental and batch — is chemistry-generic.
+single-schedule, move proposals and batch — is chemistry-generic.
 """
 
 from .. import _lazy_exports

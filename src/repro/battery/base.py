@@ -13,8 +13,9 @@ The scheduling stack costs candidates through the per-interval kernel of
 derives from.  A custom chemistry subclasses :class:`BatteryModel` and
 implements both :meth:`~BatteryModel.apparent_charge` and
 ``interval_contributions``; it may override ``contribution_floor`` and
-``TIME_SENSITIVE`` (the ideal and Peukert models exist precisely to show how
-the ranking of schedules changes with the battery abstraction).
+``TIME_SENSITIVE``, which tune the exhaustive search's pruning (the ideal
+and Peukert models exist precisely to show how the ranking of schedules
+changes with the battery abstraction).
 """
 
 from __future__ import annotations

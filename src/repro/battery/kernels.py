@@ -9,10 +9,9 @@ way — as a sum of **per-interval contributions parametrised by time-to-end**
 
     sigma = fsum_k  contribution(duration_k, current_k, time_to_end_k)
 
-Because an interval's time-to-end depends only on what runs *after* it, a
-contribution is unchanged by any edit at or before its position — the
-invariant the incremental evaluator exploits to re-cost single-move
-neighbours without touching unaffected intervals, for any chemistry.
+Each candidate, every move proposal of neighbourhood search included, is
+costed by one :meth:`~ScheduleKernelMixin.schedule_charge` call on the whole
+schedule, whatever the chemistry.
 
 :class:`ScheduleKernelMixin` — the base of every
 :class:`~repro.battery.BatteryModel` — turns one abstract, model-specific
@@ -29,13 +28,12 @@ complete canonical schedule API:
   bound that makes branch-and-bound pruning (the exhaustive baseline's DFS)
   valid for the chemistry.
 
-One class attribute describes the chemistry to the evaluator stack,
+One class attribute describes the chemistry to the pruning searches,
 ``TIME_SENSITIVE``: whether contributions actually depend on time-to-end.
 The diffusion-style chemistries (Rakhmatov–Vrudhula, KiBaM) are sensitive:
-a move changes the time-to-end — and hence the contribution — of every
-interval before it.  Per-interval energy laws (Peukert, ideal) are not: the
-incremental evaluator then reuses contributions on *both* sides of a move
-and re-costs only the changed segment.
+where an interval runs changes its contribution.  Per-interval energy laws
+(Peukert, ideal) are not: an interval's contribution is then its own exact
+lower bound (:meth:`~ScheduleKernelMixin.contribution_floor`).
 """
 
 from __future__ import annotations
@@ -57,9 +55,8 @@ def suffix_durations(durations: "np.ndarray") -> "np.ndarray":
     ``tail[k]`` is interval ``k``'s time-to-end when sigma is evaluated at
     the makespan of a back-to-back schedule.  The accumulation order (last
     interval first, one addition per step) is part of the scheduling stack's
-    bit-level contract: the incremental evaluator re-extends exactly this
-    chain when it recomputes the prefix affected by a move, which keeps
-    partial updates bit-identical to a full re-evaluation.
+    bit-level contract: the batch path accumulates each row in the same
+    order, which keeps batch and single-schedule costs bit-identical.
     """
     durations = np.asarray(durations, dtype=float)
     n = durations.shape[0]
@@ -81,8 +78,7 @@ class ScheduleKernelMixin(abc.ABC):
     """
 
     #: Whether per-interval contributions depend on the time-to-end argument.
-    #: ``False`` lets the incremental evaluator reuse contributions on both
-    #: sides of a move and ignore evaluation-point (rest) changes.
+    #: ``False`` makes each contribution its own exact pruning floor.
     TIME_SENSITIVE: bool = True
 
     def _contributions(
@@ -162,7 +158,7 @@ class ScheduleKernelMixin(abc.ABC):
         """sigma of a back-to-back schedule, evaluated ``rest`` after the makespan.
 
         This is the canonical cost of the scheduling stack: exact (fsum)
-        reduction of :meth:`schedule_contributions`, so full, incremental and
+        reduction of :meth:`schedule_contributions`, so single-schedule and
         batch evaluation of the same schedule return bit-identical values.
         """
         return float(math.fsum(self.schedule_contributions(durations, currents, rest)))

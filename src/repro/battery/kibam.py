@@ -26,10 +26,8 @@ needed.
 Vectorized schedule kernel (superposition)
 ------------------------------------------
 At first sight the two-well state forces *sequential* evaluation: ``delta``
-at interval ``k`` depends on the whole prefix, so an incremental evaluator
-would seem to need per-position state checkpoints and a suffix recompute per
-move — the opposite of the Rakhmatov–Vrudhula model's suffix-reusing prefix
-recompute.  But the ODE ``delta' = I(t)/c - k' delta`` is *linear* with
+at interval ``k`` depends on the whole prefix, which would rule out the
+elementwise kernel every other chemistry provides.  But the ODE ``delta' = I(t)/c - k' delta`` is *linear* with
 ``delta(0) = 0``, so its solution superposes over the load's intervals::
 
     delta(T) = sum_k  I_k / (c k') * ( e^{-k' tte_k} - e^{-k' (tte_k + Delta_k)} )

@@ -22,9 +22,8 @@ Because each interval's effective charge depends only on its own duration
 and current — never on *when* the interval runs — the model is
 time-**insensitive** in the sense of
 :class:`~repro.battery.kernels.ScheduleKernelMixin`: its vectorized
-schedule kernel ignores the time-to-end parameter, the incremental
-evaluator re-costs only the intervals a move actually touches, and the
-per-interval contribution is its own exact pruning floor.  The scalar
+schedule kernel ignores the time-to-end parameter, and the per-interval
+contribution is its own exact pruning floor.  The scalar
 per-profile loop in :meth:`PeukertModel.apparent_charge` is retained as the
 conformance reference for the vectorized kernel.
 """

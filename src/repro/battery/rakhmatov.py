@@ -43,9 +43,8 @@ of ``np.exp`` calls):
   for the golden tests);
 * :meth:`RakhmatovVrudhulaModel.interval_contributions` — the Equation-1
   bracket parametrised by each interval's **time-to-end** (makespan minus
-  interval end), which depends only on the durations *after* the interval —
-  the property the incremental evaluator exploits to re-cost single-move
-  neighbours without touching unaffected intervals.  The chemistry-generic
+  interval end), which depends only on the durations *after* the interval.
+  The chemistry-generic
   :class:`~repro.battery.kernels.ScheduleKernelMixin` derives the canonical
   schedule path (``schedule_contributions`` / ``schedule_charge`` /
   ``schedule_charge_batch``) from this kernel, exactly as it does for the
@@ -194,10 +193,8 @@ class RakhmatovVrudhulaModel(BatteryModel):
         """Per-interval sigma contributions, parametrised by time-to-end.
 
         ``time_to_end[k]`` is the time between interval ``k``'s end and the
-        evaluation time (>= 0: every interval has completed).  Because it
-        depends only on what runs *after* the interval, a contribution is
-        unchanged by any edit to the schedule at or before its position —
-        the invariant behind the incremental evaluator's partial updates.
+        evaluation time (>= 0: every interval has completed); it depends
+        only on what runs *after* the interval.
         """
         durations = np.asarray(durations, dtype=float)
         currents = np.asarray(currents, dtype=float)

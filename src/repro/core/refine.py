@@ -19,8 +19,14 @@ consumes scheduler output.
 Both move kinds are exactly the neighbourhood moves of the
 :class:`~repro.scheduling.IncrementalCostEvaluator` (an adjacent swap is a
 relocation by one position), so the sweep is driven through one evaluator:
-each candidate re-costs only the schedule prefix the move touches, and an
-accepted move becomes the next state via ``apply`` instead of a rebuild.
+each candidate is costed in full by the battery model's schedule path, and
+an accepted move becomes the next state via ``apply`` instead of a rebuild.
+
+The pass climbs sigma at completion, whatever point the input solution was
+costed at: the incumbent is the evaluator's completion-time cost of the
+input, never ``solution.cost``.  A solution scheduled with
+``SchedulerConfig(evaluate_at="deadline")`` is therefore refined, and
+returned, with its completion-time sigma.
 """
 
 from __future__ import annotations
@@ -60,8 +66,9 @@ def refine_solution(
     Returns
     -------
     SchedulingSolution
-        With a cost no larger than the input's; all other metadata (iteration
-        history, convergence flag) is carried over unchanged.
+        With a completion-time sigma no larger than the input's; all other
+        metadata (iteration history, convergence flag) is carried over
+        unchanged.
     """
     if max_sweeps < 1:
         raise ConfigurationError("max_sweeps must be >= 1")
@@ -72,7 +79,7 @@ def refine_solution(
     evaluator = IncrementalCostEvaluator(
         graph, solution.sequence, solution.assignment, battery_model
     )
-    best_cost = solution.cost
+    best_cost = evaluator.cost
 
     edges = set(graph.edges())
     design_point_counts = {task.name: task.num_design_points for task in graph}

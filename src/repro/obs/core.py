@@ -20,7 +20,7 @@ enforces this.
 >>> with recording() as rec:
 ...     rec.count("eval.apply")
 ...     rec.count("eval.apply", 2)
-...     rec.observe("eval.recompute_window", 5)
+...     rec.observe("example.size", 5)
 >>> rec.counters_snapshot()["counters"]["eval.apply"]
 3
 """

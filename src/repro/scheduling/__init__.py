@@ -5,7 +5,7 @@ Provides the building blocks every algorithm in :mod:`repro.core` and
 precedence-respecting sequences, the design-point assignment mapping, the
 fully resolved :class:`Schedule`, and the cost-evaluation stack
 (:func:`battery_cost` / :func:`evaluate_schedule` for full evaluation,
-:class:`IncrementalCostEvaluator` for delta-updating neighbourhood search).
+:class:`IncrementalCostEvaluator` for the moves of neighbourhood search).
 """
 
 from .. import _lazy_exports
@@ -23,6 +23,7 @@ __all__ = [
     "ScheduleEvaluation",
     "ScheduleState",
     "evaluate_schedule",
+    "relocation_window",
     "list_schedule",
     "sequence_by_weights",
     "sequence_by_decreasing_energy",
@@ -36,7 +37,7 @@ __getattr__, __dir__ = _lazy_exports(
         ".cost": ("EVALUATION_MODES", "battery_cost", "profile_for"),
         ".evaluator": (
             "IncrementalCostEvaluator", "MoveProposal", "ScheduleEvaluation",
-            "ScheduleState", "evaluate_schedule",
+            "ScheduleState", "evaluate_schedule", "relocation_window",
         ),
         ".list_scheduler": (
             "average_energy_weights", "list_schedule", "sequence_by_decreasing_energy",

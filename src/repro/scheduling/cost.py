@@ -12,7 +12,7 @@ happens while the platform idles between completion and the deadline.
 (:func:`repro.scheduling.evaluator.evaluate_schedule`): validation plus the
 vectorized array path of the battery model, with no ``Schedule`` or
 ``LoadProfile`` objects on the hot path.  It returns values bit-identical to
-the evaluator's full and incremental evaluations of the same candidate.
+the evaluator's move proposals for the same candidate.
 """
 
 from __future__ import annotations

@@ -1,58 +1,31 @@
-"""Incremental, vectorized battery-cost evaluation of candidate schedules.
+"""Battery-cost evaluation of candidate schedules.
 
 Every search layer in the library — the paper's iterative heuristic, the
 hill-climbing refinement pass, the annealing yardstick and the enumeration
 baselines — spends its time asking one question: *what is sigma for this
-(sequence, assignment) candidate?*  This module answers it once, at three
-speeds:
+(sequence, assignment) candidate?*  This module answers it with one call,
+the battery model's vectorized schedule path
+(:meth:`~repro.battery.RakhmatovVrudhulaModel.schedule_charge`) on the
+candidate's back-to-back duration/current arrays:
 
-* :func:`evaluate_schedule` — the canonical **full** evaluation.  It skips
-  the :class:`~repro.scheduling.Schedule` / :class:`~repro.battery.LoadProfile`
-  object layer entirely, handing duration/current arrays straight to the
-  battery model's vectorized schedule path
-  (:meth:`~repro.battery.RakhmatovVrudhulaModel.schedule_charge`).
+* :func:`evaluate_schedule` — the canonical evaluation of one candidate.  It
+  skips the :class:`~repro.scheduling.Schedule` /
+  :class:`~repro.battery.LoadProfile` object layer entirely, and expands
+  fused compound tasks into their member segments.
   :func:`~repro.scheduling.battery_cost` is a thin wrapper over it.
-* :class:`IncrementalCostEvaluator` — **delta** evaluation for neighbourhood
-  search.  It keeps a :class:`ScheduleState` (timeline arrays plus
-  per-interval sigma contributions) and exposes ``propose``/``apply`` for
-  the two neighbourhood moves every searcher uses: change one task's design
-  point, or relocate one task to another position.  A proposal re-costs only
-  the intervals whose contribution can have changed.  The evaluator only
-  moves forward: a rejected proposal is simply never applied.
-* :meth:`~repro.battery.RakhmatovVrudhulaModel.schedule_charge_batch` —
-  **batch** evaluation of many same-length schedules at once (used by the
-  uniform-assignment bounds).
+* :class:`IncrementalCostEvaluator` — the move evaluator of neighbourhood
+  search.  It keeps a :class:`ScheduleState` (the current timeline arrays
+  and their sigma) and exposes ``propose``/``apply`` for the two
+  neighbourhood moves every searcher uses: change one task's design point,
+  or relocate one task to another position.  A proposal costs the whole
+  candidate; ``apply`` makes it the current state.  A rejected proposal is
+  simply never applied.
 
-Bit-level contract
-------------------
-The three paths return *bit-identical* sigma values for the same candidate.
-This works because the canonical path parametrises interval ``k`` by its
-**time-to-end** (the sum of the durations scheduled after it): a move at
-position ``p`` leaves every interval after ``max(p, target)`` untouched —
-same duration, same current, same time-to-end, bit for bit — so the
-incremental evaluator recomputes only the affected prefix, re-extending the
-same back-to-front suffix-sum chain a full evaluation would build
-(:func:`~repro.battery.suffix_durations`), and reduces the contributions
-with an exactly rounded (order-independent) ``math.fsum``.  Searches driven
-incrementally therefore walk the *identical* trajectory a full-recompute
-search would.
-
-Chemistry dispatch
-------------------
-The evaluator is chemistry-generic: every :class:`~repro.battery.BatteryModel`
-(all four built-in chemistries — Rakhmatov–Vrudhula, Peukert, KiBaM,
-ideal) gets true incremental updates through its ``interval_contributions``
-kernel.  The recompute window depends on the chemistry's ``TIME_SENSITIVE``
-flag:
-
-* **time-sensitive** chemistries (Rakhmatov–Vrudhula, KiBaM): a move at
-  window ``[lo, hi]`` changes the time-to-end of every interval at or
-  before ``hi``, so the whole prefix ``[0, hi]`` is re-costed and the
-  suffix is reused;
-* **time-insensitive** chemistries (Peukert, ideal): contributions ignore
-  time-to-end entirely, so only the changed segment ``[lo, hi]`` is
-  re-costed — contributions on *both* sides are reused bit-for-bit, and a
-  moved evaluation point (deadline mode) invalidates nothing.
+Because both paths make the same call on the same arrays, a proposal's
+sigma is bit-identical to :func:`evaluate_schedule` of the same candidate,
+for every chemistry and evaluation point.  The one exception is a fused
+compound task: the move evaluator prices it at its single averaged design
+point (the search-time proxy), not at its member segments.
 
 A complete propose/apply round trip:
 
@@ -80,7 +53,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..battery import BatteryModel, suffix_durations
+from ..battery import BatteryModel
 from ..errors import ConfigurationError, ScheduleError
 from ..obs import RECORDER as _OBS
 from ..taskgraph import TaskGraph, validate_sequence
@@ -93,6 +66,7 @@ __all__ = [
     "MoveProposal",
     "IncrementalCostEvaluator",
     "evaluate_schedule",
+    "relocation_window",
 ]
 
 #: Supported sigma evaluation points (re-exported by :mod:`repro.scheduling.cost`).
@@ -153,7 +127,9 @@ def evaluate_schedule(
     Builds the back-to-back duration/current arrays directly from the graph
     tables and hands them to the model's vectorized schedule path; no
     :class:`Schedule` or :class:`~repro.battery.LoadProfile` objects are
-    created.  Returns bit-identical costs to the incremental evaluator.
+    created.  Move proposals of :class:`IncrementalCostEvaluator` make the
+    same model call, so they cost the same candidate bit-identically when
+    it holds no compound task.
     Compound tasks produced by :func:`repro.taskgraph.fuse` are expanded
     into their recorded member segments, so a fused schedule's canonical
     cost equals its unfused translation's cost bitwise (the compound's
@@ -198,24 +174,32 @@ def evaluate_schedule(
     return ScheduleEvaluation(cost=cost, makespan=makespan, rest=rest)
 
 
+def relocation_window(
+    graph: TaskGraph, positions: Dict[str, int], name: str, size: int
+) -> Tuple[int, int]:
+    """The positions ``name`` may move to without breaking precedence.
+
+    ``positions`` maps every task of a ``size``-task sequence to its index.
+    The window runs from just after ``name``'s last predecessor to just
+    before its first successor, so in a precedence-respecting sequence it
+    always contains ``name``'s own position.
+    """
+    lower = max((positions[p] for p in graph.predecessors(name)), default=-1) + 1
+    upper = min((positions[s] for s in graph.successors(name)), default=size) - 1
+    return lower, upper
+
+
 @dataclass
 class ScheduleState:
-    """Timeline arrays and per-interval sigma contributions of one candidate.
+    """Timeline arrays of one candidate and its sigma.
 
-    ``durations``/``currents`` are per-position arrays in sequence order;
-    ``tail[k]`` is the time-to-end of interval ``k`` (suffix sum of the
-    durations after it); ``contributions[k]`` is interval ``k``'s share of
-    sigma.  For time-insensitive chemistries the contributions never read
-    ``tail``, so the evaluator leaves it at its construction-time values
-    rather than maintaining it per move.
+    ``durations``/``currents`` are per-position arrays in sequence order.
     """
 
     sequence: List[str]
     columns: Dict[str, int]
     durations: np.ndarray
     currents: np.ndarray
-    tail: np.ndarray
-    contributions: np.ndarray
     makespan: float
     rest: float
     cost: float
@@ -238,17 +222,12 @@ class MoveProposal:
     sequence: Tuple[str, ...]
     _durations: np.ndarray = field(repr=False)
     _currents: np.ndarray = field(repr=False)
-    _recompute_hi: int = field(repr=False)
-    _contrib_head: np.ndarray = field(repr=False)
-    _recompute_lo: int = field(repr=False, default=0)
-    _tail_head: Optional[np.ndarray] = field(repr=False, default=None)
     _version: int = field(repr=False, default=0)
     _changed_column: Optional[Tuple[str, int]] = field(repr=False, default=None)
-    _move_window: Optional[Tuple[int, int]] = field(repr=False, default=None)
 
 
 class IncrementalCostEvaluator:
-    """Delta-updating battery-cost evaluator over (sequence, assignment) states.
+    """Move evaluator over (sequence, assignment) states.
 
     Parameters
     ----------
@@ -258,9 +237,7 @@ class IncrementalCostEvaluator:
         The starting candidate (validated against the graph).
     model:
         Battery model supplying the cost function through its
-        ``interval_contributions`` kernel, with the recompute window
-        narrowed further for time-insensitive chemistries (see the module
-        docstring).
+        ``schedule_charge`` path.
     deadline, evaluate_at:
         Sigma evaluation point, with the same semantics (including deadline
         clamping) as :func:`repro.scheduling.battery_cost`.
@@ -282,9 +259,6 @@ class IncrementalCostEvaluator:
         self.model = model
         self.deadline = None if deadline is None else float(deadline)
         self.evaluate_at = evaluate_at
-        # Chemistry dispatch: time-insensitive kernels (Peukert, ideal) keep
-        # contributions valid on both sides of a move.
-        self._time_sensitive = model.TIME_SENSITIVE
         # Per-task design-point tables, indexed by canonical column.
         self._durations_by_task: Dict[str, Tuple[float, ...]] = {}
         self._currents_by_task: Dict[str, Tuple[float, ...]] = {}
@@ -350,18 +324,12 @@ class IncrementalCostEvaluator:
         deadline-violating design-point moves before paying for a proposal.
         """
         position = self.position(name)
-        durations = self._durations_by_task[name]
-        if not (0 <= column < len(durations)):
-            raise ScheduleError(
-                f"column {column} out of range for task {name!r} "
-                f"({len(durations)} design points)"
-            )
         candidate = self.state.durations.tolist()
-        candidate[position] = durations[column]
+        candidate[position] = self._column_durations(name, column)[column]
         return math.fsum(candidate)
 
     def evaluate_full(self) -> float:
-        """Full from-scratch evaluation of the current state (testing hook)."""
+        """Canonical evaluation of the current state (testing hook)."""
         return evaluate_schedule(
             self.graph,
             self.state.sequence,
@@ -375,19 +343,9 @@ class IncrementalCostEvaluator:
     # proposals
     # ------------------------------------------------------------------
     def propose_design_point(self, name: str, column: int) -> MoveProposal:
-        """Cost the move "run ``name`` at design-point ``column``" without committing.
-
-        Only intervals at or before ``name``'s position are re-evaluated:
-        later intervals keep their time-to-end (the changed duration is not
-        part of their suffix), so their contributions are reused bit-for-bit.
-        """
+        """Cost the move "run ``name`` at design-point ``column``" without committing."""
         position = self.position(name)
-        durations = self._durations_by_task[name]
-        if not (0 <= column < len(durations)):
-            raise ScheduleError(
-                f"column {column} out of range for task {name!r} "
-                f"({len(durations)} design points)"
-            )
+        durations = self._column_durations(name, column)
         if column == self.state.columns[name]:
             raise ScheduleError(
                 f"task {name!r} already runs at design-point column {column}"
@@ -396,27 +354,22 @@ class IncrementalCostEvaluator:
         new_currents = self.state.currents.copy()
         new_durations[position] = durations[column]
         new_currents[position] = self._currents_by_task[name][column]
-        makespan = math.fsum(new_durations.tolist())
-        rest = _resolve_rest(makespan, self.deadline, self.evaluate_at)
         return self._cost_candidate(
             kind="design_point",
             sequence=tuple(self.state.sequence),
-            new_durations=new_durations,
-            new_currents=new_currents,
-            lo=position,
-            hi=position,
-            makespan=makespan,
-            rest=rest,
+            durations=new_durations,
+            currents=new_currents,
+            makespan=math.fsum(new_durations.tolist()),
             changed_column=(name, column),
         )
 
     def propose_relocate(self, name: str, position: int) -> MoveProposal:
         """Cost the move "place ``name`` at sequence ``position``" without committing.
 
-        The target position must lie within the window allowed by ``name``'s
-        predecessors and successors (validity by construction).  Intervals
-        after ``max(old, new)`` position are reused bit-for-bit; the makespan
-        is exactly unchanged (same duration multiset, exact fsum).
+        The target position must lie within :func:`relocation_window`, the
+        window allowed by ``name``'s predecessors and successors (validity by
+        construction).  The makespan is exactly unchanged (same duration
+        multiset, exact fsum).
         """
         index = self.position(name)
         n = len(self.state.sequence)
@@ -424,189 +377,80 @@ class IncrementalCostEvaluator:
             raise ScheduleError(f"target position {position} out of range [0, {n})")
         if position == index:
             raise ScheduleError(f"task {name!r} is already at position {position}")
-        lower = max(
-            (self._positions[p] for p in self.graph.predecessors(name)), default=-1
-        ) + 1
-        upper = min(
-            (self._positions[s] for s in self.graph.successors(name)), default=n
-        ) - 1
+        lower, upper = relocation_window(self.graph, self._positions, name, n)
         if not (lower <= position <= upper):
             raise ScheduleError(
                 f"moving task {name!r} to position {position} violates precedence "
                 f"(legal window [{lower}, {upper}])"
             )
         new_sequence = list(self.state.sequence)
-        new_sequence.pop(index)
-        new_sequence.insert(position, name)
-        lo, hi = (index, position) if index < position else (position, index)
-        new_durations = self.state.durations.copy()
-        new_currents = self.state.currents.copy()
-        segment = [
-            (
-                self._durations_by_task[task][self.state.columns[task]],
-                self._currents_by_task[task][self.state.columns[task]],
-            )
-            for task in new_sequence[lo : hi + 1]
-        ]
-        new_durations[lo : hi + 1] = [duration for duration, _ in segment]
-        new_currents[lo : hi + 1] = [current for _, current in segment]
-        # Same duration multiset => exactly the same fsum makespan and rest.
+        new_durations = self.state.durations.tolist()
+        new_currents = self.state.currents.tolist()
+        for values in (new_sequence, new_durations, new_currents):
+            values.insert(position, values.pop(index))
         return self._cost_candidate(
             kind="relocate",
             sequence=tuple(new_sequence),
-            new_durations=new_durations,
-            new_currents=new_currents,
-            lo=lo,
-            hi=hi,
+            durations=np.array(new_durations),
+            currents=np.array(new_currents),
             makespan=self.state.makespan,
-            rest=self.state.rest,
-            changed_column=None,
-            move_window=(lo, hi),
         )
+
+    def _column_durations(self, name: str, column: int) -> Tuple[float, ...]:
+        """``name``'s per-column durations, after checking ``column`` exists."""
+        durations = self._durations_by_task[name]
+        if not (0 <= column < len(durations)):
+            raise ScheduleError(
+                f"column {column} out of range for task {name!r} "
+                f"({len(durations)} design points)"
+            )
+        return durations
 
     def _cost_candidate(
         self,
         kind: str,
         sequence: Tuple[str, ...],
-        new_durations: np.ndarray,
-        new_currents: np.ndarray,
-        lo: int,
-        hi: int,
+        durations: np.ndarray,
+        currents: np.ndarray,
         makespan: float,
-        rest: float,
-        changed_column: Optional[Tuple[str, int]],
-        move_window: Optional[Tuple[int, int]] = None,
+        changed_column: Optional[Tuple[str, int]] = None,
     ) -> MoveProposal:
-        """Evaluate a candidate's cost, reusing unaffected contributions."""
-        recompute_lo = 0
-        recompute_hi = hi
-        if not self._time_sensitive:
-            # Contributions ignore time-to-end: both sides of the changed
-            # segment are reused, and a moved evaluation point (deadline
-            # mode) invalidates nothing.
-            recompute_lo = lo
-        elif rest != self.state.rest:
-            # The evaluation point moved (deadline mode): every interval's
-            # time-to-evaluation changes, so nothing can be reused.
-            recompute_hi = len(sequence) - 1
+        """Cost a whole candidate through the model's schedule path."""
         if _OBS.enabled:
             _OBS.count(f"eval.propose.{kind}")
-            _OBS.observe("eval.recompute_window", recompute_hi - recompute_lo + 1)
-        tail_head, contrib_head = self._recompute_window(
-            new_durations, new_currents, recompute_lo, recompute_hi, rest
-        )
-        # fsum over plain floats (tolist) — exact, order-independent, and
-        # much faster than iterating the boxed numpy elements.
-        values = (
-            contrib_head.tolist()
-            + self.state.contributions[recompute_hi + 1 :].tolist()
-        )
-        if recompute_lo:
-            values += self.state.contributions[:recompute_lo].tolist()
-        cost = float(math.fsum(values))
+        rest = _resolve_rest(makespan, self.deadline, self.evaluate_at)
         return MoveProposal(
             kind=kind,
-            cost=cost,
+            cost=self.model.schedule_charge(durations, currents, rest),
             makespan=makespan,
             rest=rest,
             sequence=sequence,
-            _durations=new_durations,
-            _currents=new_currents,
-            _recompute_hi=recompute_hi,
-            _recompute_lo=recompute_lo,
-            _tail_head=tail_head,
-            _contrib_head=contrib_head,
+            _durations=durations,
+            _currents=currents,
             _version=self._version,
             _changed_column=changed_column,
-            _move_window=move_window,
         )
-
-    def _recompute_window(
-        self,
-        durations: np.ndarray,
-        currents: np.ndarray,
-        lo: int,
-        hi: int,
-        rest: float,
-    ) -> Tuple[Optional[np.ndarray], np.ndarray]:
-        """Recompute the contributions of window ``[lo, hi]`` for a candidate.
-
-        Time-sensitive chemistries always pass ``lo == 0`` (the whole prefix
-        changed time-to-end): ``tail[hi]`` is unchanged by construction
-        (only durations at or before ``hi`` differ), so the suffix-sum chain
-        is re-extended from it downwards with exactly the additions a full
-        back-to-front cumsum would perform — the root of the
-        full/incremental bit-identity — and the refreshed ``tail[0:hi]`` is
-        returned alongside the contributions.
-
-        Time-insensitive chemistries re-cost only ``[lo, hi]``; the kernel
-        ignores time-to-end, so no tail maintenance is needed (``None``).
-        """
-        if not self._time_sensitive:
-            contrib = self.model.interval_contributions(
-                durations[lo : hi + 1],
-                currents[lo : hi + 1],
-                np.zeros(hi - lo + 1),
-            )
-            return None, contrib
-        n = durations.shape[0]
-        if hi >= n - 1:
-            tail_all = suffix_durations(durations)
-            tail_head = tail_all[:-1]
-            time_to_end = tail_all + rest
-        else:
-            # Re-extend the back-to-front suffix-sum chain from the unchanged
-            # anchor tail[hi], with exactly the additions a full cumsum would
-            # perform (in-place, no intermediate concatenations).
-            anchor = self.state.tail[hi]
-            chain = np.empty(hi + 1)
-            chain[0] = anchor
-            chain[1:] = durations[hi:0:-1]
-            np.cumsum(chain, out=chain)
-            tail_head = chain[1:][::-1]
-            time_to_end = np.empty(hi + 1)
-            time_to_end[:hi] = tail_head
-            time_to_end[hi] = anchor
-            time_to_end += rest
-        contrib_head = self.model.interval_contributions(
-            durations[: hi + 1], currents[: hi + 1], time_to_end[: hi + 1]
-        )
-        return tail_head, contrib_head
 
     # ------------------------------------------------------------------
     # state transitions
     # ------------------------------------------------------------------
     def apply(self, proposal: MoveProposal) -> None:
-        """Commit a proposal produced from the *current* state.
-
-        Applies state deltas only: the per-interval contributions (and tail)
-        are patched in place over the recompute window, and position/column
-        bookkeeping is touched only where the move kind actually changes it.
-        """
+        """Commit a proposal produced from the *current* state."""
         if proposal._version != self._version:
             raise ScheduleError(
                 "stale proposal: it was produced from a different evaluator state"
             )
         state = self.state
-        hi = proposal._recompute_hi
-        state.contributions[proposal._recompute_lo : hi + 1] = proposal._contrib_head
-        if proposal._tail_head is not None and hi > 0:
-            state.tail[:hi] = proposal._tail_head
         state.durations = proposal._durations
         state.currents = proposal._currents
         if proposal._changed_column is not None:
             name, column = proposal._changed_column
             state.columns[name] = column
         else:
-            # Relocation: columns untouched, but order and positions change —
-            # only inside the move window.  Patch a copy: the ``positions``
-            # view handed out before this move is replaced, never mutated.
+            # Relocation: a new positions dict, so the ``positions`` view
+            # handed out before this move is replaced, never mutated.
             state.sequence = list(proposal.sequence)
-            positions = self._positions.copy()
-            move_lo, move_hi = proposal._move_window
-            for index in range(move_lo, move_hi + 1):
-                positions[state.sequence[index]] = index
-            self._positions = positions
+            self._positions = {name: index for index, name in enumerate(state.sequence)}
         state.makespan = proposal.makespan
         state.rest = proposal.rest
         state.cost = proposal.cost
@@ -626,19 +470,14 @@ class IncrementalCostEvaluator:
         )
         makespan = math.fsum(durations)
         rest = _resolve_rest(makespan, self.deadline, self.evaluate_at)
-        tail = suffix_durations(durations)
-        contributions = self.model.interval_contributions(durations, currents, tail + rest)
-        cost = float(math.fsum(contributions))
         return ScheduleState(
             sequence=sequence,
             columns=columns,
             durations=durations,
             currents=currents,
-            tail=tail,
-            contributions=contributions,
             makespan=makespan,
             rest=rest,
-            cost=cost,
+            cost=self.model.schedule_charge(durations, currents, rest),
         )
 
     def __repr__(self) -> str:

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.battery import BatterySpec
-from repro.core import battery_aware_schedule, refine_solution
+from repro.core import SchedulerConfig, battery_aware_schedule, refine_solution
 from repro.errors import ConfigurationError
 from repro.experiments import table4_problems
+from repro.scenarios import default_registry
 from repro.scheduling import SchedulingProblem, battery_cost
 from repro.taskgraph import validate_sequence
 from repro.workloads import layered_graph, problem_with_tightness
@@ -79,4 +80,28 @@ class TestRefineSolution:
         solution = battery_aware_schedule(problem)
         refined = refine_solution(problem, solution)
         assert refined.cost <= solution.cost + 1e-9
+        assert refined.makespan <= problem.deadline + 1e-9
+
+
+class TestDeadlineModeInput:
+    """Refine climbs completion-time sigma, whatever the input was costed at.
+
+    A solution scheduled with ``evaluate_at="deadline"`` carries a sigma that
+    credits recovery up to the deadline, lower than any completion-time
+    candidate.  Seeding the incumbent with it would let no move win.
+    """
+
+    @pytest.mark.parametrize("name", ["g3", "layered-6x4", "series-parallel-d4"])
+    def test_deadline_mode_solution_is_refined_at_completion(self, name):
+        problem = default_registry().get(name).build_problem()
+        model = problem.model()
+        solution = battery_aware_schedule(
+            problem, SchedulerConfig(evaluate_at="deadline")
+        )
+        start = battery_cost(problem.graph, solution.sequence, solution.assignment, model)
+        refined = refine_solution(problem, solution)
+        assert refined.cost == battery_cost(
+            problem.graph, refined.sequence, refined.assignment, model
+        )
+        assert refined.cost < start
         assert refined.makespan <= problem.deadline + 1e-9

@@ -98,11 +98,11 @@ class TestRecorderEnabled:
         rec.enabled = True
         rec.count("eval.apply")
         rec.count("rt.example.ticks")
-        rec.observe("eval.recompute_window", 4)
+        rec.observe("example.size", 4)
         rec.observe("rt.sim.decision_s", 0.1)
         snapshot = rec.counters_snapshot()
         assert list(snapshot["counters"]) == ["eval.apply"]
-        assert list(snapshot["histograms"]) == ["eval.recompute_window"]
+        assert list(snapshot["histograms"]) == ["example.size"]
         everything = rec.counters_snapshot(include_volatile=True)
         assert "rt.example.ticks" in everything["counters"]
         assert "rt.sim.decision_s" in everything["histograms"]
@@ -169,13 +169,13 @@ class TestDeltaAndMerge:
             before = worker.counters_snapshot(include_volatile=True)
             for value in values:
                 worker.count("eval.apply")
-                worker.observe("eval.recompute_window", value)
+                worker.observe("example.size", value)
             parent.merge_metrics(worker.metrics_delta(before))
         reference = Recorder()
         reference.enabled = True
         for value in (1, 4, 2, 8):
             reference.count("eval.apply")
-            reference.observe("eval.recompute_window", value)
+            reference.observe("example.size", value)
         assert parent.counters_snapshot() == reference.counters_snapshot()
 
     def test_merge_is_noop_when_disabled(self):

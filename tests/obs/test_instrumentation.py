@@ -268,6 +268,6 @@ class TestEvaluatorCounters:
         assert counters["eval.propose.design_point"] > 0
         assert counters["eval.propose.relocate"] > 0
         assert counters["eval.apply"] > 0
+        # Every proposal is costed in full: the evaluator records no histogram.
         hists = RECORDER.counters_snapshot()["histograms"]
-        window = hists["eval.recompute_window"]
-        assert window["count"] > 0 and window["buckets"]
+        assert not any(name.startswith("eval.") for name in hists)

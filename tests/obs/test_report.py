@@ -36,7 +36,7 @@ def trace_path(tmp_path):
                 pass
         rec.count("eval.apply", 4)
         rec.count("rt.example.ticks", 2)
-        rec.observe("eval.recompute_window", 3)
+        rec.observe("example.size", 3)
         rec.gauge("rt.engine.pool.utilization", 0.75)
     return path
 
@@ -119,7 +119,7 @@ class TestLoad:
         assert trace.counters["eval.apply"] == 4
         assert trace.counters["rt.example.ticks"] == 2
         names = {row["name"] for row in trace.histograms}
-        assert "eval.recompute_window" in names
+        assert "example.size" in names
         assert trace.gauges["rt.engine.pool.utilization"] == 0.75
 
     def test_raises_on_corrupt_line(self, trace_path):
@@ -272,7 +272,7 @@ class TestSummaries:
         assert "2 spans" in text
         assert "engine.job" in text
         assert "eval.apply" in text
-        assert "eval.recompute_window" in text
+        assert "example.size" in text
         assert "gauge rt.engine.pool.utilization" in text
 
     def test_counts_deterministic_counters(self, trace_path):
@@ -287,7 +287,7 @@ class TestSummaries:
     def test_recorder_summary_tables(self):
         with recording() as rec:
             rec.count("eval.apply", 2)
-            rec.observe("eval.recompute_window", 3)
+            rec.observe("example.size", 3)
         text = "\n".join(recorder_summary_lines(RECORDER))
         assert "eval.apply" in text
-        assert "eval.recompute_window" in text
+        assert "example.size" in text

@@ -179,7 +179,7 @@ class TestRepeatedProposals:
 
 
 class TestCustomKernelModel:
-    """A custom model runs the same incremental kernel path as the built-ins."""
+    """A custom model runs the same schedule path as the built-ins."""
 
     @pytest.fixture
     def custom(self, diamond4, assignment):
@@ -234,11 +234,11 @@ class TestScheduleStateShape:
         assert len(state.sequence) == 4
         assert state.durations.shape == (4,)
         assert state.currents.shape == (4,)
-        assert state.tail.shape == (4,)
-        assert state.contributions.shape == (4,)
-        assert state.tail[-1] == 0.0
-        # tail[k] is the time from interval k's end to the makespan.
-        assert state.tail[0] == pytest.approx(float(np.sum(state.durations[1:])))
+        assert list(state.sequence) == list(SEQ)
+        assert state.columns == dict(assignment)
+        assert state.makespan == pytest.approx(float(np.sum(state.durations)))
+        assert state.rest == 0.0
+        assert state.cost == battery_cost(diamond4, SEQ, assignment, evaluator.model)
 
     def test_assignment_roundtrip(self, evaluator, assignment):
         assert evaluator.assignment() == assignment
